@@ -20,10 +20,10 @@ echo "== tier-1: TSan build of the runner tests =="
 # tracer mutex are exercised under real concurrency here.
 cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
   -DESCHED_BUILD_BENCH=OFF -DESCHED_BUILD_EXAMPLES=OFF
-# event_queue_test and snapshot_fork_test are single-threaded but pin the
-# fast-core determinism contracts (calendar-vs-heap differential,
-# fork-at-every-prefix); running them in the TSan tree keeps the sanitized
-# build honest about the same code the threaded sweep tests exercise.
+# event_queue_test is single-threaded but pins the fast-core determinism
+# contract (calendar-vs-heap differential); running it in the TSan tree
+# keeps the sanitized build honest about the same code the threaded sweep
+# tests exercise.
 # telemetry_test covers the fleet-telemetry locks (FleetAggregator,
 # SpanBuffer, FlightRecorder) that the coordinator's net thread and the
 # caller contend on during a distributed sweep.
@@ -47,14 +47,13 @@ cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
 # supervisor against sanitized esched-worker children.
 cmake --build build-tsan -j \
   --target thread_pool_test sweep_runner_test obs_registry_test \
-  event_queue_test snapshot_fork_test telemetry_test \
+  event_queue_test telemetry_test \
   svc_journal_test endpoint_test coordinator_test \
   obs_log_test http_exposition_test meta_test
 ./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
 ./build-tsan/tests/obs_registry_test
 ./build-tsan/tests/event_queue_test
-./build-tsan/tests/snapshot_fork_test
 ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/svc_journal_test
 ./build-tsan/tests/endpoint_test

@@ -319,30 +319,9 @@ class Agentd {
                 const std::vector<std::uint8_t>& body) {
     Client& client = clients_.at(id);
     net::Hello hello;
-    bool ok = header.type == wire::FrameType::kHello;
-    std::string error = "esched-agentd: expected kHello";
-    if (ok) {
-      try {
-        hello = net::decode_hello(body);
-      } catch (const Error& e) {
-        ok = false;
-        error = e.what();
-      }
-    }
-    if (ok && hello.protocol != net::kNetProtocolVersion) {
-      ok = false;
-      error = "esched-agentd: protocol version mismatch (agent=" +
-              std::to_string(net::kNetProtocolVersion) +
-              ", coordinator=" + std::to_string(hello.protocol) + ")";
-    }
-    if (ok && !options_.token.empty() && hello.token != options_.token) {
-      ok = false;
-      // Deliberately does not echo either token.
-      error = "esched-agentd: auth token mismatch (agent requires a "
-              "shared secret; pass --token / ESCHED_AUTH_TOKEN to the "
-              "coordinator)";
-    }
-    if (!ok) {
+    const std::string error =
+        net::check_hello(header, body, options_.token, "esched-agentd", hello);
+    if (!error.empty()) {
       obs::log_warn("net.agentd", "rejecting client",
                     {{"client", id}, {"reason", error}});
       client.conn.send(

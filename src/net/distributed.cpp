@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -14,9 +12,6 @@
 
 #include <poll.h>
 
-#include "net/frame_io.hpp"
-#include "net/protocol.hpp"
-#include "obs/fleet.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "run/endpoint.hpp"
@@ -30,96 +25,30 @@ namespace {
 using Clock = run::EndpointClock;
 namespace wire = run::wire;
 
-/// Remote-cell / connection-lifetime spans go on tracks 2000+agent so
-/// they collide neither with in-process worker tracks nor with the
-/// subprocess pool's 1000+slot tracks.
-constexpr std::uint32_t kTrackBase = 2000;
-
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-void bump(const char* name) {
-  if (!obs::counters_enabled()) return;
-  obs::Registry::global().counter(name).add();
-}
-
-std::string format_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", s);
-  return buf;
-}
-
-/// One remote agent and the coordinator's view of it: connection state
-/// machine, per-slot in-flight bookkeeping (shared run::Endpoint), and
-/// heartbeat/backoff clocks.
-struct Agent {
-  enum class State {
-    kBackoff,      ///< waiting for retry_at before (re)connecting
-    kConnecting,   ///< TCP connect in flight (poll for POLLOUT)
-    kHandshaking,  ///< kHello sent, waiting for kWelcome
-    kReady,        ///< handshake done; jobs and heartbeats flow
-    kFailed,       ///< abandoned for the rest of the run
-  };
-
-  HostPort addr;
-  State state = State::kBackoff;
-  std::optional<FrameConn> conn;
-  std::vector<run::Endpoint> slots;  ///< sized by the kWelcome slot count
-
-  Clock::time_point retry_at{};          ///< kBackoff: next connect time
-  Clock::time_point connect_deadline{};  ///< kConnecting/kHandshaking
-  Clock::time_point connected_at{};      ///< kReady: for lifetime spans
-  double backoff_seconds = 0.0;
-  std::uint32_t connects_left = 0;
-  bool ever_connected = false;
-
-  Clock::time_point next_ping{};
-  std::uint32_t ping_seq = 0;
-  std::uint32_t pings_unanswered = 0;
-  /// Last proof of life: the kWelcome, then every kPong. Drives the
-  /// heartbeat-age shown in failure reasons and SweepStats liveness.
-  Clock::time_point last_pong{};
-  bool ever_ponged = false;
-
-  /// When the kHello left, for the clock-offset estimate below.
-  Clock::time_point hello_sent{};
-  /// Adding this to the agent's steady-clock nanos re-bases its span
-  /// timestamps onto the coordinator's steady clock. Estimated at the
-  /// handshake: the agent's kWelcome carries its steady clock, which is
-  /// assumed to be sampled at the midpoint of the hello->welcome RTT.
-  std::int64_t clock_offset_nanos = 0;
-
-  std::string last_error = "never attempted";
-
-  bool connected() const {
-    return state == State::kHandshaking || state == State::kReady;
-  }
-  std::size_t busy_count() const {
-    std::size_t n = 0;
-    for (const run::Endpoint& ep : slots) {
-      if (ep.busy()) ++n;
-    }
-    return n;
-  }
-};
-
-/// The single-run coordinator state machine, the TCP sibling of the
-/// Supervisor in run/proc.cpp. Every socket is owned by an Agent's
-/// FrameConn, so unwinding (budget exhaustion, kError fail-fast) closes
-/// all connections via RAII — the agents then discard orphaned work.
-class Coordinator {
+/// One run() of the pool: the TaskLedger, payloads and results of a
+/// sweep, fed to the agents through an AgentFleet — the TCP sibling of
+/// the Supervisor in run/proc.cpp. Every socket is owned by the fleet, so
+/// unwinding (budget exhaustion, kError fail-fast) closes all connections
+/// via RAII — the agents then discard orphaned work.
+class PoolRun final : public FleetOwner {
  public:
-  Coordinator(const DistributedPoolConfig& config,
-              const std::vector<run::JobSpec>& sweep, run::SweepStats& stats,
-              const run::ProgressCallback& progress, obs::Tracer* tracer,
-              obs::FleetAggregator* fleet)
+  PoolRun(const DistributedPoolConfig& config,
+          const std::vector<run::JobSpec>& sweep, run::SweepStats& stats,
+          const run::ProgressCallback& progress, obs::Tracer* tracer,
+          obs::FleetAggregator* telemetry)
       : config_(config),
         sweep_(sweep),
         stats_(stats),
         progress_(progress),
         tracer_(tracer),
-        fleet_(fleet) {}
+        fleet_(config, config.connect_attempts, *this, tracer, telemetry) {}
+  // fleet_ holds this object's address.
+  PoolRun(const PoolRun&) = delete;
+  PoolRun& operator=(const PoolRun&) = delete;
 
   std::vector<sim::SimResult> run() {
     const std::size_t n = sweep_.size();
@@ -134,645 +63,102 @@ class Coordinator {
     retry.backoff_initial_seconds = config_.backoff_initial_seconds;
     retry.backoff_max_seconds = config_.backoff_max_seconds;
     ledger_.emplace(sweep_, retry, wall_start_);
-
-    agents_.resize(config_.agents.size());
-    stats_.worker_busy_seconds.assign(agents_.size(), 0.0);
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      agents_[i].addr = config_.agents[i];
-      agents_[i].retry_at = wall_start_;  // connect immediately
-      agents_[i].backoff_seconds = config_.reconnect_initial_seconds;
-      agents_[i].connects_left = config_.connect_attempts;
-    }
+    stats_.worker_busy_seconds.assign(config_.agents.size(), 0.0);
 
     while (!ledger_->all_done()) step();
 
     disconnect_all();
     stats_.wall_seconds = seconds_since(wall_start_);
     finalize_task_stats();
-    std::vector<sim::SimResult> out;
-    out.reserve(n);
-    for (sim::SimResult& r : results_) out.push_back(std::move(r));
-    return out;
+    return std::move(results_);
   }
 
-  /// Close every connection (graceful or not — TCP has no distinction the
-  /// agent cares about; it drops orphaned work on EOF). Never throws.
-  /// Also the moment the per-agent liveness snapshot is captured, so
-  /// last_stats() carries the fleet picture on success and failure alike.
+  /// Close every connection. Also the moment the fleet picture (slot
+  /// total, per-agent liveness) is captured, so last_stats() carries it
+  /// on success and failure alike. Never throws.
   void disconnect_all() noexcept {
     const Clock::time_point now = Clock::now();
-    record_liveness(now);
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      Agent& a = agents_[i];
-      if (a.state == Agent::State::kReady) emit_connection_span(i, now);
-      a.conn.reset();
+    stats_.threads = fleet_.peak_slots();
+    stats_.agent_liveness = fleet_.liveness(now);
+    fleet_.disconnect_all(now);
+  }
+
+  // ---- FleetOwner -----------------------------------------------------
+
+  bool claim(Clock::time_point now, FleetWork& work) override {
+    const std::size_t task = ledger_->claim_ready(now);
+    if (task == run::kNoTask) return false;  // all gated on backoff
+    work.task = task;
+    work.attempt = ledger_->begin_attempt(task);
+    work.payload = &payloads_[task];
+    return true;
+  }
+
+  bool on_result(std::size_t agent, const run::Endpoint& slot,
+                 std::vector<std::uint8_t> bytes,
+                 Clock::time_point now) override {
+    sim::SimResult result;
+    try {
+      result = wire::decode_result(bytes);
+    } catch (const Error&) {
+      return false;
     }
+    complete(agent, slot, std::move(result), now);
+    return true;
+  }
+
+  void on_transient(std::size_t task, const std::string& reason,
+                    Clock::time_point now) override {
+    ledger_->fail_attempt(task, reason, now);  // throws on budget
+  }
+
+  void on_error(std::size_t task, const std::string& message) override {
+    // Retrying reruns the same deterministic simulation on another
+    // agent — fail the sweep fast.
+    ledger_->fail_deterministic(task, message);
   }
 
  private:
-  // ---- connection lifecycle -------------------------------------------
-
-  void start_connect(std::size_t index, Clock::time_point now) {
-    Agent& a = agents_[index];
-    std::string error;
-    Fd fd = connect_tcp_start(a.addr, error);
-    if (!fd.valid()) {
-      connect_failure(index, error, now);
-      return;
-    }
-    a.conn.emplace(std::move(fd));
-    a.state = Agent::State::kConnecting;
-    a.connect_deadline =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(config_.connect_timeout_seconds));
-  }
-
-  void on_connect_writable(std::size_t index, Clock::time_point now) {
-    Agent& a = agents_[index];
-    std::string error;
-    if (!connect_tcp_finish(a.conn->fd(), error)) {
-      connect_failure(index, error, now);
-      return;
-    }
-    Hello hello;
-    hello.protocol = kNetProtocolVersion;
-    hello.token = config_.auth_token;
-    if (fleet_ != nullptr) hello.flags |= kHelloFlagTelemetry;
-    a.hello_sent = now;
-    if (!a.conn->send(wire::encode_frame(wire::FrameType::kHello, 0, 0,
-                                         encode_hello(hello)))) {
-      connect_failure(index, "send failed during handshake", now);
-      return;
-    }
-    a.state = Agent::State::kHandshaking;  // connect_deadline still armed
-  }
-
-  void on_welcome(std::size_t index, const Welcome& welcome,
-                  Clock::time_point now) {
-    Agent& a = agents_[index];
-    if (welcome.protocol != kNetProtocolVersion) {
-      agent_fatal(index,
-                  "protocol version mismatch (coordinator=" +
-                      std::to_string(kNetProtocolVersion) +
-                      ", agent=" + std::to_string(welcome.protocol) + ")");
-      return;
-    }
-    if (welcome.steady_nanos != 0) {
-      // NTP-style one-shot offset estimate: assume the agent sampled its
-      // clock at the midpoint of the hello->welcome round trip. Good to
-      // ~RTT/2, plenty for aligning millisecond-scale simulate spans.
-      const Clock::time_point midpoint =
-          a.hello_sent + (now - a.hello_sent) / 2;
-      const std::int64_t local_nanos =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              midpoint.time_since_epoch())
-              .count();
-      a.clock_offset_nanos =
-          local_nanos - static_cast<std::int64_t>(welcome.steady_nanos);
-    }
-    const std::uint32_t slots = std::max<std::uint32_t>(1, welcome.slots);
-    a.state = Agent::State::kReady;
-    a.slots.assign(slots, run::Endpoint{});
-    a.connected_at = now;
-    a.backoff_seconds = config_.reconnect_initial_seconds;
-    a.connects_left = config_.connect_attempts;
-    a.ping_seq = 0;
-    a.pings_unanswered = 0;
-    a.last_pong = now;
-    a.ever_ponged = true;
-    a.next_ping =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(config_.heartbeat_interval_seconds));
-    bump("net.connects");
-    if (a.ever_connected) bump("net.reconnects");
-    a.ever_connected = true;
-    recompute_slot_total();
-  }
-
-  /// A connect attempt failed before the handshake completed: back off,
-  /// or abandon the agent once its consecutive-connect budget is spent.
-  void connect_failure(std::size_t index, const std::string& error,
-                       Clock::time_point now) {
-    Agent& a = agents_[index];
-    a.conn.reset();
-    a.last_error = error;
-    if (a.connects_left > 0) --a.connects_left;
-    if (a.connects_left == 0) {
-      a.state = Agent::State::kFailed;
-      return;
-    }
-    a.state = Agent::State::kBackoff;
-    a.retry_at = now + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(a.backoff_seconds));
-    a.backoff_seconds =
-        std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
-  }
-
-  /// Permanent, non-retryable rejection (version mismatch, kError during
-  /// handshake): the agent will never accept us, so don't keep knocking.
-  void agent_fatal(std::size_t index, const std::string& error) {
-    Agent& a = agents_[index];
-    a.conn.reset();
-    a.last_error = error;
-    a.state = Agent::State::kFailed;
-  }
-
-  /// An established connection died (`reason`): requeue every in-flight
-  /// cell onto the surviving agents and schedule a reconnect. Throws when
-  /// a requeued cell exhausts its attempt budget.
-  void connection_lost(std::size_t index, const std::string& reason,
-                       Clock::time_point now) {
-    Agent& a = agents_[index];
-    emit_connection_span(index, now);
-    a.conn.reset();
-    a.last_error = reason;
-    a.state = Agent::State::kBackoff;
-    a.retry_at = now + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(a.backoff_seconds));
-    a.backoff_seconds =
-        std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
-    recompute_slot_total();
-    for (run::Endpoint& ep : a.slots) {
-      if (!ep.busy()) continue;
-      const std::size_t task = ep.task;
-      ep.clear();
-      bump("net.cells_requeued");
-      ledger_->fail_attempt(task, reason, now);  // throws on budget
-    }
-    a.slots.clear();
-  }
-
-  void emit_connection_span(std::size_t index, Clock::time_point now) {
-    Agent& a = agents_[index];
-    if (a.state != Agent::State::kReady || tracer_ == nullptr ||
-        !tracer_->enabled()) {
-      return;
-    }
-    tracer_->complete_span("agent:" + a.addr.text(), "net", a.connected_at,
-                           now, kTrackBase + static_cast<std::uint32_t>(index));
-  }
-
-  /// Snapshot each agent's health into SweepStats::agent_liveness (the
-  /// run::AgentLiveness state machine: alive/suspect/dead/connecting).
-  void record_liveness(Clock::time_point now) noexcept {
-    stats_.agent_liveness.clear();
-    for (const Agent& a : agents_) {
-      run::AgentLiveness live;
-      live.addr = a.addr.text();
-      switch (a.state) {
-        case Agent::State::kReady:
-          live.state = a.pings_unanswered == 0 ? "alive" : "suspect";
-          break;
-        case Agent::State::kFailed:
-          live.state = "dead";
-          break;
-        case Agent::State::kBackoff:
-        case Agent::State::kConnecting:
-        case Agent::State::kHandshaking:
-          live.state = "connecting";
-          break;
-      }
-      if (a.ever_ponged) {
-        live.last_heartbeat_age_seconds =
-            std::chrono::duration<double>(now - a.last_pong).count();
-      }
-      if (a.last_error != "never attempted" || !a.ever_connected) {
-        live.last_error = a.last_error;
-      }
-      stats_.agent_liveness.push_back(std::move(live));
-    }
-  }
-
-  /// stats_.threads = slot total over *currently usable* agents, floored
-  /// by the largest total seen (an agent dying mid-sweep doesn't erase
-  /// that its slots did real work).
-  void recompute_slot_total() {
-    std::size_t total = 0;
-    for (const Agent& a : agents_) {
-      if (a.state == Agent::State::kReady) total += a.slots.size();
-    }
-    stats_.threads = std::max(stats_.threads, total);
-  }
-
-  // ---- dispatch -------------------------------------------------------
-
-  void assign_ready(Clock::time_point now) {
-    for (std::size_t i = 0; i < agents_.size() && ledger_->has_pending();
-         ++i) {
-      Agent& a = agents_[i];
-      if (a.state != Agent::State::kReady) continue;
-      for (run::Endpoint& ep : a.slots) {
-        if (ep.busy()) continue;
-        if (!ledger_->has_pending()) break;
-        const std::size_t task = ledger_->claim_ready(now);
-        if (task == run::kNoTask) return;  // all gated on backoff
-        const std::uint32_t attempt = ledger_->begin_attempt(task);
-        ep.begin(task, attempt, now, config_.task_timeout_seconds);
-        if (!a.conn->send(wire::encode_frame(
-                wire::FrameType::kJob, static_cast<std::uint32_t>(task),
-                attempt, payloads_[task]))) {
-          connection_lost(i, "agent " + a.addr.text() +
-                                 ": send failed (connection lost)",
-                          now);
-          break;  // a.slots is gone; next agent
-        }
-      }
-    }
-  }
-
-  // ---- the poll loop --------------------------------------------------
-
   void step() {
-    Clock::time_point now = Clock::now();
-
-    // Drive per-agent clocks: backoff expiry, connect/handshake deadlines.
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      Agent& a = agents_[i];
-      if (a.state == Agent::State::kBackoff && now >= a.retry_at) {
-        start_connect(i, now);
-      } else if ((a.state == Agent::State::kConnecting ||
-                  a.state == Agent::State::kHandshaking) &&
-                 now >= a.connect_deadline) {
-        connect_failure(i,
-                        a.state == Agent::State::kConnecting
-                            ? "connect timed out"
-                            : "handshake timed out",
-                        now);
-      }
-    }
-
+    const Clock::time_point now = Clock::now();
+    fleet_.tick(now);
     throw_if_no_usable_agents();
-    assign_ready(now);
 
     std::vector<struct pollfd> fds;
-    std::vector<std::size_t> indices;
-    fds.reserve(agents_.size());
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      Agent& a = agents_[i];
-      if (a.state == Agent::State::kConnecting) {
-        fds.push_back({a.conn->fd(), POLLOUT, 0});
-      } else if (a.connected()) {
-        const short events =
-            static_cast<short>(POLLIN | (a.conn->wants_write() ? POLLOUT : 0));
-        fds.push_back({a.conn->fd(), events, 0});
-      } else {
-        continue;
-      }
-      indices.push_back(i);
-    }
-
-    const int timeout_ms = next_timeout_ms(now);
+    fleet_.register_fds(fds);
+    Clock::time_point deadline = fleet_.next_deadline();
+    Clock::time_point ready{};
+    if (ledger_->next_ready_at(ready)) deadline = std::min(deadline, ready);
     const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                          static_cast<nfds_t>(fds.size()), timeout_ms);
+                          static_cast<nfds_t>(fds.size()),
+                          poll_timeout_ms(deadline, now));
     if (rc < 0 && errno != EINTR) {
       throw Error("DistributedPool: poll failed: " +
                   std::string(std::strerror(errno)));
     }
-    if (rc > 0) {
-      for (std::size_t k = 0; k < fds.size(); ++k) {
-        const std::size_t i = indices[k];
-        Agent& a = agents_[i];
-        now = Clock::now();
-        if (a.state == Agent::State::kConnecting) {
-          if ((fds[k].revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-            on_connect_writable(i, now);
-          }
-          continue;
-        }
-        if (!a.connected()) continue;  // state changed by an earlier event
-        if ((fds[k].revents & POLLOUT) != 0 && !a.conn->flush()) {
-          connection_lost(
-              i, "agent " + a.addr.text() + ": send failed (connection lost)",
-              now);
-          continue;
-        }
-        if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-          on_readable(i, now);
-        }
-        if (ledger_->all_done()) return;
-      }
-    }
-
-    // Deadlines and heartbeats, after any answers that beat the clock.
-    now = Clock::now();
-    check_task_deadlines(now);
-    check_heartbeats(now);
+    if (rc > 0) fleet_.on_poll(fds);
   }
 
-  /// Nearest of: connect deadlines, reconnect times, task deadlines,
-  /// heartbeat ticks, backoff ready-times. Never -1: a coordinator always
-  /// has a clock to watch (capped at 60 s like the subprocess pool).
-  int next_timeout_ms(Clock::time_point now) const {
-    bool have = false;
-    Clock::time_point nearest{};
-    const auto consider = [&](Clock::time_point tp) {
-      if (!have || tp < nearest) {
-        nearest = tp;
-        have = true;
-      }
-    };
-    for (const Agent& a : agents_) {
-      switch (a.state) {
-        case Agent::State::kBackoff:
-          consider(a.retry_at);
-          break;
-        case Agent::State::kConnecting:
-        case Agent::State::kHandshaking:
-          consider(a.connect_deadline);
-          break;
-        case Agent::State::kReady:
-          consider(a.next_ping);
-          for (const run::Endpoint& ep : a.slots) {
-            if (ep.busy() && ep.has_deadline) consider(ep.deadline);
-          }
-          break;
-        case Agent::State::kFailed:
-          break;
-      }
-    }
-    Clock::time_point ready{};
-    if (ledger_->next_ready_at(ready)) consider(ready);
-    if (!have) return 60000;
-    const double sec = std::chrono::duration<double>(nearest - now).count();
-    if (sec <= 0.0) return 0;
-    const double ms = std::ceil(sec * 1000.0);
-    return ms > 60000.0 ? 60000 : static_cast<int>(ms);
-  }
-
-  void check_task_deadlines(Clock::time_point now) {
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      Agent& a = agents_[i];
-      if (a.state != Agent::State::kReady) continue;
-      bool expired = false;
-      for (run::Endpoint& ep : a.slots) {
-        if (!ep.deadline_expired(now)) continue;
-        expired = true;
-        // The timed-out cell gets its own diagnosis; the connection reset
-        // below requeues its siblings with a collateral reason.
-        const std::size_t task = ep.task;
-        ep.clear();
-        bump("net.cells_requeued");
-        ledger_->fail_attempt(
-            task,
-            "timed out after " +
-                format_seconds(config_.task_timeout_seconds) + "s on agent " +
-                a.addr.text(),
-            now);
-      }
-      if (expired) {
-        // A cell can't be killed remotely: retire the whole connection
-        // (the agent drops orphaned results on EOF) and reconnect.
-        connection_lost(i,
-                        "agent " + a.addr.text() +
-                            ": connection reset after a task timeout",
-                        now);
-      }
-    }
-  }
-
-  void check_heartbeats(Clock::time_point now) {
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      Agent& a = agents_[i];
-      if (a.state != Agent::State::kReady || now < a.next_ping) continue;
-      if (a.pings_unanswered >= config_.heartbeat_misses) {
-        connection_lost(
-            i,
-            "agent " + a.addr.text() + ": missed " +
-                std::to_string(a.pings_unanswered) +
-                " heartbeats (last heartbeat " +
-                format_seconds(std::chrono::duration<double>(now - a.last_pong)
-                                   .count()) +
-                "s ago)",
-            now);
-        continue;
-      }
-      if (a.pings_unanswered > 0) bump("net.heartbeats_missed");
-      if (!a.conn->send(wire::encode_frame(wire::FrameType::kPing,
-                                           a.ping_seq++, 0, {}))) {
-        connection_lost(
-            i, "agent " + a.addr.text() + ": send failed (connection lost)",
-            now);
-        continue;
-      }
-      ++a.pings_unanswered;
-      a.next_ping =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(
-                        config_.heartbeat_interval_seconds));
-    }
-  }
-
-  // ---- inbound frames -------------------------------------------------
-
-  void on_readable(std::size_t index, Clock::time_point now) {
-    Agent& a = agents_[index];
-    const FrameConn::ReadStatus status = a.conn->fill();
-    if (status == FrameConn::ReadStatus::kError) {
-      connection_lost(index,
-                      "agent " + a.addr.text() + ": read failed (" +
-                          std::string(std::strerror(errno)) + ")",
-                      now);
-      return;
-    }
-    process_frames(index, now);
-    if (!a.connected()) return;  // a frame retired the connection
-    if (status == FrameConn::ReadStatus::kClosed) {
-      if (a.state == Agent::State::kHandshaking) {
-        // Rejected during handshake with no kError frame — treat like a
-        // failed connect (counts against the connect budget).
-        connect_failure(index, "agent closed connection during handshake",
-                        now);
-      } else {
-        connection_lost(index,
-                        "agent " + a.addr.text() + ": closed connection" +
-                            (a.conn->frames().mid_frame() ? " mid-frame" : ""),
-                        now);
-      }
-    }
-  }
-
-  void process_frames(std::size_t index, Clock::time_point now) {
-    Agent& a = agents_[index];
-    while (a.connected()) {
-      wire::FrameHeader header;
-      std::vector<std::uint8_t> body;
-      std::string corrupt;
-      const run::FrameAssembler::Status status =
-          a.conn->frames().next(header, body, corrupt);
-      if (status == run::FrameAssembler::Status::kNeedMore) return;
-      if (status == run::FrameAssembler::Status::kCorrupt) {
-        connection_lost(index,
-                        "agent " + a.addr.text() + ": protocol corruption (" +
-                            corrupt + ")",
-                        now);
-        return;
-      }
-      if (a.state == Agent::State::kHandshaking) {
-        on_handshake_frame(index, header, body, now);
-      } else {
-        on_session_frame(index, header, body, now);
-      }
-    }
-  }
-
-  void on_handshake_frame(std::size_t index, const wire::FrameHeader& header,
-                          const std::vector<std::uint8_t>& body,
-                          Clock::time_point now) {
-    Agent& a = agents_[index];
-    if (header.type == wire::FrameType::kError) {
-      std::string message;
-      try {
-        message = wire::decode_error(body);
-      } catch (const Error&) {
-        message = "(undecodable error payload)";
-      }
-      // The agent refused the handshake (version mismatch): permanent.
-      agent_fatal(index, "agent " + a.addr.text() + " rejected handshake: " +
-                             message);
-      return;
-    }
-    if (header.type != wire::FrameType::kWelcome) {
-      connection_lost(index,
-                      "agent " + a.addr.text() +
-                          ": unexpected frame before kWelcome",
-                      now);
-      return;
-    }
-    Welcome welcome;
-    try {
-      welcome = decode_welcome(body);
-    } catch (const Error& e) {
-      connection_lost(index,
-                      "agent " + a.addr.text() + ": protocol corruption (" +
-                          std::string(e.what()) + ")",
-                      now);
-      return;
-    }
-    on_welcome(index, welcome, now);
-  }
-
-  void on_session_frame(std::size_t index, const wire::FrameHeader& header,
-                        const std::vector<std::uint8_t>& body,
-                        Clock::time_point now) {
-    Agent& a = agents_[index];
-    if (header.type == wire::FrameType::kPong) {
-      a.pings_unanswered = 0;
-      a.last_pong = now;
-      return;
-    }
-    if (header.type == wire::FrameType::kTelemetry) {
-      // Advisory shipment from the agentd ("agentd") or one of its
-      // workers ("worker.M", re-labeled by the agentd). Arrives before
-      // the answer frame, so it must not consult the endpoint table. A
-      // CRC-valid but undecodable payload means the agent speaks a
-      // different dialect — retire the connection like any corruption.
-      try {
-        const obs::Telemetry telemetry = wire::decode_telemetry(body);
-        if (fleet_ != nullptr) {
-          fleet_->ingest("agent." + std::to_string(index) + "." +
-                             telemetry.role,
-                         telemetry, a.clock_offset_nanos);
-          bump("net.telemetry_frames");
-        }
-      } catch (const Error& e) {
-        connection_lost(index,
-                        "agent " + a.addr.text() + ": protocol corruption (" +
-                            std::string(e.what()) + ")",
-                        now);
-      }
-      return;
-    }
-    run::Endpoint* ep = find_endpoint(a, header);
-    if (ep == nullptr) {
-      connection_lost(index,
-                      "agent " + a.addr.text() +
-                          ": answer for a task this agent does not hold",
-                      now);
-      return;
-    }
-    switch (header.type) {
-      case wire::FrameType::kResult: {
-        sim::SimResult result;
-        try {
-          result = wire::decode_result(body);
-        } catch (const Error& e) {
-          connection_lost(index,
-                          "agent " + a.addr.text() +
-                              ": protocol corruption (" +
-                              std::string(e.what()) + ")",
-                          now);
-          return;
-        }
-        complete(index, *ep, std::move(result), now);
-        return;
-      }
-      case wire::FrameType::kError: {
-        std::string message;
-        try {
-          message = wire::decode_error(body);
-        } catch (const Error&) {
-          message = "(undecodable error payload)";
-        }
-        // Deterministic failure: retrying reruns the same deterministic
-        // simulation on another agent — fail the sweep fast.
-        ledger_->fail_deterministic(ep->task, message);
-      }
-      case wire::FrameType::kFail: {
-        std::string reason;
-        try {
-          reason = wire::decode_error(body);
-        } catch (const Error&) {
-          reason = "(undecodable failure payload)";
-        }
-        // Transient failure at the agent (its worker died): requeue this
-        // attempt only; the connection stays up.
-        const std::size_t task = ep->task;
-        ep->clear();
-        bump("net.cells_requeued");
-        ledger_->fail_attempt(
-            task, "agent " + a.addr.text() + ": " + reason, now);
-        return;
-      }
-      default:
-        connection_lost(index,
-                        "agent " + a.addr.text() +
-                            ": unexpected frame type in session",
-                        now);
-        return;
-    }
-  }
-
-  run::Endpoint* find_endpoint(Agent& agent, const wire::FrameHeader& header) {
-    for (run::Endpoint& ep : agent.slots) {
-      if (ep.busy() && ep.task == header.task_id &&
-          ep.attempt == header.attempt) {
-        return &ep;
-      }
-    }
-    return nullptr;
-  }
-
-  void complete(std::size_t index, run::Endpoint& ep, sim::SimResult result,
-                Clock::time_point now) {
-    const std::size_t task = ep.task;
+  void complete(std::size_t agent, const run::Endpoint& slot,
+                sim::SimResult result, Clock::time_point now) {
+    const std::size_t task = slot.task;
     const double seconds =
-        std::chrono::duration<double>(now - ep.dispatched).count();
+        std::chrono::duration<double>(now - slot.dispatched).count();
+    const std::uint32_t track =
+        AgentFleet::kTrackBase + static_cast<std::uint32_t>(agent);
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->complete_span(
           "cell:" +
               (sweep_[task].label.empty() ? std::to_string(task)
                                           : sweep_[task].label) +
-              "#" + std::to_string(ep.attempt),
-          "net", ep.dispatched, now,
-          kTrackBase + static_cast<std::uint32_t>(index));
+              "#" + std::to_string(slot.attempt),
+          "net", slot.dispatched, now, track);
       if (sweep_[task].parent_span_id != 0) {
         // Flow start anchored on the dispatch span; the matching finish
         // is emitted when the fleet aggregator stitches the remote
         // simulate span carrying the same id.
-        tracer_->flow_event('s', sweep_[task].parent_span_id,
-                            "dispatch", "net", 1,
-                            kTrackBase + static_cast<std::uint32_t>(index),
-                            ep.dispatched);
+        tracer_->flow_event('s', sweep_[task].parent_span_id, "dispatch",
+                            "net", 1, track, slot.dispatched);
       }
     }
     if (obs::counters_enabled()) {
@@ -780,11 +166,10 @@ class Coordinator {
           .timer("net.task")
           .record(static_cast<std::uint64_t>(seconds * 1e9));
     }
-    ep.clear();
     results_[task] = std::move(result);
     ledger_->complete(task);
     task_seconds_.push_back(seconds);
-    stats_.worker_busy_seconds[index] += seconds;
+    stats_.worker_busy_seconds[agent] += seconds;
     if (progress_) {
       run::SweepProgress p;
       p.done = ledger_->done_count();
@@ -796,16 +181,12 @@ class Coordinator {
     }
   }
 
-  // ---- termination ----------------------------------------------------
-
   void throw_if_no_usable_agents() const {
-    for (const Agent& a : agents_) {
-      if (a.state != Agent::State::kFailed) return;
-    }
+    if (fleet_.any_usable()) return;
     std::string detail;
-    for (const Agent& a : agents_) {
+    for (const run::AgentLiveness& live : fleet_.liveness(Clock::now())) {
       if (!detail.empty()) detail += "; ";
-      detail += a.addr.text() + ": " + a.last_error;
+      detail += live.addr + ": " + live.last_error;
     }
     throw Error("DistributedPool: no usable agents remain (" + detail + ")");
   }
@@ -830,9 +211,8 @@ class Coordinator {
   run::SweepStats& stats_;
   const run::ProgressCallback& progress_;
   obs::Tracer* tracer_;
-  obs::FleetAggregator* fleet_;
 
-  std::vector<Agent> agents_;
+  AgentFleet fleet_;
   std::optional<run::TaskLedger> ledger_;
   std::vector<std::vector<std::uint8_t>> payloads_;
   std::vector<sim::SimResult> results_;
@@ -846,6 +226,8 @@ DistributedPool::DistributedPool(DistributedPoolConfig config)
     : config_(std::move(config)) {
   ESCHED_REQUIRE(config_.max_attempts >= 1,
                  "DistributedPool: max_attempts must be >= 1");
+  ESCHED_REQUIRE(config_.connect_attempts >= 1,
+                 "DistributedPool: connect_attempts must be >= 1");
 }
 
 std::vector<HostPort> DistributedPool::agents_from_env() {
@@ -856,18 +238,9 @@ std::vector<HostPort> DistributedPool::agents_from_env() {
 
 bool DistributedPool::any_agent_reachable(const std::vector<HostPort>& agents,
                                           double timeout_seconds) {
-  for (const HostPort& addr : agents) {
-    std::string error;
-    Fd fd = connect_tcp_start(addr, error);
-    if (!fd.valid()) continue;
-    struct pollfd pfd = {fd.get(), POLLOUT, 0};
-    const int timeout_ms = static_cast<int>(
-        std::ceil(std::max(0.0, timeout_seconds) * 1000.0));
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc <= 0) continue;  // timeout or error: try the next agent
-    if (connect_tcp_finish(fd.get(), error)) return true;
-  }
-  return false;
+  return std::any_of(agents.begin(), agents.end(), [&](const HostPort& a) {
+    return reachable(a, timeout_seconds);
+  });
 }
 
 std::vector<sim::SimResult> DistributedPool::run(
@@ -916,16 +289,15 @@ std::vector<sim::SimResult> DistributedPool::run(
   }
 
   run::SigpipeGuard sigpipe;
-  Coordinator coordinator(config_, uniques, stats_, progress, tracer_,
-                          fleet_);
+  PoolRun pool_run(config_, uniques, stats_, progress, tracer_, fleet_);
   std::vector<sim::SimResult> unique_results;
   try {
-    unique_results = coordinator.run();
+    unique_results = pool_run.run();
   } catch (...) {
     // Any failure — budget exhaustion, deterministic kError, a throwing
     // progress callback — closes every connection before propagating; the
     // agents discard orphaned work on EOF.
-    coordinator.disconnect_all();
+    pool_run.disconnect_all();
     throw;
   }
 

@@ -4,27 +4,14 @@
 // One DistributedPool drives N agents from a single-threaded poll()
 // loop, exactly like the subprocess supervisor drives worker pipes — no
 // locks, no signal handlers (SIGPIPE ignored for the duration of run()).
-// The failure model *is* the supervisor's, extended for a transport that
-// can lie in more ways, and shares its implementation (run/endpoint.hpp:
-// TaskLedger, FrameAssembler, Endpoint) rather than duplicating it:
-//
-//  * Agent death — EOF, read/write errors, a failed reconnect — requeues
-//    every in-flight cell of that agent onto the surviving ones, then
-//    reconnects with capped exponential backoff; an agent that fails
-//    `connect_attempts` consecutive connects is abandoned. The sweep
-//    fails only when *no* usable agent remains.
-//  * Heartbeats — kPing every heartbeat_interval_seconds; an agent that
-//    leaves `heartbeat_misses` pings unanswered is declared dead even if
-//    the TCP connection still looks open (half-open connections, frozen
-//    agents).
-//  * Per-task wall-clock timeouts — a cell can't be killed remotely, so
-//    an expired deadline retires the whole connection: requeue, close,
-//    reconnect (the agent drops orphaned results on its side).
-//  * Protocol corruption (bad frame, CRC mismatch, an answer for a task
-//    the agent doesn't hold) retires the connection the same way.
-//  * kFail frames (transient failure at the agent, e.g. its esched-worker
-//    died) requeue just that attempt; kError frames are deterministic
-//    failures and fail the sweep fast, exactly like the subprocess pool.
+// The agent lifecycle (handshake, heartbeats, task deadlines, reconnect
+// backoff, corruption handling) is net::AgentFleet's, shared with the
+// esched-coordinator daemon; the pool owns the per-run TaskLedger, result
+// decoding and progress. Its failure model is the subprocess
+// supervisor's: a lost connection or kFail requeues the attempt under
+// the ledger's budget, a kError fails the sweep fast, and an agent that
+// fails `connect_attempts` consecutive connects is abandoned — the sweep
+// fails only when *no* usable agent remains.
 //
 // Determinism: cells are rebuilt from declarative JobSpecs by whichever
 // agent runs them, results are stored by submission index, and retried
@@ -38,51 +25,20 @@
 #include <string>
 #include <vector>
 
+#include "net/agent_fleet.hpp"
 #include "net/socket.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
 #include "sim/result.hpp"
 
-namespace esched::obs {
-class FleetAggregator;
-class Tracer;
-}  // namespace esched::obs
-
 namespace esched::net {
 
-/// Coordinator knobs. The defaults match the bench CLI defaults
-/// (bench/common.cpp) so drivers and tests agree on behaviour.
-struct DistributedPoolConfig {
-  /// Agent addresses (host:port). Must be non-empty for run().
-  std::vector<HostPort> agents;
-  /// Attempt budget per task (first run + retries). Must be >= 1.
-  std::uint32_t max_attempts = 3;
-  /// Backoff before retry k (1-based) is
-  /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
-  double backoff_initial_seconds = 0.05;
-  double backoff_max_seconds = 2.0;
-  /// Per-task wall-clock timeout; expiry retires the agent connection
-  /// and requeues its in-flight cells. 0 disables the timeout.
-  double task_timeout_seconds = 0.0;
-  /// TCP connect + handshake deadline per attempt.
-  double connect_timeout_seconds = 5.0;
-  /// kPing cadence per connected agent.
-  double heartbeat_interval_seconds = 1.0;
-  /// Unanswered pings before the agent is declared dead.
-  std::uint32_t heartbeat_misses = 3;
-  /// Reconnect backoff: initial delay, doubled per consecutive failure,
-  /// capped at the max.
-  double reconnect_initial_seconds = 0.1;
-  double reconnect_max_seconds = 2.0;
+/// Pool knobs: the shared fleet knobs plus the pool's connect budget.
+struct DistributedPoolConfig : FleetConfig {
   /// Consecutive failed connect attempts before an agent is abandoned
   /// for the rest of the run (a successful handshake resets the count).
+  /// Must be >= 1.
   std::uint32_t connect_attempts = 5;
-  /// Shared secret carried in every kHello (net::Hello::token). Must
-  /// match the agentd's --token / ESCHED_AUTH_TOKEN when the agent is
-  /// configured with one; an empty token is accepted only by agents
-  /// configured without one. A mismatch is a permanent rejection (the
-  /// agent is abandoned, like a version mismatch).
-  std::string auth_token;
 };
 
 /// The TCP twin of SubprocessPool. One instance may run() multiple
@@ -139,8 +95,6 @@ class DistributedPool {
   /// must outlive run(). Telemetry never affects results: SimResult
   /// bytes are identical with it on or off.
   void set_telemetry(obs::FleetAggregator* fleet) { fleet_ = fleet; }
-
-  const DistributedPoolConfig& config() const { return config_; }
 
  private:
   DistributedPoolConfig config_;

@@ -8,15 +8,6 @@
 
 namespace esched::net {
 
-namespace {
-
-void bump_bytes(const char* name, std::uint64_t n) {
-  if (n == 0 || !obs::counters_enabled()) return;
-  obs::Registry::global().counter(name).add(n);
-}
-
-}  // namespace
-
 bool FrameConn::send(const std::vector<std::uint8_t>& frame) {
   if (!fd_.valid()) return false;
   // Compact the queue once everything before the cursor is sent, so the
@@ -41,7 +32,7 @@ bool FrameConn::flush() {
     }
     cursor_ += static_cast<std::size_t>(n);
     bytes_tx_ += static_cast<std::uint64_t>(n);
-    bump_bytes("net.bytes_tx", static_cast<std::uint64_t>(n));
+    obs::bump("net.bytes_tx", static_cast<std::uint64_t>(n));
   }
   return true;
 }
@@ -59,7 +50,7 @@ FrameConn::ReadStatus FrameConn::fill() {
     if (n == 0) return ReadStatus::kClosed;
     frames_.append(chunk, static_cast<std::size_t>(n));
     bytes_rx_ += static_cast<std::uint64_t>(n);
-    bump_bytes("net.bytes_rx", static_cast<std::uint64_t>(n));
+    obs::bump("net.bytes_rx", static_cast<std::uint64_t>(n));
     if (static_cast<std::size_t>(n) < sizeof chunk) return ReadStatus::kOk;
   }
 }

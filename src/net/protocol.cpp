@@ -35,6 +35,32 @@ Hello decode_hello(const std::vector<std::uint8_t>& payload) {
   return hello;
 }
 
+std::string check_hello(const run::wire::FrameHeader& header,
+                        const std::vector<std::uint8_t>& body,
+                        const std::string& token, const std::string& server,
+                        Hello& hello) {
+  if (header.type != run::wire::FrameType::kHello) {
+    return server + ": expected kHello";
+  }
+  try {
+    hello = decode_hello(body);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  if (hello.protocol != kNetProtocolVersion) {
+    return server + ": protocol version mismatch (" + server + "=" +
+           std::to_string(kNetProtocolVersion) +
+           ", peer=" + std::to_string(hello.protocol) + ")";
+  }
+  if (!token.empty() && hello.token != token) {
+    // Deliberately does not echo either token.
+    return server + ": auth token mismatch (" + server +
+           " requires a shared secret; pass the matching --token / "
+           "ESCHED_AUTH_TOKEN)";
+  }
+  return {};
+}
+
 std::vector<std::uint8_t> encode_welcome(const Welcome& welcome) {
   run::wire::ByteWriter w;
   w.u32(welcome.protocol);

@@ -74,6 +74,17 @@ struct Welcome {
 /// wire codec; decode_hello additionally rejects a bad net magic).
 std::vector<std::uint8_t> encode_hello(const Hello& hello);
 Hello decode_hello(const std::vector<std::uint8_t>& payload);
+
+/// The server half of the handshake (esched-agentd and esched-coordinator
+/// accept sessions the same way): check that a peer's first frame is a
+/// kHello of this protocol version carrying `token` ("" accepts any).
+/// Fills `hello` and returns "" on success; otherwise returns the
+/// rejection message, prefixed with `server`, for the kError reply.
+std::string check_hello(const run::wire::FrameHeader& header,
+                        const std::vector<std::uint8_t>& body,
+                        const std::string& token, const std::string& server,
+                        Hello& hello);
+
 std::vector<std::uint8_t> encode_welcome(const Welcome& welcome);
 Welcome decode_welcome(const std::vector<std::uint8_t>& payload);
 

@@ -1,6 +1,8 @@
 #include "net/socket.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -8,6 +10,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -218,6 +221,17 @@ bool connect_tcp_finish(int fd, std::string& error) {
     return false;
   }
   return true;
+}
+
+bool reachable(const HostPort& addr, double timeout_seconds) {
+  std::string error;
+  Fd fd = connect_tcp_start(addr, error);
+  if (!fd.valid()) return false;
+  struct pollfd pfd = {fd.get(), POLLOUT, 0};
+  const int timeout_ms =
+      static_cast<int>(std::ceil(std::max(0.0, timeout_seconds) * 1000.0));
+  if (::poll(&pfd, 1, timeout_ms) <= 0) return false;  // timeout or error
+  return connect_tcp_finish(fd.get(), error);
 }
 
 }  // namespace esched::net

@@ -99,4 +99,9 @@ Fd connect_tcp_start(const HostPort& addr, std::string& error);
 /// refused, unreachable, ...).
 bool connect_tcp_finish(int fd, std::string& error);
 
+/// True when `addr` accepts a TCP connection within `timeout_seconds` —
+/// the cheap probe behind bench/common's graceful fallback; no
+/// handshake is performed.
+bool reachable(const HostPort& addr, double timeout_seconds);
+
 }  // namespace esched::net

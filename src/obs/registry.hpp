@@ -181,4 +181,11 @@ class Registry {
   std::map<std::string, std::unique_ptr<Timer>> timers_;
 };
 
+/// Gated one-off bump of a global counter, for cold paths (connections,
+/// requeues, journal appends) where a per-call lookup is fine.
+inline void bump(const char* name, std::uint64_t delta = 1) {
+  if (!counters_enabled()) return;
+  Registry::global().counter(name).add(delta);
+}
+
 }  // namespace esched::obs

@@ -69,28 +69,6 @@ void BillingMeter::integrate_to(TimeSec t) {
   }
 }
 
-BillingMeter::State BillingMeter::state() const {
-  return State{cursor_,   power_,     finished_, bill_total_,
-               energy_total_, it_energy_total_, bill_on_,  bill_off_,
-               energy_on_,    energy_off_,      daily_};
-}
-
-void BillingMeter::restore(const State& s) {
-  cursor_ = s.cursor;
-  seg_begin_ = 0;
-  seg_end_ = 0;  // invalidate the segment cache; it is derived state
-  power_ = s.power;
-  finished_ = s.finished;
-  bill_total_ = s.bill_total;
-  energy_total_ = s.energy_total;
-  it_energy_total_ = s.it_energy_total;
-  bill_on_ = s.bill_on;
-  bill_off_ = s.bill_off;
-  energy_on_ = s.energy_on;
-  energy_off_ = s.energy_off;
-  daily_ = s.daily;
-}
-
 Money BillingMeter::bill_in(PricePeriod period) const {
   return period == PricePeriod::kOnPeak ? bill_on_ : bill_off_;
 }

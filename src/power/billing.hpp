@@ -57,26 +57,6 @@ class BillingMeter {
   /// length (later days are folded into the last month so nothing is lost).
   std::vector<Money> monthly_bills(std::size_t months) const;
 
-  /// The meter's complete mutable state, for simulator snapshots. The
-  /// pricing/facility references are deliberately not part of it: a
-  /// restored meter keeps its own models, which is what lets a forked
-  /// simulation resume metering under its own tariff objects.
-  struct State {
-    TimeSec cursor = 0;
-    Watts power = 0.0;
-    bool finished = false;
-    Money bill_total = 0.0;
-    Joules energy_total = 0.0;
-    Joules it_energy_total = 0.0;
-    Money bill_on = 0.0;
-    Money bill_off = 0.0;
-    Joules energy_on = 0.0;
-    Joules energy_off = 0.0;
-    std::vector<Money> daily;
-  };
-  State state() const;
-  void restore(const State& s);
-
  private:
   void integrate_to(TimeSec t);
   /// Recompute the segment cache for the segment containing cursor_.
@@ -92,8 +72,7 @@ class BillingMeter {
   /// no price change or day boundary inside, so price/period/day are
   /// constant across it. Pure memoization of values integrate_to would
   /// recompute — identical values, identical FP operations — so the
-  /// accumulated totals are bit-identical with or without it. Not part
-  /// of State (restore() just invalidates).
+  /// accumulated totals are bit-identical with or without it.
   TimeSec seg_begin_ = 0;
   TimeSec seg_end_ = 0;  ///< begin == end marks the cache invalid
   Money seg_price_ = 0.0;

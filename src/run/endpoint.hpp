@@ -1,7 +1,8 @@
 // The failure model shared by every sweep transport.
 //
-// PR 3's subprocess supervisor (run/proc.hpp) and the TCP coordinator
-// (net/distributed.hpp) face the same problem shape: task attempts are
+// The subprocess supervisor (run/proc.hpp) and the TCP agent fleet
+// (net/agent_fleet.hpp, driven by both net::DistributedPool and
+// svc::Coordinator) face the same problem shape: task attempts are
 // dispatched to *endpoints* — a worker pipe, an agent connection — that
 // can die mid-answer, answer garbage, or hang; failed attempts must be
 // requeued with capped exponential backoff under a per-task budget; and
@@ -75,7 +76,7 @@ class FrameAssembler {
 };
 
 /// Retry/backoff knobs shared by SubprocessPoolConfig and
-/// DistributedPoolConfig.
+/// net::FleetConfig.
 struct RetryPolicy {
   /// Attempt budget per task (first run + retries). Must be >= 1.
   std::uint32_t max_attempts = 3;
@@ -151,7 +152,7 @@ class TaskLedger {
 };
 
 /// The in-flight bookkeeping common to every transport slot: one worker
-/// pipe (run/proc) or one remote agent slot (net/distributed) holds at
+/// pipe (run/proc) or one remote agent slot (net/agent_fleet) holds at
 /// most one task attempt with an optional wall-clock deadline.
 struct Endpoint {
   std::size_t task = kNoTask;  ///< in-flight task, kNoTask when idle

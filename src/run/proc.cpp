@@ -38,11 +38,7 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Pool instrumentation, gated like every other obs site.
-void bump(const char* name) {
-  if (!obs::counters_enabled()) return;
-  obs::Registry::global().counter(name).add();
-}
+using obs::bump;
 
 /// Export an environment variable for a scope (workers inherit the
 /// supervisor's environment at spawn time); restores the previous value —

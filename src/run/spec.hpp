@@ -127,8 +127,7 @@ std::unique_ptr<core::SchedulingPolicy> build_policy(const PolicySpec& spec);
 /// deterministic in the spec.
 sim::SimResult execute_job_spec(const JobSpec& spec);
 
-/// Trajectory-sharing key (the snapshot-compatibility key the sweep
-/// runners group by). Two spec cells with equal share_key provably
+/// Trajectory-sharing key (the key the sweep runners group by). Two spec cells with equal share_key provably
 /// produce identical scheduling trajectories — same trace, same policy,
 /// same behaviour-affecting config, and a tariff with the same
 /// *period-boundary structure* (the scheduler only ever sees

@@ -21,11 +21,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
-std::size_t ThreadPool::tasks_run() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_run_;
-}
-
 void ThreadPool::enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -60,10 +55,6 @@ void ThreadPool::worker_loop() {
     // packaged_task captures any exception into the future; a raw callable
     // that throws would terminate, so submit() always wraps.
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++tasks_run_;
-    }
   }
 }
 

@@ -40,9 +40,6 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// Number of tasks executed to completion (or to an exception) so far.
-  std::size_t tasks_run() const;
-
   /// Sentinel for "the calling thread is not a pool worker".
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -74,11 +71,10 @@ class ThreadPool {
   void enqueue(std::function<void()> task);
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t tasks_run_ = 0;
   bool accepting_ = true;
 };
 

@@ -51,10 +51,6 @@ Watts CountingAllocator::current_power() const {
   return cluster_.current_power();
 }
 
-std::unique_ptr<NodeAllocator> CountingAllocator::clone() const {
-  return std::make_unique<CountingAllocator>(*this);
-}
-
 // ---------------------------------------------------------- Contiguous --
 
 ContiguousAllocator::ContiguousAllocator(NodeCount total_nodes,
@@ -166,10 +162,6 @@ void ContiguousAllocator::release(JobId job) {
 
 Watts ContiguousAllocator::current_power() const {
   return busy_power_ + idle_watts_per_node_ * static_cast<double>(free_);
-}
-
-std::unique_ptr<NodeAllocator> ContiguousAllocator::clone() const {
-  return std::make_unique<ContiguousAllocator>(*this);
 }
 
 NodeCount ContiguousAllocator::largest_hole() const {

@@ -17,8 +17,7 @@
 //    event;
 //  * JobId keys (try_allocate/release) — convenience for tests and cold
 //    paths, with duplicate-id detection.
-// The two must not be mixed for the same allocation. clone() deep-copies
-// the allocator for simulator snapshots.
+// The two must not be mixed for the same allocation.
 #pragma once
 
 #include <cstdint>
@@ -68,9 +67,6 @@ class NodeAllocator {
   /// Aggregate electrical power right now (busy + idle draw).
   virtual Watts current_power() const = 0;
 
-  /// Deep copy, for simulator snapshots.
-  virtual std::unique_ptr<NodeAllocator> clone() const = 0;
-
   /// Display name for reports.
   virtual std::string name() const = 0;
 };
@@ -92,7 +88,6 @@ class CountingAllocator final : public NodeAllocator {
                     Watts watts_per_node) override;
   void release(JobId job) override;
   Watts current_power() const override;
-  std::unique_ptr<NodeAllocator> clone() const override;
   std::string name() const override { return "counting"; }
 
  private:
@@ -118,7 +113,6 @@ class ContiguousAllocator final : public NodeAllocator {
                     Watts watts_per_node) override;
   void release(JobId job) override;
   Watts current_power() const override;
-  std::unique_ptr<NodeAllocator> clone() const override;
   std::string name() const override { return "contiguous"; }
 
   /// Size of the largest free contiguous block.

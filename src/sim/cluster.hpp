@@ -11,9 +11,7 @@
 // integer slot handle into parallel vectors, recycled through a free
 // list, so the simulator's hot loop never hashes a JobId. A JobId-keyed
 // convenience API (allocate/release) remains for tests and cold paths;
-// the two APIs must not be mixed for the same allocation. The whole
-// object is plainly copyable, which is what makes simulator snapshots
-// cheap.
+// the two APIs must not be mixed for the same allocation.
 #pragma once
 
 #include <cstdint>

@@ -74,10 +74,7 @@ void EventQueue::configure(TimeSec start, DurationSec span,
 }
 
 void EventQueue::push(TimeSec time, EventType type, std::size_t payload) {
-  push_event(Event{time, type, payload, next_seq_++});
-}
-
-void EventQueue::push_event(const Event& e) {
+  const Event e{time, type, payload, next_seq_++};
   if (backend_ == Backend::kHeap) {
     grow_aware_push(heap_, e);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -235,35 +232,6 @@ Event EventQueue::pop() {
   ++cur_pos_;
   --size_;
   return e;
-}
-
-std::vector<Event> EventQueue::snapshot_events() const {
-  std::vector<Event> events;
-  events.reserve(size_);
-  if (backend_ == Backend::kHeap) {
-    events = heap_;
-  } else {
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      const std::size_t begin = i == cur_ ? cur_pos_ : 0;
-      events.insert(events.end(),
-                    buckets_[i].begin() +
-                        static_cast<std::ptrdiff_t>(begin),
-                    buckets_[i].end());
-    }
-    events.insert(events.end(), overflow_.begin(), overflow_.end());
-  }
-  std::sort(events.begin(), events.end(), Earlier{});
-  return events;
-}
-
-void EventQueue::restore(const std::vector<Event>& events,
-                         std::uint64_t next_seq) {
-  ESCHED_REQUIRE(size_ == 0, "EventQueue::restore on a non-empty queue");
-  // push_event preserves each event's recorded seq (and counts sizes);
-  // next_seq_ is then pinned so later pushes continue the original
-  // numbering exactly.
-  for (const Event& e : events) push_event(e);
-  next_seq_ = next_seq;
 }
 
 }  // namespace esched::sim

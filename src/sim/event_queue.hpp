@@ -106,16 +106,6 @@ class EventQueue {
   /// reserve()/configure() hint failed to cover stays visible.
   std::uint64_t reallocs() const { return reallocs_; }
 
-  /// All pending events, in pop order, plus the next sequence number —
-  /// the snapshot half of the simulator's snapshot/fork support.
-  std::vector<Event> snapshot_events() const;
-  std::uint64_t next_seq() const { return next_seq_; }
-
-  /// Restore a snapshot taken with snapshot_events(). The queue must be
-  /// empty; event seq fields are preserved verbatim so the pop order of
-  /// the restored queue matches the snapshotted one exactly.
-  void restore(const std::vector<Event>& events, std::uint64_t next_seq);
-
  private:
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -132,7 +122,6 @@ class EventQueue {
     }
   };
 
-  void push_event(const Event& e);
   template <typename T>
   void grow_aware_push(std::vector<T>& v, const T& e);
 

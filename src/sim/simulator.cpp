@@ -20,64 +20,6 @@ namespace {
 constexpr std::size_t kNoPred = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
-/// The captured mutable state behind a SimSnapshot. Everything the event
-/// loop reads or writes is here; static structure (trace, dependency CSR,
-/// scheduler) is rebuilt by the forked simulation from its own arguments.
-struct SimSnapshot::State {
-  // Identity + behaviour-affecting config, for compatibility checks.
-  std::string trace_name;
-  std::size_t trace_size = 0;
-  NodeCount system_nodes = 0;
-  DurationSec tick_interval = 0;
-  Watts idle_watts_per_node = 0.0;
-  bool contiguous_allocation = false;
-  bool honor_queue_priority = false;
-  bool honor_dependencies = false;
-  std::size_t max_passes_per_tick = 0;
-  bool record_daily_curves = false;
-  std::size_t daily_curve_bins = 0;
-
-  // Event queue.
-  std::vector<Event> events;
-  std::uint64_t next_seq = 0;
-
-  // Wait queue and running set.
-  std::vector<core::PendingJob> queue;
-  std::vector<std::size_t> queue_trace_idx;
-  std::vector<core::RunningJob> running;
-  std::vector<std::size_t> running_trace_idx;
-
-  // Per-job SoA columns.
-  std::vector<TimeSec> eff_submit;
-  std::vector<TimeSec> start;
-  std::vector<TimeSec> finish;
-  std::vector<std::int32_t> alloc_slot;
-  std::vector<std::int32_t> running_pos;
-
-  // Machine, meter, curves.
-  std::unique_ptr<NodeAllocator> alloc;
-  power::BillingMeter::State meter;
-  DailyCurveAccumulator power_curve{1};
-  DailyCurveAccumulator util_curve{1};
-
-  // Scalars and counters.
-  TimeSec horizon_end = 0;
-  TimeSec last_tick_done = -1;
-  TimeSec last_tick_requested = -1;
-  TimeSec last_signal_time = 0;
-  std::uint64_t scheduling_passes = 0;
-  std::uint64_t ticks_processed = 0;
-  std::uint64_t placement_failures = 0;
-  std::uint64_t events_processed = 0;
-  std::uint64_t tick_requests_deduped = 0;
-  std::uint64_t duplicate_ticks_skipped = 0;
-};
-
-SimSnapshot::SimSnapshot() = default;
-SimSnapshot::~SimSnapshot() = default;
-SimSnapshot::SimSnapshot(SimSnapshot&&) noexcept = default;
-SimSnapshot& SimSnapshot::operator=(SimSnapshot&&) noexcept = default;
-
 /// The simulation engine. Hot per-job state lives in struct-of-arrays
 /// columns indexed by trace index and pre-sized before the event loop
 /// starts, so the loop streams over contiguous memory and performs no
@@ -86,7 +28,7 @@ class Simulation::Impl {
  public:
   Impl(const trace::Trace& trace, const power::PricingModel& pricing,
        core::SchedulingPolicy& policy, const SimConfig& config,
-       power::PowerVisibility* visibility, bool prime_events)
+       power::PowerVisibility* visibility)
       : trace_(trace),
         pricing_(pricing),
         visibility_(visibility),
@@ -173,38 +115,13 @@ class Simulation::Impl {
         if (pred[i] != kNoPred) dep_list_[cursor[pred[i]]++] = i;
     }
 
-    if (prime_events) {
-      for (std::size_t i = 0; i < size; ++i) {
-        if (pred.empty() || pred[i] == kNoPred)
-          events_.push(trace_[i].submit, EventType::kJobSubmit, i);
-      }
+    for (std::size_t i = 0; i < size; ++i) {
+      if (pred.empty() || pred[i] == kNoPred)
+        events_.push(trace_[i].submit, EventType::kJobSubmit, i);
     }
   }
 
-  bool done() const { return events_.empty(); }
-  std::uint64_t events_processed() const { return events_processed_; }
-  bool can_snapshot() const {
-    return visibility_ == nullptr && tracer_ == nullptr;
-  }
   void record_power_signal(PowerSignal* signal) { signal_ = signal; }
-
-  bool step() {
-    if (events_.empty()) return false;
-    const Event ev = events_.pop();
-    ++events_processed_;
-    switch (ev.type) {
-      case EventType::kJobSubmit:
-        handle_submit(ev);
-        break;
-      case EventType::kJobFinish:
-        handle_finish(ev);
-        break;
-      case EventType::kTick:
-        handle_tick(ev);
-        break;
-    }
-    return true;
-  }
 
   SimResult finish() {
     ESCHED_REQUIRE(!finished_, "Simulation::finish called twice");
@@ -219,7 +136,20 @@ class Simulation::Impl {
 
     {
       obs::SpanGuard loop_span(tracer_, "event_loop:" + sim_label_, "sim");
-      while (step()) {
+      while (!events_.empty()) {
+        const Event ev = events_.pop();
+        ++events_processed_;
+        switch (ev.type) {
+          case EventType::kJobSubmit:
+            handle_submit(ev);
+            break;
+          case EventType::kJobFinish:
+            handle_finish(ev);
+            break;
+          case EventType::kTick:
+            handle_tick(ev);
+            break;
+        }
       }
     }
 
@@ -279,94 +209,6 @@ class Simulation::Impl {
       reg.counter("sim.eventq_reallocs").add(events_.reallocs());
     }
     return result;
-  }
-
-  SimSnapshot snapshot() const {
-    ESCHED_REQUIRE(can_snapshot(),
-                   "snapshot requires a simulation without visibility "
-                   "model or tracer");
-    ESCHED_REQUIRE(!finished_, "snapshot of a finished simulation");
-    SimSnapshot snap;
-    snap.state_ = std::make_unique<SimSnapshot::State>();
-    SimSnapshot::State& s = *snap.state_;
-    s.trace_name = trace_.name();
-    s.trace_size = trace_.size();
-    s.system_nodes = trace_.system_nodes();
-    s.tick_interval = config_.tick_interval;
-    s.idle_watts_per_node = config_.idle_watts_per_node;
-    s.contiguous_allocation = config_.contiguous_allocation;
-    s.honor_queue_priority = config_.honor_queue_priority;
-    s.honor_dependencies = config_.honor_dependencies;
-    s.max_passes_per_tick = config_.max_passes_per_tick;
-    s.record_daily_curves = config_.record_daily_curves;
-    s.daily_curve_bins = config_.daily_curve_bins;
-    s.events = events_.snapshot_events();
-    s.next_seq = events_.next_seq();
-    s.queue = queue_;
-    s.queue_trace_idx = queue_trace_idx_;
-    s.running = running_;
-    s.running_trace_idx = running_trace_idx_;
-    s.eff_submit = eff_submit_;
-    s.start = start_;
-    s.finish = finish_;
-    s.alloc_slot = alloc_slot_;
-    s.running_pos = running_pos_;
-    s.alloc = alloc_->clone();
-    s.meter = meter_.state();
-    s.power_curve = power_curve_;
-    s.util_curve = util_curve_;
-    s.horizon_end = horizon_end_;
-    s.last_tick_done = last_tick_done_;
-    s.last_tick_requested = last_tick_requested_;
-    s.last_signal_time = last_signal_time_;
-    s.scheduling_passes = scheduling_passes_;
-    s.ticks_processed = ticks_processed_;
-    s.placement_failures = placement_failures_;
-    s.events_processed = events_processed_;
-    s.tick_requests_deduped = tick_requests_deduped_;
-    s.duplicate_ticks_skipped = duplicate_ticks_skipped_;
-    return snap;
-  }
-
-  void restore(const SimSnapshot::State& s) {
-    ESCHED_REQUIRE(s.trace_name == trace_.name() &&
-                       s.trace_size == trace_.size() &&
-                       s.system_nodes == trace_.system_nodes(),
-                   "fork: snapshot was taken from a different trace");
-    ESCHED_REQUIRE(
-        s.tick_interval == config_.tick_interval &&
-            s.idle_watts_per_node == config_.idle_watts_per_node &&
-            s.contiguous_allocation == config_.contiguous_allocation &&
-            s.honor_queue_priority == config_.honor_queue_priority &&
-            s.honor_dependencies == config_.honor_dependencies &&
-            s.max_passes_per_tick == config_.max_passes_per_tick &&
-            s.record_daily_curves == config_.record_daily_curves &&
-            s.daily_curve_bins == config_.daily_curve_bins,
-        "fork: config differs from the snapshotting run's");
-    events_.restore(s.events, s.next_seq);
-    queue_ = s.queue;
-    queue_trace_idx_ = s.queue_trace_idx;
-    running_ = s.running;
-    running_trace_idx_ = s.running_trace_idx;
-    eff_submit_ = s.eff_submit;
-    start_ = s.start;
-    finish_ = s.finish;
-    alloc_slot_ = s.alloc_slot;
-    running_pos_ = s.running_pos;
-    alloc_ = s.alloc->clone();
-    meter_.restore(s.meter);
-    power_curve_ = s.power_curve;
-    util_curve_ = s.util_curve;
-    horizon_end_ = s.horizon_end;
-    last_tick_done_ = s.last_tick_done;
-    last_tick_requested_ = s.last_tick_requested;
-    last_signal_time_ = s.last_signal_time;
-    scheduling_passes_ = s.scheduling_passes;
-    ticks_processed_ = s.ticks_processed;
-    placement_failures_ = s.placement_failures;
-    events_processed_ = s.events_processed;
-    tick_requests_deduped_ = s.tick_requests_deduped;
-    duplicate_ticks_skipped_ = s.duplicate_ticks_skipped;
   }
 
  private:
@@ -696,44 +538,14 @@ Simulation::Simulation(const trace::Trace& trace,
                        const SimConfig& config,
                        power::PowerVisibility* visibility)
     : impl_(std::make_unique<Impl>(trace, pricing, policy, config,
-                                   visibility, /*prime_events=*/true)) {}
+                                   visibility)) {}
 
-Simulation::Simulation(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
 Simulation::~Simulation() = default;
 Simulation::Simulation(Simulation&&) noexcept = default;
 Simulation& Simulation::operator=(Simulation&&) noexcept = default;
 
-bool Simulation::done() const { return impl_->done(); }
-std::uint64_t Simulation::events_processed() const {
-  return impl_->events_processed();
-}
-bool Simulation::step() { return impl_->step(); }
-
-void Simulation::run_prefix(std::uint64_t max_events) {
-  for (std::uint64_t i = 0; i < max_events && impl_->step(); ++i) {
-  }
-}
-
 void Simulation::record_power_signal(PowerSignal* signal) {
   impl_->record_power_signal(signal);
-}
-
-bool Simulation::can_snapshot() const { return impl_->can_snapshot(); }
-
-SimSnapshot Simulation::snapshot() const { return impl_->snapshot(); }
-
-Simulation Simulation::fork(const SimSnapshot& snap,
-                            const trace::Trace& trace,
-                            const power::PricingModel& pricing,
-                            core::SchedulingPolicy& policy,
-                            const SimConfig& config) {
-  ESCHED_REQUIRE(snap.state_ != nullptr, "fork from an empty snapshot");
-  auto impl = std::make_unique<Impl>(trace, pricing, policy, config,
-                                     /*visibility=*/nullptr,
-                                     /*prime_events=*/false);
-  impl->restore(*snap.state_);
-  return Simulation(std::move(impl));
 }
 
 SimResult Simulation::finish() { return impl_->finish(); }

@@ -12,17 +12,10 @@
 //
 // Two entry points:
 //  * simulate() — run a whole trace to completion (the common case);
-//  * Simulation — the same engine, resumable: step() processes one event
-//    at a time, snapshot() captures the complete mutable state, and
-//    fork() resumes a new simulation from a snapshot. This is what lets a
-//    parameter sweep simulate a shared warm-up prefix once and fork the
-//    cells from it instead of replaying from t=0 (see run/sweep.cpp), and
-//    what the fork-at-every-prefix property tests drive. Snapshot
-//    compatibility rules are documented in DESIGN.md — in short, a fork
-//    is bit-identical to a full replay iff trace, pricing, policy and
-//    config are all identical to the snapshotting run's.
+//  * Simulation — the same engine, constructed first so the caller can
+//    attach a PowerSignal recorder before finish() runs it.
 //
-// A Simulation can also record the meter's input — the piecewise-constant
+// A Simulation can record the meter's input — the piecewise-constant
 // system power signal — into a PowerSignal. rebill() then re-prices that
 // signal under a different tariff without re-simulating: scheduling
 // trajectories depend on the tariff only through its on/off-peak
@@ -32,7 +25,6 @@
 // sweep runner's prefix sharing exploits.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "core/scheduler.hpp"
@@ -105,28 +97,8 @@ struct PowerSignal {
   std::vector<Watts> watts;
 };
 
-/// An opaque deep copy of a Simulation's complete mutable state (event
-/// queue, wait queue, running set, per-job arrays, allocator, meter,
-/// curves, counters). Move-only; one snapshot can seed any number of
-/// forks.
-class SimSnapshot {
- public:
-  SimSnapshot();
-  ~SimSnapshot();
-  SimSnapshot(SimSnapshot&&) noexcept;
-  SimSnapshot& operator=(SimSnapshot&&) noexcept;
-  SimSnapshot(const SimSnapshot&) = delete;
-  SimSnapshot& operator=(const SimSnapshot&) = delete;
-
- private:
-  friend class Simulation;
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-/// A resumable simulation run. Construct with the same arguments as
-/// simulate(), then either call finish() directly (identical behaviour)
-/// or interleave step()/run_prefix() with snapshot().
+/// One simulation run. Construct with the same arguments as simulate(),
+/// optionally attach a PowerSignal recorder, then call finish().
 class Simulation {
  public:
   /// See simulate() for the argument contract. All references must
@@ -138,45 +110,16 @@ class Simulation {
   Simulation(Simulation&&) noexcept;
   Simulation& operator=(Simulation&&) noexcept;
 
-  /// True once every event has been processed.
-  bool done() const;
-  /// Events processed so far (every prefix length in [0, total] is a
-  /// legal snapshot point).
-  std::uint64_t events_processed() const;
-
-  /// Process the next event; returns false (and does nothing) when done.
-  bool step();
-  /// Process up to `max_events` further events.
-  void run_prefix(std::uint64_t max_events);
-
   /// Record every meter change-point into `signal` (append-only; caller
   /// owns it and must keep it alive). Pass nullptr to stop recording.
-  /// Enable before the first step() to capture the whole signal.
+  /// Enable before finish() to capture the whole signal.
   void record_power_signal(PowerSignal* signal);
 
-  /// Snapshots capture engine state but not the visibility model's or
-  /// tracer's, so they require both to be absent.
-  bool can_snapshot() const;
-  /// Deep-copy the current state. Requires can_snapshot().
-  SimSnapshot snapshot() const;
-
-  /// Resume a new simulation from `snap`. The trace must be the one the
-  /// snapshot was taken from (same name, size and node count — enforced)
-  /// and the config must match on every behaviour-affecting knob
-  /// (enforced field-by-field); pricing and policy must be semantically
-  /// identical to the original's for the fork to be bit-identical to a
-  /// full replay (not enforceable — see DESIGN.md for the rules).
-  static Simulation fork(const SimSnapshot& snap, const trace::Trace& trace,
-                         const power::PricingModel& pricing,
-                         core::SchedulingPolicy& policy,
-                         const SimConfig& config = {});
-
-  /// Drain all remaining events and assemble the result. Call once.
+  /// Process every event and assemble the result. Call once.
   SimResult finish();
 
  private:
   class Impl;
-  explicit Simulation(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
 };
 

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -27,10 +26,7 @@ namespace {
 namespace wire = run::wire;
 using Clock = run::EndpointClock;
 
-void bump(const char* name, std::uint64_t delta = 1) {
-  if (!obs::counters_enabled()) return;
-  obs::Registry::global().counter(name).add(delta);
-}
+using obs::bump;
 
 /// Block until `fd` reports one of `events` or the timeout elapses.
 /// Returns false on timeout.
@@ -83,20 +79,9 @@ std::string CoordinatorClient::derive_sweep_id(
   return buf;
 }
 
-bool CoordinatorClient::coordinator_from_env(net::HostPort& out) {
-  const char* env = std::getenv("ESCHED_COORDINATOR");
-  if (env == nullptr || *env == '\0') return false;
-  out = net::parse_host_port(env);
-  return true;
-}
-
 bool CoordinatorClient::reachable(const net::HostPort& coordinator,
                                   double timeout_seconds) {
-  std::string error;
-  net::Fd fd = net::connect_tcp_start(coordinator, error);
-  if (!fd.valid()) return false;
-  if (!poll_one(fd.get(), POLLOUT, timeout_seconds)) return false;
-  return net::connect_tcp_finish(fd.get(), error);
+  return net::reachable(coordinator, timeout_seconds);
 }
 
 void CoordinatorClient::set_progress(run::ProgressCallback callback) {

@@ -63,10 +63,6 @@ class CoordinatorClient {
   /// cross a process boundary.
   static std::string derive_sweep_id(const std::vector<run::JobSpec>& sweep);
 
-  /// The coordinator named by ESCHED_COORDINATOR ("host:port"; empty /
-  /// unset = none). Throws esched::Error on a malformed value.
-  static bool coordinator_from_env(net::HostPort& out);
-
   /// True when the coordinator accepts a TCP connection within the
   /// timeout — the cheap probe behind bench/common's graceful fallback.
   static bool reachable(const net::HostPort& coordinator,

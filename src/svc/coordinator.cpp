@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <set>
 #include <utility>
@@ -24,10 +22,7 @@ namespace {
 namespace wire = run::wire;
 using Clock = run::EndpointClock;
 
-void bump(const char* name, std::uint64_t delta = 1) {
-  if (!obs::counters_enabled()) return;
-  obs::Registry::global().counter(name).add(delta);
-}
+using obs::bump;
 
 /// Mirror the journal-hit total into the `svc.journal.hits` gauge so it
 /// rides along with the journal size/entry gauges in /metrics.
@@ -36,12 +31,6 @@ void publish_journal_hits() {
   obs::Registry& reg = obs::Registry::global();
   reg.gauge("svc.journal.hits")
       .set(static_cast<double>(reg.counter("svc.journal_hits").value()));
-}
-
-std::string format_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", s);
-  return buf;
 }
 
 std::string join_failures(const std::vector<std::string>& lines) {
@@ -60,7 +49,8 @@ Clock::time_point after(Clock::time_point now, double seconds) {
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      fleet_(config_, net::AgentFleet::kNeverAbandon, *this) {
   ESCHED_REQUIRE(config_.max_attempts >= 1,
                  "esched-coordinator: max_attempts must be >= 1");
   ESCHED_REQUIRE(!config_.agents.empty(),
@@ -91,14 +81,7 @@ std::uint16_t Coordinator::start() {
                   store_[record.cell_key] = record.result_bytes;
                 });
   listener_ = net::listen_tcp(config_.bind_host, config_.port);
-  const Clock::time_point now = Clock::now();
-  started_at_ = now;
-  agents_.resize(config_.agents.size());
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    agents_[i].addr = config_.agents[i];
-    agents_[i].retry_at = now;  // connect immediately
-    agents_[i].backoff_seconds = config_.reconnect_initial_seconds;
-  }
+  started_at_ = Clock::now();
   return net::local_port(listener_.get());
 }
 
@@ -110,51 +93,23 @@ void Coordinator::serve() {
 // ---- the poll loop ----------------------------------------------------
 
 void Coordinator::step() {
-  Clock::time_point now = Clock::now();
+  const Clock::time_point now = Clock::now();
+  fleet_.tick(now);
 
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state == Agent::State::kBackoff && now >= a.retry_at) {
-      start_connect(i, now);
-    } else if ((a.state == Agent::State::kConnecting ||
-                a.state == Agent::State::kHandshaking) &&
-               now >= a.connect_deadline) {
-      agent_backoff(i,
-                    a.state == Agent::State::kConnecting
-                        ? "connect timed out"
-                        : "handshake timed out",
-                    now);
-    }
-  }
-  assign_ready(now);
-
+  // fds[0] is the listener and fds[1 + k] client `ids[k]`; the fleet and
+  // HTTP fds follow, each dispatched by its own on_poll.
   std::vector<struct pollfd> fds;
-  std::vector<std::uint64_t> refs;
+  std::vector<std::uint64_t> ids;
   fds.push_back({listener_.get(), POLLIN, 0});
-  refs.push_back(0);
   for (auto& [id, client] : clients_) {
     int events = 0;
     if (!client.closing) events |= POLLIN;
     if (client.conn.wants_write()) events |= POLLOUT;
     if (events == 0) continue;  // closing and flushed: reaped below
     fds.push_back({client.conn.fd(), static_cast<short>(events), 0});
-    refs.push_back(id);
+    ids.push_back(id);
   }
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state == Agent::State::kConnecting) {
-      fds.push_back({a.conn->fd(), POLLOUT, 0});
-    } else if (a.connected()) {
-      const short events =
-          static_cast<short>(POLLIN | (a.conn->wants_write() ? POLLOUT : 0));
-      fds.push_back({a.conn->fd(), events, 0});
-    } else {
-      continue;
-    }
-    refs.push_back(~static_cast<std::uint64_t>(i));
-  }
-  // HTTP fds ride the same poll() but are dispatched by fd ownership,
-  // not by ref — they live past the refs-indexed prefix.
+  fleet_.register_fds(fds);
   http_.register_fds(fds);
 
   const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -165,82 +120,27 @@ void Coordinator::step() {
   }
   if (rc > 0) {
     http_.on_poll(fds.data(), fds.size());
-    for (std::size_t k = 0; k < refs.size(); ++k) {
-      if (fds[k].revents == 0) continue;
-      const std::uint64_t ref = refs[k];
-      now = Clock::now();
-      if (k == 0) {
-        accept_clients();
-      } else if (ref > clients_watermark_) {
-        const std::size_t i = static_cast<std::size_t>(~ref);
-        Agent& a = agents_[i];
-        if (a.state == Agent::State::kConnecting) {
-          if ((fds[k].revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-            on_agent_connect_writable(i, now);
-          }
-          continue;
-        }
-        if (!a.connected()) continue;
-        if ((fds[k].revents & POLLOUT) != 0 && !a.conn->flush()) {
-          connection_lost(
-              i, "agent " + a.addr.text() + ": send failed (connection lost)",
-              now);
-          continue;
-        }
-        if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-          on_agent_readable(i, now);
-        }
-      } else if (clients_.count(ref) != 0) {
-        on_client_event(ref, fds[k].revents);
+    if (fds[0].revents != 0) accept_clients();
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const short revents = fds[k + 1].revents;
+      if (revents != 0 && clients_.count(ids[k]) != 0) {
+        on_client_event(ids[k], revents);
       }
     }
+    fleet_.on_poll(fds);
   }
-
-  now = Clock::now();
-  check_task_deadlines(now);
-  check_heartbeats(now);
   reap_closed();
 }
 
 int Coordinator::next_timeout_ms(Clock::time_point now) const {
-  bool have = false;
-  Clock::time_point nearest{};
-  const auto consider = [&](Clock::time_point tp) {
-    if (!have || tp < nearest) {
-      nearest = tp;
-      have = true;
-    }
-  };
-  for (const Agent& a : agents_) {
-    switch (a.state) {
-      case Agent::State::kBackoff:
-        consider(a.retry_at);
-        break;
-      case Agent::State::kConnecting:
-      case Agent::State::kHandshaking:
-        consider(a.connect_deadline);
-        break;
-      case Agent::State::kReady:
-        consider(a.next_ping);
-        for (const run::Endpoint& ep : a.slots) {
-          if (ep.busy() && ep.has_deadline) consider(ep.deadline);
-        }
-        break;
-      case Agent::State::kRejected:
-        break;
-    }
-  }
+  Clock::time_point nearest = fleet_.next_deadline();
   for (const std::string& key : pending_) {
     const auto it = cells_.find(key);
     if (it != cells_.end() && !it->second.in_flight) {
-      consider(it->second.ready_at);
+      nearest = std::min(nearest, it->second.ready_at);
     }
   }
-  if (!have) return 60000;
-  const double sec = std::chrono::duration<double>(nearest - now).count();
-  if (sec <= 0.0) return 0;
-  const double ms = std::ceil(sec * 1000.0);
-  return ms > 60000.0 ? 60000 : static_cast<int>(ms);
+  return net::poll_timeout_ms(nearest, now);
 }
 
 // ---- clients ----------------------------------------------------------
@@ -294,10 +194,9 @@ void Coordinator::process_client_frames(std::uint64_t id) {
     }
     switch (header.type) {
       case wire::FrameType::kPing:
-        if (!client.conn.send(wire::encode_frame(wire::FrameType::kPong,
-                                                 header.task_id,
-                                                 header.attempt, {}))) {
-          drop_client(id, "send failed");
+        if (!send_client(id, wire::encode_frame(wire::FrameType::kPong,
+                                                header.task_id,
+                                                header.attempt, {}))) {
           return;
         }
         break;
@@ -319,30 +218,9 @@ void Coordinator::on_client_hello(std::uint64_t id,
                                   const std::vector<std::uint8_t>& body) {
   Client& client = clients_.at(id);
   net::Hello hello;
-  bool ok = header.type == wire::FrameType::kHello;
-  std::string error = "esched-coordinator: expected kHello";
-  if (ok) {
-    try {
-      hello = net::decode_hello(body);
-    } catch (const Error& e) {
-      ok = false;
-      error = e.what();
-    }
-  }
-  if (ok && hello.protocol != net::kNetProtocolVersion) {
-    ok = false;
-    error = "esched-coordinator: protocol version mismatch (coordinator=" +
-            std::to_string(net::kNetProtocolVersion) +
-            ", client=" + std::to_string(hello.protocol) + ")";
-  }
-  if (ok && !config_.token.empty() && hello.token != config_.token) {
-    ok = false;
-    // Deliberately does not echo either token.
-    error = "esched-coordinator: auth token mismatch (coordinator requires "
-            "a shared secret; pass the matching --token / "
-            "ESCHED_AUTH_TOKEN)";
-  }
-  if (!ok) {
+  const std::string error = net::check_hello(header, body, config_.auth_token,
+                                             "esched-coordinator", hello);
+  if (!error.empty()) {
     obs::log_warn("svc.coordinator", "rejecting client",
                   {{"client", id}, {"reason", error}});
     bump("svc.clients_rejected");
@@ -353,18 +231,10 @@ void Coordinator::on_client_hello(std::uint64_t id,
   }
   net::Welcome welcome;
   welcome.protocol = net::kNetProtocolVersion;
-  std::uint32_t slots = 0;
-  for (const Agent& a : agents_) {
-    if (a.state == Agent::State::kReady) {
-      slots += static_cast<std::uint32_t>(a.slots.size());
-    }
-  }
-  welcome.slots = slots;
+  welcome.slots = static_cast<std::uint32_t>(fleet_.ready_slots());
   client.handshaken = true;
-  if (!client.conn.send(wire::encode_frame(wire::FrameType::kWelcome, 0, 0,
-                                           net::encode_welcome(welcome)))) {
-    drop_client(id, "send failed");
-  }
+  send_client(id, wire::encode_frame(wire::FrameType::kWelcome, 0, 0,
+                                     net::encode_welcome(welcome)));
 }
 
 void Coordinator::on_submit(std::uint64_t id,
@@ -392,24 +262,15 @@ void Coordinator::on_submit(std::uint64_t id,
       keys.push_back(run::cell_key(spec));
     }
   } catch (const Error& e) {
-    if (!clients_.at(id).conn.send(
-            wire::encode_frame(wire::FrameType::kError, 0, 0,
-                               wire::encode_error(e.what())))) {
-      drop_client(id, "send failed");
-    }
+    send_error(id, e.what());
     return;
   }
 
   auto existing = sweeps_.find(request.sweep_id);
   if (existing != sweeps_.end()) {
     if (existing->second.keys != keys) {
-      if (!clients_.at(id).conn.send(wire::encode_frame(
-              wire::FrameType::kError, 0, 0,
-              wire::encode_error("esched-coordinator: sweep id \"" +
-                                 request.sweep_id +
-                                 "\" re-submitted with a different grid")))) {
-        drop_client(id, "send failed");
-      }
+      send_error(id, "esched-coordinator: sweep id \"" + request.sweep_id +
+                         "\" re-submitted with a different grid");
       return;
     }
     // Idempotent re-submission: same id, same grid — resume.
@@ -461,12 +322,7 @@ void Coordinator::on_attach(std::uint64_t id,
   bump("svc.attaches");
   if (sweeps_.count(sweep_id) == 0) {
     // The client falls back to a full kSubmit on this exact message.
-    if (!clients_.at(id).conn.send(wire::encode_frame(
-            wire::FrameType::kError, 0, 0,
-            wire::encode_error("esched-coordinator: unknown sweep \"" +
-                               sweep_id + "\"")))) {
-      drop_client(id, "send failed");
-    }
+    send_error(id, "esched-coordinator: unknown sweep \"" + sweep_id + "\"");
     return;
   }
   attach_client(id, sweep_id);
@@ -490,17 +346,28 @@ void Coordinator::attach_client(std::uint64_t id,
     send_cell_done(id, i, sweep.keys[i]);
     if (clients_.count(id) == 0) return;  // send failure dropped it
   }
-  if (sweep.done) {
-    wire::SweepDone done;
-    done.total = static_cast<std::uint64_t>(sweep.keys.size());
-    done.simulated = sweep.simulated;
-    done.journal_hits = sweep.journal_hits;
-    if (!clients_.at(id).conn.send(
-            wire::encode_frame(wire::FrameType::kSweepDone, 0, 0,
-                               wire::encode_sweep_done(done)))) {
-      drop_client(id, "send failed");
-    }
-  }
+  if (sweep.done) send_sweep_done(id, sweep);
+}
+
+bool Coordinator::send_client(std::uint64_t id,
+                              const std::vector<std::uint8_t>& frame) {
+  if (clients_.at(id).conn.send(frame)) return true;
+  drop_client(id, "send failed");
+  return false;
+}
+
+void Coordinator::send_error(std::uint64_t id, const std::string& message) {
+  send_client(id, wire::encode_frame(wire::FrameType::kError, 0, 0,
+                                     wire::encode_error(message)));
+}
+
+void Coordinator::send_sweep_done(std::uint64_t id, const Sweep& sweep) {
+  wire::SweepDone done;
+  done.total = static_cast<std::uint64_t>(sweep.keys.size());
+  done.simulated = sweep.simulated;
+  done.journal_hits = sweep.journal_hits;
+  send_client(id, wire::encode_frame(wire::FrameType::kSweepDone, 0, 0,
+                                     wire::encode_sweep_done(done)));
 }
 
 void Coordinator::send_cell_done(std::uint64_t client, std::size_t index,
@@ -509,12 +376,9 @@ void Coordinator::send_cell_done(std::uint64_t client, std::size_t index,
   if (it == clients_.end() || it->second.closing) return;
   // The stored bytes are the worker's encode_result output, verbatim —
   // the client's decode sees exactly what a fresh simulation produced.
-  if (!it->second.conn.send(
-          wire::encode_frame(wire::FrameType::kCellDone,
-                             static_cast<std::uint32_t>(index), 0,
-                             store_.at(key)))) {
-    drop_client(client, "send failed");
-  }
+  send_client(client, wire::encode_frame(wire::FrameType::kCellDone,
+                                         static_cast<std::uint32_t>(index),
+                                         0, store_.at(key)));
 }
 
 void Coordinator::maybe_finish_sweep(const std::string& sweep_id) {
@@ -526,16 +390,7 @@ void Coordinator::maybe_finish_sweep(const std::string& sweep_id) {
   // a freshly simulated cell (total == simulated + journal_hits).
   sweep.journal_hits =
       static_cast<std::uint64_t>(sweep.keys.size()) - sweep.simulated;
-  if (sweep.client == 0) return;
-  wire::SweepDone done;
-  done.total = static_cast<std::uint64_t>(sweep.keys.size());
-  done.simulated = sweep.simulated;
-  done.journal_hits = sweep.journal_hits;
-  if (!clients_.at(sweep.client)
-           .conn.send(wire::encode_frame(wire::FrameType::kSweepDone, 0, 0,
-                                         wire::encode_sweep_done(done)))) {
-    drop_client(sweep.client, "send failed");
-  }
+  if (sweep.client != 0) send_sweep_done(sweep.client, sweep);
 }
 
 void Coordinator::fail_sweep(const std::string& sweep_id,
@@ -550,12 +405,8 @@ void Coordinator::fail_sweep(const std::string& sweep_id,
                   [&](const auto& w) { return w.first == sweep_id; });
   }
   if (client != 0 && clients_.count(client) != 0) {
-    const auto c = clients_.find(client);
-    c->second.sweep_id.clear();
-    if (!c->second.conn.send(wire::encode_frame(
-            wire::FrameType::kError, 0, 0, wire::encode_error(message)))) {
-      drop_client(client, "send failed");
-    }
+    clients_.at(client).sweep_id.clear();
+    send_error(client, message);
   }
 }
 
@@ -585,67 +436,53 @@ void Coordinator::reap_closed() {
 
 // ---- work management --------------------------------------------------
 
-void Coordinator::assign_ready(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size() && !pending_.empty(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady) continue;
-    for (run::Endpoint& ep : a.slots) {
-      if (ep.busy()) continue;
-      const std::string key = claim_ready(now);
-      if (key.empty()) return;  // nothing dispatchable right now
-      Cell& cell = cells_.at(key);
-      const std::uint32_t attempt = cell.attempts++;
-      const std::uint32_t dispatch = next_dispatch_++;
-      cell.in_flight = true;
-      in_flight_[dispatch] = key;
-      ep.begin(dispatch, attempt, now, config_.task_timeout_seconds);
-      bump("svc.cells_dispatched");
-      if (!a.conn->send(wire::encode_frame(wire::FrameType::kJob, dispatch,
-                                           attempt, cell.payload))) {
-        connection_lost(i, "agent " + a.addr.text() +
-                               ": send failed (connection lost)",
-                        now);
-        break;  // a.slots is gone; next agent
-      }
-    }
-  }
-}
-
 /// Pop the first pending cell whose backoff elapsed, skipping (and
 /// discarding) stale queue entries for cells that completed or failed
-/// while queued.
-std::string Coordinator::claim_ready(Clock::time_point now) {
+/// while queued, and start its next attempt under a fresh dispatch id.
+bool Coordinator::claim(Clock::time_point now, net::FleetWork& work) {
   for (std::size_t i = 0; i < pending_.size();) {
-    const std::string& key = pending_[i];
-    const auto it = cells_.find(key);
-    if (it == cells_.end() || it->second.in_flight) {
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    const auto it = cells_.find(pending_[i]);
+    const bool stale = it == cells_.end() || it->second.in_flight;
+    if (!stale && it->second.ready_at > now) {
+      ++i;
       continue;
     }
-    if (it->second.ready_at <= now) {
-      std::string claimed = key;
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      return claimed;
-    }
-    ++i;
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (stale) continue;
+    Cell& cell = it->second;
+    work.task = next_dispatch_;
+    work.attempt = cell.attempts++;
+    work.payload = &cell.payload;
+    cell.in_flight = true;
+    in_flight_[next_dispatch_++] = it->first;
+    bump("svc.cells_dispatched");
+    return true;
   }
-  return {};
+  return false;
 }
 
-void Coordinator::complete_cell(const std::string& key,
-                                std::vector<std::uint8_t> result_bytes,
-                                std::uint32_t task, std::uint32_t attempt) {
-  // Durability first: the record is on disk (or counted as dropped)
-  // before any client sees the result.
+bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& slot,
+                            std::vector<std::uint8_t> bytes,
+                            Clock::time_point /*now*/) {
+  const auto task = static_cast<std::uint32_t>(slot.task);
+  const auto flight = in_flight_.find(task);
+  if (flight == in_flight_.end()) return false;
+  const std::string key = flight->second;
+  in_flight_.erase(flight);
+
+  // Stored and journaled *verbatim* (the CRC already vouched for the
+  // bytes): decoding and re-encoding could only risk the byte-identity
+  // the journal promises. Durability first: the record is on disk (or
+  // counted as dropped) before any client sees the result.
   wire::JournalRecord record;
   record.cell_key = key;
-  record.result_bytes = result_bytes;
-  journal_.append(record, task, attempt);
-  store_[key] = std::move(result_bytes);
+  record.result_bytes = bytes;
+  journal_.append(record, task, slot.attempt);
+  store_[key] = std::move(bytes);
   bump("svc.cells_completed");
 
   const auto it = cells_.find(key);
-  if (it == cells_.end()) return;  // no one was waiting (shouldn't happen)
+  if (it == cells_.end()) return true;  // no one was waiting
   const std::vector<std::pair<std::string, std::size_t>> waiters =
       std::move(it->second.waiters);
   cells_.erase(it);
@@ -666,11 +503,12 @@ void Coordinator::complete_cell(const std::string& key,
   for (const std::string& sweep_id : touched) {
     if (sweeps_.count(sweep_id) != 0) maybe_finish_sweep(sweep_id);
   }
+  return true;
 }
 
-void Coordinator::requeue_cell(std::uint32_t task, const std::string& reason,
+void Coordinator::on_transient(std::size_t task, const std::string& reason,
                                Clock::time_point now) {
-  const auto flight = in_flight_.find(task);
+  const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
   if (flight == in_flight_.end()) return;
   const std::string key = flight->second;
   in_flight_.erase(flight);
@@ -680,7 +518,6 @@ void Coordinator::requeue_cell(std::uint32_t task, const std::string& reason,
   cell.in_flight = false;
   cell.failures.push_back("attempt " + std::to_string(cell.attempts) + ": " +
                           reason);
-  bump("svc.cells_requeued");
   if (cell.attempts >= config_.max_attempts) {
     fail_cell(key, "sweep cell \"" + cell.label + "\" failed after " +
                        std::to_string(cell.attempts) + " attempt(s): " +
@@ -689,6 +526,17 @@ void Coordinator::requeue_cell(std::uint32_t task, const std::string& reason,
   }
   cell.ready_at = after(now, retry_.backoff_seconds(cell.attempts));
   pending_.push_back(key);
+}
+
+void Coordinator::on_error(std::size_t task, const std::string& message) {
+  const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
+  if (flight == in_flight_.end()) return;
+  const std::string key = flight->second;
+  in_flight_.erase(flight);
+  const auto cell = cells_.find(key);
+  const std::string label = cell != cells_.end() ? cell->second.label : key;
+  // Deterministic failure: retrying reruns the same simulation.
+  fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
 }
 
 /// Deterministic failure or attempt-budget exhaustion: every sweep
@@ -706,374 +554,8 @@ void Coordinator::fail_cell(const std::string& key,
   for (const std::string& sweep_id : affected) fail_sweep(sweep_id, message);
 }
 
-// ---- fleet lifecycle --------------------------------------------------
-
-void Coordinator::start_connect(std::size_t index, Clock::time_point now) {
-  Agent& a = agents_[index];
-  std::string error;
-  net::Fd fd = net::connect_tcp_start(a.addr, error);
-  if (!fd.valid()) {
-    agent_backoff(index, error, now);
-    return;
-  }
-  a.conn.emplace(std::move(fd));
-  a.state = Agent::State::kConnecting;
-  a.connect_deadline = after(now, config_.connect_timeout_seconds);
-}
-
-void Coordinator::on_agent_connect_writable(std::size_t index,
-                                            Clock::time_point now) {
-  Agent& a = agents_[index];
-  std::string error;
-  if (!net::connect_tcp_finish(a.conn->fd(), error)) {
-    agent_backoff(index, error, now);
-    return;
-  }
-  net::Hello hello;
-  hello.protocol = net::kNetProtocolVersion;
-  hello.token = config_.token;
-  if (!a.conn->send(wire::encode_frame(wire::FrameType::kHello, 0, 0,
-                                       net::encode_hello(hello)))) {
-    agent_backoff(index, "send failed during handshake", now);
-    return;
-  }
-  a.state = Agent::State::kHandshaking;
-}
-
-void Coordinator::on_agent_readable(std::size_t index,
-                                    Clock::time_point now) {
-  Agent& a = agents_[index];
-  const net::FrameConn::ReadStatus status = a.conn->fill();
-  if (status == net::FrameConn::ReadStatus::kError) {
-    connection_lost(index,
-                    "agent " + a.addr.text() + ": read failed (" +
-                        std::string(std::strerror(errno)) + ")",
-                    now);
-    return;
-  }
-  process_agent_frames(index, now);
-  if (!a.connected()) return;
-  if (status == net::FrameConn::ReadStatus::kClosed) {
-    if (a.state == Agent::State::kHandshaking) {
-      agent_backoff(index, "agent closed connection during handshake", now);
-    } else {
-      connection_lost(index,
-                      "agent " + a.addr.text() + ": closed connection" +
-                          (a.conn->frames().mid_frame() ? " mid-frame" : ""),
-                      now);
-    }
-  }
-}
-
-void Coordinator::process_agent_frames(std::size_t index,
-                                       Clock::time_point now) {
-  Agent& a = agents_[index];
-  while (a.connected()) {
-    wire::FrameHeader header;
-    std::vector<std::uint8_t> body;
-    std::string corrupt;
-    const run::FrameAssembler::Status status =
-        a.conn->frames().next(header, body, corrupt);
-    if (status == run::FrameAssembler::Status::kNeedMore) return;
-    if (status == run::FrameAssembler::Status::kCorrupt) {
-      connection_lost(index,
-                      "agent " + a.addr.text() + ": protocol corruption (" +
-                          corrupt + ")",
-                      now);
-      return;
-    }
-    if (a.state == Agent::State::kHandshaking) {
-      on_agent_handshake_frame(index, header, body, now);
-    } else {
-      on_agent_session_frame(index, header, body, now);
-    }
-  }
-}
-
-void Coordinator::on_agent_handshake_frame(
-    std::size_t index, const wire::FrameHeader& header,
-    const std::vector<std::uint8_t>& body, Clock::time_point now) {
-  Agent& a = agents_[index];
-  if (header.type == wire::FrameType::kError) {
-    std::string message;
-    try {
-      message = wire::decode_error(body);
-    } catch (const Error&) {
-      message = "(undecodable error payload)";
-    }
-    // Version or auth mismatch: the agent will never accept us.
-    agent_rejected(index, "agent " + a.addr.text() +
-                              " rejected handshake: " + message);
-    return;
-  }
-  if (header.type != wire::FrameType::kWelcome) {
-    connection_lost(index,
-                    "agent " + a.addr.text() +
-                        ": unexpected frame before kWelcome",
-                    now);
-    return;
-  }
-  net::Welcome welcome;
-  try {
-    welcome = net::decode_welcome(body);
-  } catch (const Error& e) {
-    connection_lost(index,
-                    "agent " + a.addr.text() + ": protocol corruption (" +
-                        std::string(e.what()) + ")",
-                    now);
-    return;
-  }
-  if (welcome.protocol != net::kNetProtocolVersion) {
-    agent_rejected(index,
-                   "protocol version mismatch (coordinator=" +
-                       std::to_string(net::kNetProtocolVersion) +
-                       ", agent=" + std::to_string(welcome.protocol) + ")");
-    return;
-  }
-  a.state = Agent::State::kReady;
-  a.slots.assign(std::max<std::uint32_t>(1, welcome.slots), run::Endpoint{});
-  a.backoff_seconds = config_.reconnect_initial_seconds;
-  a.ping_seq = 0;
-  a.pings_unanswered = 0;
-  a.last_pong = now;
-  a.ever_ponged = true;
-  a.next_ping = after(now, config_.heartbeat_interval_seconds);
-  bump("svc.agent_connects");
-  obs::log_debug("svc.coordinator", "agent ready",
-                 {{"addr", a.addr.text()}, {"slots", a.slots.size()}});
-}
-
-void Coordinator::on_agent_session_frame(std::size_t index,
-                                         const wire::FrameHeader& header,
-                                         const std::vector<std::uint8_t>& body,
-                                         Clock::time_point now) {
-  Agent& a = agents_[index];
-  if (header.type == wire::FrameType::kPong) {
-    a.pings_unanswered = 0;
-    a.last_pong = now;
-    return;
-  }
-  if (header.type == wire::FrameType::kTelemetry) {
-    return;  // no fleet aggregator in the daemon (yet); advisory, drop
-  }
-  run::Endpoint* ep = find_endpoint(a, header);
-  if (ep == nullptr) {
-    connection_lost(index,
-                    "agent " + a.addr.text() +
-                        ": answer for a task this agent does not hold",
-                    now);
-    return;
-  }
-  switch (header.type) {
-    case wire::FrameType::kResult: {
-      // Stored and journaled *verbatim* (the CRC already vouched for the
-      // bytes): decoding and re-encoding could only risk the
-      // byte-identity the journal promises.
-      const std::uint32_t task = static_cast<std::uint32_t>(ep->task);
-      const std::uint32_t attempt = ep->attempt;
-      const auto flight = in_flight_.find(task);
-      if (flight == in_flight_.end()) {
-        connection_lost(index,
-                        "agent " + a.addr.text() +
-                            ": answer for an unknown dispatch",
-                        now);
-        return;
-      }
-      const std::string key = flight->second;
-      in_flight_.erase(flight);
-      ep->clear();
-      complete_cell(key, body, task, attempt);
-      return;
-    }
-    case wire::FrameType::kError: {
-      std::string message;
-      try {
-        message = wire::decode_error(body);
-      } catch (const Error&) {
-        message = "(undecodable error payload)";
-      }
-      const std::uint32_t task = static_cast<std::uint32_t>(ep->task);
-      const auto flight = in_flight_.find(task);
-      ep->clear();
-      if (flight != in_flight_.end()) {
-        const std::string key = flight->second;
-        in_flight_.erase(flight);
-        const auto cell = cells_.find(key);
-        const std::string label =
-            cell != cells_.end() ? cell->second.label : key;
-        // Deterministic failure: retrying reruns the same simulation.
-        fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
-      }
-      return;
-    }
-    case wire::FrameType::kFail: {
-      std::string reason;
-      try {
-        reason = wire::decode_error(body);
-      } catch (const Error&) {
-        reason = "(undecodable failure payload)";
-      }
-      const std::uint32_t task = static_cast<std::uint32_t>(ep->task);
-      ep->clear();
-      requeue_cell(task, "agent " + a.addr.text() + ": " + reason, now);
-      return;
-    }
-    default:
-      connection_lost(index,
-                      "agent " + a.addr.text() +
-                          ": unexpected frame type in session",
-                      now);
-      return;
-  }
-}
-
-run::Endpoint* Coordinator::find_endpoint(Agent& agent,
-                                          const wire::FrameHeader& header) {
-  for (run::Endpoint& ep : agent.slots) {
-    if (ep.busy() && ep.task == header.task_id &&
-        ep.attempt == header.attempt) {
-      return &ep;
-    }
-  }
-  return nullptr;
-}
-
-/// Pre-handshake failure: back off and retry forever (a daemon never
-/// abandons a configured agent on connect failures — the fleet is
-/// expected to come and go).
-void Coordinator::agent_backoff(std::size_t index, const std::string& error,
-                                Clock::time_point now) {
-  Agent& a = agents_[index];
-  a.conn.reset();
-  a.last_error = error;
-  a.state = Agent::State::kBackoff;
-  a.retry_at = after(now, a.backoff_seconds);
-  a.backoff_seconds =
-      std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
-}
-
-void Coordinator::agent_rejected(std::size_t index,
-                                 const std::string& error) {
-  Agent& a = agents_[index];
-  obs::log_error("svc.coordinator", "abandoning agent",
-                 {{"addr", a.addr.text()}, {"reason", error}});
-  a.conn.reset();
-  a.last_error = error;
-  a.state = Agent::State::kRejected;
-  // Work already in flight on this agent is gone; requeue it.
-  for (run::Endpoint& ep : a.slots) {
-    if (!ep.busy()) continue;
-    const std::uint32_t task = static_cast<std::uint32_t>(ep.task);
-    ep.clear();
-    requeue_cell(task, error, Clock::now());
-  }
-  a.slots.clear();
-}
-
-void Coordinator::connection_lost(std::size_t index,
-                                  const std::string& reason,
-                                  Clock::time_point now) {
-  Agent& a = agents_[index];
-  obs::log_debug("svc.coordinator", "agent connection lost",
-                 {{"addr", a.addr.text()}, {"reason", reason}});
-  a.conn.reset();
-  a.last_error = reason;
-  a.state = Agent::State::kBackoff;
-  a.retry_at = after(now, a.backoff_seconds);
-  a.backoff_seconds =
-      std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
-  bump("svc.agent_disconnects");
-  for (run::Endpoint& ep : a.slots) {
-    if (!ep.busy()) continue;
-    const std::uint32_t task = static_cast<std::uint32_t>(ep.task);
-    ep.clear();
-    requeue_cell(task, reason, now);
-  }
-  a.slots.clear();
-}
-
-void Coordinator::check_task_deadlines(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady) continue;
-    bool expired = false;
-    for (run::Endpoint& ep : a.slots) {
-      if (!ep.deadline_expired(now)) continue;
-      expired = true;
-      const std::uint32_t task = static_cast<std::uint32_t>(ep.task);
-      ep.clear();
-      requeue_cell(task,
-                   "timed out after " +
-                       format_seconds(config_.task_timeout_seconds) +
-                       "s on agent " + a.addr.text(),
-                   now);
-    }
-    if (expired) {
-      // A cell can't be killed remotely: retire the whole connection.
-      connection_lost(i,
-                      "agent " + a.addr.text() +
-                          ": connection reset after a task timeout",
-                      now);
-    }
-  }
-}
-
-void Coordinator::check_heartbeats(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady || now < a.next_ping) continue;
-    if (a.pings_unanswered >= config_.heartbeat_misses) {
-      connection_lost(
-          i,
-          "agent " + a.addr.text() + ": missed " +
-              std::to_string(a.pings_unanswered) +
-              " heartbeats (last heartbeat " +
-              format_seconds(
-                  std::chrono::duration<double>(now - a.last_pong).count()) +
-              "s ago)",
-          now);
-      continue;
-    }
-    if (!a.conn->send(wire::encode_frame(wire::FrameType::kPing, a.ping_seq++,
-                                         0, {}))) {
-      connection_lost(
-          i, "agent " + a.addr.text() + ": send failed (connection lost)",
-          now);
-      continue;
-    }
-    ++a.pings_unanswered;
-    a.next_ping = after(now, config_.heartbeat_interval_seconds);
-  }
-}
-
 std::vector<run::AgentLiveness> Coordinator::fleet_liveness() const {
-  const Clock::time_point now = Clock::now();
-  std::vector<run::AgentLiveness> out;
-  out.reserve(agents_.size());
-  for (const Agent& a : agents_) {
-    run::AgentLiveness live;
-    live.addr = a.addr.text();
-    switch (a.state) {
-      case Agent::State::kReady:
-        live.state = a.pings_unanswered == 0 ? "alive" : "suspect";
-        break;
-      case Agent::State::kRejected:
-        live.state = "dead";
-        break;
-      case Agent::State::kBackoff:
-      case Agent::State::kConnecting:
-      case Agent::State::kHandshaking:
-        live.state = "connecting";
-        break;
-    }
-    if (a.ever_ponged) {
-      live.last_heartbeat_age_seconds =
-          std::chrono::duration<double>(now - a.last_pong).count();
-    }
-    if (a.last_error != "never attempted") live.last_error = a.last_error;
-    out.push_back(std::move(live));
-  }
-  return out;
+  return fleet_.liveness(Clock::now());
 }
 
 // ---- operational plane ------------------------------------------------

@@ -19,32 +19,29 @@
 //    cell, ever — and a coordinator SIGKILLed mid-sweep resumes after
 //    restart by replaying the journal and re-simulating only the cells
 //    whose records are absent (coordinator_test counts them).
-//  * The agent fleet is supervised, not per-run: connections are kept
-//    alive across sweeps, heartbeated (kPing/kPong), and reconnected
-//    forever with capped backoff. Health is the run::AgentLiveness
-//    state machine — alive (all pings answered), suspect (a ping
-//    outstanding), dead (disconnected/abandoned) — and an agent death
-//    requeues its in-flight cells onto the survivors. Only a permanent
-//    rejection (version or auth token mismatch) stops reconnect
-//    attempts.
+//  * The agent fleet is a net::AgentFleet kept alive across sweeps —
+//    the same implementation DistributedPool drives per run, except that
+//    the daemon never abandons an agent on connect failures (the fleet
+//    is expected to come and go). Only a permanent rejection (version or
+//    auth token mismatch) stops reconnect attempts, and an agent death
+//    requeues its in-flight cells onto the survivors.
 //  * A disconnected client's sweep keeps running. The client resumes
 //    with kAttach (its sweep id): already-produced kCellDone frames are
 //    re-sent, the rest stream as they finish. kSubmit is idempotent —
 //    re-submitting an id with the identical grid behaves like kAttach.
 //
-// Single-threaded poll() loop, like the agentd and the per-run
-// coordinator; determinism and the failure model ride on the same
-// primitives (TaskLedger-equivalent per-cell attempt budgets,
-// FrameAssembler, Endpoint slots, RetryPolicy backoff).
+// Single-threaded poll() loop, like the agentd and the per-run pool;
+// cells carry their own attempt budgets (RetryPolicy backoff) because
+// they come and go dynamically.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "net/agent_fleet.hpp"
 #include "net/frame_io.hpp"
 #include "net/socket.hpp"
 #include "obs/http_exposition.hpp"
@@ -56,13 +53,12 @@
 
 namespace esched::svc {
 
-/// Daemon knobs; defaults match DistributedPoolConfig's where the two
-/// share semantics, so a fleet behaves the same under either driver.
-struct CoordinatorConfig {
+/// Daemon knobs: the shared fleet knobs (whose auth_token is also
+/// required of every client kHello; "" = no auth either way) plus the
+/// service's own.
+struct CoordinatorConfig : net::FleetConfig {
   std::string bind_host = "127.0.0.1";
   std::uint16_t port = 9655;  ///< 0 picks an ephemeral port
-  /// Agent fleet (host:port). Must be non-empty.
-  std::vector<net::HostPort> agents;
   /// Result journal path. Must be non-empty; created if absent,
   /// replayed and healed on start.
   std::string journal_path;
@@ -72,22 +68,6 @@ struct CoordinatorConfig {
   /// get a nudge before replay time and disk use become a problem.
   /// 0 disables the warning.
   std::uint64_t journal_warn_bytes = 1ull << 30;
-  /// Shared secret: required of every client kHello, and sent in the
-  /// coordinator's own kHello to each agent ("" = no auth either way).
-  std::string token;
-  /// Per-cell attempt budget (first run + retries). Must be >= 1.
-  std::uint32_t max_attempts = 3;
-  double backoff_initial_seconds = 0.05;
-  double backoff_max_seconds = 2.0;
-  /// Per-dispatch wall-clock timeout; expiry retires the agent
-  /// connection and requeues its cells. 0 disables.
-  double task_timeout_seconds = 0.0;
-  double connect_timeout_seconds = 5.0;
-  double heartbeat_interval_seconds = 1.0;
-  std::uint32_t heartbeat_misses = 3;
-  double reconnect_initial_seconds = 0.1;
-  double reconnect_max_seconds = 2.0;
-  bool verbose = false;
   /// Operational HTTP plane (/metrics, /healthz, /sweeps). Off by
   /// default; enabling it cannot change sweep results — the endpoints
   /// only *read* state between poll dispatches. http_port 0 picks an
@@ -99,9 +79,12 @@ struct CoordinatorConfig {
 /// The daemon. start() binds and replays the journal; serve() runs the
 /// poll loop forever (the process is stopped by signal — SIGKILL is the
 /// *tested* shutdown path, that's the point of the journal).
-class Coordinator {
+class Coordinator : private net::FleetOwner {
  public:
   explicit Coordinator(CoordinatorConfig config);
+  // fleet_ holds this object's address.
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
 
   /// Bind the listener, open + replay the journal, arm the fleet.
   /// Returns the bound port (for --port 0). Throws esched::Error on
@@ -113,9 +96,6 @@ class Coordinator {
   /// One poll-loop iteration (exposed for tests that embed the
   /// coordinator instead of forking the binary).
   void step();
-
-  /// Cells currently in memory from journal replay + completions.
-  std::size_t store_size() const { return store_.size(); }
 
   /// Fleet health right now (run::AgentLiveness semantics).
   std::vector<run::AgentLiveness> fleet_liveness() const;
@@ -139,35 +119,6 @@ class Coordinator {
     bool closing = false;      ///< flush a rejection, then close
     std::string sweep_id;      ///< attached sweep ("" before submit)
     explicit Client(net::Fd fd) : conn(std::move(fd)) {}
-  };
-
-  /// One fleet agent — the long-lived version of net/distributed.cpp's
-  /// per-run Agent state machine.
-  struct Agent {
-    enum class State {
-      kBackoff,
-      kConnecting,
-      kHandshaking,
-      kReady,
-      kRejected,  ///< permanent (version/auth mismatch); never retried
-    };
-    net::HostPort addr;
-    State state = State::kBackoff;
-    std::optional<net::FrameConn> conn;
-    std::vector<run::Endpoint> slots;
-    Clock::time_point retry_at{};
-    Clock::time_point connect_deadline{};
-    double backoff_seconds = 0.0;
-    Clock::time_point next_ping{};
-    std::uint32_t ping_seq = 0;
-    std::uint32_t pings_unanswered = 0;
-    Clock::time_point last_pong{};
-    bool ever_ponged = false;
-    std::string last_error = "never attempted";
-
-    bool connected() const {
-      return state == State::kHandshaking || state == State::kReady;
-    }
   };
 
   /// One distinct cell (by cell_key) somewhere between queued and
@@ -210,43 +161,26 @@ class Coordinator {
   void on_submit(std::uint64_t id, const std::vector<std::uint8_t>& body);
   void on_attach(std::uint64_t id, const std::vector<std::uint8_t>& body);
   void attach_client(std::uint64_t id, const std::string& sweep_id);
+  /// Queue `frame` to client `id`, dropping the client when the send
+  /// fails; false when it was dropped.
+  bool send_client(std::uint64_t id, const std::vector<std::uint8_t>& frame);
+  void send_error(std::uint64_t id, const std::string& message);
+  void send_sweep_done(std::uint64_t id, const Sweep& sweep);
   void send_cell_done(std::uint64_t client, std::size_t index,
                       const std::string& key);
   void maybe_finish_sweep(const std::string& sweep_id);
   void fail_sweep(const std::string& sweep_id, const std::string& message);
 
-  // Work management.
-  void assign_ready(Clock::time_point now);
-  std::string claim_ready(Clock::time_point now);
-  void complete_cell(const std::string& key,
-                     std::vector<std::uint8_t> result_bytes,
-                     std::uint32_t task, std::uint32_t attempt);
-  void requeue_cell(std::uint32_t task, const std::string& reason,
-                    Clock::time_point now);
+  // Work management: the fleet's owner interface. Fleet task ids are
+  // dispatch ids (in_flight_ keys).
+  bool claim(Clock::time_point now, net::FleetWork& work) override;
+  bool on_result(std::size_t agent, const run::Endpoint& slot,
+                 std::vector<std::uint8_t> bytes,
+                 Clock::time_point now) override;
+  void on_transient(std::size_t task, const std::string& reason,
+                    Clock::time_point now) override;
+  void on_error(std::size_t task, const std::string& message) override;
   void fail_cell(const std::string& key, const std::string& message);
-
-  // Fleet lifecycle (the distributed.cpp state machine, made immortal).
-  void start_connect(std::size_t index, Clock::time_point now);
-  void on_agent_connect_writable(std::size_t index, Clock::time_point now);
-  void on_agent_readable(std::size_t index, Clock::time_point now);
-  void process_agent_frames(std::size_t index, Clock::time_point now);
-  void on_agent_handshake_frame(std::size_t index,
-                                const run::wire::FrameHeader& header,
-                                const std::vector<std::uint8_t>& body,
-                                Clock::time_point now);
-  void on_agent_session_frame(std::size_t index,
-                              const run::wire::FrameHeader& header,
-                              const std::vector<std::uint8_t>& body,
-                              Clock::time_point now);
-  run::Endpoint* find_endpoint(Agent& agent,
-                               const run::wire::FrameHeader& header);
-  void agent_backoff(std::size_t index, const std::string& error,
-                     Clock::time_point now);
-  void agent_rejected(std::size_t index, const std::string& error);
-  void connection_lost(std::size_t index, const std::string& reason,
-                       Clock::time_point now);
-  void check_task_deadlines(Clock::time_point now);
-  void check_heartbeats(Clock::time_point now);
 
   obs::HttpResponse handle_http(const obs::HttpRequest& request);
 
@@ -255,14 +189,11 @@ class Coordinator {
   net::Fd listener_;
   Journal journal_;
   obs::HttpServer http_;
+  net::AgentFleet fleet_;
   Clock::time_point started_at_{};
 
   std::map<std::uint64_t, Client> clients_;
   std::uint64_t next_client_id_ = 1;
-  /// Client ids stay below this; agent refs (~index) stay above it.
-  static constexpr std::uint64_t clients_watermark_ = 1ull << 63;
-
-  std::vector<Agent> agents_;
 
   std::map<std::string, std::vector<std::uint8_t>> store_;  ///< key -> result
   std::map<std::string, Cell> cells_;  ///< key -> queued/in-flight work

@@ -95,7 +95,8 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
                  "esched-coordinator: --journal-warn-bytes must be >= 0");
   config.journal_warn_bytes = static_cast<std::uint64_t>(warn_bytes);
   const char* env_token = std::getenv("ESCHED_AUTH_TOKEN");
-  config.token = args.get_or("token", env_token != nullptr ? env_token : "");
+  config.auth_token =
+      args.get_or("token", env_token != nullptr ? env_token : "");
   const long long attempts = args.get_int_or("max-attempts", 3);
   ESCHED_REQUIRE(attempts >= 1 && attempts <= 100,
                  "esched-coordinator: --max-attempts must be in [1, 100]");
@@ -103,8 +104,6 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   config.task_timeout_seconds = args.get_double_or("task-timeout", 0.0);
   ESCHED_REQUIRE(config.task_timeout_seconds >= 0.0,
                  "esched-coordinator: --task-timeout must be >= 0");
-  config.verbose = args.has("verbose");
-
   const char* env_http = std::getenv("ESCHED_HTTP_PORT");
   if (args.has("http-port") || (env_http != nullptr && *env_http != '\0')) {
     const long long http_port = args.get_int_or(
@@ -116,7 +115,7 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   }
 
   obs::init_log_from_env();
-  if (config.verbose && std::getenv("ESCHED_LOG_LEVEL") == nullptr) {
+  if (args.has("verbose") && std::getenv("ESCHED_LOG_LEVEL") == nullptr) {
     obs::set_log_level(obs::LogLevel::kDebug);
   }
   const std::string log_out = args.get_or("log-out", "");

@@ -18,11 +18,7 @@ namespace esched::svc {
 namespace {
 
 namespace wire = run::wire;
-
-void bump(const char* name, std::uint64_t delta = 1) {
-  if (!obs::counters_enabled()) return;
-  obs::Registry::global().counter(name).add(delta);
-}
+using obs::bump;
 
 /// Replay/heal events go to the flight recorder (when enabled) so a
 /// postmortem of a crashed coordinator can see what recovery found.

@@ -14,15 +14,19 @@
 //  * a second client with an overlapping grid triggers zero
 //    re-simulation and byte-identical results;
 //  * a wrong auth token is rejected with a named error;
-//  * injected diskfull faults never change results.
+//  * injected diskfull faults never change results;
+//  * an unreachable agent stays "connecting", never "dead".
 #include "svc/client.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <poll.h>
@@ -33,6 +37,7 @@
 #include "run/endpoint.hpp"
 #include "run/spec.hpp"
 #include "run/wire.hpp"
+#include "svc/coordinator.hpp"
 #include "svc/journal.hpp"
 #include "util/error.hpp"
 
@@ -589,6 +594,73 @@ TEST(CoordinatorTest, HttpOperationalPlaneIsLiveAndResultsStayIdentical) {
   } else {
     ::unsetenv("ESCHED_LOG_LEVEL");
   }
+}
+
+TEST(CoordinatorTest, UnreachableAgentStaysConnectingWhileSweepCompletes) {
+  // The one intended difference between the fleet's two owners: a
+  // DistributedPool abandons an agent after connect_attempts failed
+  // connects ("dead" — DistributedTest.SweepStatsReportPerAgentLiveness
+  // pins that), the daemon never does. The coordinator runs in-process
+  // here so its fleet_liveness() can be read directly.
+  const auto sweep = six_cell_sweep();
+  const auto reference = reference_results(sweep);
+
+  AgentProc agent(2);
+  // A never-listening address: bound once, then released.
+  net::Fd probe = net::listen_tcp("127.0.0.1", 0);
+  const net::HostPort unreachable{"127.0.0.1",
+                                  net::local_port(probe.get())};
+  probe.reset();
+
+  TempJournal journal("unreachable");
+  CoordinatorConfig cfg;
+  cfg.port = 0;
+  cfg.agents = {agent.addr(), unreachable};
+  cfg.journal_path = journal.path();
+  cfg.reconnect_initial_seconds = 0.02;
+  cfg.reconnect_max_seconds = 0.05;
+  Coordinator coordinator(cfg);
+  const std::uint16_t port = coordinator.start();
+
+  run::SigpipeGuard sigpipe;
+  std::atomic<bool> finished{false};
+  std::vector<sim::SimResult> results;
+  std::string error;
+  std::thread client_thread([&] {
+    try {
+      CoordinatorClient client(client_config({"127.0.0.1", port}));
+      results = client.run(sweep);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    finished = true;
+  });
+  // Keep serving for at least a second, so the unreachable agent fails
+  // far more connects than DistributedPoolConfig's default budget of 5.
+  std::string serve_error;
+  try {
+    const auto start = std::chrono::steady_clock::now();
+    while (!finished || std::chrono::steady_clock::now() - start <
+                            std::chrono::seconds(1)) {
+      coordinator.step();
+    }
+  } catch (const std::exception& e) {
+    serve_error = e.what();  // the client then runs out of reconnects
+  }
+  client_thread.join();
+  ASSERT_TRUE(serve_error.empty()) << serve_error;
+  ASSERT_TRUE(error.empty()) << error;
+  expect_identical(reference, results, sweep);
+
+  const std::vector<run::AgentLiveness> liveness =
+      coordinator.fleet_liveness();
+  ASSERT_EQ(liveness.size(), 2u);
+  EXPECT_EQ(liveness[0].addr, agent.addr().text());
+  EXPECT_EQ(liveness[0].state, "alive");
+  EXPECT_EQ(liveness[1].addr, unreachable.text());
+  EXPECT_EQ(liveness[1].state, "connecting");
+  EXPECT_LT(liveness[1].last_heartbeat_age_seconds, 0.0);
+  EXPECT_FALSE(liveness[1].last_error.empty());
 }
 
 TEST(CoordinatorTest, DeriveSweepIdIsDeterministicAndSpecSensitive) {

@@ -109,36 +109,6 @@ TEST_P(EventQueueBackendTest, PushEarlierThanEverythingPopped) {
   EXPECT_EQ(q.pop().time, 9000);
 }
 
-TEST_P(EventQueueBackendTest, SnapshotRestoreRoundTrips) {
-  EventQueue q(GetParam());
-  q.push(30, EventType::kTick);
-  q.push(10, EventType::kJobSubmit, 1);
-  q.push(10, EventType::kJobSubmit, 2);
-  q.push(20, EventType::kJobFinish, 1);
-  q.pop();  // consume (10, submit, 1)
-  const std::vector<Event> events = q.snapshot_events();
-  const std::uint64_t next_seq = q.next_seq();
-
-  for (const EventQueue::Backend restore_backend :
-       {EventQueue::Backend::kCalendar, EventQueue::Backend::kHeap}) {
-    EventQueue r(restore_backend);
-    r.restore(events, next_seq);
-    EXPECT_EQ(r.size(), q.size());
-    EXPECT_EQ(r.next_seq(), next_seq);
-    EventQueue original(GetParam());
-    original.restore(events, next_seq);
-    while (!original.empty()) {
-      const Event a = original.pop();
-      const Event b = r.pop();
-      EXPECT_EQ(a.time, b.time);
-      EXPECT_EQ(a.type, b.type);
-      EXPECT_EQ(a.payload, b.payload);
-      EXPECT_EQ(a.seq, b.seq);
-    }
-    EXPECT_TRUE(r.empty());
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, EventQueueBackendTest,
                          ::testing::Values(EventQueue::Backend::kCalendar,
                                            EventQueue::Backend::kHeap),
