@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -25,12 +23,6 @@ using Clock = run::EndpointClock;
 
 using obs::bump;
 
-std::string format_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", s);
-  return buf;
-}
-
 Clock::time_point after(Clock::time_point now, double seconds) {
   return now + std::chrono::duration_cast<Clock::duration>(
                    std::chrono::duration<double>(seconds));
@@ -48,13 +40,6 @@ std::string decode_message(const std::vector<std::uint8_t>& body,
 }
 
 }  // namespace
-
-int poll_timeout_ms(Clock::time_point deadline, Clock::time_point now) {
-  const double sec = std::chrono::duration<double>(deadline - now).count();
-  if (sec <= 0.0) return 0;
-  const double ms = std::ceil(sec * 1000.0);
-  return ms > 60000.0 ? 60000 : static_cast<int>(ms);
-}
 
 AgentFleet::AgentFleet(const FleetConfig& config,
                        std::uint32_t connect_attempts, FleetOwner& owner,
@@ -327,7 +312,7 @@ void AgentFleet::emit_connection_span(std::size_t index,
 // ---- clocks and dispatch -----------------------------------------------
 
 void AgentFleet::dispatch(Clock::time_point now) {
-  FleetWork work;
+  run::Dispatch work;
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     Agent& a = agents_[i];
     if (a.state != Agent::State::kReady) continue;
@@ -359,7 +344,7 @@ void AgentFleet::check_task_deadlines(Clock::time_point now) {
       ep.clear();
       requeue(task,
               "timed out after " +
-                  format_seconds(config_.task_timeout_seconds) +
+                  run::format_seconds(config_.task_timeout_seconds) +
                   "s on agent " + a.addr.text(),
               now);
     }
@@ -381,7 +366,7 @@ void AgentFleet::check_heartbeats(Clock::time_point now) {
           i,
           who(i) + ": missed " + std::to_string(a.pings_unanswered) +
               " heartbeats (last heartbeat " +
-              format_seconds(
+              run::format_seconds(
                   std::chrono::duration<double>(now - a.last_pong).count()) +
               "s ago)",
           now);

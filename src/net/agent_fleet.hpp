@@ -85,14 +85,6 @@ struct FleetConfig {
   double reconnect_max_seconds = 2.0;
 };
 
-/// One unit of work handed to the fleet by FleetOwner::claim.
-struct FleetWork {
-  std::size_t task = run::kNoTask;  ///< owner's id, echoed in the kJob header
-  std::uint32_t attempt = 0;
-  /// encode_job bytes, copied into the kJob frame right after claim().
-  const std::vector<std::uint8_t>* payload = nullptr;
-};
-
 /// What a fleet owner supplies (work) and receives (outcomes). A task is
 /// identified by the id the owner returned from claim().
 class FleetOwner {
@@ -101,7 +93,7 @@ class FleetOwner {
 
   /// Claim the next ready task for a free slot; false when none is
   /// dispatchable right now.
-  virtual bool claim(Clock::time_point now, FleetWork& work) = 0;
+  virtual bool claim(Clock::time_point now, run::Dispatch& work) = 0;
 
   /// Agent `agent` answered `slot`'s task with result bytes (CRC already
   /// verified). Return false when the bytes are undecodable: the fleet
@@ -121,11 +113,6 @@ class FleetOwner {
  protected:
   ~FleetOwner() = default;
 };
-
-/// Milliseconds poll() should wait for `deadline`: rounded up, clamped to
-/// [0, 60000] (every loop wakes at least once a minute).
-int poll_timeout_ms(run::EndpointClock::time_point deadline,
-                    run::EndpointClock::time_point now);
 
 class AgentFleet {
  public:

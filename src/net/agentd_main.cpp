@@ -5,16 +5,16 @@
 // single-threaded poll() loop. Per connection: a version handshake
 // (kHello -> kWelcome, or kError + close on a protocol mismatch),
 // kPing -> kPong heartbeats, and kJob frames. Jobs are *routed, not
-// rewritten*: the original frame bytes — carrying the coordinator's
-// task_id and attempt — are forwarded verbatim to a pool of persistent
-// esched-worker children (spawned with the same run/endpoint.hpp
-// primitives as the local SubprocessPool), so (task, attempt)-keyed
-// fault injection and the wire contract behave identically however many
-// machines sit between the sweep and the simulation. Worker answers
-// (kResult/kError) are forwarded back to the owning coordinator; a
-// worker death is answered with kFail (transient — the coordinator
-// requeues) and the slot respawned. Results for a coordinator that has
-// disconnected are discarded.
+// rewritten*: the original job bytes — under the coordinator's task_id
+// and attempt — are forwarded verbatim to esched-worker children run by
+// run::WorkerSlots, the same worker supervisor as the local
+// SubprocessPool, so (task, attempt)-keyed fault injection and the wire
+// contract behave identically however many machines sit between the
+// sweep and the simulation. Worker answers (kResult/kError) are forwarded
+// back to the owning coordinator; a failed attempt (death, corruption) is
+// answered with kFail (transient — the coordinator requeues). A
+// coordinator that disconnects takes its queued jobs and its in-flight
+// workers with it.
 //
 // ESCHED_FAULT (run/fault.hpp): the agentd acts on the net* bands —
 // netdrop (close the coordinator connection on job receipt), netslow
@@ -55,6 +55,7 @@
 #include "run/endpoint.hpp"
 #include "run/fault.hpp"
 #include "run/wire.hpp"
+#include "run/worker_slots.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 
@@ -128,34 +129,30 @@ struct Client {
   bool holding(Clock::time_point now) const { return now < hold_until; }
 };
 
-/// One esched-worker slot (the process may be dead between jobs; it is
-/// respawned on demand).
-struct Slot {
-  run::WorkerProcess proc;
-  run::FrameAssembler frames;
-  bool busy = false;
-  std::uint64_t client = 0;  ///< owner of the in-flight job
-  std::uint32_t task = 0;
-  std::uint32_t attempt = 0;
-  bool garbage = false;  ///< netgarbage: corrupt the answer
-};
-
-/// A job waiting for a free slot.
+/// A coordinator's job: queued until a worker slot is free, then that
+/// slot's lease until the answer (or failure) goes back.
 struct Job {
   std::uint64_t client = 0;
-  std::vector<std::uint8_t> frame;  ///< original kJob frame, forwarded as-is
-  bool garbage = false;
+  std::uint32_t task = 0;
+  std::uint32_t attempt = 0;
+  std::vector<std::uint8_t> payload;  ///< the kJob body, forwarded as-is
+  bool garbage = false;               ///< netgarbage: corrupt the answer
 };
 
-class Agentd {
+class Agentd final : public run::WorkerSlotsOwner {
  public:
   Agentd(Options options, run::FaultPlan faults)
-      : options_(std::move(options)), faults_(faults) {}
+      : options_(std::move(options)),
+        faults_(faults),
+        slots_(options_.slots, options_.worker_path, 0.0, *this),
+        leases_(options_.slots) {}
+  // slots_ holds this object's address.
+  Agentd(const Agentd&) = delete;
+  Agentd& operator=(const Agentd&) = delete;
 
   int serve() {
     listener_ = net::listen_tcp(options_.bind_host, options_.port);
     const std::uint16_t port = net::local_port(listener_.get());
-    slots_.resize(options_.slots);
     if (options_.http_enabled) {
       // Scrapeable metrics imply counters on (registry.hpp's contract:
       // instrumentation never feeds back into results).
@@ -182,27 +179,21 @@ class Agentd {
   // ---- the poll loop --------------------------------------------------
 
   void step() {
+    slots_.tick(Clock::now());
     std::vector<struct pollfd> fds;
-    // What each pollfd refers to: client id (>0) or ~slot index for
-    // workers; 0 is the listener.
-    std::vector<std::uint64_t> refs;
+    // The listener, then one pollfd per client id in `ids`; worker pipes
+    // and HTTP fds ride the same poll() past that prefix.
+    std::vector<std::uint64_t> ids;
     fds.push_back({listener_.get(), POLLIN, 0});
-    refs.push_back(0);
     for (auto& [id, client] : clients_) {
       int events = 0;
       if (!client.closing) events |= POLLIN;
       if (client.conn.wants_write()) events |= POLLOUT;
       if (events == 0) continue;  // closing and fully flushed: reaped below
       fds.push_back({client.conn.fd(), static_cast<short>(events), 0});
-      refs.push_back(id);
+      ids.push_back(id);
     }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!slots_[i].proc.alive()) continue;
-      fds.push_back({slots_[i].proc.from_child, POLLIN, 0});
-      refs.push_back(~static_cast<std::uint64_t>(i));
-    }
-    // HTTP fds ride the same poll() but are dispatched by fd ownership,
-    // not by ref — they live past the refs-indexed prefix.
+    slots_.register_fds(fds);
     http_.register_fds(fds);
 
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -213,16 +204,14 @@ class Agentd {
                      {{"error", std::strerror(errno)}});
       std::exit(kConfigError);
     }
-    if (rc > 0) http_.on_poll(fds.data(), fds.size());
-    for (std::size_t k = 0; k < refs.size() && rc > 0; ++k) {
-      if (fds[k].revents == 0) continue;
-      const std::uint64_t ref = refs[k];
-      if (k == 0) {
-        accept_clients();
-      } else if (ref > clients_watermark_) {
-        on_worker_readable(static_cast<std::size_t>(~ref));
-      } else if (clients_.count(ref) != 0) {
-        on_client_event(ref, fds[k].revents);
+    if (rc > 0) {
+      http_.on_poll(fds.data(), fds.size());
+      slots_.on_poll(fds);
+      if (fds[0].revents != 0) accept_clients();
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        if (fds[k + 1].revents != 0 && clients_.count(ids[k]) != 0) {
+          on_client_event(ids[k], fds[k + 1].revents);
+        }
       }
     }
     release_holds();
@@ -231,20 +220,12 @@ class Agentd {
 
   /// Earliest netslow hold release; -1 (wait for fds) when none pending.
   int next_timeout_ms() const {
-    bool have = false;
-    Clock::time_point nearest{};
+    Clock::time_point nearest = Clock::time_point::max();
     for (const auto& [id, client] : clients_) {
-      if (client.held.empty()) continue;
-      if (!have || client.hold_until < nearest) {
-        nearest = client.hold_until;
-        have = true;
-      }
+      if (!client.held.empty()) nearest = std::min(nearest, client.hold_until);
     }
-    if (!have) return -1;
-    const double sec =
-        std::chrono::duration<double>(nearest - Clock::now()).count();
-    if (sec <= 0.0) return 0;
-    return static_cast<int>(sec * 1000.0) + 1;
+    if (nearest == Clock::time_point::max()) return -1;
+    return run::poll_timeout_ms(nearest, Clock::now());
   }
 
   // ---- clients --------------------------------------------------------
@@ -358,12 +339,8 @@ class Agentd {
     obs::set_telemetry_enabled(true);
     obs::set_counters_enabled(true);
     ::setenv("ESCHED_TELEMETRY", "1", 1);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& slot = slots_[i];
-      if (slot.busy || !slot.proc.alive()) continue;
-      int ignored = -1;
-      run::kill_and_reap_worker(slot.proc, &ignored);
-      slot.frames.reset();
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (!slots_.busy(slot)) slots_.retire(slot, "telemetry enabled");
     }
   }
 
@@ -402,11 +379,11 @@ class Agentd {
     }
     Job job;
     job.client = id;
-    job.frame = wire::encode_frame(wire::FrameType::kJob, header.task_id,
-                                   header.attempt, body);
+    job.task = header.task_id;
+    job.attempt = header.attempt;
+    job.payload = body;
     job.garbage = fault == run::FaultPlan::Action::kNetGarbage;
     queue_.push_back(std::move(job));
-    pump();
   }
 
   /// Queue a frame to a coordinator, honouring a netslow hold. A missing
@@ -452,188 +429,83 @@ class Agentd {
     obs::log_debug("net.agentd", "client dropped",
                    {{"client", id}, {"reason", why}});
     clients_.erase(id);
-    // Queued jobs of a dead coordinator will never be collected: drop
-    // them. In-flight jobs run to completion; their answers are
-    // discarded by send_to_client when they arrive.
+    // A dead coordinator collects nothing: drop its queued jobs, and
+    // retire its in-flight workers — their answers would be discarded,
+    // and a hung one would otherwise hold its slot for good.
     std::deque<Job> keep;
     for (Job& job : queue_) {
       if (job.client != id) keep.push_back(std::move(job));
     }
     queue_.swap(keep);
-  }
-
-  // ---- workers --------------------------------------------------------
-
-  [[noreturn]] void exec_failure() {
-    obs::log_error(
-        "net.agentd",
-        "cannot execute worker binary (exit 127 from exec); set "
-        "ESCHED_WORKER or build the esched-worker target",
-        {{"worker", options_.worker_path}});
-    std::exit(kConfigError);
-  }
-
-  /// Move queued jobs into free slots, spawning workers on demand.
-  void pump() {
-    for (std::size_t i = 0; i < slots_.size() && !queue_.empty(); ++i) {
-      Slot& slot = slots_[i];
-      if (slot.busy) continue;
-      if (!slot.proc.alive()) {
-        try {
-          slot.proc = run::spawn_worker(options_.worker_path);
-          slot.frames.reset();
-        } catch (const Error& e) {
-          // fork/pipe exhaustion: transient — bounce the job back.
-          Job job = std::move(queue_.front());
-          queue_.pop_front();
-          fail_job(job, std::string("agent cannot spawn worker: ") +
-                            e.what());
-          continue;
-        }
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_.busy(slot) && leases_[slot].client == id) {
+        slots_.retire(slot, "client dropped: " + why);
       }
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      if (!run::write_all_fd(slot.proc.to_child, job.frame.data(),
-                             job.frame.size())) {
-        int status = -1;
-        const std::string death =
-            run::kill_and_reap_worker(slot.proc, &status);
-        if (status == 127) exec_failure();
-        fail_job(job, "worker died before accepting the job (" + death + ")");
-        --i;  // retry this slot with the next job
-        continue;
-      }
-      const wire::FrameHeader header = wire::decode_header(job.frame.data());
-      slot.busy = true;
-      slot.client = job.client;
-      slot.task = header.task_id;
-      slot.attempt = header.attempt;
-      slot.garbage = job.garbage;
     }
   }
 
-  /// Answer kFail for a job that could not be run (transient: the
-  /// coordinator requeues the attempt, possibly on another agent).
-  void fail_job(const Job& job, const std::string& reason) {
-    const wire::FrameHeader header = wire::decode_header(job.frame.data());
-    send_to_client(job.client,
-                   wire::encode_frame(wire::FrameType::kFail, header.task_id,
-                                      header.attempt,
+  // ---- workers (run::WorkerSlotsOwner) ----------------------------------
+
+  bool claim(std::size_t slot, Clock::time_point /*now*/,
+             run::Dispatch& work) override {
+    if (queue_.empty()) return false;
+    Job& lease = leases_[slot];
+    lease = std::move(queue_.front());
+    queue_.pop_front();
+    work.task = lease.task;
+    work.attempt = lease.attempt;
+    work.payload = &lease.payload;
+    return true;
+  }
+
+  /// Forward the answer (kResult or kError) to the owning coordinator,
+  /// applying a pending netgarbage corruption after the CRC.
+  bool on_answer(std::size_t slot, const run::Endpoint& /*ep*/,
+                 wire::FrameType type,
+                 std::vector<std::uint8_t>& body) override {
+    const Job& lease = leases_[slot];
+    std::vector<std::uint8_t> out =
+        wire::encode_frame(type, lease.task, lease.attempt, body);
+    if (lease.garbage && !body.empty()) out[wire::kHeaderSize] ^= 0xFF;
+    const std::uint64_t client = lease.client;
+    send_to_client(client, std::move(out));
+    // The agentd's own registry rides behind each forwarded answer.
+    send_agent_telemetry(client, lease.task, lease.attempt);
+    return true;
+  }
+
+  /// Re-label the worker's shipment with its slot ("worker" ->
+  /// "worker.<slot>") and forward it, if the owning coordinator asked for
+  /// telemetry. An undecodable payload is dropped, never fatal: telemetry
+  /// must never cost work.
+  bool on_telemetry(std::size_t slot, const run::Endpoint& /*ep*/,
+                    std::vector<std::uint8_t>& body) override {
+    const Job& lease = leases_[slot];
+    const auto owner = clients_.find(lease.client);
+    if (owner == clients_.end() || !owner->second.telemetry) return true;
+    try {
+      obs::Telemetry telemetry = wire::decode_telemetry(body);
+      telemetry.role = "worker." + std::to_string(slot);
+      send_to_client(lease.client,
+                     wire::encode_frame(wire::FrameType::kTelemetry,
+                                        lease.task, lease.attempt,
+                                        wire::encode_telemetry(telemetry)));
+    } catch (const Error&) {
+    }
+    return true;
+  }
+
+  /// Answer kFail: transient, so the coordinator requeues the attempt,
+  /// possibly on another agent.
+  void on_attempt_failed(std::size_t slot, const run::Endpoint& /*ep*/,
+                         const std::string& reason) override {
+    const Job& lease = leases_[slot];
+    obs::log_warn("net.agentd", "worker attempt failed",
+                  {{"slot", slot}, {"reason", reason}});
+    send_to_client(lease.client,
+                   wire::encode_frame(wire::FrameType::kFail, lease.task,
+                                      lease.attempt,
                                       wire::encode_error(reason)));
-  }
-
-  void on_worker_readable(std::size_t index) {
-    Slot& slot = slots_[index];
-    std::uint8_t chunk[65536];
-    const ssize_t n = ::read(slot.proc.from_child, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) return;
-      on_worker_gone(index,
-                     "read failed: " + std::string(std::strerror(errno)));
-      return;
-    }
-    if (n == 0) {
-      on_worker_gone(index, slot.frames.mid_frame() ? "mid-frame" : "");
-      return;
-    }
-    slot.frames.append(chunk, static_cast<std::size_t>(n));
-    process_worker_frames(index);
-  }
-
-  void on_worker_gone(std::size_t index, const std::string& detail) {
-    Slot& slot = slots_[index];
-    int status = -1;
-    std::string death = run::reap_worker(slot.proc, &status);
-    if (!detail.empty()) death += ", " + detail;
-    if (status == 127) exec_failure();
-    obs::log_warn("net.agentd", "worker died",
-                  {{"slot", index}, {"death", death}});
-    if (slot.busy) {
-      const std::uint64_t client = slot.client;
-      const std::uint32_t task = slot.task;
-      const std::uint32_t attempt = slot.attempt;
-      slot.busy = false;
-      send_to_client(client, wire::encode_frame(
-                                 wire::FrameType::kFail, task, attempt,
-                                 wire::encode_error("worker " + death +
-                                                    " before answering")));
-    }
-    slot.frames.reset();
-    pump();  // a queued job may now respawn this slot
-  }
-
-  void process_worker_frames(std::size_t index) {
-    Slot& slot = slots_[index];
-    while (slot.proc.alive()) {
-      wire::FrameHeader header;
-      std::vector<std::uint8_t> body;
-      std::string corrupt;
-      const run::FrameAssembler::Status status =
-          slot.frames.next(header, body, corrupt);
-      if (status == run::FrameAssembler::Status::kNeedMore) return;
-      const bool mismatch =
-          status == run::FrameAssembler::Status::kFrame &&
-          (!slot.busy || header.task_id != slot.task ||
-           header.attempt != slot.attempt ||
-           (header.type != wire::FrameType::kResult &&
-            header.type != wire::FrameType::kError &&
-            header.type != wire::FrameType::kTelemetry));
-      if (status == run::FrameAssembler::Status::kCorrupt || mismatch) {
-        int ignored = -1;
-        const std::string death =
-            run::kill_and_reap_worker(slot.proc, &ignored);
-        if (mismatch) corrupt = "answer for a task this worker does not hold";
-        obs::log_warn("net.agentd", "worker protocol corruption",
-                      {{"slot", index}, {"reason", corrupt}});
-        if (slot.busy) {
-          slot.busy = false;
-          send_to_client(slot.client,
-                         wire::encode_frame(
-                             wire::FrameType::kFail, slot.task, slot.attempt,
-                             wire::encode_error("protocol corruption (" +
-                                                corrupt + "; worker " +
-                                                death + ")")));
-        }
-        slot.frames.reset();
-        pump();
-        return;
-      }
-      if (header.type == wire::FrameType::kTelemetry) {
-        // Advisory shipment preceding the worker's answer: re-label the
-        // role with the slot index ("worker" -> "worker.<slot>") and
-        // forward to the owning coordinator, if it asked for telemetry.
-        // The CRC already vouched for the bytes; an undecodable payload
-        // is dropped rather than fatal — telemetry must never cost work.
-        const auto owner = clients_.find(slot.client);
-        if (owner != clients_.end() && owner->second.telemetry) {
-          try {
-            obs::Telemetry telemetry = wire::decode_telemetry(body);
-            telemetry.role = "worker." + std::to_string(index);
-            send_to_client(slot.client,
-                           wire::encode_frame(
-                               wire::FrameType::kTelemetry, header.task_id,
-                               header.attempt,
-                               wire::encode_telemetry(telemetry)));
-          } catch (const Error&) {
-          }
-        }
-        continue;  // the answer frame is still coming
-      }
-      // Forward the answer (kResult or kError) to the owning coordinator,
-      // applying a pending netgarbage corruption after the CRC.
-      std::vector<std::uint8_t> out = wire::encode_frame(
-          header.type, header.task_id, header.attempt, body);
-      if (slot.garbage && !body.empty()) {
-        out[wire::kHeaderSize] ^= 0xFF;
-      }
-      const std::uint64_t client = slot.client;
-      slot.busy = false;
-      slot.garbage = false;
-      send_to_client(client, std::move(out));
-      // The agentd's own registry rides behind each forwarded answer.
-      send_agent_telemetry(client, header.task_id, header.attempt);
-      pump();
-    }
   }
 
   // ---- operational plane ----------------------------------------------
@@ -650,9 +522,7 @@ class Agentd {
           std::chrono::duration<double>(Clock::now() - started_at_).count();
       health.clients = clients_.size();
       health.slots = slots_.size();
-      for (const Slot& slot : slots_) {
-        if (slot.busy) ++health.busy_slots;
-      }
+      health.busy_slots = slots_.busy_count();
       resp.body = svc::render_healthz(health);
       resp.content_type = "application/json";
     } else {
@@ -668,11 +538,10 @@ class Agentd {
   obs::HttpServer http_;
   Clock::time_point started_at_{};
   std::map<std::uint64_t, Client> clients_;
-  std::vector<Slot> slots_;
+  run::WorkerSlots slots_;
+  std::vector<Job> leases_;  ///< per slot: the job it runs or last ran
   std::deque<Job> queue_;
   std::uint64_t next_client_id_ = 1;
-  /// Client ids stay below this; worker refs (~index) stay above it.
-  static constexpr std::uint64_t clients_watermark_ = 1ull << 63;
 };
 
 Options parse_options(int argc, char** argv) {

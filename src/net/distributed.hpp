@@ -47,11 +47,6 @@ class DistributedPool {
  public:
   explicit DistributedPool(DistributedPoolConfig config);
 
-  /// Agents named by the ESCHED_AGENTS environment variable
-  /// (comma-separated host:port list; empty/unset = none). Throws
-  /// esched::Error on malformed entries, naming the accepted forms.
-  static std::vector<HostPort> agents_from_env();
-
   /// True when at least one agent accepts a TCP connection within
   /// `timeout_seconds` (per agent). The cheap reachability probe behind
   /// bench/common's graceful fallback; no handshake is performed.

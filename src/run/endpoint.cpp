@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -140,6 +141,20 @@ void Endpoint::begin(std::size_t task_index, std::uint32_t attempt_number,
   }
 }
 
+int poll_timeout_ms(EndpointClock::time_point deadline,
+                    EndpointClock::time_point now) {
+  const double sec = std::chrono::duration<double>(deadline - now).count();
+  if (sec <= 0.0) return 0;
+  const double ms = std::ceil(sec * 1000.0);
+  return ms > 60000.0 ? 60000 : static_cast<int>(ms);
+}
+
+std::string format_seconds(double seconds) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", seconds);
+  return buf;
+}
+
 WorkerProcess spawn_worker(const std::string& worker_path) {
   // CLOEXEC on every end: a sibling worker forked later must not inherit
   // this worker's pipes, or its death would never read as EOF.
@@ -205,12 +220,6 @@ std::string reap_worker(WorkerProcess& worker, int* exit_status) noexcept {
     return "exited with status " + std::to_string(code);
   }
   return "ended with wait status " + std::to_string(status);
-}
-
-std::string kill_and_reap_worker(WorkerProcess& worker,
-                                 int* exit_status) noexcept {
-  if (worker.pid >= 0) ::kill(worker.pid, SIGKILL);
-  return reap_worker(worker, exit_status);
 }
 
 bool write_all_fd(int fd, const std::uint8_t* data, std::size_t size) {

@@ -1,6 +1,6 @@
 // The failure model shared by every sweep transport.
 //
-// The subprocess supervisor (run/proc.hpp) and the TCP agent fleet
+// The worker supervisor (run/worker_slots.hpp) and the TCP agent fleet
 // (net/agent_fleet.hpp, driven by both net::DistributedPool and
 // svc::Coordinator) face the same problem shape: task attempts are
 // dispatched to *endpoints* — a worker pipe, an agent connection — that
@@ -88,6 +88,14 @@ struct RetryPolicy {
   /// The capped-exponential delay after `attempts_made` failed attempts.
   double backoff_seconds(std::uint32_t attempts_made) const;
 };
+
+/// The retry knobs of a config that declares them (SubprocessPoolConfig,
+/// net::FleetConfig).
+template <typename Config>
+RetryPolicy retry_policy(const Config& config) {
+  return {config.max_attempts, config.backoff_initial_seconds,
+          config.backoff_max_seconds};
+}
 
 /// Per-task attempt/retry bookkeeping for one sweep run, transport
 /// agnostic. The ledger owns the pending queue (requeue order preserved),
@@ -179,6 +187,23 @@ struct Endpoint {
   }
 };
 
+/// One task attempt handed to a free slot, worker pipe or agent slot
+/// alike.
+struct Dispatch {
+  std::size_t task = kNoTask;  ///< owner's id, echoed in the kJob header
+  std::uint32_t attempt = 0;
+  /// encode_job bytes, copied into the kJob frame right after the claim.
+  const std::vector<std::uint8_t>* payload = nullptr;
+};
+
+/// Milliseconds poll() should wait for `deadline`: rounded up, clamped to
+/// [0, 60000] (every loop wakes at least once a minute).
+int poll_timeout_ms(EndpointClock::time_point deadline,
+                    EndpointClock::time_point now);
+
+/// A duration as failure reasons quote it ("%g": "1", "0.25").
+std::string format_seconds(double seconds);
+
 /// Ignore SIGPIPE for a scope: writing to a peer that just died must
 /// surface as EPIPE (a classifiable failure), not kill the process.
 /// Restores the previous disposition on scope exit.
@@ -194,7 +219,7 @@ class SigpipeGuard {
 };
 
 /// One spawned esched-worker child and its pipe ends — the process
-/// primitive shared by the SubprocessPool supervisor and esched-agentd.
+/// primitive under run::WorkerSlots.
 struct WorkerProcess {
   pid_t pid = -1;
   int to_child = -1;    ///< parent writes kJob frames
@@ -213,10 +238,6 @@ WorkerProcess spawn_worker(const std::string& worker_path);
 /// `exit_status` (optional) receives the exit code, or -1 when the worker
 /// did not exit normally. Never throws; idempotent.
 std::string reap_worker(WorkerProcess& worker, int* exit_status) noexcept;
-
-/// SIGKILL (if still alive) + reap_worker.
-std::string kill_and_reap_worker(WorkerProcess& worker,
-                                 int* exit_status) noexcept;
 
 /// Loop a full write over EINTR; false on any other error (e.g. EPIPE).
 bool write_all_fd(int fd, const std::uint8_t* data, std::size_t size);

@@ -4,22 +4,13 @@
 // Why processes when run/sweep.hpp already has threads: isolation. A
 // worker that segfaults, leaks until the OOM killer arrives, or wedges in
 // a pathological cell takes down *one task attempt*, not the whole sweep.
-// The supervisor owns the full failure model:
-//
-//  * Worker death — signal, nonzero exit, or EOF/short read mid-frame —
-//    is detected from the pipe, classified via waitpid, and the in-flight
-//    task is requeued onto a freshly spawned worker.
-//  * Protocol corruption — bad magic/version/length or a payload CRC
-//    mismatch (run/wire.hpp) — is treated like a death: the worker can no
-//    longer be trusted, so it is killed and replaced.
-//  * Hangs — a per-task wall-clock timeout (SubprocessPoolConfig::
-//    task_timeout_seconds) after which the worker is SIGKILLed and the
-//    task requeued.
-//  * Retries use capped exponential backoff and a per-task attempt
-//    budget; exhausting the budget raises esched::Error naming the cell
-//    and every failed attempt. A kError frame (deterministic failure:
-//    bad spec, invalid trace) fails fast instead — retrying a
-//    deterministic failure can only fail the same way again.
+// Worker death, protocol corruption and hangs (the per-task timeout,
+// SubprocessPoolConfig::task_timeout_seconds) are detected by
+// run::WorkerSlots (run/worker_slots.hpp) and cost one attempt. Retries
+// use capped exponential backoff and a per-task attempt budget;
+// exhausting it raises esched::Error naming the cell and every failed
+// attempt. A kError frame (deterministic failure: bad spec, invalid
+// trace) fails fast instead — retrying can only fail the same way again.
 //
 // Determinism: workers rebuild each cell from its declarative JobSpec
 // (run/spec.hpp), every builder is deterministic in the spec, and results
@@ -29,8 +20,9 @@
 // attempt reruns the same deterministic simulation.
 //
 // The supervisor itself is single-threaded: one poll() loop multiplexes
-// every worker pipe, timeout deadline and retry ready-time. No locks, no
-// signal handlers (SIGPIPE is ignored for the duration of run()).
+// every worker pipe, timeout deadline and — while a worker slot is idle —
+// retry ready-time. No locks, no signal handlers (SIGPIPE is ignored for
+// the duration of run()).
 #pragma once
 
 #include <cstdint>
@@ -68,7 +60,8 @@ struct SubprocessPoolConfig {
 };
 
 /// The multi-process twin of SweepRunner. One instance may run() multiple
-/// sweeps; workers are spawned per run and reaped before run returns.
+/// sweeps; workers are spawned on first dispatch and reaped before run
+/// returns.
 class SubprocessPool {
  public:
   explicit SubprocessPool(SubprocessPoolConfig config = {});

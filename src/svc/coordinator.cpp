@@ -59,9 +59,7 @@ Coordinator::Coordinator(CoordinatorConfig config)
   ESCHED_REQUIRE(!config_.journal_path.empty(),
                  "esched-coordinator: no journal path configured (pass "
                  "--journal)");
-  retry_.max_attempts = config_.max_attempts;
-  retry_.backoff_initial_seconds = config_.backoff_initial_seconds;
-  retry_.backoff_max_seconds = config_.backoff_max_seconds;
+  retry_ = run::retry_policy(config_);
 }
 
 std::uint16_t Coordinator::start() {
@@ -140,7 +138,7 @@ int Coordinator::next_timeout_ms(Clock::time_point now) const {
       nearest = std::min(nearest, it->second.ready_at);
     }
   }
-  return net::poll_timeout_ms(nearest, now);
+  return run::poll_timeout_ms(nearest, now);
 }
 
 // ---- clients ----------------------------------------------------------
@@ -439,7 +437,7 @@ void Coordinator::reap_closed() {
 /// Pop the first pending cell whose backoff elapsed, skipping (and
 /// discarding) stale queue entries for cells that completed or failed
 /// while queued, and start its next attempt under a fresh dispatch id.
-bool Coordinator::claim(Clock::time_point now, net::FleetWork& work) {
+bool Coordinator::claim(Clock::time_point now, run::Dispatch& work) {
   for (std::size_t i = 0; i < pending_.size();) {
     const auto it = cells_.find(pending_[i]);
     const bool stale = it == cells_.end() || it->second.in_flight;

@@ -173,7 +173,7 @@ class Coordinator : private net::FleetOwner {
 
   // Work management: the fleet's owner interface. Fleet task ids are
   // dispatch ids (in_flight_ keys).
-  bool claim(Clock::time_point now, net::FleetWork& work) override;
+  bool claim(Clock::time_point now, run::Dispatch& work) override;
   bool on_result(std::size_t agent, const run::Endpoint& slot,
                  std::vector<std::uint8_t> bytes,
                  Clock::time_point now) override;

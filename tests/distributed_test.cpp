@@ -13,6 +13,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -245,53 +246,104 @@ TEST(DistributedTest, AgentKilledMidSweepRequeuesAndStaysIdentical) {
   expect_identical(reference, results, sweep);
 }
 
-TEST(DistributedTest, NetFaultsStayBitIdentical) {
-  // Deterministic net faults at the agentd layer: netdrop severs the
-  // connection on job receipt (requeue path), netgarbage corrupts an
-  // answer after its CRC (corruption path). Prove the plan actually
+/// A fault plan acting inside the agents, the two fault kinds it must
+/// provably inject on first attempts, and the attempt budget it runs with.
+struct AgentFaultCase {
+  const char* plan;
+  run::FaultPlan::Action first;
+  run::FaultPlan::Action second;
+  std::uint32_t budget;
+};
+
+void PrintTo(const AgentFaultCase& c, std::ostream* os) { *os << c.plan; }
+
+class AgentFaultTest : public ::testing::TestWithParam<AgentFaultCase> {};
+
+TEST_P(AgentFaultTest, NetFaultsStayBitIdentical) {
+  // Deterministic faults inside the agents: netdrop severs the connection
+  // on job receipt (requeue path), netgarbage corrupts an answer after its
+  // CRC (corruption path), and crash/garbage make an agentd's own worker
+  // die or answer garbage (kFail, then requeue). Prove the plan actually
   // fires before trusting the run.
   const std::vector<run::JobSpec> sweep = six_cell_sweep();
-  const char* plan_text = "netdrop:0.25,netgarbage:0.25,seed:1";
-  const run::FaultPlan plan = run::FaultPlan::parse(plan_text);
+  const AgentFaultCase& c = GetParam();
+  const run::FaultPlan plan = run::FaultPlan::parse(c.plan);
   const auto tasks = static_cast<std::uint32_t>(sweep.size());
-  bool drop_fires = false;
-  bool garbage_fires = false;
+  bool first_fires = false;
+  bool second_fires = false;
   for (std::uint32_t t = 0; t < tasks; ++t) {
     // First attempts always happen, so first-attempt faults always fire.
-    if (plan.decide(t, 0) == run::FaultPlan::Action::kNetDrop) {
-      drop_fires = true;
-    }
-    if (plan.decide(t, 0) == run::FaultPlan::Action::kNetGarbage) {
-      garbage_fires = true;
-    }
+    first_fires = first_fires || plan.decide(t, 0) == c.first;
+    second_fires = second_fires || plan.decide(t, 0) == c.second;
   }
-  ASSERT_TRUE(drop_fires) << "seed does not exercise netdrop; change it";
-  ASSERT_TRUE(garbage_fires) << "seed does not exercise netgarbage";
-  // Every task must reach a clean attempt early enough that collateral
-  // requeues (siblings of a dropped connection) cannot exhaust budget 8.
+  ASSERT_TRUE(first_fires) << c.plan << " misses its first fault kind";
+  ASSERT_TRUE(second_fires) << c.plan << " misses its second fault kind";
+  // Every task must reach a clean attempt with four attempts to spare, so
+  // collateral requeues (siblings of a dropped connection) cannot exhaust
+  // the budget.
   for (std::uint32_t t = 0; t < tasks; ++t) {
     bool ok = false;
-    for (std::uint32_t a = 0; a < 4 && !ok; ++a) {
+    for (std::uint32_t a = 0; a + 4 < c.budget && !ok; ++a) {
       ok = plan.decide(t, a) == run::FaultPlan::Action::kNone;
     }
-    ASSERT_TRUE(ok) << "task " << t << " has no clean attempt in 4";
+    ASSERT_TRUE(ok) << "task " << t << " has no clean attempt in "
+                    << c.budget - 4;
   }
 
   const auto reference = reference_results(sweep);
-  ScopedFaultEnv env(plan_text);  // agentds inherit across fork/exec
+  ScopedFaultEnv env(c.plan);  // agentds inherit across fork/exec
   AgentProc agent1(2);
   AgentProc agent2(2);
   obs::set_counters_enabled(true);
   const std::uint64_t requeued_before = counter_value("net.cells_requeued");
 
   DistributedPoolConfig cfg = test_config({agent1.addr(), agent2.addr()});
-  cfg.max_attempts = 8;
+  cfg.max_attempts = c.budget;
   DistributedPool pool(cfg);
   const auto results = pool.run(sweep);
   obs::set_counters_enabled(false);
 
   expect_identical(reference, results, sweep);
   EXPECT_GT(counter_value("net.cells_requeued"), requeued_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DistributedTest, AgentFaultTest,
+    ::testing::Values(
+        AgentFaultCase{"netdrop:0.25,netgarbage:0.25,seed:1",
+                       run::FaultPlan::Action::kNetDrop,
+                       run::FaultPlan::Action::kNetGarbage, 8},
+        AgentFaultCase{"crash:0.25,garbage:0.25,seed:7",
+                       run::FaultPlan::Action::kCrash,
+                       run::FaultPlan::Action::kGarbage, 12}),
+    [](const ::testing::TestParamInfo<AgentFaultCase>& param) {
+      return param.index == 0 ? std::string("NetPlan")
+                              : std::string("WorkerPlan");
+    });
+
+TEST(DistributedTest, HungWorkerInsideAgentIsReclaimed) {
+  // A worker hangs inside a one-slot agent. The coordinator's task
+  // timeout retires the connection; the agent must then free the slot by
+  // killing the hung worker, or every later job queues behind it forever
+  // and the cell exhausts its budget.
+  const std::vector<run::JobSpec> sweep = six_cell_sweep();
+  const char* plan_text = "hang:0.2,seed:1";
+  const run::FaultPlan plan = run::FaultPlan::parse(plan_text);
+  ASSERT_EQ(plan.decide(1, 0), run::FaultPlan::Action::kHang);
+  ASSERT_EQ(plan.decide(1, 1), run::FaultPlan::Action::kNone);
+  for (std::uint32_t t = 0; t < sweep.size(); ++t) {
+    if (t != 1) {
+      ASSERT_EQ(plan.decide(t, 0), run::FaultPlan::Action::kNone) << t;
+    }
+  }
+
+  const auto reference = reference_results(sweep);
+  ScopedFaultEnv env(plan_text);
+  AgentProc agent(1);
+  DistributedPoolConfig cfg = test_config({agent.addr()});
+  cfg.task_timeout_seconds = 1.0;
+  DistributedPool pool(cfg);
+  expect_identical(reference, pool.run(sweep), sweep);
 }
 
 TEST(DistributedTest, TelemetryAggregatesFleetAndStaysIdentical) {
@@ -510,16 +562,6 @@ TEST(DistributedTest, ReachabilityProbe) {
   Fd live = listen_tcp("127.0.0.1", 0);
   const HostPort alive{"127.0.0.1", local_port(live.get())};
   EXPECT_TRUE(DistributedPool::any_agent_reachable({dead, alive}, 0.5));
-}
-
-TEST(DistributedTest, AgentsFromEnvParsesList) {
-  ::setenv("ESCHED_AGENTS", "127.0.0.1:9555,node1:9556", 1);
-  const std::vector<HostPort> agents = DistributedPool::agents_from_env();
-  ::unsetenv("ESCHED_AGENTS");
-  ASSERT_EQ(agents.size(), 2u);
-  EXPECT_EQ(agents[0], (HostPort{"127.0.0.1", 9555}));
-  EXPECT_EQ(agents[1], (HostPort{"node1", 9556}));
-  EXPECT_TRUE(DistributedPool::agents_from_env().empty());
 }
 
 }  // namespace

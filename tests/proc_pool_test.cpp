@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "obs/fleet.hpp"
@@ -419,6 +420,44 @@ TEST(ProcPoolTest, CrashLeavesFlightDumpNamingTheInFlightCell) {
     }
   }
   ::rmdir(dir.c_str());
+}
+
+TEST(ProcPoolTest, SupervisorSleepsWhileWorkersAreBusy) {
+  // One worker, many cells: while it runs one, the rest wait with their
+  // backoff gates long open. The supervisor must sleep in poll() until the
+  // worker answers, not spin on the ready-time of cells no worker can
+  // take — so its own CPU time stays far below the run's wall time.
+  std::vector<JobSpec> sweep;
+  for (const double ratio : {2.0, 3.0, 4.0, 5.0}) {
+    for (JobSpec spec : three_policy_specs()) {
+      spec.trace.months = 2;
+      spec.pricing.ratio = ratio;
+      spec.label += "/r" + std::to_string(static_cast<int>(ratio));
+      sweep.push_back(spec);
+    }
+  }
+  const auto thread_cpu_seconds = [] {
+    struct rusage usage {};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    const auto seconds = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+  };
+
+  SubprocessPoolConfig config;
+  config.workers = 1;
+  SubprocessPool pool(config);
+  const double cpu_before = thread_cpu_seconds();
+  const auto results = pool.run(sweep);
+  const double cpu = thread_cpu_seconds() - cpu_before;
+  const double wall = pool.last_stats().wall_seconds;
+
+  ASSERT_EQ(results.size(), sweep.size());
+  EXPECT_EQ(pool.last_stats().simulated_cells, sweep.size());
+  EXPECT_LT(cpu, 0.3 * wall) << "supervisor burned " << cpu << " CPU-s over "
+                             << wall << " s of wall time";
 }
 
 TEST(ProcPoolTest, TelemetryAggregatesWorkerRegistriesBitIdentically) {
