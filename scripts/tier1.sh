@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the standard build + full ctest run, followed by a
 # ThreadSanitizer build of the threaded experiment-runner tests so data
-# races in src/run/ are caught structurally, not by luck.
+# races in src/run/ are caught structurally, not by luck, and an
+# ASan+UBSan build of the tests that feed the code untrusted bytes.
 #
 # Usage: scripts/tier1.sh            (from the repo root)
 set -euo pipefail
@@ -61,5 +62,22 @@ cmake --build build-tsan -j \
 ./build-tsan/tests/obs_log_test
 ./build-tsan/tests/http_exposition_test
 ./build-tsan/tests/meta_test
+
+echo "== tier-1: ASan+UBSan build of the untrusted-bytes tests =="
+# Every decoder of bytes from outside the process (wire frames, the
+# session handshake, journal replay, the HTTP request parser, minijson,
+# SWF) runs under AddressSanitizer and UndefinedBehaviorSanitizer, with
+# any UB finding fatal. distributed_test and coordinator_test fork the
+# sanitized daemons and workers of this tree, which inherit the options.
+cmake -B build-asan -S . -DESCHED_SANITIZE=address,undefined \
+  -DESCHED_BUILD_BENCH=OFF -DESCHED_BUILD_EXAMPLES=OFF
+asan_tests="wire_test net_frame_test session_server_test svc_journal_test
+  http_exposition_test minijson_test swf_test endpoint_test
+  distributed_test coordinator_test"
+# shellcheck disable=SC2086  # word-split the list on purpose
+cmake --build build-asan -j --target $asan_tests
+for t in $asan_tests; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "./build-asan/tests/$t"
+done
 
 echo "== tier-1: all green =="

@@ -1,10 +1,9 @@
 // esched-agentd: the remote half of the distributed sweep
 // (net/distributed.hpp).
 //
-// One agentd serves any number of coordinator connections from a
-// single-threaded poll() loop. Per connection: a version handshake
-// (kHello -> kWelcome, or kError + close on a protocol mismatch),
-// kPing -> kPong heartbeats, and kJob frames. Jobs are *routed, not
+// One agentd serves any number of coordinator sessions (run by
+// net::SessionServer) from a single-threaded poll() loop, answering kPing
+// with kPong and taking kJob frames. Jobs are *routed, not
 // rewritten*: the original job bytes — under the coordinator's task_id
 // and attempt — are forwarded verbatim to esched-worker children run by
 // run::WorkerSlots, the same worker supervisor as the local
@@ -24,12 +23,10 @@
 // inheriting the environment, act on themselves. One plan therefore
 // drives both layers, deterministically, per (task, attempt).
 //
-// stdout carries exactly one machine-readable line:
-//   esched-agentd: ready bind=<host> port=<port> slots=<n> [http=<port>]
-// (tests parse "port=" to discover an ephemeral --port 0, and "http="
-// for the operational plane). Diagnostics go to the structured log
-// (stderr by default; see --log-out / ESCHED_LOG_LEVEL).
+// stdout carries one ready line (net::print_ready_line), with
+// slots=<n>; diagnostics go to the structured log.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,14 +36,13 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
-#include <unistd.h>
 
-#include "net/frame_io.hpp"
 #include "net/protocol.hpp"
-#include "net/socket.hpp"
+#include "net/session_server.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
@@ -63,22 +59,17 @@ namespace {
 
 using namespace esched;
 namespace wire = run::wire;
-using net::FrameConn;
 using Clock = run::EndpointClock;
 
 constexpr int kConfigError = 2;
+constexpr const char* kDaemon = "esched-agentd";
 
 struct Options {
-  std::string bind_host = "127.0.0.1";
-  std::uint16_t port = 9555;
-  std::size_t slots = 0;  ///< 0 = hardware concurrency
-  std::string worker_path;
+  net::ServeOptions serve = {.port = 9555};
   /// Shared secret required in every kHello ("" = accept any).
   std::string token;
-  bool verbose = false;
-  /// Operational HTTP plane (/metrics, /healthz). Off by default.
-  bool http_enabled = false;
-  std::uint16_t http_port = 0;
+  std::size_t slots = 0;  ///< 0 = hardware concurrency
+  std::string worker_path;
 };
 
 [[noreturn]] void usage(int code) {
@@ -110,21 +101,14 @@ struct Options {
   std::exit(code);
 }
 
-/// One coordinator connection.
-struct Client {
-  FrameConn conn;
-  bool handshaken = false;
+/// What the agentd keeps per open coordinator session.
+struct Peer {
   /// This coordinator asked for telemetry in its hello: forward worker
   /// kTelemetry frames and ship the agentd's own after answers/pongs.
   bool telemetry = false;
-  /// Flush-then-close (handshake rejection): stop reading, close once
-  /// the outbox drains.
-  bool closing = false;
   /// netslow: outbound frames queue in `held` until hold_until.
   Clock::time_point hold_until{};
   std::vector<std::vector<std::uint8_t>> held;
-
-  explicit Client(net::Fd fd) : conn(std::move(fd)) {}
 
   bool holding(Clock::time_point now) const { return now < hold_until; }
 };
@@ -139,36 +123,26 @@ struct Job {
   bool garbage = false;               ///< netgarbage: corrupt the answer
 };
 
-class Agentd final : public run::WorkerSlotsOwner {
+class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
  public:
   Agentd(Options options, run::FaultPlan faults)
       : options_(std::move(options)),
         faults_(faults),
+        sessions_(kDaemon, "net.agentd", options_.token, *this),
         slots_(options_.slots, options_.worker_path, 0.0, *this),
         leases_(options_.slots) {}
-  // slots_ holds this object's address.
+  // sessions_ and slots_ hold this object's address.
   Agentd(const Agentd&) = delete;
   Agentd& operator=(const Agentd&) = delete;
 
   int serve() {
-    listener_ = net::listen_tcp(options_.bind_host, options_.port);
-    const std::uint16_t port = net::local_port(listener_.get());
-    if (options_.http_enabled) {
-      // Scrapeable metrics imply counters on (registry.hpp's contract:
-      // instrumentation never feeds back into results).
-      obs::set_counters_enabled(true);
-      http_.set_handler(
-          [this](const obs::HttpRequest& req) { return handle_http(req); });
-      http_.listen(options_.bind_host, options_.http_port);
-      std::printf("esched-agentd: ready bind=%s port=%u slots=%zu http=%u\n",
-                  options_.bind_host.c_str(), static_cast<unsigned>(port),
-                  slots_.size(), static_cast<unsigned>(http_.port()));
-    } else {
-      std::printf("esched-agentd: ready bind=%s port=%u slots=%zu\n",
-                  options_.bind_host.c_str(), static_cast<unsigned>(port),
-                  slots_.size());
-    }
-    std::fflush(stdout);
+    const std::uint16_t port =
+        sessions_.listen(options_.serve.bind_host, options_.serve.port);
+    net::start_http_plane(http_, options_.serve,
+                          {{"/healthz", [this] { return healthz(); }}});
+    net::print_ready_line(kDaemon, options_.serve.bind_host, port,
+                          "slots=" + std::to_string(slots_.size()),
+                          http_.port());
     started_at_ = Clock::now();
 
     run::SigpipeGuard sigpipe;
@@ -181,152 +155,80 @@ class Agentd final : public run::WorkerSlotsOwner {
   void step() {
     slots_.tick(Clock::now());
     std::vector<struct pollfd> fds;
-    // The listener, then one pollfd per client id in `ids`; worker pipes
-    // and HTTP fds ride the same poll() past that prefix.
-    std::vector<std::uint64_t> ids;
-    fds.push_back({listener_.get(), POLLIN, 0});
-    for (auto& [id, client] : clients_) {
-      int events = 0;
-      if (!client.closing) events |= POLLIN;
-      if (client.conn.wants_write()) events |= POLLOUT;
-      if (events == 0) continue;  // closing and fully flushed: reaped below
-      fds.push_back({client.conn.fd(), static_cast<short>(events), 0});
-      ids.push_back(id);
-    }
+    sessions_.register_fds(fds);
     slots_.register_fds(fds);
     http_.register_fds(fds);
 
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                           next_timeout_ms());
-    if (rc < 0) {
-      if (errno == EINTR) return;
-      obs::log_error("net.agentd", "poll failed",
-                     {{"error", std::strerror(errno)}});
-      std::exit(kConfigError);
+    if (rc < 0 && errno != EINTR) {
+      throw Error(std::string("esched-agentd: poll failed: ") +
+                  std::strerror(errno));
     }
     if (rc > 0) {
       http_.on_poll(fds.data(), fds.size());
       slots_.on_poll(fds);
-      if (fds[0].revents != 0) accept_clients();
-      for (std::size_t k = 0; k < ids.size(); ++k) {
-        if (fds[k + 1].revents != 0 && clients_.count(ids[k]) != 0) {
-          on_client_event(ids[k], fds[k + 1].revents);
-        }
-      }
+      sessions_.on_poll(fds);
     }
     release_holds();
-    reap_closed();
   }
 
   /// Earliest netslow hold release; -1 (wait for fds) when none pending.
   int next_timeout_ms() const {
     Clock::time_point nearest = Clock::time_point::max();
-    for (const auto& [id, client] : clients_) {
-      if (!client.held.empty()) nearest = std::min(nearest, client.hold_until);
+    for (const auto& [id, peer] : peers_) {
+      if (!peer.held.empty()) nearest = std::min(nearest, peer.hold_until);
     }
     if (nearest == Clock::time_point::max()) return -1;
     return run::poll_timeout_ms(nearest, Clock::now());
   }
 
-  // ---- clients --------------------------------------------------------
+  // ---- coordinator sessions (net::SessionOwner) ------------------------
 
-  void accept_clients() {
-    for (;;) {
-      net::Fd fd = net::accept_tcp(listener_.get());
-      if (!fd.valid()) return;
-      const std::uint64_t id = next_client_id_++;
-      clients_.emplace(id, Client(std::move(fd)));
-      obs::log_debug("net.agentd", "client connected", {{"client", id}});
-    }
-  }
+  std::size_t welcome_slots() const override { return slots_.size(); }
 
-  void on_client_event(std::uint64_t id, short revents) {
-    Client& client = clients_.at(id);
-    if ((revents & POLLOUT) != 0 && !client.conn.flush()) {
-      drop_client(id, "send failed");
-      return;
-    }
-    if (client.closing || (revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-      return;
-    }
-    const FrameConn::ReadStatus status = client.conn.fill();
-    process_client_frames(id);
-    if (clients_.count(id) == 0) return;  // a frame dropped the client
-    if (status != FrameConn::ReadStatus::kOk) {
-      drop_client(id, status == FrameConn::ReadStatus::kClosed
-                          ? "disconnected"
-                          : "read failed");
-    }
-  }
-
-  void process_client_frames(std::uint64_t id) {
-    while (clients_.count(id) != 0) {
-      Client& client = clients_.at(id);
-      if (client.closing) return;
-      wire::FrameHeader header;
-      std::vector<std::uint8_t> body;
-      std::string corrupt;
-      const run::FrameAssembler::Status status =
-          client.conn.frames().next(header, body, corrupt);
-      if (status == run::FrameAssembler::Status::kNeedMore) return;
-      if (status == run::FrameAssembler::Status::kCorrupt) {
-        drop_client(id, "protocol corruption (" + corrupt + ")");
-        return;
-      }
-      if (!client.handshaken) {
-        on_hello(id, header, body);
-        continue;
-      }
-      switch (header.type) {
-        case wire::FrameType::kPing:
-          send_to_client(id, wire::encode_frame(wire::FrameType::kPong,
-                                                header.task_id,
-                                                header.attempt, {}));
-          // Heartbeat answers double as the telemetry cadence for an
-          // agent between results.
-          send_agent_telemetry(id, header.task_id, header.attempt);
-          break;
-        case wire::FrameType::kJob:
-          on_job(id, header, body);
-          break;
-        default:
-          drop_client(id, "unexpected frame type in session");
-          return;
-      }
-    }
-  }
-
-  void on_hello(std::uint64_t id, const wire::FrameHeader& header,
-                const std::vector<std::uint8_t>& body) {
-    Client& client = clients_.at(id);
-    net::Hello hello;
-    const std::string error =
-        net::check_hello(header, body, options_.token, "esched-agentd", hello);
-    if (!error.empty()) {
-      obs::log_warn("net.agentd", "rejecting client",
-                    {{"client", id}, {"reason", error}});
-      client.conn.send(
-          wire::encode_frame(wire::FrameType::kError, 0, 0,
-                             wire::encode_error(error)));
-      client.closing = true;  // flush the rejection, then close
-      return;
-    }
+  void on_session_open(std::uint64_t id, const net::Hello& hello) override {
+    Peer& peer = peers_[id];
     if ((hello.flags & net::kHelloFlagTelemetry) != 0) {
-      client.telemetry = true;
+      peer.telemetry = true;
       enable_telemetry();
     }
-    net::Welcome welcome;
-    welcome.protocol = net::kNetProtocolVersion;
-    welcome.slots = static_cast<std::uint32_t>(slots_.size());
-    // The coordinator pairs this with its own mid-RTT steady reading to
-    // estimate this machine's clock offset for span re-basing.
-    welcome.steady_nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    client.handshaken = true;
-    send_to_client(id, wire::encode_frame(wire::FrameType::kWelcome, 0, 0,
-                                          net::encode_welcome(welcome)));
+  }
+
+  void on_session_frame(std::uint64_t id, const wire::FrameHeader& header,
+                        std::vector<std::uint8_t>& body) override {
+    switch (header.type) {
+      case wire::FrameType::kPing:
+        send_to_client(id, wire::encode_frame(wire::FrameType::kPong,
+                                              header.task_id,
+                                              header.attempt, {}));
+        // Heartbeat answers double as the telemetry cadence for an
+        // agent between results.
+        send_agent_telemetry(id, header.task_id, header.attempt);
+        break;
+      case wire::FrameType::kJob:
+        on_job(id, header, body);
+        break;
+      default:
+        sessions_.close(id, "unexpected frame type in session");
+    }
+  }
+
+  /// A dead coordinator collects nothing: drop its queued jobs, and
+  /// retire its in-flight workers — their answers would be discarded,
+  /// and a hung one would otherwise hold its slot for good.
+  void on_session_closed(std::uint64_t id, const std::string& why) override {
+    peers_.erase(id);
+    std::deque<Job> keep;
+    for (Job& job : queue_) {
+      if (job.client != id) keep.push_back(std::move(job));
+    }
+    queue_.swap(keep);
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (slots_.busy(slot) && leases_[slot].client == id) {
+        slots_.retire(slot, "client dropped: " + why);
+      }
+    }
   }
 
   /// First telemetry request: enable process-wide (counters included),
@@ -344,15 +246,17 @@ class Agentd final : public run::WorkerSlotsOwner {
     }
   }
 
+  /// The open session `id` when it asked for telemetry in its hello.
+  bool wants_telemetry(std::uint64_t id) const {
+    const auto it = peers_.find(id);
+    return it != peers_.end() && it->second.telemetry;
+  }
+
   /// Ship the agentd's own registry/spans to `id` (no-op unless that
   /// coordinator asked for telemetry in its hello).
   void send_agent_telemetry(std::uint64_t id, std::uint32_t task,
                             std::uint32_t attempt) {
-    const auto it = clients_.find(id);
-    if (it == clients_.end() || !it->second.telemetry ||
-        !obs::telemetry_enabled()) {
-      return;
-    }
+    if (!wants_telemetry(id) || !obs::telemetry_enabled()) return;
     send_to_client(id,
                    wire::encode_frame(
                        wire::FrameType::kTelemetry, task, attempt,
@@ -366,16 +270,16 @@ class Agentd final : public run::WorkerSlotsOwner {
     if (fault == run::FaultPlan::Action::kNetDrop) {
       // Injected agent death: vanish from this coordinator's perspective
       // (abrupt close, in-flight work of this client discarded).
-      drop_client(id, "fault injection: netdrop");
+      sessions_.close(id, "fault injection: netdrop");
       return;
     }
     if (fault == run::FaultPlan::Action::kNetSlow) {
-      Client& client = clients_.at(id);
+      Peer& peer = peers_.at(id);
       const Clock::time_point until =
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(
                                  faults_.net_slow_seconds));
-      client.hold_until = std::max(client.hold_until, until);
+      peer.hold_until = std::max(peer.hold_until, until);
     }
     Job job;
     job.client = id;
@@ -387,59 +291,30 @@ class Agentd final : public run::WorkerSlotsOwner {
   }
 
   /// Queue a frame to a coordinator, honouring a netslow hold. A missing
-  /// client (already disconnected) discards silently.
-  void send_to_client(std::uint64_t id,
-                      std::vector<std::uint8_t> frame) {
-    const auto it = clients_.find(id);
-    if (it == clients_.end() || it->second.closing) return;
-    Client& client = it->second;
-    if (client.holding(Clock::now()) || !client.held.empty()) {
-      client.held.push_back(std::move(frame));
+  /// session (already disconnected) discards silently.
+  void send_to_client(std::uint64_t id, std::vector<std::uint8_t> frame) {
+    const auto it = peers_.find(id);
+    if (it == peers_.end()) return;
+    Peer& peer = it->second;
+    if (peer.holding(Clock::now()) || !peer.held.empty()) {
+      peer.held.push_back(std::move(frame));
       return;
     }
-    if (!client.conn.send(frame)) drop_client(id, "send failed");
+    sessions_.send(id, frame);
   }
 
   void release_holds() {
     const Clock::time_point now = Clock::now();
-    std::vector<std::uint64_t> drop;
-    for (auto& [id, client] : clients_) {
-      if (client.held.empty() || client.holding(now)) continue;
-      for (std::vector<std::uint8_t>& frame : client.held) {
-        if (!client.conn.send(frame)) {
-          drop.push_back(id);
-          break;
-        }
-      }
-      client.held.clear();
+    std::vector<std::uint64_t> due;
+    for (const auto& [id, peer] : peers_) {
+      if (!peer.held.empty() && !peer.holding(now)) due.push_back(id);
     }
-    for (const std::uint64_t id : drop) drop_client(id, "send failed");
-  }
-
-  /// Close clients that finished flushing a handshake rejection.
-  void reap_closed() {
-    std::vector<std::uint64_t> done;
-    for (auto& [id, client] : clients_) {
-      if (client.closing && !client.conn.wants_write()) done.push_back(id);
-    }
-    for (const std::uint64_t id : done) drop_client(id, "rejected");
-  }
-
-  void drop_client(std::uint64_t id, const std::string& why) {
-    obs::log_debug("net.agentd", "client dropped",
-                   {{"client", id}, {"reason", why}});
-    clients_.erase(id);
-    // A dead coordinator collects nothing: drop its queued jobs, and
-    // retire its in-flight workers — their answers would be discarded,
-    // and a hung one would otherwise hold its slot for good.
-    std::deque<Job> keep;
-    for (Job& job : queue_) {
-      if (job.client != id) keep.push_back(std::move(job));
-    }
-    queue_.swap(keep);
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-      if (slots_.busy(slot) && leases_[slot].client == id) {
-        slots_.retire(slot, "client dropped: " + why);
+    for (const std::uint64_t id : due) {
+      const std::vector<std::vector<std::uint8_t>> held =
+          std::exchange(peers_.at(id).held, {});
+      // A failed send closes the session (and erases its peer).
+      for (const std::vector<std::uint8_t>& frame : held) {
+        if (!sessions_.send(id, frame)) break;
       }
     }
   }
@@ -481,8 +356,7 @@ class Agentd final : public run::WorkerSlotsOwner {
   bool on_telemetry(std::size_t slot, const run::Endpoint& /*ep*/,
                     std::vector<std::uint8_t>& body) override {
     const Job& lease = leases_[slot];
-    const auto owner = clients_.find(lease.client);
-    if (owner == clients_.end() || !owner->second.telemetry) return true;
+    if (!wants_telemetry(lease.client)) return true;
     try {
       obs::Telemetry telemetry = wire::decode_telemetry(body);
       telemetry.role = "worker." + std::to_string(slot);
@@ -510,38 +384,26 @@ class Agentd final : public run::WorkerSlotsOwner {
 
   // ---- operational plane ----------------------------------------------
 
-  obs::HttpResponse handle_http(const obs::HttpRequest& request) {
-    obs::HttpResponse resp;
-    if (request.target == "/metrics") {
-      resp.body = obs::render_prometheus(obs::Registry::global().snapshot());
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    } else if (request.target == "/healthz") {
-      svc::OpsHealth health;
-      health.role = "agentd";
-      health.uptime_seconds =
-          std::chrono::duration<double>(Clock::now() - started_at_).count();
-      health.clients = clients_.size();
-      health.slots = slots_.size();
-      health.busy_slots = slots_.busy_count();
-      resp.body = svc::render_healthz(health);
-      resp.content_type = "application/json";
-    } else {
-      resp.status = 404;
-      resp.body = "unknown path (try /metrics, /healthz)\n";
-    }
-    return resp;
+  std::string healthz() const {
+    svc::OpsHealth health;
+    health.role = "agentd";
+    health.uptime_seconds =
+        std::chrono::duration<double>(Clock::now() - started_at_).count();
+    health.clients = sessions_.size();
+    health.slots = slots_.size();
+    health.busy_slots = slots_.busy_count();
+    return svc::render_healthz(health);
   }
 
   Options options_;
   run::FaultPlan faults_;
-  net::Fd listener_;
   obs::HttpServer http_;
   Clock::time_point started_at_{};
-  std::map<std::uint64_t, Client> clients_;
+  net::SessionServer sessions_;
+  std::map<std::uint64_t, Peer> peers_;  ///< open sessions only
   run::WorkerSlots slots_;
   std::vector<Job> leases_;  ///< per slot: the job it runs or last ran
   std::deque<Job> queue_;
-  std::uint64_t next_client_id_ = 1;
 };
 
 Options parse_options(int argc, char** argv) {
@@ -553,11 +415,6 @@ Options parse_options(int argc, char** argv) {
     usage(kConfigError);
   }
   Options options;
-  options.bind_host = args.get_or("bind", options.bind_host);
-  const long long port = args.get_int_or("port", options.port);
-  ESCHED_REQUIRE(port >= 0 && port <= 65535,
-                 "esched-agentd: --port must be in [0, 65535]");
-  options.port = static_cast<std::uint16_t>(port);
   const long long slots =
       args.get_int_or("slots",
                       static_cast<long long>(std::max(
@@ -570,26 +427,7 @@ Options parse_options(int argc, char** argv) {
   ESCHED_REQUIRE(!options.worker_path.empty(),
                  "esched-agentd: esched-worker binary not found (pass "
                  "--worker or set ESCHED_WORKER)");
-  const char* env_token = std::getenv("ESCHED_AUTH_TOKEN");
-  options.token = args.get_or("token", env_token != nullptr ? env_token : "");
-  options.verbose = args.has("verbose");
-
-  const char* env_http = std::getenv("ESCHED_HTTP_PORT");
-  if (args.has("http-port") || (env_http != nullptr && *env_http != '\0')) {
-    const long long http_port = args.get_int_or(
-        "http-port", env_http != nullptr ? std::atoll(env_http) : 0);
-    ESCHED_REQUIRE(http_port >= 0 && http_port <= 65535,
-                   "esched-agentd: --http-port must be in [0, 65535]");
-    options.http_enabled = true;
-    options.http_port = static_cast<std::uint16_t>(http_port);
-  }
-
-  obs::init_log_from_env();
-  if (options.verbose && std::getenv("ESCHED_LOG_LEVEL") == nullptr) {
-    obs::set_log_level(obs::LogLevel::kDebug);
-  }
-  const std::string log_out = args.get_or("log-out", "");
-  if (!log_out.empty()) obs::set_log_file(log_out);
+  net::parse_serve_options(args, kDaemon, options.serve, options.token);
   return options;
 }
 

@@ -32,7 +32,6 @@ class FrameConn {
   explicit FrameConn(Fd fd) : fd_(std::move(fd)) {}
 
   int fd() const { return fd_.get(); }
-  bool valid() const { return fd_.valid(); }
   void close() { fd_.reset(); }
 
   /// True when outbound bytes are queued — poll this fd for POLLOUT.
@@ -51,7 +50,8 @@ class FrameConn {
     kError,   ///< read failed; connection must be discarded
   };
 
-  /// Drain readable bytes into the frame assembler (on POLLIN).
+  /// Drain readable bytes into the frame assembler (on POLLIN), stopping
+  /// early once the assembler is full() (FrameAssembler::limit_payload).
   ReadStatus fill();
 
   /// The reassembly buffer fill() feeds; call next() on it to extract

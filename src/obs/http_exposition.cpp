@@ -1,27 +1,16 @@
 #include "obs/http_exposition.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "util/error.hpp"
-
 namespace esched::obs {
 
 namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 const char* status_text(int status) {
   switch (status) {
@@ -96,68 +85,32 @@ HttpServer::~HttpServer() { close(); }
 
 std::uint16_t HttpServer::listen(const std::string& host,
                                  std::uint16_t port) {
-  struct sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  const std::string bind_host = host.empty() ? "0.0.0.0" : host;
-  if (inet_pton(AF_INET, bind_host.c_str(), &addr.sin_addr) != 1) {
-    throw Error("http: cannot parse bind address \"" + bind_host + "\"");
-  }
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw Error(std::string("http: socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<const struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw Error("http: cannot bind " + bind_host + ":" +
-                std::to_string(port) + ": " + std::strerror(err));
-  }
-  if (::listen(fd, 16) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw Error(std::string("http: listen: ") + std::strerror(err));
-  }
-  set_nonblocking(fd);
-
-  struct sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound), &len) !=
-      0) {
-    const int err = errno;
-    ::close(fd);
-    throw Error(std::string("http: getsockname: ") + std::strerror(err));
-  }
-  listen_fd_ = fd;
-  port_ = ntohs(bound.sin_port);
+  listener_ = net::listen_tcp(host, port);
+  port_ = net::local_port(listener_.get());
   return port_;
 }
 
 void HttpServer::register_fds(std::vector<struct pollfd>& fds) const {
-  if (listen_fd_ >= 0) {
-    fds.push_back({listen_fd_, POLLIN, 0});
+  if (listener_.valid()) {
+    fds.push_back({listener_.get(), POLLIN, 0});
   }
   for (const auto& conn : conns_) {
     short events = 0;
     if (!conn->responding) events |= POLLIN;
     if (conn->sent < conn->outbuf.size()) events |= POLLOUT;
-    fds.push_back({conn->fd, events, 0});
+    fds.push_back({conn->fd.get(), events, 0});
   }
 }
 
 void HttpServer::accept_ready() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: try next round
-    set_nonblocking(fd);
+    net::Fd fd(::accept(listener_.get(), nullptr, nullptr));
+    if (!fd.valid()) return;  // EAGAIN or transient error: try next round
+    net::set_nonblocking(fd.get());
     const int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
+    conn->fd = std::move(fd);
     conns_.push_back(std::move(conn));
   }
 }
@@ -185,7 +138,7 @@ bool HttpServer::service(Conn& conn, short revents) {
   if (!conn.responding && (revents & (POLLIN | POLLHUP)) != 0) {
     char buf[2048];
     for (;;) {
-      const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
+      const ssize_t n = ::read(conn.fd.get(), buf, sizeof(buf));
       if (n == 0) return false;  // peer gone before finishing a request
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
@@ -217,7 +170,7 @@ bool HttpServer::service(Conn& conn, short revents) {
 
   if (conn.responding && conn.sent < conn.outbuf.size()) {
     while (conn.sent < conn.outbuf.size()) {
-      const ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.sent,
+      const ssize_t n = ::write(conn.fd.get(), conn.outbuf.data() + conn.sent,
                                 conn.outbuf.size() - conn.sent);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
@@ -231,27 +184,24 @@ bool HttpServer::service(Conn& conn, short revents) {
 }
 
 void HttpServer::on_poll(const struct pollfd* fds, std::size_t nfds) {
-  if (listen_fd_ < 0) return;
+  if (!listener_.valid()) return;
   for (std::size_t i = 0; i < nfds; ++i) {
     const struct pollfd& p = fds[i];
     if (p.revents == 0) continue;
-    if (p.fd == listen_fd_) {
+    if (p.fd == listener_.get()) {
       if ((p.revents & POLLIN) != 0) accept_ready();
       continue;
     }
     for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-      if ((*it)->fd != p.fd) continue;
-      if (!service(**it, p.revents)) {
-        ::close((*it)->fd);
-        conns_.erase(it);
-      }
+      if ((*it)->fd.get() != p.fd) continue;
+      if (!service(**it, p.revents)) conns_.erase(it);
       break;
     }
   }
 }
 
 void HttpServer::poll_once(int timeout_ms) {
-  if (listen_fd_ < 0) return;
+  if (!listener_.valid()) return;
   std::vector<struct pollfd> fds;
   register_fds(fds);
   const int rc =
@@ -261,12 +211,8 @@ void HttpServer::poll_once(int timeout_ms) {
 }
 
 void HttpServer::close() {
-  for (auto& conn : conns_) ::close(conn->fd);
   conns_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.reset();
   port_ = 0;
 }
 

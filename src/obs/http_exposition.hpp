@@ -9,8 +9,10 @@
 // stream the response out partial-write-safe, close. No keep-alive, no
 // bodies on requests, no TLS, no chunked encoding.
 //
-// obs sits *below* net in the dependency graph (net links obs), so this
-// file uses raw POSIX sockets rather than net::FrameConn — the partial
+// The listener comes from net::listen_tcp (the socket primitives sit
+// below obs), so the plane binds wherever the daemon's framed port can:
+// IPv4, IPv6 or a host name. obs sits below the rest of net, so
+// connections are raw fds rather than net::FrameConn — the partial
 // write discipline mirrors FrameConn's.
 #pragma once
 
@@ -23,6 +25,7 @@
 
 #include <poll.h>
 
+#include "net/socket.hpp"
 #include "obs/registry.hpp"
 
 namespace esched::obs {
@@ -74,7 +77,7 @@ class HttpServer {
   /// Bind + listen on host:port (port 0 → ephemeral). Returns the bound
   /// port. Throws esched::Error on failure.
   std::uint16_t listen(const std::string& host, std::uint16_t port);
-  bool listening() const { return listen_fd_ >= 0; }
+  bool listening() const { return listener_.valid(); }
   std::uint16_t port() const { return port_; }
 
   /// Handler invoked once per complete request; its response is queued
@@ -101,7 +104,7 @@ class HttpServer {
 
  private:
   struct Conn {
-    int fd = -1;
+    net::Fd fd;
     HttpRequestParser parser;
     std::string outbuf;
     std::size_t sent = 0;
@@ -113,7 +116,7 @@ class HttpServer {
   bool service(Conn& conn, short revents);
   void start_response(Conn& conn, const HttpResponse& resp);
 
-  int listen_fd_ = -1;
+  net::Fd listener_;
   std::uint16_t port_ = 0;
   Handler handler_;
   std::vector<std::unique_ptr<Conn>> conns_;

@@ -25,6 +25,12 @@ FrameAssembler::Status FrameAssembler::next(wire::FrameHeader& header,
     corrupt_reason = e.what();
     return Status::kCorrupt;
   }
+  if (header.payload_size > limit_) {
+    corrupt_reason = "payload size " + std::to_string(header.payload_size) +
+                     " exceeds the " + std::to_string(limit_) +
+                     "-byte limit of this stream";
+    return Status::kCorrupt;
+  }
   const std::size_t frame_size = wire::kHeaderSize + header.payload_size;
   if (buf_.size() < frame_size) return Status::kNeedMore;
   const std::uint8_t* body = buf_.data() + wire::kHeaderSize;

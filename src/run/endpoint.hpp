@@ -65,6 +65,16 @@ class FrameAssembler {
   Status next(wire::FrameHeader& header, std::vector<std::uint8_t>& payload,
               std::string& corrupt_reason);
 
+  /// Reject as corrupt any frame whose header claims more than `limit`
+  /// payload bytes, as soon as the header is buffered (default
+  /// wire::kMaxPayload). A server lowers it until a peer authenticates.
+  void limit_payload(std::uint32_t limit) { limit_ = limit; }
+
+  /// True when more bytes are buffered than one frame within the limit
+  /// can span: the reader stops reading until next() has looked at them,
+  /// so an oversized frame's body is never buffered.
+  bool full() const { return buf_.size() > wire::kHeaderSize + limit_; }
+
   /// True when bytes of an incomplete frame are buffered (distinguishes
   /// "EOF between frames" from "EOF mid-frame").
   bool mid_frame() const { return !buf_.empty(); }
@@ -73,6 +83,7 @@ class FrameAssembler {
 
  private:
   std::vector<std::uint8_t> buf_;
+  std::uint32_t limit_ = wire::kMaxPayload;
 };
 
 /// Retry/backoff knobs shared by SubprocessPoolConfig and

@@ -50,6 +50,8 @@ Clock::time_point after(Clock::time_point now, double seconds) {
 
 Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)),
+      sessions_("esched-coordinator", "svc.coordinator", config_.auth_token,
+                *this),
       fleet_(config_, net::AgentFleet::kNeverAbandon, *this) {
   ESCHED_REQUIRE(config_.max_attempts >= 1,
                  "esched-coordinator: max_attempts must be >= 1");
@@ -63,24 +65,18 @@ Coordinator::Coordinator(CoordinatorConfig config)
 }
 
 std::uint16_t Coordinator::start() {
-  if (config_.http_enabled) {
-    // The exposition endpoints read the registry, so scraping a daemon
-    // that never enabled counters would show all-zero metrics — turn
-    // them on with the plane. Determinism is unaffected (registry.hpp's
-    // contract: instrumentation never feeds back into results).
-    obs::set_counters_enabled(true);
-    http_.set_handler(
-        [this](const obs::HttpRequest& req) { return handle_http(req); });
-    http_.listen(config_.bind_host, config_.http_port);
-  }
+  net::start_http_plane(
+      http_, config_,
+      {{"/healthz", [this] { return render_healthz(ops_health()); }},
+       {"/sweeps", [this] { return render_sweeps(ops_sweeps()); }}});
   journal_.set_warn_bytes(config_.journal_warn_bytes);
   journal_.open(config_.journal_path, run::FaultPlan::from_env(),
                 [this](const wire::JournalRecord& record) {
                   store_[record.cell_key] = record.result_bytes;
                 });
-  listener_ = net::listen_tcp(config_.bind_host, config_.port);
+  const std::uint16_t port = sessions_.listen(config_.bind_host, config_.port);
   started_at_ = Clock::now();
-  return net::local_port(listener_.get());
+  return port;
 }
 
 void Coordinator::serve() {
@@ -94,19 +90,8 @@ void Coordinator::step() {
   const Clock::time_point now = Clock::now();
   fleet_.tick(now);
 
-  // fds[0] is the listener and fds[1 + k] client `ids[k]`; the fleet and
-  // HTTP fds follow, each dispatched by its own on_poll.
   std::vector<struct pollfd> fds;
-  std::vector<std::uint64_t> ids;
-  fds.push_back({listener_.get(), POLLIN, 0});
-  for (auto& [id, client] : clients_) {
-    int events = 0;
-    if (!client.closing) events |= POLLIN;
-    if (client.conn.wants_write()) events |= POLLOUT;
-    if (events == 0) continue;  // closing and flushed: reaped below
-    fds.push_back({client.conn.fd(), static_cast<short>(events), 0});
-    ids.push_back(id);
-  }
+  sessions_.register_fds(fds);
   fleet_.register_fds(fds);
   http_.register_fds(fds);
 
@@ -118,16 +103,9 @@ void Coordinator::step() {
   }
   if (rc > 0) {
     http_.on_poll(fds.data(), fds.size());
-    if (fds[0].revents != 0) accept_clients();
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const short revents = fds[k + 1].revents;
-      if (revents != 0 && clients_.count(ids[k]) != 0) {
-        on_client_event(ids[k], revents);
-      }
-    }
+    sessions_.on_poll(fds);
     fleet_.on_poll(fds);
   }
-  reap_closed();
 }
 
 int Coordinator::next_timeout_ms(Clock::time_point now) const {
@@ -141,98 +119,37 @@ int Coordinator::next_timeout_ms(Clock::time_point now) const {
   return run::poll_timeout_ms(nearest, now);
 }
 
-// ---- clients ----------------------------------------------------------
+// ---- client sessions ---------------------------------------------------
 
-void Coordinator::accept_clients() {
-  for (;;) {
-    net::Fd fd = net::accept_tcp(listener_.get());
-    if (!fd.valid()) return;
-    const std::uint64_t id = next_client_id_++;
-    clients_.emplace(id, Client(std::move(fd)));
-    obs::log_debug("svc.coordinator", "client connected", {{"client", id}});
+std::size_t Coordinator::welcome_slots() const { return fleet_.ready_slots(); }
+
+void Coordinator::on_session_frame(std::uint64_t id,
+                                   const wire::FrameHeader& header,
+                                   std::vector<std::uint8_t>& body) {
+  switch (header.type) {
+    case wire::FrameType::kPing:
+      sessions_.send(id, wire::encode_frame(wire::FrameType::kPong,
+                                            header.task_id, header.attempt,
+                                            {}));
+      break;
+    case wire::FrameType::kSubmit:
+      on_submit(id, body);
+      break;
+    case wire::FrameType::kAttach:
+      on_attach(id, body);
+      break;
+    default:
+      sessions_.close(id, "unexpected frame type in session");
   }
 }
 
-void Coordinator::on_client_event(std::uint64_t id, short revents) {
-  Client& client = clients_.at(id);
-  if ((revents & POLLOUT) != 0 && !client.conn.flush()) {
-    drop_client(id, "send failed");
-    return;
+/// The sweep outlives the connection: it keeps running detached and the
+/// client resumes it later with kAttach.
+void Coordinator::on_session_closed(std::uint64_t id,
+                                    const std::string& /*why*/) {
+  for (auto& [sweep_id, sweep] : sweeps_) {
+    if (sweep.client == id) sweep.client = 0;
   }
-  if (client.closing || (revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-    return;
-  }
-  const net::FrameConn::ReadStatus status = client.conn.fill();
-  process_client_frames(id);
-  if (clients_.count(id) == 0) return;
-  if (status != net::FrameConn::ReadStatus::kOk) {
-    drop_client(id, status == net::FrameConn::ReadStatus::kClosed
-                        ? "disconnected"
-                        : "read failed");
-  }
-}
-
-void Coordinator::process_client_frames(std::uint64_t id) {
-  while (clients_.count(id) != 0) {
-    Client& client = clients_.at(id);
-    if (client.closing) return;
-    wire::FrameHeader header;
-    std::vector<std::uint8_t> body;
-    std::string corrupt;
-    const run::FrameAssembler::Status status =
-        client.conn.frames().next(header, body, corrupt);
-    if (status == run::FrameAssembler::Status::kNeedMore) return;
-    if (status == run::FrameAssembler::Status::kCorrupt) {
-      drop_client(id, "protocol corruption (" + corrupt + ")");
-      return;
-    }
-    if (!client.handshaken) {
-      on_client_hello(id, header, body);
-      continue;
-    }
-    switch (header.type) {
-      case wire::FrameType::kPing:
-        if (!send_client(id, wire::encode_frame(wire::FrameType::kPong,
-                                                header.task_id,
-                                                header.attempt, {}))) {
-          return;
-        }
-        break;
-      case wire::FrameType::kSubmit:
-        on_submit(id, body);
-        break;
-      case wire::FrameType::kAttach:
-        on_attach(id, body);
-        break;
-      default:
-        drop_client(id, "unexpected frame type in session");
-        return;
-    }
-  }
-}
-
-void Coordinator::on_client_hello(std::uint64_t id,
-                                  const wire::FrameHeader& header,
-                                  const std::vector<std::uint8_t>& body) {
-  Client& client = clients_.at(id);
-  net::Hello hello;
-  const std::string error = net::check_hello(header, body, config_.auth_token,
-                                             "esched-coordinator", hello);
-  if (!error.empty()) {
-    obs::log_warn("svc.coordinator", "rejecting client",
-                  {{"client", id}, {"reason", error}});
-    bump("svc.clients_rejected");
-    client.conn.send(wire::encode_frame(wire::FrameType::kError, 0, 0,
-                                        wire::encode_error(error)));
-    client.closing = true;
-    return;
-  }
-  net::Welcome welcome;
-  welcome.protocol = net::kNetProtocolVersion;
-  welcome.slots = static_cast<std::uint32_t>(fleet_.ready_slots());
-  client.handshaken = true;
-  send_client(id, wire::encode_frame(wire::FrameType::kWelcome, 0, 0,
-                                     net::encode_welcome(welcome)));
 }
 
 void Coordinator::on_submit(std::uint64_t id,
@@ -241,7 +158,7 @@ void Coordinator::on_submit(std::uint64_t id,
   try {
     request = wire::decode_submit(body);
   } catch (const Error& e) {
-    drop_client(id, "protocol corruption (" + std::string(e.what()) + ")");
+    sessions_.close(id, "protocol corruption (" + std::string(e.what()) + ")");
     return;
   }
   bump("svc.submits");
@@ -314,7 +231,7 @@ void Coordinator::on_attach(std::uint64_t id,
   try {
     sweep_id = wire::decode_attach(body);
   } catch (const Error& e) {
-    drop_client(id, "protocol corruption (" + std::string(e.what()) + ")");
+    sessions_.close(id, "protocol corruption (" + std::string(e.what()) + ")");
     return;
   }
   bump("svc.attaches");
@@ -333,29 +250,16 @@ void Coordinator::on_attach(std::uint64_t id,
 void Coordinator::attach_client(std::uint64_t id,
                                 const std::string& sweep_id) {
   Sweep& sweep = sweeps_.at(sweep_id);
-  if (sweep.client != 0 && sweep.client != id) {
-    const auto old = clients_.find(sweep.client);
-    if (old != clients_.end()) old->second.sweep_id.clear();
-  }
   sweep.client = id;
-  clients_.at(id).sweep_id = sweep_id;
   for (std::size_t i = 0; i < sweep.keys.size(); ++i) {
     if (!sweep.delivered[i]) continue;
-    send_cell_done(id, i, sweep.keys[i]);
-    if (clients_.count(id) == 0) return;  // send failure dropped it
+    if (!send_cell_done(id, i, sweep.keys[i])) return;  // session dropped
   }
   if (sweep.done) send_sweep_done(id, sweep);
 }
 
-bool Coordinator::send_client(std::uint64_t id,
-                              const std::vector<std::uint8_t>& frame) {
-  if (clients_.at(id).conn.send(frame)) return true;
-  drop_client(id, "send failed");
-  return false;
-}
-
 void Coordinator::send_error(std::uint64_t id, const std::string& message) {
-  send_client(id, wire::encode_frame(wire::FrameType::kError, 0, 0,
+  sessions_.send(id, wire::encode_frame(wire::FrameType::kError, 0, 0,
                                      wire::encode_error(message)));
 }
 
@@ -364,19 +268,18 @@ void Coordinator::send_sweep_done(std::uint64_t id, const Sweep& sweep) {
   done.total = static_cast<std::uint64_t>(sweep.keys.size());
   done.simulated = sweep.simulated;
   done.journal_hits = sweep.journal_hits;
-  send_client(id, wire::encode_frame(wire::FrameType::kSweepDone, 0, 0,
-                                     wire::encode_sweep_done(done)));
+  sessions_.send(id, wire::encode_frame(wire::FrameType::kSweepDone, 0, 0,
+                                        wire::encode_sweep_done(done)));
 }
 
-void Coordinator::send_cell_done(std::uint64_t client, std::size_t index,
+bool Coordinator::send_cell_done(std::uint64_t client, std::size_t index,
                                  const std::string& key) {
-  const auto it = clients_.find(client);
-  if (it == clients_.end() || it->second.closing) return;
   // The stored bytes are the worker's encode_result output, verbatim —
   // the client's decode sees exactly what a fresh simulation produced.
-  send_client(client, wire::encode_frame(wire::FrameType::kCellDone,
-                                         static_cast<std::uint32_t>(index),
-                                         0, store_.at(key)));
+  return sessions_.send(client,
+                        wire::encode_frame(wire::FrameType::kCellDone,
+                                           static_cast<std::uint32_t>(index),
+                                           0, store_.at(key)));
 }
 
 void Coordinator::maybe_finish_sweep(const std::string& sweep_id) {
@@ -402,34 +305,7 @@ void Coordinator::fail_sweep(const std::string& sweep_id,
     std::erase_if(cell.waiters,
                   [&](const auto& w) { return w.first == sweep_id; });
   }
-  if (client != 0 && clients_.count(client) != 0) {
-    clients_.at(client).sweep_id.clear();
-    send_error(client, message);
-  }
-}
-
-void Coordinator::drop_client(std::uint64_t id, const std::string& why) {
-  const auto it = clients_.find(id);
-  if (it == clients_.end()) return;
-  obs::log_debug("svc.coordinator", "client dropped",
-                 {{"client", id}, {"reason", why}});
-  // The sweep outlives the connection: it keeps running detached and the
-  // client resumes it later with kAttach.
-  if (!it->second.sweep_id.empty()) {
-    const auto sweep = sweeps_.find(it->second.sweep_id);
-    if (sweep != sweeps_.end() && sweep->second.client == id) {
-      sweep->second.client = 0;
-    }
-  }
-  clients_.erase(it);
-}
-
-void Coordinator::reap_closed() {
-  std::vector<std::uint64_t> done;
-  for (auto& [id, client] : clients_) {
-    if (client.closing && !client.conn.wants_write()) done.push_back(id);
-  }
-  for (const std::uint64_t id : done) drop_client(id, "rejected");
+  if (client != 0) send_error(client, message);
 }
 
 // ---- work management --------------------------------------------------
@@ -568,7 +444,7 @@ OpsHealth Coordinator::ops_health() const {
   health.journal_path = journal_.path();
   health.journal_bytes = journal_.bytes();
   health.journal_entries = journal_.entries();
-  health.clients = clients_.size();
+  health.clients = sessions_.size();
   // An operator probing /healthz wants one bit: is this fleet able to
   // make progress? Dead agents (permanent rejections) mean it may not.
   health.ok = journal_.is_open();
@@ -607,24 +483,6 @@ OpsSweeps Coordinator::ops_sweeps() const {
     out.sweeps.push_back(std::move(info));
   }
   return out;
-}
-
-obs::HttpResponse Coordinator::handle_http(const obs::HttpRequest& request) {
-  obs::HttpResponse resp;
-  if (request.target == "/metrics") {
-    resp.body = obs::render_prometheus(obs::Registry::global().snapshot());
-    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  } else if (request.target == "/healthz") {
-    resp.body = render_healthz(ops_health());
-    resp.content_type = "application/json";
-  } else if (request.target == "/sweeps") {
-    resp.body = render_sweeps(ops_sweeps());
-    resp.content_type = "application/json";
-  } else {
-    resp.status = 404;
-    resp.body = "unknown path (try /metrics, /healthz, /sweeps)\n";
-  }
-  return resp;
 }
 
 }  // namespace esched::svc

@@ -7,8 +7,9 @@
 // cell to disk (svc/journal.hpp), keyed by the canonical run::cell_key:
 //
 //  * Clients connect over the same run/wire frame protocol the fleet
-//    speaks: kHello (auth token) -> kWelcome, then kSubmit carrying a
-//    sweep id plus the full JobSpec grid. The coordinator answers one
+//    speaks, served by net::SessionServer like esched-agentd's peers:
+//    kHello (auth token) -> kWelcome, then kSubmit carrying a sweep id
+//    plus the full JobSpec grid. The coordinator answers one
 //    kCellDone per grid index (payload: the cell's SimResult bytes,
 //    verbatim as journaled) and a final kSweepDone with the
 //    simulated/journal-hit split.
@@ -42,8 +43,7 @@
 #include <vector>
 
 #include "net/agent_fleet.hpp"
-#include "net/frame_io.hpp"
-#include "net/socket.hpp"
+#include "net/session_server.hpp"
 #include "obs/http_exposition.hpp"
 #include "run/endpoint.hpp"
 #include "run/fault.hpp"
@@ -54,11 +54,11 @@
 namespace esched::svc {
 
 /// Daemon knobs: the shared fleet knobs (whose auth_token is also
-/// required of every client kHello; "" = no auth either way) plus the
-/// service's own.
-struct CoordinatorConfig : net::FleetConfig {
-  std::string bind_host = "127.0.0.1";
-  std::uint16_t port = 9655;  ///< 0 picks an ephemeral port
+/// required of every client kHello; "" = no auth either way), where the
+/// daemon listens (the serving shell's options, default port 9655) and
+/// the journal.
+struct CoordinatorConfig : net::FleetConfig, net::ServeOptions {
+  CoordinatorConfig() { port = 9655; }
   /// Result journal path. Must be non-empty; created if absent,
   /// replayed and healed on start.
   std::string journal_path;
@@ -68,27 +68,21 @@ struct CoordinatorConfig : net::FleetConfig {
   /// get a nudge before replay time and disk use become a problem.
   /// 0 disables the warning.
   std::uint64_t journal_warn_bytes = 1ull << 30;
-  /// Operational HTTP plane (/metrics, /healthz, /sweeps). Off by
-  /// default; enabling it cannot change sweep results — the endpoints
-  /// only *read* state between poll dispatches. http_port 0 picks an
-  /// ephemeral port (printed on the ready line).
-  bool http_enabled = false;
-  std::uint16_t http_port = 0;
 };
 
 /// The daemon. start() binds and replays the journal; serve() runs the
 /// poll loop forever (the process is stopped by signal — SIGKILL is the
 /// *tested* shutdown path, that's the point of the journal).
-class Coordinator : private net::FleetOwner {
+class Coordinator : private net::FleetOwner, private net::SessionOwner {
  public:
   explicit Coordinator(CoordinatorConfig config);
-  // fleet_ holds this object's address.
+  // sessions_ and fleet_ hold this object's address.
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Bind the listener, open + replay the journal, arm the fleet.
-  /// Returns the bound port (for --port 0). Throws esched::Error on
-  /// config/bind/journal errors.
+  /// Start the HTTP plane (when enabled), open + replay the journal,
+  /// bind the listener. Returns the bound port (for --port 0). Throws
+  /// esched::Error on config/bind/journal errors.
   std::uint16_t start();
 
   [[noreturn]] void serve();
@@ -111,16 +105,6 @@ class Coordinator : private net::FleetOwner {
  private:
   using Clock = run::EndpointClock;
 
-  /// One client connection (handshake -> submit/attach -> streamed
-  /// kCellDone). Mirrors the agentd's Client.
-  struct Client {
-    net::FrameConn conn;
-    bool handshaken = false;
-    bool closing = false;      ///< flush a rejection, then close
-    std::string sweep_id;      ///< attached sweep ("" before submit)
-    explicit Client(net::Fd fd) : conn(std::move(fd)) {}
-  };
-
   /// One distinct cell (by cell_key) somewhere between queued and
   /// journaled. Carries its own attempt budget (the TaskLedger
   /// bookkeeping, inlined because cells come and go dynamically).
@@ -138,7 +122,7 @@ class Coordinator : private net::FleetOwner {
   /// One submitted sweep, resumable by id.
   struct Sweep {
     std::vector<std::string> keys;  ///< cell_key per grid index
-    std::uint64_t client = 0;       ///< attached client (0 = detached)
+    std::uint64_t client = 0;       ///< attached session (0 = detached)
     std::vector<bool> delivered;    ///< per grid index
     std::size_t delivered_count = 0;
     std::uint64_t simulated = 0;     ///< distinct cells simulated fresh
@@ -147,26 +131,21 @@ class Coordinator : private net::FleetOwner {
     Clock::time_point submitted_at{};  ///< for /sweeps elapsed + ETA
   };
 
-  // Poll loop plumbing.
   int next_timeout_ms(Clock::time_point now) const;
-  void accept_clients();
-  void on_client_event(std::uint64_t id, short revents);
-  void process_client_frames(std::uint64_t id);
-  void drop_client(std::uint64_t id, const std::string& why);
-  void reap_closed();
+
+  // Client sessions (net::SessionOwner).
+  std::size_t welcome_slots() const override;
+  void on_session_frame(std::uint64_t id, const run::wire::FrameHeader& header,
+                        std::vector<std::uint8_t>& body) override;
+  void on_session_closed(std::uint64_t id, const std::string& why) override;
 
   // Client protocol.
-  void on_client_hello(std::uint64_t id, const run::wire::FrameHeader& header,
-                       const std::vector<std::uint8_t>& body);
   void on_submit(std::uint64_t id, const std::vector<std::uint8_t>& body);
   void on_attach(std::uint64_t id, const std::vector<std::uint8_t>& body);
   void attach_client(std::uint64_t id, const std::string& sweep_id);
-  /// Queue `frame` to client `id`, dropping the client when the send
-  /// fails; false when it was dropped.
-  bool send_client(std::uint64_t id, const std::vector<std::uint8_t>& frame);
   void send_error(std::uint64_t id, const std::string& message);
   void send_sweep_done(std::uint64_t id, const Sweep& sweep);
-  void send_cell_done(std::uint64_t client, std::size_t index,
+  bool send_cell_done(std::uint64_t client, std::size_t index,
                       const std::string& key);
   void maybe_finish_sweep(const std::string& sweep_id);
   void fail_sweep(const std::string& sweep_id, const std::string& message);
@@ -182,18 +161,13 @@ class Coordinator : private net::FleetOwner {
   void on_error(std::size_t task, const std::string& message) override;
   void fail_cell(const std::string& key, const std::string& message);
 
-  obs::HttpResponse handle_http(const obs::HttpRequest& request);
-
   CoordinatorConfig config_;
   run::RetryPolicy retry_;
-  net::Fd listener_;
+  net::SessionServer sessions_;
   Journal journal_;
   obs::HttpServer http_;
   net::AgentFleet fleet_;
   Clock::time_point started_at_{};
-
-  std::map<std::uint64_t, Client> clients_;
-  std::uint64_t next_client_id_ = 1;
 
   std::map<std::string, std::vector<std::uint8_t>> store_;  ///< key -> result
   std::map<std::string, Cell> cells_;  ///< key -> queued/in-flight work

@@ -11,14 +11,13 @@
 // client, or a previous incarnation — dedupe against the journal and
 // cost zero fleet work.
 //
-// stdout carries exactly one machine-readable line:
-//   esched-coordinator: ready bind=<host> port=<port> agents=<n> [http=<port>]
-// (tests parse "port=" to discover an ephemeral --port 0, and "http="
-// for the operational plane). Diagnostics go to the structured log
-// (stderr by default; see --log-out / ESCHED_LOG_LEVEL).
+// stdout carries one ready line (net::print_ready_line), with
+// agents=<n>; diagnostics go to the structured log.
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
+#include "net/session_server.hpp"
 #include "net/socket.hpp"
 #include "obs/log.hpp"
 #include "svc/coordinator.hpp"
@@ -30,6 +29,7 @@ namespace {
 using namespace esched;
 
 constexpr int kConfigError = 2;
+constexpr const char* kDaemon = "esched-coordinator";
 
 [[noreturn]] void usage(int code) {
   std::fputs(
@@ -80,11 +80,6 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
     usage(kConfigError);
   }
   svc::CoordinatorConfig config;
-  config.bind_host = args.get_or("bind", config.bind_host);
-  const long long port = args.get_int_or("port", config.port);
-  ESCHED_REQUIRE(port >= 0 && port <= 65535,
-                 "esched-coordinator: --port must be in [0, 65535]");
-  config.port = static_cast<std::uint16_t>(port);
   const char* env_agents = std::getenv("ESCHED_AGENTS");
   config.agents = net::parse_agent_list(
       args.get_or("agents", env_agents != nullptr ? env_agents : ""));
@@ -94,9 +89,6 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   ESCHED_REQUIRE(warn_bytes >= 0,
                  "esched-coordinator: --journal-warn-bytes must be >= 0");
   config.journal_warn_bytes = static_cast<std::uint64_t>(warn_bytes);
-  const char* env_token = std::getenv("ESCHED_AUTH_TOKEN");
-  config.auth_token =
-      args.get_or("token", env_token != nullptr ? env_token : "");
   const long long attempts = args.get_int_or("max-attempts", 3);
   ESCHED_REQUIRE(attempts >= 1 && attempts <= 100,
                  "esched-coordinator: --max-attempts must be in [1, 100]");
@@ -104,22 +96,7 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   config.task_timeout_seconds = args.get_double_or("task-timeout", 0.0);
   ESCHED_REQUIRE(config.task_timeout_seconds >= 0.0,
                  "esched-coordinator: --task-timeout must be >= 0");
-  const char* env_http = std::getenv("ESCHED_HTTP_PORT");
-  if (args.has("http-port") || (env_http != nullptr && *env_http != '\0')) {
-    const long long http_port = args.get_int_or(
-        "http-port", env_http != nullptr ? std::atoll(env_http) : 0);
-    ESCHED_REQUIRE(http_port >= 0 && http_port <= 65535,
-                   "esched-coordinator: --http-port must be in [0, 65535]");
-    config.http_enabled = true;
-    config.http_port = static_cast<std::uint16_t>(http_port);
-  }
-
-  obs::init_log_from_env();
-  if (args.has("verbose") && std::getenv("ESCHED_LOG_LEVEL") == nullptr) {
-    obs::set_log_level(obs::LogLevel::kDebug);
-  }
-  const std::string log_out = args.get_or("log-out", "");
-  if (!log_out.empty()) obs::set_log_file(log_out);
+  net::parse_serve_options(args, kDaemon, config, config.auth_token);
   return config;
 }
 
@@ -129,21 +106,11 @@ int main(int argc, char** argv) {
   try {
     svc::CoordinatorConfig config = parse_options(argc, argv);
     const std::string bind_host = config.bind_host;
-    const std::size_t agent_count = config.agents.size();
-    const bool http_enabled = config.http_enabled;
+    const std::string agents = "agents=" + std::to_string(config.agents.size());
     svc::Coordinator coordinator(std::move(config));
     const std::uint16_t port = coordinator.start();
-    if (http_enabled) {
-      std::printf(
-          "esched-coordinator: ready bind=%s port=%u agents=%zu http=%u\n",
-          bind_host.c_str(), static_cast<unsigned>(port), agent_count,
-          static_cast<unsigned>(coordinator.http_port()));
-    } else {
-      std::printf("esched-coordinator: ready bind=%s port=%u agents=%zu\n",
-                  bind_host.c_str(), static_cast<unsigned>(port),
-                  agent_count);
-    }
-    std::fflush(stdout);
+    net::print_ready_line(kDaemon, bind_host, port, agents,
+                          coordinator.http_port());
     coordinator.serve();
   } catch (const std::exception& e) {
     obs::log_error("svc.coordinator", "fatal", {{"error", e.what()}});

@@ -233,7 +233,7 @@ TEST(WireTest, TelemetryRejectsEveryCorruptionClass) {
 
   // Truncation mid-structure.
   std::vector<std::uint8_t> cut = encode_telemetry(sample_telemetry());
-  cut.resize(cut.size() - 3);
+  cut.erase(cut.end() - 3, cut.end());
   EXPECT_THROW(decode_telemetry(cut), Error);
 
   // Trailing bytes: the two sides disagree about the encoding.
@@ -288,7 +288,7 @@ TEST(WireTest, SubmitRequestRoundTripsExactly) {
   }
   // Truncation must throw, not decode a shorter grid.
   auto bytes = encode_submit(request);
-  bytes.resize(bytes.size() - 3);
+  bytes.erase(bytes.end() - 3, bytes.end());
   EXPECT_THROW(decode_submit(bytes), Error);
 }
 
