@@ -28,15 +28,20 @@ namespace wire = run::wire;
 /// in run/proc.cpp.
 class FleetRun final : public FleetOwner {
  public:
+  /// With a telemetry sink, every task carries a trace context so the
+  /// remote simulate span (flow id = parent_span_id) stitches under this
+  /// sweep's dispatch spans.
   FleetRun(const DistributedPoolConfig& config,
-           const std::vector<run::JobSpec>& cells, run::SweepStats& stats,
+           const std::vector<run::JobSpec>& sweep, run::SweepStats& stats,
            const run::ProgressCallback& progress, obs::Tracer* tracer,
            obs::FleetAggregator* telemetry)
       : stats_(stats),
         tracer_(tracer),
-        tasks_(cells, run::retry_policy(config), config.agents.size(),
-               "net.task", stats, progress),
-        fleet_(config, config.connect_attempts, *this, tracer, telemetry) {}
+        tasks_(sweep, run::retry_policy(config), "net.task", stats, progress,
+               /*stamp_trace=*/telemetry != nullptr),
+        fleet_(config, config.connect_attempts, *this, tracer, telemetry) {
+    tasks_.set_lanes(config.agents.size());
+  }
   /// Close every connection, on success and on any failure alike — the
   /// agents then discard orphaned work — and capture the fleet picture
   /// (slot total, per-agent liveness) for last_stats().
@@ -64,17 +69,13 @@ class FleetRun final : public FleetOwner {
   bool on_result(std::size_t agent, const run::Endpoint& slot,
                  std::vector<std::uint8_t> bytes,
                  Clock::time_point now) override {
-    sim::SimResult result;
-    try {
-      result = wire::decode_result(bytes);
-    } catch (const Error&) {
-      return false;
-    }
     const std::size_t task = slot.task;
+    const std::chrono::duration<double> seconds = now - slot.dispatched;
+    if (!tasks_.complete(task, bytes, seconds.count(), agent)) return false;
     const std::uint32_t track =
         AgentFleet::kTrackBase + static_cast<std::uint32_t>(agent);
     if (tracer_ != nullptr && tracer_->enabled()) {
-      const run::JobSpec& cell = tasks_.cell(task);
+      const run::JobSpec& cell = tasks_.leader(task);
       tracer_->complete_span(
           "cell:" + (cell.label.empty() ? std::to_string(task) : cell.label) +
               "#" + std::to_string(slot.attempt),
@@ -87,8 +88,6 @@ class FleetRun final : public FleetOwner {
                             track, slot.dispatched);
       }
     }
-    const std::chrono::duration<double> seconds = now - slot.dispatched;
-    tasks_.complete(task, std::move(result), seconds.count(), agent);
     return true;
   }
 
@@ -161,28 +160,15 @@ bool DistributedPool::any_agent_reachable(const std::vector<HostPort>& agents,
 
 std::vector<sim::SimResult> DistributedPool::run(
     const std::vector<run::JobSpec>& sweep) {
-  return run::run_deduplicated(
-      sweep, stats_, progress_,
-      [this](std::vector<run::JobSpec>& cells,
-             const run::ProgressCallback& progress) {
-        ESCHED_REQUIRE(!config_.agents.empty(),
-                       "DistributedPool: no agents configured (pass "
-                       "DistributedPoolConfig::agents or set ESCHED_AGENTS)");
-        if (fleet_ != nullptr) {
-          // Stamp each dispatched cell with a trace context so the remote
-          // simulate span (flow id = parent_span_id) stitches under this
-          // sweep's dispatch spans. Done on the deduplicated copy: trace
-          // ids are excluded from cell_key, and results must not depend
-          // on whether telemetry is on.
-          for (std::size_t k = 0; k < cells.size(); ++k) {
-            cells[k].trace_id = 1;
-            cells[k].parent_span_id = static_cast<std::uint64_t>(k) + 1;
-          }
-        }
-        run::SigpipeGuard sigpipe;
-        return FleetRun(config_, cells, stats_, progress, tracer_, fleet_)
-            .run();
-      });
+  if (sweep.empty()) {
+    stats_ = run::SweepStats{};
+    return {};
+  }
+  ESCHED_REQUIRE(!config_.agents.empty(),
+                 "DistributedPool: no agents configured (pass "
+                 "DistributedPoolConfig::agents or set ESCHED_AGENTS)");
+  run::SigpipeGuard sigpipe;
+  return FleetRun(config_, sweep, stats_, progress_, tracer_, fleet_).run();
 }
 
 }  // namespace esched::net

@@ -6,12 +6,12 @@
 // locks, no signal handlers (SIGPIPE ignored for the duration of run()).
 // The agent lifecycle (handshake, heartbeats, task deadlines, reconnect
 // backoff, corruption handling) is net::AgentFleet's, shared with the
-// esched-coordinator daemon; the pool owns the per-run TaskLedger, result
-// decoding and progress. Its failure model is the subprocess
-// supervisor's: a lost connection or kFail requeues the attempt under
-// the ledger's budget, a kError fails the sweep fast, and an agent that
-// fails `connect_attempts` consecutive connects is abandoned — the sweep
-// fails only when *no* usable agent remains.
+// esched-coordinator daemon; the pool owns the per-run tasks (one per share
+// group, run::PoolRun), result decoding and progress. Its failure model is the
+// subprocess supervisor's: a lost connection or kFail requeues the attempt
+// under the ledger's budget, a kError fails the sweep fast, and an agent that
+// fails `connect_attempts` consecutive connects is abandoned — the sweep fails
+// only when *no* usable agent remains.
 //
 // Determinism: cells are rebuilt from declarative JobSpecs by whichever
 // agent runs them, results are stored by submission index, and retried

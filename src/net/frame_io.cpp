@@ -51,7 +51,7 @@ FrameConn::ReadStatus FrameConn::fill() {
     frames_.append(chunk, static_cast<std::size_t>(n));
     bytes_rx_ += static_cast<std::uint64_t>(n);
     obs::bump("net.bytes_rx", static_cast<std::uint64_t>(n));
-    if (static_cast<std::size_t>(n) < sizeof chunk || frames_.full()) {
+    if (static_cast<std::size_t>(n) < sizeof chunk || frames_.ready()) {
       return ReadStatus::kOk;
     }
   }

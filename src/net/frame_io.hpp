@@ -9,10 +9,10 @@
 //    return EAGAIN. FrameConn keeps an outbound byte queue and flushes it
 //    whenever poll() reports writability, so callers enqueue whole frames
 //    and never block.
-//  * Partial *reads*, explicitly surfaced. fill() drains whatever the
-//    kernel has and feeds the FrameAssembler; frames() then yields
-//    complete CRC-verified frames, however the bytes were chunked by the
-//    network (net_frame_test reassembles byte-by-byte).
+//  * Partial *reads*, explicitly surfaced. fill() reads until the
+//    FrameAssembler holds one complete frame (or the kernel has no more);
+//    frames() then yields complete CRC-verified frames, however the bytes
+//    were chunked by the network (net_frame_test reassembles byte-by-byte).
 //
 // Byte counters: every read/write is accounted to the net.bytes_rx /
 // net.bytes_tx obs counters (gated, like every obs site).
@@ -51,7 +51,8 @@ class FrameConn {
   };
 
   /// Drain readable bytes into the frame assembler (on POLLIN), stopping
-  /// early once the assembler is full() (FrameAssembler::limit_payload).
+  /// early once a frame is ready() there; the caller extracts it and polls
+  /// again for the rest.
   ReadStatus fill();
 
   /// The reassembly buffer fill() feeds; call next() on it to extract

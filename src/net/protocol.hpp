@@ -15,9 +15,10 @@
 // both sides; the frame-level wire::kVersion is checked per frame as
 // always.
 //
-// After the handshake: the coordinator sends kJob frames (at most
-// `slots` in flight) and kPing heartbeats (task_id carries a sequence
-// number the kPong echoes); the agent answers kResult (success), kError
+// After the handshake: the coordinator sends kJob frames, one share
+// group task each (at most `slots` in flight), and kPing heartbeats
+// (task_id carries a sequence number the kPong echoes); the agent
+// answers kResult (the task's per-member outcomes), kError
 // (deterministic failure — coordinator fails fast), or kFail (transient
 // failure at the agent, e.g. its esched-worker died — coordinator
 // requeues the attempt). Either side closing the socket ends the
@@ -36,11 +37,13 @@ namespace esched::net {
 inline constexpr std::uint32_t kNetMagic = 0x45534e31u;
 
 /// Session protocol version; bumped when handshake/heartbeat/kFail
-/// semantics change incompatibly. v2 added Hello::flags and
-/// Welcome::steady_nanos (fleet telemetry + clock alignment); v3 added
-/// Hello::token (shared-secret authentication for agents/coordinators
-/// on untrusted networks).
-inline constexpr std::uint32_t kNetProtocolVersion = 3;
+/// semantics or the kJob/kResult payloads change incompatibly. v2 added
+/// Hello::flags and Welcome::steady_nanos (fleet telemetry + clock
+/// alignment); v3 added Hello::token (shared-secret authentication for
+/// agents/coordinators on untrusted networks); v4 made a kJob a share
+/// group task and a kResult its per-member outcomes (run/wire.hpp), so
+/// a peer still on v3 is rejected at the handshake.
+inline constexpr std::uint32_t kNetProtocolVersion = 4;
 
 /// Hello::flags bits.
 inline constexpr std::uint32_t kHelloFlagTelemetry = 1u << 0;

@@ -190,13 +190,16 @@ std::unique_ptr<PricingModel> make_pricing_by_name(const std::string& name,
                                                    Money off_peak_price,
                                                    double ratio,
                                                    DurationSec tz_offset) {
-  if (name == "paper" || name == "onoff") {
-    return std::make_unique<OnOffPeakPricing>(
-        off_peak_price, ratio, 12 * kSecondsPerHour, kSecondsPerDay,
-        /*weekends_off_peak=*/false, tz_offset);
-  }
+  require_pricing_name(name);
   // A flat tariff has no daily structure for an offset to shift.
   if (name == "flat") return std::make_unique<FlatPricing>(off_peak_price);
+  return std::make_unique<OnOffPeakPricing>(
+      off_peak_price, ratio, 12 * kSecondsPerHour, kSecondsPerDay,
+      /*weekends_off_peak=*/false, tz_offset);
+}
+
+void require_pricing_name(const std::string& name) {
+  if (name == "paper" || name == "onoff" || name == "flat") return;
   throw Error("unknown pricing name \"" + name +
               "\" (known: paper, onoff, flat)");
 }

@@ -161,4 +161,9 @@ std::unique_ptr<PricingModel> make_pricing_by_name(const std::string& name,
                                                    double ratio,
                                                    DurationSec tz_offset = 0);
 
+/// Throw the esched::Error make_pricing_by_name throws unless `name` is
+/// one of its known names — for code that keys on a tariff name without
+/// constructing the tariff (run::share_key).
+void require_pricing_name(const std::string& name);
+
 }  // namespace esched::power

@@ -38,9 +38,32 @@ FrameAssembler::Status FrameAssembler::next(wire::FrameHeader& header,
     corrupt_reason = "payload CRC mismatch";
     return Status::kCorrupt;
   }
+  if (buf_.size() == frame_size && buf_.capacity() < 2 * frame_size) {
+    // Exactly one frame buffered, in a buffer sized for it (the common
+    // case): hand the buffer over instead of copying it, so a large
+    // answer is held once, by its receiver, and no frame-sized capacity
+    // stays behind here. A buffer a burst of frames grew stays for the
+    // next burst.
+    buf_.erase(buf_.begin(), buf_.begin() + wire::kHeaderSize);
+    payload.swap(buf_);
+    buf_.clear();
+    return Status::kFrame;
+  }
   payload.assign(body, body + header.payload_size);
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(frame_size));
   return Status::kFrame;
+}
+
+bool FrameAssembler::ready() const {
+  if (buf_.size() < wire::kHeaderSize) return false;
+  wire::FrameHeader header;
+  try {
+    header = wire::decode_header(buf_.data());
+  } catch (const Error&) {
+    return true;
+  }
+  return header.payload_size > limit_ ||
+         buf_.size() >= wire::kHeaderSize + header.payload_size;
 }
 
 double RetryPolicy::backoff_seconds(std::uint32_t attempts_made) const {

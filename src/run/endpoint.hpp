@@ -70,10 +70,12 @@ class FrameAssembler {
   /// wire::kMaxPayload). A server lowers it until a peer authenticates.
   void limit_payload(std::uint32_t limit) { limit_ = limit; }
 
-  /// True when more bytes are buffered than one frame within the limit
-  /// can span: the reader stops reading until next() has looked at them,
-  /// so an oversized frame's body is never buffered.
-  bool full() const { return buf_.size() > wire::kHeaderSize + limit_; }
+  /// True when next() needs no more bytes to decide about the frame at
+  /// the front: it is complete, or its header is already bad or over the
+  /// limit. A reader stops reading here until next() has looked at it, so
+  /// the buffer holds one frame plus at most one read, however fast the
+  /// peer sends, and an oversized frame's body is never buffered.
+  bool ready() const;
 
   /// True when bytes of an incomplete frame are buffered (distinguishes
   /// "EOF between frames" from "EOF mid-frame").

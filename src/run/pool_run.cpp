@@ -6,6 +6,7 @@
 
 #include "obs/registry.hpp"
 #include "run/wire.hpp"
+#include "util/error.hpp"
 
 namespace esched::run {
 
@@ -15,22 +16,66 @@ double seconds_since(EndpointClock::time_point start) {
   return std::chrono::duration<double>(EndpointClock::now() - start).count();
 }
 
+/// The sharing plan of `sweep`, one task per group, after resetting
+/// `stats` with it.
+std::vector<ShareGroup> plan(const std::vector<JobSpec>& sweep,
+                             SweepStats& stats) {
+  std::vector<ShareGroup> groups = plan_groups(
+      sweep, SweepRunner::prefix_sharing_default(), wire::kMaxTaskMembers);
+  stats = SweepStats{};
+  stats.tasks = sweep.size();
+  stats.count_sharing(groups);
+  return groups;
+}
+
+/// A member's spec as task `task` ships it: with the trace context
+/// (1, task + 1) when `stamp` asks for it.
+JobSpec task_spec(const JobSpec& spec, std::size_t task, bool stamp) {
+  JobSpec out = spec;
+  if (stamp) {
+    out.trace_id = 1;
+    out.parent_span_id = static_cast<std::uint64_t>(task) + 1;
+  }
+  return out;
+}
+
+std::vector<JobSpec> leaders_of(const std::vector<JobSpec>& sweep,
+                                const std::vector<ShareGroup>& groups,
+                                bool stamp) {
+  std::vector<JobSpec> leaders;
+  leaders.reserve(groups.size());
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    leaders.push_back(task_spec(sweep[groups[k].members.front()], k, stamp));
+  }
+  return leaders;
+}
+
 }  // namespace
 
-PoolRun::PoolRun(const std::vector<JobSpec>& cells, const RetryPolicy& retry,
-                 std::size_t lanes, const char* task_timer, SweepStats& stats,
-                 const ProgressCallback& progress)
-    : cells_(cells),
+PoolRun::PoolRun(const std::vector<JobSpec>& sweep, const RetryPolicy& retry,
+                 const char* task_timer, SweepStats& stats,
+                 const ProgressCallback& progress, bool stamp_trace)
+    : sweep_(sweep),
       task_timer_(task_timer),
       stats_(stats),
       progress_(progress),
-      results_(cells.size()),
+      groups_(plan(sweep, stats)),
+      leaders_(leaders_of(sweep, groups_, stamp_trace)),
+      results_(sweep.size()),
       wall_start_(EndpointClock::now()),
-      ledger_(cells, retry, wall_start_) {
-  payloads_.reserve(cells.size());
-  for (const JobSpec& spec : cells) {
-    payloads_.push_back(wire::encode_job(spec));  // throws on bad spec
+      ledger_(leaders_, retry, wall_start_) {
+  payloads_.reserve(groups_.size());
+  for (std::size_t k = 0; k < groups_.size(); ++k) {
+    std::vector<JobSpec> members;
+    members.reserve(groups_[k].members.size());
+    for (const std::size_t i : groups_[k].members) {
+      members.push_back(task_spec(sweep[i], k, stamp_trace));
+    }
+    payloads_.push_back(wire::encode_task(members));  // throws on bad spec
   }
+}
+
+void PoolRun::set_lanes(std::size_t lanes) {
   stats_.worker_busy_seconds.assign(lanes, 0.0);
 }
 
@@ -43,22 +88,62 @@ bool PoolRun::claim(EndpointClock::time_point now, Dispatch& work) {
   return true;
 }
 
-void PoolRun::complete(std::size_t task, sim::SimResult result,
-                       double seconds, std::size_t lane) {
+bool PoolRun::complete(std::size_t task,
+                       const std::vector<std::uint8_t>& reply, double seconds,
+                       std::size_t lane) {
+  const ShareGroup& group = groups_[task];
+  std::vector<wire::Outcome> outcomes;
+  try {
+    outcomes = wire::decode_outcomes(reply);
+  } catch (const Error&) {
+    return false;
+  }
+  if (outcomes.size() != group.members.size()) return false;
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    if (outcomes[k].ok) continue;
+    // Deterministic failure: retrying reruns the same simulation.
+    ledger_.fail_deterministic(
+        task, k == 0 ? outcomes[k].error
+                     : "member \"" + sweep_[group.members[k]].label +
+                           "\": " + outcomes[k].error);
+  }
+  std::vector<sim::SimResult> produced;
+  produced.reserve(outcomes.size());
+  try {
+    for (const wire::Outcome& o : outcomes) {
+      produced.push_back(wire::decode_result(o.result));
+    }
+  } catch (const Error&) {
+    return false;
+  }
+
   if (obs::counters_enabled()) {
     obs::Registry::global().timer(task_timer_).record(
         static_cast<std::uint64_t>(seconds * 1e9));
   }
-  results_[task] = std::move(result);
+  obs::bump("pool.cells_rebilled", group.members.size() - 1);
   ledger_.complete(task);
   task_seconds_.push_back(seconds);
   stats_.worker_busy_seconds[lane] += seconds;
-  if (progress_) {
-    SweepProgress p;  // run_deduplicated fills in total and eta
-    p.done = ledger_.done_count();
+  const auto settle = [&](std::size_t cell, sim::SimResult result) {
+    results_[cell] = std::move(result);
+    ++cells_done_;
+    if (!progress_) return;
+    SweepProgress p;
+    p.done = cells_done_;
+    p.total = results_.size();
     p.elapsed_seconds = seconds_since(wall_start_);
+    p.eta_seconds = p.elapsed_seconds / static_cast<double>(p.done) *
+                    static_cast<double>(p.total - p.done);
     progress_(p);
+  };
+  for (const ShareGroup::Copy& copy : group.copies) {
+    settle(copy.cell, produced[copy.member]);
   }
+  for (std::size_t k = 0; k < produced.size(); ++k) {
+    settle(group.members[k], std::move(produced[k]));
+  }
+  return true;
 }
 
 std::vector<sim::SimResult> PoolRun::finish() {
@@ -78,57 +163,6 @@ std::vector<sim::SimResult> PoolRun::finish() {
   // runner's sim latency.
   stats_.sim_latency = latency_stats(task_seconds_);
   return std::move(results_);
-}
-
-std::vector<sim::SimResult> run_deduplicated(
-    const std::vector<JobSpec>& sweep, SweepStats& stats,
-    const ProgressCallback& progress, const RunCells& run_cells) {
-  stats = SweepStats{};
-  stats.tasks = sweep.size();
-  if (sweep.empty()) return {};
-
-  // Trajectory sharing stays in-process only — a leader's recorded power
-  // signal cannot cross the wire — but identical cells never run twice.
-  const CellGroups groups =
-      group_cells(sweep, SweepRunner::prefix_sharing_default());
-  std::vector<JobSpec> uniques;
-  uniques.reserve(groups.unique_indices.size());
-  for (const std::size_t i : groups.unique_indices) {
-    uniques.push_back(sweep[i]);
-  }
-
-  // Progress counts against the caller-visible total; duplicates settle
-  // after the run.
-  ProgressCallback rescaled;
-  if (progress) {
-    rescaled = [&progress, total = sweep.size()](const SweepProgress& inner) {
-      SweepProgress p = inner;
-      p.total = total;
-      p.eta_seconds = p.elapsed_seconds / static_cast<double>(p.done) *
-                      static_cast<double>(total - p.done);
-      progress(p);
-    };
-  }
-  const std::vector<sim::SimResult> unique_results =
-      run_cells(uniques, rescaled);
-
-  const auto settled = EndpointClock::now();
-  std::vector<sim::SimResult> results;
-  results.reserve(sweep.size());
-  std::size_t done = uniques.size();
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    results.push_back(unique_results[groups.rep[i]]);
-    if (groups.unique_indices[groups.rep[i]] == i || !progress) continue;
-    // A duplicate: count it toward progress now that it has a result.
-    SweepProgress p;
-    p.done = ++done;
-    p.total = sweep.size();
-    p.elapsed_seconds = stats.wall_seconds + seconds_since(settled);
-    progress(p);
-  }
-  stats.simulated_cells = uniques.size();
-  stats.copied_cells = sweep.size() - uniques.size();
-  return results;
 }
 
 }  // namespace esched::run

@@ -63,19 +63,19 @@ class ScopedEnv {
 class Supervisor final : public WorkerSlotsOwner {
  public:
   Supervisor(const SubprocessPoolConfig& config, std::string worker_path,
-             const std::vector<JobSpec>& cells, SweepStats& stats,
+             const std::vector<JobSpec>& sweep, SweepStats& stats,
              const ProgressCallback& progress, obs::Tracer* tracer,
              obs::FleetAggregator* fleet)
       : tracer_(tracer),
         fleet_(fleet),
+        tasks_(sweep, retry_policy(config), "pool.task", stats, progress),
         workers_(std::max<std::size_t>(
             1, std::min(config.workers != 0 ? config.workers
                                             : SweepRunner::default_jobs(),
-                        cells.size()))),
-        tasks_(cells, retry_policy(config), workers_, "pool.task", stats,
-               progress),
+                        tasks_.size()))),
         slots_(workers_, std::move(worker_path), config.task_timeout_seconds,
                *this, tracer) {
+    tasks_.set_lanes(workers_);
     stats.threads = workers_;
   }
   // slots_ holds this object's address.
@@ -108,23 +108,17 @@ class Supervisor final : public WorkerSlotsOwner {
       // simulation, so fail the sweep fast with the worker's message.
       tasks_.ledger().fail_deterministic(ep.task, message);
     }
-    sim::SimResult result;
-    try {
-      result = wire::decode_result(body);
-    } catch (const Error&) {
-      return false;
-    }
     const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> seconds = now - ep.dispatched;
+    if (!tasks_.complete(ep.task, body, seconds.count(), slot)) return false;
     if (tracer_ != nullptr && tracer_->enabled()) {
-      const std::string& label = tasks_.cell(ep.task).label;
+      const std::string& label = tasks_.leader(ep.task).label;
       tracer_->complete_span(
           "task:" + (label.empty() ? std::to_string(ep.task) : label) + "#" +
               std::to_string(ep.attempt),
           "pool", ep.dispatched, now,
           WorkerSlots::kTrackBase + static_cast<std::uint32_t>(slot));
     }
-    const std::chrono::duration<double> seconds = now - ep.dispatched;
-    tasks_.complete(ep.task, std::move(result), seconds.count(), slot);
     return true;
   }
 
@@ -191,8 +185,8 @@ class Supervisor final : public WorkerSlotsOwner {
 
   obs::Tracer* tracer_;
   obs::FleetAggregator* fleet_;
-  std::size_t workers_;
   PoolRun tasks_;
+  std::size_t workers_;
   WorkerSlots slots_;
 };
 
@@ -212,25 +206,24 @@ bool SubprocessPool::available() { return !find_worker().empty(); }
 
 std::vector<sim::SimResult> SubprocessPool::run(
     const std::vector<JobSpec>& sweep) {
-  return run_deduplicated(
-      sweep, stats_, progress_,
-      [this](std::vector<JobSpec>& cells, const ProgressCallback& progress) {
-        std::string worker = config_.worker_path;
-        if (worker.empty()) worker = find_worker();
-        ESCHED_REQUIRE(!worker.empty(),
-                       "SubprocessPool: esched-worker binary not found (set "
-                       "ESCHED_WORKER or pass SubprocessPoolConfig::"
-                       "worker_path)");
-        SigpipeGuard sigpipe;
-        // Fleet telemetry rides on the environment: workers spawned during
-        // this run see ESCHED_TELEMETRY=1 and ship kTelemetry frames before
-        // each answer.
-        std::optional<ScopedEnv> telemetry_env;
-        if (fleet_ != nullptr) telemetry_env.emplace("ESCHED_TELEMETRY", "1");
-        Supervisor supervisor(config_, std::move(worker), cells, stats_,
-                              progress, tracer_, fleet_);
-        return supervisor.run();
-      });
+  if (sweep.empty()) {
+    stats_ = SweepStats{};
+    return {};
+  }
+  std::string worker = config_.worker_path;
+  if (worker.empty()) worker = find_worker();
+  ESCHED_REQUIRE(!worker.empty(),
+                 "SubprocessPool: esched-worker binary not found (set "
+                 "ESCHED_WORKER or pass SubprocessPoolConfig::worker_path)");
+  SigpipeGuard sigpipe;
+  // Fleet telemetry rides on the environment: workers spawned during this
+  // run see ESCHED_TELEMETRY=1 and ship kTelemetry frames before each
+  // answer.
+  std::optional<ScopedEnv> telemetry_env;
+  if (fleet_ != nullptr) telemetry_env.emplace("ESCHED_TELEMETRY", "1");
+  Supervisor supervisor(config_, std::move(worker), sweep, stats_, progress_,
+                        tracer_, fleet_);
+  return supervisor.run();
 }
 
 }  // namespace esched::run

@@ -12,9 +12,12 @@
 // attempt. A kError frame (deterministic failure: bad spec, invalid
 // trace) fails fast instead — retrying can only fail the same way again.
 //
-// Determinism: workers rebuild each cell from its declarative JobSpec
-// (run/spec.hpp), every builder is deterministic in the spec, and results
-// are returned in submission order — so a multi-process sweep is
+// Determinism: one task per share group (run::plan_groups, at most
+// wire::kMaxTaskMembers members) — workers
+// rebuild its cells from their declarative JobSpecs (run/spec.hpp),
+// simulate the trajectory once and re-bill the price variants
+// (run::execute_group); every builder is deterministic in the spec, and
+// results are returned in submission order — so a multi-process sweep is
 // bit-identical (results_identical) to the in-process 1-thread reference,
 // including under injected faults (run/fault.hpp), because a retried
 // attempt reruns the same deterministic simulation.
@@ -82,9 +85,11 @@ class SubprocessPool {
   /// binary cannot be spawned. All workers are reaped before any throw.
   std::vector<sim::SimResult> run(const std::vector<JobSpec>& sweep);
 
-  /// Counters from the most recent run(). cpu_seconds and the per-task
-  /// durations measure supervisor-observed round-trip times (dispatch to
-  /// answer) of *successful* attempts.
+  /// Counters from the most recent run(). simulated/copied/rebilled
+  /// cells follow the sharing plan, as SweepRunner's do (a share group
+  /// above wire::kMaxTaskMembers simulates once per task); cpu_seconds and
+  /// the per-task durations measure supervisor-observed round-trip times
+  /// (dispatch to answer) of *successful* attempts, one per share group.
   const SweepStats& last_stats() const { return stats_; }
 
   /// Same contract as SweepRunner::set_progress. Calls arrive on the

@@ -1,7 +1,10 @@
 #include "run/spec.hpp"
 
+#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <unordered_map>
+#include <utility>
 
 #include "meta/metascheduler.hpp"
 #include "meta/spec.hpp"
@@ -72,21 +75,101 @@ std::unique_ptr<core::SchedulingPolicy> build_policy(const PolicySpec& spec) {
   return core::make_policy_by_name(spec.name);
 }
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+}  // namespace
+
+std::vector<MemberOutcome> execute_group(
+    const trace::Trace& trace, core::SchedulingPolicy& policy,
+    const sim::SimConfig& config,
+    const std::vector<const power::PricingModel*>& tariffs) {
+  ESCHED_REQUIRE(!tariffs.empty(), "execute_group: a group without members");
+  std::vector<MemberOutcome> out(tariffs.size());
+  auto start = Clock::now();
+  sim::PowerSignal signal;
+  sim::Simulation simulation(trace, *tariffs[0], policy, config);
+  if (tariffs.size() > 1) simulation.record_power_signal(&signal);
+  out[0].result = simulation.finish();
+  out[0].seconds = seconds_since(start);
+  for (std::size_t i = 1; i < tariffs.size(); ++i) {
+    start = Clock::now();
+    out[i].result = out[0].result;
+    sim::rebill(out[i].result, signal, *tariffs[i]);
+    out[i].seconds = seconds_since(start);
+  }
+  return out;
+}
+
+MemberOutcome execute_meta_cell(const JobSpec& spec,
+                                const sim::SimConfig& config) {
+  const auto start = Clock::now();
+  JobSpec governed = spec;
+  governed.config = config;
+  MemberOutcome out;
+  out.result = meta::simulate_center(governed);
+  out.seconds = seconds_since(start);
+  return out;
+}
+
+std::vector<MemberOutcome> execute_group(const std::vector<JobSpec>& members) {
+  std::vector<MemberOutcome> out(members.size());
+  try {
+    ESCHED_REQUIRE(!members.empty(), "execute_group: a group without members");
+    const JobSpec& leader = members.front();
+    // A meta leader's members can only be its equals.
+    if (leader.meta != nullptr) {
+      out[0] = execute_meta_cell(leader, leader.config);
+      for (std::size_t i = 1; i < out.size(); ++i) {
+        out[i].result = out[0].result;
+      }
+      return out;
+    }
+    const trace::Trace trace = build_trace(leader.trace);
+    // A member whose tariff cannot be built fails alone; the others
+    // share the trajectory, driven by the first valid tariff.
+    std::vector<std::unique_ptr<power::PricingModel>> owned;
+    std::vector<const power::PricingModel*> tariffs;
+    std::vector<std::size_t> billed;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      try {
+        owned.push_back(build_pricing(members[i].pricing));
+        tariffs.push_back(owned.back().get());
+        billed.push_back(i);
+      } catch (const std::exception& e) {
+        out[i].error = e.what();
+      }
+    }
+    if (billed.empty()) return out;
+    const std::unique_ptr<core::SchedulingPolicy> policy =
+        build_policy(leader.policy);
+    sim::SimConfig config = leader.config;
+    // Pointers never cross the wire; a decoded spec has both null
+    // already, but execute may also be handed a locally built spec.
+    config.tracer = nullptr;
+    config.facility_model = nullptr;
+    std::vector<MemberOutcome> produced =
+        execute_group(trace, *policy, config, tariffs);
+    for (std::size_t k = 0; k < billed.size(); ++k) {
+      out[billed[k]] = std::move(produced[k]);
+    }
+  } catch (const std::exception& e) {
+    for (MemberOutcome& o : out) {
+      if (o.ok()) o.error = e.what();
+    }
+  }
+  return out;
+}
+
 sim::SimResult execute_job_spec(const JobSpec& spec) {
-  // Multi-center cells delegate to the metascheduling layer, which routes
-  // the global trace and simulates this cell's center slice.
-  if (spec.meta != nullptr) return meta::simulate_center(spec);
-  const trace::Trace trace = build_trace(spec.trace);
-  const std::unique_ptr<power::PricingModel> pricing =
-      build_pricing(spec.pricing);
-  const std::unique_ptr<core::SchedulingPolicy> policy =
-      build_policy(spec.policy);
-  sim::SimConfig config = spec.config;
-  // Pointers never cross the wire; a decoded spec has both null already,
-  // but execute may also be handed a locally built spec.
-  config.tracer = nullptr;
-  config.facility_model = nullptr;
-  return sim::simulate(trace, *pricing, *policy, config);
+  MemberOutcome out = std::move(execute_group({spec}).front());
+  if (!out.ok()) throw Error(out.error);
+  return std::move(out.result);
 }
 
 std::string share_key(const JobSpec& spec) {
@@ -98,6 +181,7 @@ std::string share_key(const JobSpec& spec) {
   // config.facility_model never appear in a shareable cell (callers gate
   // on both being null — tracing is observability-only anyway, and a
   // facility model would make metering non-replayable here).
+  power::require_pricing_name(spec.pricing.model);
   const TraceSpec& t = spec.trace;
   const sim::SimConfig& c = spec.config;
   const core::SchedulerConfig& s = c.scheduler;
@@ -178,26 +262,51 @@ std::string cell_key(const JobSpec& spec) {
   return key;
 }
 
-CellGroups group_cells(const std::vector<JobSpec>& sweep, bool enabled) {
-  CellGroups groups;
-  groups.rep.resize(sweep.size());
-  groups.unique_indices.reserve(sweep.size());
-  std::unordered_map<std::string, std::size_t> seen;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const JobSpec& spec = sweep[i];
-    const bool shareable = enabled && spec.config.tracer == nullptr &&
-                           spec.config.facility_model == nullptr;
-    if (shareable) {
-      const auto [it, inserted] =
-          seen.emplace(cell_key(spec), groups.unique_indices.size());
-      groups.rep[i] = it->second;
-      if (!inserted) continue;
-    } else {
-      groups.rep[i] = groups.unique_indices.size();
+std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
+                                    bool enabled, std::size_t max_members) {
+  std::vector<ShareGroup> groups;
+  // cell_key -> (group, member position); share_key -> group.
+  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> cells;
+  std::unordered_map<std::string, std::size_t> shares;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const JobSpec* spec = specs[i];
+    if (!enabled || spec == nullptr || spec->config.tracer != nullptr ||
+        spec->config.facility_model != nullptr) {
+      groups.push_back({{i}, {}});
+      continue;
     }
-    groups.unique_indices.push_back(i);
+    std::string cell = cell_key(*spec);
+    if (const auto it = cells.find(cell); it != cells.end()) {
+      groups[it->second.first].copies.push_back({i, it->second.second});
+      continue;
+    }
+    // Meta cells never join a trajectory-sharing group: the cell's own
+    // tariff goes unused (each center bills under its own), so
+    // re-billing a share-key sibling's signal with it would produce a
+    // wrong bill. Identical meta cells still copy via cell_key above.
+    if (spec->meta == nullptr) {
+      const auto [it, fresh] = shares.emplace(share_key(*spec), groups.size());
+      if (!fresh && groups[it->second].members.size() < max_members) {
+        ShareGroup& group = groups[it->second];
+        cells.emplace(std::move(cell),
+                      std::make_pair(it->second, group.members.size()));
+        group.members.push_back(i);
+        continue;
+      }
+      it->second = groups.size();  // a full group's sibling leads anew
+    }
+    cells.emplace(std::move(cell), std::make_pair(groups.size(), 0));
+    groups.push_back({{i}, {}});
   }
   return groups;
+}
+
+std::vector<ShareGroup> plan_groups(const std::vector<JobSpec>& specs,
+                                    bool enabled, std::size_t max_members) {
+  std::vector<const JobSpec*> pointers;
+  pointers.reserve(specs.size());
+  for (const JobSpec& spec : specs) pointers.push_back(&spec);
+  return plan_groups(pointers, enabled, max_members);
 }
 
 }  // namespace esched::run

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -121,44 +122,105 @@ std::unique_ptr<power::PricingModel> build_pricing(const PricingSpec& spec);
 /// Build the policy a spec names (fresh instance; policies are stateful).
 std::unique_ptr<core::SchedulingPolicy> build_policy(const PolicySpec& spec);
 
-/// Rebuild everything a spec names and run the simulation — the worker
-/// process's entire job. The returned result is bit-identical to running
-/// the same cell in-process (results_identical), because every builder is
-/// deterministic in the spec.
-sim::SimResult execute_job_spec(const JobSpec& spec);
-
-/// Trajectory-sharing key (the key the sweep runners group by). Two spec cells with equal share_key provably
-/// produce identical scheduling trajectories — same trace, same policy,
-/// same behaviour-affecting config, and a tariff with the same
-/// *period-boundary structure* (the scheduler only ever sees
-/// PricePeriod and next_price_change, never prices; see
-/// core/policy.hpp) — and can therefore differ only in metering. The
-/// in-process runner simulates one leader per group and re-bills the
-/// rest from the leader's recorded power signal (sim::rebill).
+/// Trajectory-sharing key (the key plan_groups groups by). Two spec
+/// cells with equal share_key provably produce identical scheduling
+/// trajectories — same trace, same policy, same behaviour-affecting
+/// config, and a tariff with the same *period-boundary structure* (the
+/// scheduler only ever sees PricePeriod and next_price_change, never
+/// prices; see core/policy.hpp) — and can therefore differ only in
+/// metering. A share group simulates one leader and re-bills the rest
+/// from the leader's recorded power signal (sim::rebill). Throws the
+/// esched::Error of power::make_pricing_by_name for a tariff model it
+/// does not know, so such a cell can never share a sibling's result.
 std::string share_key(const JobSpec& spec);
 
 /// Full-identity key: cells with equal cell_key produce bit-identical
-/// SimResults (share_key plus the tariff's actual price levels). The
-/// proc/tcp pools dispatch one representative per distinct cell_key and
-/// copy its result into the duplicates.
+/// SimResults (share_key plus the tariff's actual price levels), so one
+/// result serves them all. Throws like share_key.
 std::string cell_key(const JobSpec& spec);
 
-/// Identical-cell grouping of a spec sweep (by cell_key) for the
-/// multi-process pools, which can exploit full identity but not
-/// trajectory sharing (a recorded power signal cannot cross the wire).
-struct CellGroups {
-  /// For each sweep index, the position in `unique_indices` of the
-  /// representative whose result it shares (its own position when it is
-  /// the representative).
-  std::vector<std::size_t> rep;
-  /// Sweep indices of the representatives, ascending.
-  std::vector<std::size_t> unique_indices;
+/// One share group of a sweep: the cells one simulation serves. Indices
+/// are sweep positions, ascending within each list.
+struct ShareGroup {
+  /// The cells the group's task produces. members[0] is the leader,
+  /// simulated in full; the rest have its share_key and a distinct
+  /// cell_key, and re-bill its power signal under their own tariff.
+  std::vector<std::size_t> members;
+  /// A cell whose cell_key equals a member's copies that member's result.
+  struct Copy {
+    std::size_t cell = 0;
+    std::size_t member = 0;  ///< position in `members`
+  };
+  std::vector<Copy> copies;
 };
 
-/// Group a sweep by cell_key. When `enabled` is false — or a cell
-/// carries a facility model or tracer, which cell_key cannot see —
-/// the affected cells are each their own representative. Safe to copy
-/// across a group because equal cell_key implies bit-identical results.
-CellGroups group_cells(const std::vector<JobSpec>& sweep, bool enabled);
+/// The sharing plan of a sweep — the one planner every plane uses
+/// (SweepRunner, the proc/tcp pools, esched-coordinator). Rules, in
+/// sweep order:
+///  * a cell with an earlier cell's cell_key copies that cell;
+///  * otherwise a cell with an earlier group's share_key joins that
+///    group as a member, except meta cells (their own tariff goes
+///    unused, each center bills under its own), which always lead;
+///  * a null entry — a cell the caller cannot share, e.g. one without
+///    a spec — and a cell with a tracer or facility model (which the
+///    keys cannot see) is a group of its own;
+///  * with `enabled` false every cell is a group of its own;
+///  * a group holds at most `max_members` members: the next share-key
+///    sibling of a full group leads a new one (copies are not capped).
+///    The fleet planes pass wire::kMaxTaskMembers, because a task's
+///    reply carries every member's result in one frame; in-process
+///    results need no frame, so SweepRunner passes no cap.
+/// Groups are ordered by leader, and a leader precedes its members and
+/// copies in the sweep. Throws like share_key.
+std::vector<ShareGroup> plan_groups(
+    const std::vector<const JobSpec*>& specs, bool enabled,
+    std::size_t max_members = std::numeric_limits<std::size_t>::max());
+std::vector<ShareGroup> plan_groups(
+    const std::vector<JobSpec>& specs, bool enabled,
+    std::size_t max_members = std::numeric_limits<std::size_t>::max());
+
+/// What one member of a share group produced.
+struct MemberOutcome {
+  sim::SimResult result;
+  /// Why this member has no result; empty when it has one.
+  std::string error;
+  /// Time spent on this member: its simulation, or its re-billing.
+  double seconds = 0.0;
+
+  bool ok() const { return error.empty(); }
+};
+
+/// Simulate one share group's trajectory once, under tariffs[0], and
+/// bill it under every tariff: outcome 0 is the simulated result, each
+/// other outcome a copy re-billed (sim::rebill) from the recorded power
+/// signal — bit-identical to simulating it (results_identical). Every
+/// tariff must be non-null; throws whatever the simulation throws.
+std::vector<MemberOutcome> execute_group(
+    const trace::Trace& trace, core::SchedulingPolicy& policy,
+    const sim::SimConfig& config,
+    const std::vector<const power::PricingModel*>& tariffs);
+
+/// Produce a meta cell (spec.meta set) under `config` — the spec's own,
+/// or the in-process one carrying a tracer: the metascheduling layer
+/// routes the global trace and simulates the cell's center slice. The
+/// one route to it for SweepRunner and the workers alike. Throws
+/// whatever the simulation throws.
+MemberOutcome execute_meta_cell(const JobSpec& spec,
+                                const sim::SimConfig& config);
+
+/// Rebuild one share group (a ShareGroup's members, leader first) from
+/// its specs and produce every member — a worker process's entire job.
+/// Never throws: a member whose tariff cannot be built fails alone (the
+/// first member with a valid tariff drives the simulation), and a
+/// failure to build or simulate the shared trajectory fails every
+/// member with the same message. A meta leader is simulated by the
+/// metascheduling layer; its members can only be equal cells.
+std::vector<MemberOutcome> execute_group(const std::vector<JobSpec>& members);
+
+/// The singleton group: rebuild one spec and run its simulation. The
+/// result is bit-identical to running the same cell in-process
+/// (results_identical), because every builder is deterministic in the
+/// spec. Throws esched::Error with the cell's failure.
+sim::SimResult execute_job_spec(const JobSpec& spec);
 
 }  // namespace esched::run

@@ -11,9 +11,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 
-#include "meta/metascheduler.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -52,85 +50,25 @@ struct TaskOutcome {
   double seconds = 0.0;
 };
 
-/// Simulate one cell, optionally recording its power signal (for
-/// trajectory-sharing leaders). With a null signal this is exactly
-/// sim::simulate.
-TaskOutcome execute(const SimJob& job, sim::PowerSignal* signal) {
-  const auto start = Clock::now();
-  if (job.spec != nullptr && job.spec->meta != nullptr) {
-    // Multi-center cell: the metascheduling layer owns trace slicing and
-    // per-center tariffs/policies; the SimJob's pointer members only
-    // exist to satisfy the runner's non-null contract. Meta cells never
-    // lead a trajectory-sharing group (plan_sharing excludes them), so
-    // no signal can be requested here.
-    ESCHED_REQUIRE(signal == nullptr,
-                   "meta cells cannot record a sharing power signal");
-    JobSpec spec = *job.spec;
-    spec.config = job.config;  // the in-process config (tracer) governs
-    TaskOutcome out;
-    out.result = meta::simulate_center(spec);
-    out.seconds = seconds_since(start);
-    return out;
+/// Produce one share group's members: the metascheduling layer for a
+/// meta leader (the SimJob's pointer members only exist to satisfy the
+/// runner's non-null contract there, and plan_groups never gives a meta
+/// leader members), execute_group for everything else.
+std::vector<MemberOutcome> produce_members(const std::vector<SimJob>& sweep,
+                                           const ShareGroup& group) {
+  const SimJob& leader = sweep[group.members.front()];
+  if (leader.spec != nullptr && leader.spec->meta != nullptr) {
+    // The in-process config (tracer) governs.
+    return {execute_meta_cell(*leader.spec, leader.config)};
   }
-  std::unique_ptr<core::SchedulingPolicy> policy = job.make_policy();
+  std::unique_ptr<core::SchedulingPolicy> policy = leader.make_policy();
   ESCHED_REQUIRE(policy != nullptr, "SimJob factory returned null policy");
-  TaskOutcome out;
-  sim::Simulation simulation(*job.trace, *job.pricing, *policy, job.config);
-  if (signal != nullptr) simulation.record_power_signal(signal);
-  out.result = simulation.finish();
-  out.seconds = seconds_since(start);
-  return out;
-}
-
-/// How one sweep cell gets its result.
-enum class PlanKind : std::uint8_t {
-  kSimulate,  ///< run the simulation (possibly recording its signal)
-  kCopy,      ///< copy the result of an identical cell (same cell_key)
-  kRebill,    ///< copy a share_key leader's result, re-bill its signal
-};
-
-struct CellPlan {
-  PlanKind kind = PlanKind::kSimulate;
-  std::size_t src = 0;         ///< leader index (kCopy / kRebill)
-  bool record_signal = false;  ///< leader must record its power signal
-};
-
-/// Group the sweep by cell_key / share_key (run/spec.hpp). Only cells
-/// carrying a JobSpec and free of non-shareable config (tracer, facility
-/// model) participate; everything else simulates in full. Leaders always
-/// precede their followers in submission order.
-std::vector<CellPlan> plan_sharing(const std::vector<SimJob>& sweep,
-                                   bool enabled) {
-  std::vector<CellPlan> plan(sweep.size());
-  if (!enabled) return plan;
-  std::unordered_map<std::string, std::size_t> cell_leader;
-  std::unordered_map<std::string, std::size_t> share_leader;
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SimJob& job = sweep[i];
-    if (job.spec == nullptr || job.config.tracer != nullptr ||
-        job.config.facility_model != nullptr) {
-      continue;  // not shareable; simulate in full
-    }
-    const std::string cell = cell_key(*job.spec);
-    if (const auto it = cell_leader.find(cell); it != cell_leader.end()) {
-      plan[i] = {PlanKind::kCopy, it->second, false};
-      continue;
-    }
-    cell_leader.emplace(cell, i);
-    // Meta cells never join a trajectory-sharing (rebill) group: the
-    // cell's own tariff goes unused (each center bills under its own),
-    // so re-billing a share-key sibling's signal with it would produce
-    // a wrong bill. Identical meta cells still copy via cell_key above.
-    if (job.spec->meta != nullptr) continue;
-    const std::string share = share_key(*job.spec);
-    if (const auto it = share_leader.find(share); it != share_leader.end()) {
-      plan[i] = {PlanKind::kRebill, it->second, false};
-      plan[it->second].record_signal = true;
-    } else {
-      share_leader.emplace(share, i);
-    }
+  std::vector<const power::PricingModel*> tariffs;
+  tariffs.reserve(group.members.size());
+  for (const std::size_t i : group.members) {
+    tariffs.push_back(sweep[i].pricing.get());
   }
-  return plan;
+  return execute_group(*leader.trace, *policy, leader.config, tariffs);
 }
 
 /// Record one cell duration into the global Registry timer `name`
@@ -183,32 +121,39 @@ bool SweepRunner::prefix_sharing_default() {
   return true;
 }
 
+void SweepStats::count_sharing(const std::vector<ShareGroup>& groups) {
+  simulated_cells = groups.size();
+  copied_cells = 0;
+  rebilled_cells = 0;
+  for (const ShareGroup& group : groups) {
+    copied_cells += group.copies.size();
+    rebilled_cells += group.members.size() - 1;
+  }
+}
+
 std::vector<sim::SimResult> SweepRunner::run(
     const std::vector<SimJob>& sweep) {
-  for (const SimJob& job : sweep) {
+  // Only cells carrying a JobSpec and free of non-shareable config
+  // (tracer, facility model) can share; the rest are null to the planner.
+  std::vector<const JobSpec*> specs(sweep.size(), nullptr);
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const SimJob& job = sweep[i];
     ESCHED_REQUIRE(job.trace != nullptr, "SimJob without a trace");
     ESCHED_REQUIRE(job.pricing != nullptr, "SimJob without a tariff");
     ESCHED_REQUIRE(static_cast<bool>(job.make_policy),
                    "SimJob without a policy factory");
+    if (job.config.tracer == nullptr && job.config.facility_model == nullptr) {
+      specs[i] = job.spec.get();
+    }
   }
-
-  const std::vector<CellPlan> plan = plan_sharing(sweep, prefix_sharing_);
-  std::vector<std::size_t> leaders;
-  leaders.reserve(sweep.size());
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (plan[i].kind == PlanKind::kSimulate) leaders.push_back(i);
-  }
+  const std::vector<ShareGroup> groups = plan_groups(specs, prefix_sharing_);
 
   const std::size_t workers =
-      std::max<std::size_t>(1, std::min(jobs_, leaders.size()));
+      std::max<std::size_t>(1, std::min(jobs_, groups.size()));
   stats_ = SweepStats{};
   stats_.tasks = sweep.size();
   stats_.threads = workers;
-  stats_.simulated_cells = leaders.size();
-  for (const CellPlan& p : plan) {
-    if (p.kind == PlanKind::kCopy) ++stats_.copied_cells;
-    if (p.kind == PlanKind::kRebill) ++stats_.rebilled_cells;
-  }
+  stats_.count_sharing(groups);
   stats_.worker_busy_seconds.assign(workers, 0.0);
   const auto wall_start = Clock::now();
 
@@ -231,32 +176,61 @@ std::vector<sim::SimResult> SweepRunner::run(
     progress_(progress);
   };
 
-  // Per-index recorded power signals (non-empty only for sharing
-  // leaders) and results/errors, all indexed by submission position so
-  // the follower-materialization pass can address its sources directly.
-  std::vector<sim::PowerSignal> signals(sweep.size());
+  // Results and errors indexed by submission position. A group task
+  // writes only its own cells, so the tasks never share a slot.
   std::vector<TaskOutcome> outcomes(sweep.size());
   std::vector<std::exception_ptr> errors(sweep.size());
 
-  // One task: trace span around the cell, busy-time attribution to the
-  // executing worker, then the progress callback. Worker slots are
-  // disjoint per thread (the inline path owns slot 0), so the busy-time
-  // writes need no lock; future::get / thread join publish them.
-  const auto run_task = [&](const SimJob& job, std::size_t index) {
+  // One task per share group: trace span around it, busy-time attribution to
+  // the executing worker, then the group's cells settle — members, then copies
+  // — each followed by the progress callback. A failed group leaves its cells
+  // empty; the leader's (earliest) exception is the one that propagates. Worker
+  // slots are disjoint per thread (the inline path owns slot 0), so the
+  // busy-time writes need no lock; future::get / thread join publish them.
+  const auto run_task = [&](const ShareGroup& group) {
+    const std::size_t lead = group.members.front();
     std::string span_name;
     if (tracer_ != nullptr) {
-      span_name =
-          "task:" + (job.label.empty() ? std::to_string(index) : job.label);
+      const std::string& label = sweep[lead].label;
+      span_name = "task:" + (label.empty() ? std::to_string(lead) : label);
     }
     obs::SpanGuard span(tracer_, std::move(span_name), "sweep");
-    TaskOutcome out = execute(
-        job, plan[index].record_signal ? &signals[index] : nullptr);
-    record_cell_timer("sweep.cell_sim", out.seconds);
+    std::vector<MemberOutcome> produced;
+    try {
+      produced = produce_members(sweep, group);
+    } catch (...) {
+      errors[lead] = std::current_exception();
+    }
     std::size_t slot = ThreadPool::current_index();
     if (slot >= workers) slot = 0;
-    stats_.worker_busy_seconds[slot] += out.seconds;
-    report_progress();
-    return out;
+    const auto settle = [&](std::size_t i, double seconds) {
+      outcomes[i].seconds = seconds;
+      stats_.worker_busy_seconds[slot] += seconds;
+      try {
+        report_progress();
+      } catch (...) {
+        if (errors[i] == nullptr) errors[i] = std::current_exception();
+      }
+    };
+    for (std::size_t k = 0; k < group.members.size(); ++k) {
+      const std::size_t i = group.members[k];
+      double seconds = 0.0;
+      if (!produced.empty()) {
+        outcomes[i].result = std::move(produced[k].result);
+        seconds = produced[k].seconds;
+        record_cell_timer(k == 0 ? "sweep.cell_sim" : "sweep.cell_rebill",
+                          seconds);
+      }
+      settle(i, seconds);
+    }
+    for (const ShareGroup::Copy& copy : group.copies) {
+      const auto start = Clock::now();
+      if (!produced.empty()) {
+        outcomes[copy.cell].result =
+            outcomes[group.members[copy.member]].result;
+      }
+      settle(copy.cell, seconds_since(start));
+    }
   };
 
   // Settle-all-then-propagate: every submitted task runs to completion
@@ -269,63 +243,16 @@ std::vector<sim::SimResult> SweepRunner::run(
   if (workers == 1) {
     // Inline serial execution: the reference the determinism test holds
     // the threaded path to, and free of pool overhead for --jobs 1.
-    for (std::size_t i : leaders) {
-      try {
-        outcomes[i] = run_task(sweep[i], i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
+    for (const ShareGroup& group : groups) run_task(group);
   } else {
     ThreadPool pool(workers);
-    std::vector<std::future<TaskOutcome>> futures;
-    futures.reserve(leaders.size());
-    for (std::size_t i : leaders) {
-      const SimJob& job = sweep[i];
+    std::vector<std::future<void>> futures;
+    futures.reserve(groups.size());
+    for (const ShareGroup& group : groups) {
       futures.push_back(
-          pool.submit([&run_task, &job, i] { return run_task(job, i); }));
+          pool.submit([&run_task, &group] { run_task(group); }));
     }
-    // Collect in submission order; future::get rethrows task exceptions.
-    // Every future is drained even after a failure so the pool is fully
-    // settled before the first exception surfaces.
-    for (std::size_t k = 0; k < leaders.size(); ++k) {
-      try {
-        outcomes[leaders[k]] = futures[k].get();
-      } catch (...) {
-        errors[leaders[k]] = std::current_exception();
-      }
-    }
-  }
-
-  // Materialize followers, ascending index. A follower's source always
-  // precedes it in submission order, and copy sources may themselves be
-  // re-billed followers — ascending order guarantees the source is
-  // already materialized. A failed leader leaves its followers empty;
-  // the leader's (earlier) exception is the one that propagates.
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (plan[i].kind == PlanKind::kSimulate) continue;
-    const auto start = Clock::now();
-    const std::size_t src = plan[i].src;
-    if (errors[src] == nullptr) {
-      try {
-        outcomes[i].result = outcomes[src].result;
-        if (plan[i].kind == PlanKind::kRebill) {
-          sim::rebill(outcomes[i].result, signals[src], *sweep[i].pricing);
-        }
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-    outcomes[i].seconds = seconds_since(start);
-    stats_.worker_busy_seconds[0] += outcomes[i].seconds;
-    if (plan[i].kind == PlanKind::kRebill) {
-      record_cell_timer("sweep.cell_rebill", outcomes[i].seconds);
-    }
-    try {
-      report_progress();
-    } catch (...) {
-      if (errors[i] == nullptr) errors[i] = std::current_exception();
-    }
+    for (std::future<void>& f : futures) f.get();
   }
 
   std::exception_ptr first_error;
@@ -355,12 +282,11 @@ std::vector<sim::SimResult> SweepRunner::run(
   }
   std::vector<double> sim_seconds;
   std::vector<double> rebill_seconds;
-  sim_seconds.reserve(leaders.size());
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (plan[i].kind == PlanKind::kSimulate) {
-      sim_seconds.push_back(outcomes[i].seconds);
-    } else if (plan[i].kind == PlanKind::kRebill) {
-      rebill_seconds.push_back(outcomes[i].seconds);
+  sim_seconds.reserve(groups.size());
+  for (const ShareGroup& group : groups) {
+    sim_seconds.push_back(outcomes[group.members.front()].seconds);
+    for (std::size_t k = 1; k < group.members.size(); ++k) {
+      rebill_seconds.push_back(outcomes[group.members[k]].seconds);
     }
   }
   stats_.sim_latency = latency_stats(std::move(sim_seconds));

@@ -33,7 +33,8 @@ class Tracer;
 
 namespace esched::run {
 
-struct JobSpec;  // run/spec.hpp
+struct JobSpec;     // run/spec.hpp
+struct ShareGroup;  // run/spec.hpp
 
 /// Constructs a fresh policy instance for one task.
 using PolicyFactory =
@@ -115,6 +116,11 @@ struct SweepStats {
   /// configured agent list.
   std::vector<AgentLiveness> agent_liveness;
 
+  /// Fill the prefix-sharing breakdown from a plan_groups plan: one
+  /// simulated cell per group, its other members rebilled, its copies
+  /// copied.
+  void count_sharing(const std::vector<ShareGroup>& groups);
+
   /// Fraction of the wall time worker `i` spent executing tasks — the
   /// load-balance picture of a sweep (0 when wall time is unmeasurable).
   double worker_busy_fraction(std::size_t i) const {
@@ -176,12 +182,12 @@ class SweepRunner {
 
   /// Warm-up prefix sharing (on by default; ESCHED_PREFIX_SHARE=off
   /// disables it process-wide, for differential testing). Cells carrying
-  /// a JobSpec are grouped by run::share_key — cells in one group have
-  /// provably identical scheduling trajectories — and by run::cell_key
-  /// (fully identical cells). Per group, one leader simulates while
-  /// recording its power signal; identical cells copy the leader's
-  /// result, and price-level variants re-bill the signal under their own
-  /// tariff (sim::rebill). The produced results are bit-identical to
+  /// a JobSpec are grouped by run::plan_groups — cells in one group have
+  /// provably identical scheduling trajectories — and one task per group
+  /// runs run::execute_group: the leader simulates while recording its
+  /// power signal, price-level variants re-bill the signal under their
+  /// own tariff (sim::rebill), and identical cells (equal cell_key) copy
+  /// a member's result. The produced results are bit-identical to
   /// simulating every cell (results_identical; sweep_runner_test pins
   /// this differentially against the sharing-off path).
   void set_prefix_sharing(bool on) { prefix_sharing_ = on; }

@@ -47,6 +47,14 @@ std::uint64_t get_le(const std::uint8_t* p, int bytes) {
   throw Error("wire: " + what);
 }
 
+/// A bool field: exactly 0 or 1, so every accepted payload re-encodes to
+/// the bytes it was decoded from.
+bool read_flag(ByteReader& r) {
+  const std::uint8_t v = r.u8();
+  if (v > 1) wire_error("bad flag byte " + std::to_string(v));
+  return v != 0;
+}
+
 // SimConfig fields that cross the wire, in encode order. The two pointer
 // members (facility_model, tracer) deliberately do not.
 void encode_config(ByteWriter& w, const sim::SimConfig& config) {
@@ -69,7 +77,7 @@ sim::SimConfig decode_config(ByteReader& r) {
   sim::SimConfig config;
   config.tick_interval = r.i64();
   config.scheduler.window_size = static_cast<std::size_t>(r.u64());
-  config.scheduler.backfill_beyond_window = r.u8() != 0;
+  config.scheduler.backfill_beyond_window = read_flag(r);
   const std::uint8_t mode = r.u8();
   if (mode > static_cast<std::uint8_t>(core::BackfillMode::kConservative)) {
     wire_error("bad backfill mode " + std::to_string(mode));
@@ -78,11 +86,11 @@ sim::SimConfig decode_config(ByteReader& r) {
   config.scheduler.conservative_depth = static_cast<std::size_t>(r.u64());
   config.scheduler.starvation_age = r.i64();
   config.idle_watts_per_node = r.f64();
-  config.contiguous_allocation = r.u8() != 0;
-  config.honor_queue_priority = r.u8() != 0;
-  config.honor_dependencies = r.u8() != 0;
+  config.contiguous_allocation = read_flag(r);
+  config.honor_queue_priority = read_flag(r);
+  config.honor_dependencies = read_flag(r);
   config.max_passes_per_tick = static_cast<std::size_t>(r.u64());
-  config.record_daily_curves = r.u8() != 0;
+  config.record_daily_curves = read_flag(r);
   config.daily_curve_bins = static_cast<std::size_t>(r.u64());
   return config;
 }
@@ -124,6 +132,11 @@ void ByteWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
+void ByteWriter::blob(const std::vector<std::uint8_t>& b) {
+  u32(static_cast<std::uint32_t>(b.size()));
+  buf_.insert(buf_.end(), b.begin(), b.end());
+}
+
 std::uint8_t ByteReader::u8() {
   if (pos_ + 1 > size_) wire_error("truncated payload (u8)");
   return data_[pos_++];
@@ -152,6 +165,14 @@ std::string ByteReader::str() {
   std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
+}
+
+std::vector<std::uint8_t> ByteReader::blob() {
+  const std::uint32_t n = u32();
+  if (pos_ + n > size_) wire_error("truncated payload (blob)");
+  std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + n);
+  pos_ += n;
+  return b;
 }
 
 void ByteReader::expect_end() const {
@@ -267,7 +288,7 @@ JobSpec decode_job(const std::vector<std::uint8_t>& payload) {
   spec.trace.months = r.u64();
   spec.trace.seed = r.u64();
   spec.trace.power_ratio = r.f64();
-  spec.trace.force_power_ratio = r.u8() != 0;
+  spec.trace.force_power_ratio = read_flag(r);
   spec.trace.power_seed = r.u64();
   spec.pricing.model = r.str();
   spec.pricing.off_peak_price = r.f64();
@@ -278,7 +299,7 @@ JobSpec decode_job(const std::vector<std::uint8_t>& payload) {
   spec.label = r.str();
   spec.trace_id = r.u64();
   spec.parent_span_id = r.u64();
-  if (r.u8() != 0) {
+  if (read_flag(r)) {
     spec.meta_center = r.u32();
     auto meta_spec = std::make_shared<meta::MetaSpec>();
     meta_spec->router = r.str();
@@ -402,6 +423,92 @@ std::string decode_error(const std::vector<std::uint8_t>& payload) {
   return message;
 }
 
+std::vector<std::uint8_t> encode_task(const std::vector<JobSpec>& members) {
+  ESCHED_REQUIRE(!members.empty() && members.size() <= kMaxTaskMembers,
+                 "encode_task: a task holds 1 to kMaxTaskMembers members");
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(members.size()));
+  for (const JobSpec& spec : members) w.blob(encode_job(spec));
+  return w.take();
+}
+
+std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload) {
+  ByteReader r(payload);
+  const std::uint32_t count = r.u32();
+  if (count == 0) wire_error("task without members");
+  if (count > kMaxTaskMembers) {
+    wire_error("task of " + std::to_string(count) + " members exceeds " +
+               std::to_string(kMaxTaskMembers));
+  }
+  // Every member blob carries at least its u32 length prefix.
+  if (static_cast<std::size_t>(count) * 4 > r.remaining()) {
+    wire_error("task member count " + std::to_string(count) +
+               " exceeds remaining payload");
+  }
+  std::vector<JobSpec> members;
+  members.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    members.push_back(decode_job(r.blob()));
+  }
+  r.expect_end();
+  // A task is one share group: every member must be able to re-bill
+  // the leader's trajectory (a meta leader's can only be its equals).
+  const auto group_key = [](const JobSpec& spec) {
+    return spec.meta != nullptr ? cell_key(spec) : share_key(spec);
+  };
+  const std::string leader = group_key(members.front());
+  for (std::uint32_t i = 1; i < count; ++i) {
+    if (group_key(members[i]) != leader) {
+      wire_error("task member " + std::to_string(i) +
+                 " does not share the leader's trajectory");
+    }
+  }
+  return members;
+}
+
+std::vector<std::uint8_t> encode_outcomes(
+    const std::vector<Outcome>& outcomes) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(outcomes.size()));
+  for (const Outcome& o : outcomes) {
+    w.u8(o.ok ? 0 : 1);
+    if (o.ok) {
+      w.blob(o.result);
+    } else {
+      w.str(o.error);
+    }
+  }
+  return w.take();
+}
+
+std::vector<Outcome> decode_outcomes(const std::vector<std::uint8_t>& payload) {
+  ByteReader r(payload);
+  const std::uint32_t count = r.u32();
+  if (count == 0) wire_error("result without outcomes");
+  if (count > kMaxTaskMembers) {
+    wire_error("result of " + std::to_string(count) + " outcomes exceeds " +
+               std::to_string(kMaxTaskMembers));
+  }
+  // Every outcome is at least a tag byte and a u32 length.
+  if (static_cast<std::size_t>(count) * 5 > r.remaining()) {
+    wire_error("outcome count " + std::to_string(count) +
+               " exceeds remaining payload");
+  }
+  std::vector<Outcome> outcomes(count);
+  for (Outcome& o : outcomes) {
+    const std::uint8_t tag = r.u8();
+    if (tag > 1) wire_error("bad outcome tag " + std::to_string(tag));
+    o.ok = tag == 0;
+    if (o.ok) {
+      o.result = r.blob();
+    } else {
+      o.error = r.str();
+    }
+  }
+  r.expect_end();
+  return outcomes;
+}
+
 std::vector<std::uint8_t> encode_telemetry(const obs::Telemetry& telemetry) {
   ByteWriter w;
   w.u32(kTelemetryVersion);
@@ -505,9 +612,7 @@ std::vector<std::uint8_t> encode_submit(const SubmitRequest& request) {
     // Each spec travels as a length-prefixed encode_job blob, so the
     // submit codec and the per-cell kJob codec can never disagree about
     // a spec's bytes.
-    const std::vector<std::uint8_t> blob = encode_job(spec);
-    w.u32(static_cast<std::uint32_t>(blob.size()));
-    for (const std::uint8_t b : blob) w.u8(b);
+    w.blob(encode_job(spec));
   }
   return w.take();
 }
@@ -525,9 +630,7 @@ SubmitRequest decode_submit(const std::vector<std::uint8_t>& payload) {
   }
   request.specs.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string blob = r.str();  // u32 length prefix + bytes
-    request.specs.push_back(decode_job(std::vector<std::uint8_t>(
-        blob.begin(), blob.end())));
+    request.specs.push_back(decode_job(r.blob()));
   }
   r.expect_end();
   return request;
@@ -567,8 +670,7 @@ SweepDone decode_sweep_done(const std::vector<std::uint8_t>& payload) {
 std::vector<std::uint8_t> encode_journal_record(const JournalRecord& record) {
   ByteWriter w;
   w.str(record.cell_key);
-  w.u32(static_cast<std::uint32_t>(record.result_bytes.size()));
-  for (const std::uint8_t b : record.result_bytes) w.u8(b);
+  w.blob(record.result_bytes);
   return w.take();
 }
 
@@ -576,8 +678,7 @@ JournalRecord decode_journal_record(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
   JournalRecord record;
   record.cell_key = r.str();
-  const std::string bytes = r.str();
-  record.result_bytes.assign(bytes.begin(), bytes.end());
+  record.result_bytes = r.blob();
   r.expect_end();
   return record;
 }

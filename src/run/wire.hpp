@@ -26,6 +26,21 @@
 // round trip of both JobSpec and SimResult is *exact*, pinned by
 // results_identical in wire_test. Strings and vectors are u32
 // length-prefixed.
+//
+// The unit of dispatch is a *task*: one share group (run::plan_groups).
+// A kJob payload is `u32 n` (at most kMaxTaskMembers) followed by n
+// length-prefixed encode_job blobs, leader first — the blob kSubmit
+// nests too. The worker simulates the leader once and re-bills every
+// other member, and its kResult
+// payload is `u32 n` outcomes in member order, each a tag byte (0 =
+// result, 1 = error) and a length-prefixed blob: the member's
+// encode_result bytes, or its error string. One frame in and one frame
+// out per attempt, and one member's bad tariff fails only that member.
+// A singleton task is the n = 1 case. These payloads changed without a
+// kVersion bump on purpose: kVersion is stamped into every journal
+// record, and bumping it would orphan every existing journal (which
+// holds encode_result bytes, unchanged). Pipe peers are built together;
+// TCP peers are gated by net::kNetProtocolVersion at the handshake.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +58,24 @@ inline constexpr std::uint16_t kVersion = 1;
 /// Frames beyond this are rejected as corruption (a SimResult for a
 /// multi-year trace is ~10 MB; 256 MB is far above any legitimate frame).
 inline constexpr std::uint32_t kMaxPayload = 256u << 20;
+/// Most members one task carries (run::plan_groups' cap on the fleet
+/// planes). A task's reply holds every member's result in one frame, so
+/// the cap keeps that frame — and the memory a worker, an agentd and a
+/// coordinator hold for it — at most four single-cell answers: results
+/// up to kMaxPayload / 4 (64 MiB, about 1.3 M job records) still fit. A
+/// larger share group travels as several tasks, each simulating once.
+inline constexpr std::uint32_t kMaxTaskMembers = 4;
 
 /// Size of the fixed frame header in bytes.
 inline constexpr std::size_t kHeaderSize = 24;
 
 enum class FrameType : std::uint8_t {
-  kJob = 1,     ///< supervisor -> worker: payload is a JobSpec
-  kResult = 2,  ///< worker -> supervisor: payload is a SimResult
+  kJob = 1,     ///< supervisor -> worker: payload is a task (encode_task)
+  kResult = 2,  ///< worker -> supervisor: payload is the task's
+                ///< per-member outcomes (encode_outcomes)
   kError = 3,   ///< worker -> supervisor: payload is an error string;
-                ///< deterministic failure, the supervisor fails fast
+                ///< the whole task failed deterministically (e.g. an
+                ///< undecodable task), the supervisor fails fast
   // The TCP transport (src/net) carries these same frames over stream
   // sockets and adds the session frames below. Pipe peers (esched-worker)
   // never see them; the header codec accepts them so both transports
@@ -113,6 +137,8 @@ class ByteWriter {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
   void str(const std::string& s);
+  /// u32 length-prefixed bytes (ByteReader::blob), framed like str.
+  void blob(const std::vector<std::uint8_t>& b);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -137,6 +163,7 @@ class ByteReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   std::string str();
+  std::vector<std::uint8_t> blob();
 
   std::size_t remaining() const { return size_ - pos_; }
   /// Throws unless the payload was consumed exactly — trailing bytes mean
@@ -172,6 +199,29 @@ JobSpec decode_job(const std::vector<std::uint8_t>& payload);
 /// SimResult payload codec; exact (bit-identical) round trip.
 std::vector<std::uint8_t> encode_result(const sim::SimResult& result);
 sim::SimResult decode_result(const std::vector<std::uint8_t>& payload);
+
+/// Task payload codec (FrameType::kJob): one share group, leader first.
+/// decode_task throws esched::Error on an empty task, a member count
+/// above kMaxTaskMembers or one that runs past the payload, or a member
+/// whose share_key differs from the leader's (cell_key for a meta
+/// leader).
+std::vector<std::uint8_t> encode_task(const std::vector<JobSpec>& members);
+std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload);
+
+/// One task member's answer inside a kResult payload.
+struct Outcome {
+  bool ok = true;
+  std::vector<std::uint8_t> result;  ///< encode_result bytes, when ok
+  std::string error;                 ///< the member's failure, when not
+};
+
+/// Outcome payload codec (FrameType::kResult): one outcome per task
+/// member, in member order. The result bytes pass through verbatim (a
+/// coordinator journals them as they are); decode_outcomes throws
+/// esched::Error on zero outcomes, a count above kMaxTaskMembers or one
+/// that runs past the payload, or an unknown tag.
+std::vector<std::uint8_t> encode_outcomes(const std::vector<Outcome>& outcomes);
+std::vector<Outcome> decode_outcomes(const std::vector<std::uint8_t>& payload);
 
 /// Error-string payload codec (FrameType::kError).
 std::vector<std::uint8_t> encode_error(const std::string& message);

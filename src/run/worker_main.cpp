@@ -1,12 +1,14 @@
 // esched-worker: the child half of the multi-process sweep (run/proc.hpp).
 //
-// Protocol: read kJob frames from stdin, rebuild the cell from its
-// declarative JobSpec (run/spec.hpp), simulate, answer with one kResult
-// frame on stdout; repeat until EOF on stdin (the supervisor closing the
-// pipe is the graceful shutdown signal). A deterministic simulation error
-// (bad spec, invalid trace) is answered with a kError frame — the
-// supervisor fails fast on those, because retrying a deterministic
-// failure can only fail again.
+// Protocol: read kJob frames from stdin, each a task — one share group
+// of declarative JobSpecs (run/spec.hpp, run/wire.hpp) — run it with
+// run::execute_group (simulate the leader once, re-bill the other
+// members), answer with one kResult frame of per-member outcomes on
+// stdout; repeat until EOF on stdin (the supervisor closing the pipe is
+// the graceful shutdown signal). A member whose cell fails
+// deterministically (bad tariff, invalid trace) gets an error outcome,
+// and an undecodable task a kError frame — the supervisor fails fast on
+// both, because retrying a deterministic failure can only fail again.
 //
 // Nothing else may touch stdout (the frame stream); diagnostics go to
 // the structured log on stderr, which the worker inherits from the
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -131,7 +134,7 @@ int main() {
       // normal path; here they just leave the label blank.
       std::string label;
       try {
-        label = run::wire::decode_job(payload).label;
+        label = run::wire::decode_task(payload).front().label;
       } catch (const std::exception&) {
       }
       flight.set_context(frame.task_id, frame.attempt, label);
@@ -161,10 +164,27 @@ int main() {
     std::string span_name;
     const std::uint64_t sim_begin = steady_nanos_now();
     try {
-      const run::JobSpec spec = run::wire::decode_job(payload);
-      flow_id = spec.parent_span_id;
-      span_name = spec.label;
-      reply = run::wire::encode_result(run::execute_job_spec(spec));
+      const std::vector<run::JobSpec> members =
+          run::wire::decode_task(payload);
+      flow_id = members.front().parent_span_id;
+      span_name = members.front().label;
+      std::vector<run::wire::Outcome> outcomes;
+      for (run::MemberOutcome& m : run::execute_group(members)) {
+        run::wire::Outcome o;
+        o.ok = m.ok();
+        if (o.ok) {
+          o.result = run::wire::encode_result(m.result);
+        } else {
+          o.error = std::move(m.error);
+        }
+        outcomes.push_back(std::move(o));
+      }
+      reply = run::wire::encode_outcomes(outcomes);
+      // Answered as this task's deterministic failure: a retry would
+      // produce the same bytes again.
+      ESCHED_REQUIRE(reply.size() <= run::wire::kMaxPayload,
+                     "task reply of " + std::to_string(reply.size()) +
+                         " bytes exceeds the frame limit");
     } catch (const std::exception& e) {
       reply_type = run::wire::FrameType::kError;
       reply = run::wire::encode_error(e.what());

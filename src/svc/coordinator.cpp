@@ -168,12 +168,9 @@ void Coordinator::on_submit(std::uint64_t id,
   // (or whose grid clashes with an existing sweep id) must be rejected
   // before any state changes.
   std::vector<std::string> keys;
-  std::vector<std::vector<std::uint8_t>> payloads;
   keys.reserve(request.specs.size());
-  payloads.reserve(request.specs.size());
   try {
     for (const run::JobSpec& spec : request.specs) {
-      payloads.push_back(wire::encode_job(spec));
       keys.push_back(run::cell_key(spec));
     }
   } catch (const Error& e) {
@@ -211,16 +208,18 @@ void Coordinator::on_submit(std::uint64_t id,
       send_cell_done(id, i, keys[i]);
       continue;
     }
-    const auto cell = cells_.find(keys[i]);
+    auto cell = cells_.find(keys[i]);
     if (cell == cells_.end()) {
       Cell fresh;
-      fresh.payload = std::move(payloads[i]);
-      fresh.label = request.specs[i].label;
+      fresh.spec = request.specs[i];
+      if (sharing_ && fresh.spec.meta == nullptr) {
+        fresh.share = run::share_key(fresh.spec);
+      }
       fresh.ready_at = now;
-      cells_.emplace(keys[i], std::move(fresh));
-      pending_.push_back(keys[i]);
+      cell = cells_.emplace(keys[i], std::move(fresh)).first;
+      enqueue(cell->first, cell->second);
     }
-    cells_.at(keys[i]).waiters.emplace_back(request.sweep_id, i);
+    cell->second.waiters.emplace_back(request.sweep_id, i);
   }
   maybe_finish_sweep(request.sweep_id);
 }
@@ -310,9 +309,25 @@ void Coordinator::fail_sweep(const std::string& sweep_id,
 
 // ---- work management --------------------------------------------------
 
+void Coordinator::enqueue(const std::string& key, Cell& cell) {
+  pending_.push_back(key);
+  if (!cell.share.empty()) queued_by_share_[cell.share].push_back(key);
+}
+
+void Coordinator::unindex(const std::string& key, const Cell& cell) {
+  if (cell.share.empty()) return;
+  const auto it = queued_by_share_.find(cell.share);
+  if (it == queued_by_share_.end()) return;
+  std::erase(it->second, key);
+  if (it->second.empty()) queued_by_share_.erase(it);
+}
+
 /// Pop the first pending cell whose backoff elapsed, skipping (and
-/// discarding) stale queue entries for cells that completed or failed
-/// while queued, and start its next attempt under a fresh dispatch id.
+/// discarding) stale queue entries for cells that completed, failed or
+/// left in another cell's task while queued. The task it leads takes
+/// along the first ready queued cells of its share group, as
+/// run::plan_groups groups them (at most wire::kMaxTaskMembers in all),
+/// and starts each member's next attempt under one fresh dispatch id.
 bool Coordinator::claim(Clock::time_point now, run::Dispatch& work) {
   for (std::size_t i = 0; i < pending_.size();) {
     const auto it = cells_.find(pending_[i]);
@@ -323,13 +338,41 @@ bool Coordinator::claim(Clock::time_point now, run::Dispatch& work) {
     }
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     if (stale) continue;
-    Cell& cell = it->second;
+
+    std::vector<std::string> keys{it->first};
+    run::ShareGroup group{{0}, {}};
+    if (!it->second.share.empty()) {
+      // Only as many candidates as one task can carry: the leader heads
+      // group 0, and the planner stops it at the same cap.
+      std::vector<const run::JobSpec*> specs{&it->second.spec};
+      for (const std::string& key : queued_by_share_.at(it->second.share)) {
+        if (keys.size() == wire::kMaxTaskMembers) break;
+        const Cell& cell = cells_.at(key);
+        if (key != it->first && cell.ready_at <= now) {
+          keys.push_back(key);
+          specs.push_back(&cell.spec);
+        }
+      }
+      if (specs.size() > 1) {
+        group = run::plan_groups(specs, true, wire::kMaxTaskMembers).front();
+      }
+    }
+    Task task;
+    std::vector<run::JobSpec> members;
+    work.attempt = it->second.attempts;
+    for (const std::size_t m : group.members) {
+      Cell& cell = cells_.at(keys[m]);
+      unindex(keys[m], cell);
+      cell.in_flight = true;
+      ++cell.attempts;
+      members.push_back(cell.spec);
+      task.keys.push_back(keys[m]);
+      bump("svc.cells_dispatched");
+    }
+    task.payload = wire::encode_task(members);
     work.task = next_dispatch_;
-    work.attempt = cell.attempts++;
-    work.payload = &cell.payload;
-    cell.in_flight = true;
-    in_flight_[next_dispatch_++] = it->first;
-    bump("svc.cells_dispatched");
+    work.payload = &in_flight_.emplace(next_dispatch_++, std::move(task))
+                         .first->second.payload;
     return true;
   }
   return false;
@@ -341,9 +384,43 @@ bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& slot,
   const auto task = static_cast<std::uint32_t>(slot.task);
   const auto flight = in_flight_.find(task);
   if (flight == in_flight_.end()) return false;
-  const std::string key = flight->second;
+  std::vector<wire::Outcome> outcomes;
+  try {
+    outcomes = wire::decode_outcomes(bytes);
+  } catch (const Error&) {
+    return false;
+  }
+  if (outcomes.size() != flight->second.keys.size()) return false;
+  // The outcomes own every result now; free the reply before they are
+  // journaled, so a group costs no more peak memory than its results.
+  std::vector<std::uint8_t>().swap(bytes);
+  const std::vector<std::string> keys = std::move(flight->second.keys);
   in_flight_.erase(flight);
 
+  std::uint64_t produced = 0;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    if (!outcomes[k].ok) {
+      // Deterministic failure of this member alone: retrying reruns the
+      // same simulation.
+      const auto cell = cells_.find(keys[k]);
+      const std::string label =
+          cell != cells_.end() ? cell->second.spec.label : keys[k];
+      fail_cell(keys[k], "sweep cell \"" + label +
+                             "\" failed: " + outcomes[k].error);
+      continue;
+    }
+    ++produced;
+    deliver(keys[k], std::move(outcomes[k].result), task, slot.attempt);
+  }
+  // One produced member was simulated, the others re-billed from it.
+  if (produced > 1) bump("svc.cells_rebilled", produced - 1);
+  return true;
+}
+
+/// Journal, store and stream one produced cell.
+void Coordinator::deliver(const std::string& key,
+                          std::vector<std::uint8_t> bytes, std::uint32_t task,
+                          std::uint32_t attempt) {
   // Stored and journaled *verbatim* (the CRC already vouched for the
   // bytes): decoding and re-encoding could only risk the byte-identity
   // the journal promises. Durability first: the record is on disk (or
@@ -351,12 +428,12 @@ bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& slot,
   wire::JournalRecord record;
   record.cell_key = key;
   record.result_bytes = bytes;
-  journal_.append(record, task, slot.attempt);
+  journal_.append(record, task, attempt);
   store_[key] = std::move(bytes);
   bump("svc.cells_completed");
 
   const auto it = cells_.find(key);
-  if (it == cells_.end()) return true;  // no one was waiting
+  if (it == cells_.end()) return;  // no one was waiting
   const std::vector<std::pair<std::string, std::size_t>> waiters =
       std::move(it->second.waiters);
   cells_.erase(it);
@@ -377,40 +454,47 @@ bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& slot,
   for (const std::string& sweep_id : touched) {
     if (sweeps_.count(sweep_id) != 0) maybe_finish_sweep(sweep_id);
   }
-  return true;
 }
 
+/// A failed attempt requeues every member of the task, each under its
+/// own attempt budget.
 void Coordinator::on_transient(std::size_t task, const std::string& reason,
                                Clock::time_point now) {
   const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
   if (flight == in_flight_.end()) return;
-  const std::string key = flight->second;
+  const std::vector<std::string> keys = std::move(flight->second.keys);
   in_flight_.erase(flight);
-  const auto it = cells_.find(key);
-  if (it == cells_.end()) return;
-  Cell& cell = it->second;
-  cell.in_flight = false;
-  cell.failures.push_back("attempt " + std::to_string(cell.attempts) + ": " +
-                          reason);
-  if (cell.attempts >= config_.max_attempts) {
-    fail_cell(key, "sweep cell \"" + cell.label + "\" failed after " +
-                       std::to_string(cell.attempts) + " attempt(s): " +
-                       join_failures(cell.failures));
-    return;
+  for (const std::string& key : keys) {
+    const auto it = cells_.find(key);
+    if (it == cells_.end()) continue;
+    Cell& cell = it->second;
+    cell.in_flight = false;
+    cell.failures.push_back("attempt " + std::to_string(cell.attempts) +
+                            ": " + reason);
+    if (cell.attempts >= config_.max_attempts) {
+      fail_cell(key, "sweep cell \"" + cell.spec.label + "\" failed after " +
+                         std::to_string(cell.attempts) + " attempt(s): " +
+                         join_failures(cell.failures));
+      continue;
+    }
+    cell.ready_at = after(now, retry_.backoff_seconds(cell.attempts));
+    enqueue(key, cell);
   }
-  cell.ready_at = after(now, retry_.backoff_seconds(cell.attempts));
-  pending_.push_back(key);
 }
 
 void Coordinator::on_error(std::size_t task, const std::string& message) {
   const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
   if (flight == in_flight_.end()) return;
-  const std::string key = flight->second;
+  const std::vector<std::string> keys = std::move(flight->second.keys);
   in_flight_.erase(flight);
-  const auto cell = cells_.find(key);
-  const std::string label = cell != cells_.end() ? cell->second.label : key;
-  // Deterministic failure: retrying reruns the same simulation.
-  fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
+  // Deterministic failure of the whole task: retrying reruns the same
+  // simulation.
+  for (const std::string& key : keys) {
+    const auto cell = cells_.find(key);
+    const std::string label =
+        cell != cells_.end() ? cell->second.spec.label : key;
+    fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
+  }
 }
 
 /// Deterministic failure or attempt-budget exhaustion: every sweep
@@ -420,6 +504,7 @@ void Coordinator::fail_cell(const std::string& key,
                             const std::string& message) {
   const auto it = cells_.find(key);
   if (it == cells_.end()) return;
+  if (!it->second.in_flight) unindex(key, it->second);
   std::set<std::string> affected;
   for (const auto& [sweep_id, index] : it->second.waiters) {
     affected.insert(sweep_id);

@@ -20,6 +20,13 @@
 //    cell, ever — and a coordinator SIGKILLed mid-sweep resumes after
 //    restart by replaying the journal and re-simulating only the cells
 //    whose records are absent (coordinator_test counts them).
+//  * A fleet task is a share group (run::plan_groups): a claimed cell
+//    takes along ready queued cells with its run::share_key, up to
+//    wire::kMaxTaskMembers in all; the worker simulates that trajectory
+//    once and re-bills the rest, and each member is journaled under its
+//    own cell_key. A price-level grid therefore costs one simulation per
+//    trajectory (per task of a larger group), and a group with some
+//    members already journaled still simulates once.
 //  * The agent fleet is a net::AgentFleet kept alive across sweeps —
 //    the same implementation DistributedPool drives per run, except that
 //    the daemon never abandons an agent on connect failures (the fleet
@@ -109,14 +116,22 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
   /// journaled. Carries its own attempt budget (the TaskLedger
   /// bookkeeping, inlined because cells come and go dynamically).
   struct Cell {
-    std::vector<std::uint8_t> payload;  ///< encode_job bytes, reused per retry
-    std::string label;                  ///< for failure diagnostics
+    run::JobSpec spec;  ///< encoded into every task the cell rides in
+    /// run::share_key, its queued_by_share_ entry; empty when the cell
+    /// cannot join a group (a meta cell, or sharing off).
+    std::string share;
     std::uint32_t attempts = 0;
     std::vector<std::string> failures;
     bool in_flight = false;
     Clock::time_point ready_at{};  ///< backoff gate while queued
     /// (sweep id, grid index) pairs waiting on this cell.
     std::vector<std::pair<std::string, std::size_t>> waiters;
+  };
+
+  /// One dispatched fleet task: a share group of cells.
+  struct Task {
+    std::vector<std::string> keys;       ///< member cell keys, leader first
+    std::vector<std::uint8_t> payload;   ///< encode_task bytes
   };
 
   /// One submitted sweep, resumable by id.
@@ -160,6 +175,10 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
                     Clock::time_point now) override;
   void on_error(std::size_t task, const std::string& message) override;
   void fail_cell(const std::string& key, const std::string& message);
+  void deliver(const std::string& key, std::vector<std::uint8_t> bytes,
+               std::uint32_t task, std::uint32_t attempt);
+  void enqueue(const std::string& key, Cell& cell);
+  void unindex(const std::string& key, const Cell& cell);
 
   CoordinatorConfig config_;
   run::RetryPolicy retry_;
@@ -172,7 +191,11 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
   std::map<std::string, std::vector<std::uint8_t>> store_;  ///< key -> result
   std::map<std::string, Cell> cells_;  ///< key -> queued/in-flight work
   std::deque<std::string> pending_;    ///< dispatch order (requeues at back)
-  std::map<std::uint32_t, std::string> in_flight_;  ///< dispatch id -> key
+  /// share_key -> keys of its queued groupable cells, in queue order:
+  /// the cells a claimed leader can take along in its task.
+  std::map<std::string, std::vector<std::string>> queued_by_share_;
+  std::map<std::uint32_t, Task> in_flight_;  ///< dispatch id -> task
+  bool sharing_ = run::SweepRunner::prefix_sharing_default();
   std::uint32_t next_dispatch_ = 0;
   std::map<std::string, Sweep> sweeps_;
 };

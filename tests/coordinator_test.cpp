@@ -24,6 +24,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -33,9 +36,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "net/distributed.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 #include "run/endpoint.hpp"
+#include "run/proc.hpp"
 #include "run/spec.hpp"
+#include "run/sweep.hpp"
 #include "run/wire.hpp"
 #include "svc/coordinator.hpp"
 #include "svc/journal.hpp"
@@ -46,27 +53,36 @@ namespace {
 
 namespace wire = run::wire;
 
-/// Set ESCHED_FAULT for the scope of one test; spawned coordinators,
-/// agentds and workers inherit it. Restores the prior value on exit.
-class ScopedFaultEnv {
+/// Set an environment variable for the scope of one test; spawned
+/// coordinators, agentds and workers inherit it. Restores the prior
+/// value on exit.
+class ScopedEnv {
  public:
-  explicit ScopedFaultEnv(const std::string& plan) {
-    const char* prev = std::getenv("ESCHED_FAULT");
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    const char* prev = std::getenv(name);
     had_prev_ = prev != nullptr;
     if (had_prev_) prev_ = prev;
-    ::setenv("ESCHED_FAULT", plan.c_str(), 1);
+    ::setenv(name, value.c_str(), 1);
   }
-  ~ScopedFaultEnv() {
+  ~ScopedEnv() {
     if (had_prev_) {
-      ::setenv("ESCHED_FAULT", prev_.c_str(), 1);
+      ::setenv(name_, prev_.c_str(), 1);
     } else {
-      ::unsetenv("ESCHED_FAULT");
+      ::unsetenv(name_);
     }
   }
 
  private:
+  const char* name_;
   bool had_prev_ = false;
   std::string prev_;
+};
+
+/// ESCHED_FAULT for the scope of one test.
+class ScopedFaultEnv : public ScopedEnv {
+ public:
+  explicit ScopedFaultEnv(const std::string& plan)
+      : ScopedEnv("ESCHED_FAULT", plan) {}
 };
 
 /// Fork one of the service binaries and parse its ready line for
@@ -137,12 +153,13 @@ class ServiceProc {
 
 class AgentProc : public ServiceProc {
  public:
-  explicit AgentProc(int slots, bool http = false) {
+  /// port 0 picks an ephemeral port.
+  explicit AgentProc(int slots, bool http = false, std::uint16_t port = 0) {
     const std::string path =
         run::find_sibling_binary("ESCHED_AGENTD", "esched-agentd");
     ESCHED_REQUIRE(!path.empty(), "esched-agentd binary not built?");
-    std::vector<std::string> args = {"--port", "0", "--slots",
-                                     std::to_string(slots)};
+    std::vector<std::string> args = {"--port", std::to_string(port),
+                                     "--slots", std::to_string(slots)};
     if (http) {
       args.push_back("--http-port");
       args.push_back("0");
@@ -253,6 +270,185 @@ void journal_census(const std::string& path, std::size_t& records,
     keys.insert(r.cell_key);
   });
   distinct_keys = keys.size();
+}
+
+/// Price variants of one trajectory per policy: {fcfs, greedy} at three
+/// paper-tariff ratios plus fcfs under a flat tariff — three share
+/// groups, four re-billable cells, no two cells alike.
+std::vector<run::JobSpec> price_variant_grid() {
+  std::vector<run::JobSpec> sweep;
+  for (const char* policy : {"fcfs", "greedy"}) {
+    for (const double ratio : {2.0, 3.0, 4.0}) {
+      run::JobSpec spec = six_cell_sweep().front();
+      spec.policy.name = policy;
+      spec.pricing.ratio = ratio;
+      spec.label = std::string(policy) + "/r" +
+                   std::to_string(static_cast<int>(ratio));
+      sweep.push_back(spec);
+    }
+  }
+  run::JobSpec flat = sweep.front();
+  flat.pricing.model = "flat";
+  flat.label = "fcfs/flat";
+  sweep.push_back(flat);
+  return sweep;
+}
+
+/// The in-process twin of a spec grid, for SweepRunner.
+std::vector<run::SimJob> sim_jobs(const std::vector<run::JobSpec>& sweep) {
+  std::vector<run::SimJob> jobs;
+  for (const run::JobSpec& spec : sweep) {
+    run::SimJob job;
+    job.trace = std::make_shared<const trace::Trace>(
+        run::build_trace(spec.trace));
+    job.pricing = run::build_pricing(spec.pricing);
+    job.make_policy = [name = spec.policy] { return run::build_policy(name); };
+    job.config = spec.config;
+    job.label = spec.label;
+    job.spec = std::make_shared<const run::JobSpec>(spec);
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+/// Step an in-process coordinator until `done`, failing after a minute.
+void serve_until(Coordinator& coordinator, const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "coordinator stalled";
+    coordinator.step();
+  }
+}
+
+/// A client sweep on its own thread, against an in-process coordinator.
+struct ClientThread {
+  ClientThread(std::uint16_t port, std::string sweep_id,
+               std::vector<run::JobSpec> sweep)
+      : thread([this, port, id = std::move(sweep_id),
+                grid = std::move(sweep)] {
+          try {
+            CoordinatorClientConfig cfg = client_config({"127.0.0.1", port});
+            cfg.sweep_id = id;
+            CoordinatorClient client(cfg);
+            results = client.run(grid);
+            stats = client.last_stats();
+          } catch (const std::exception& e) {
+            error = e.what();
+          }
+          finished = true;
+        }) {}
+  ~ClientThread() {
+    if (thread.joinable()) thread.join();
+  }
+
+  std::atomic<bool> finished{false};
+  std::vector<sim::SimResult> results;
+  run::SweepStats stats;
+  std::string error;
+  std::thread thread;
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// (cell_key, producing dispatch id) of every journal record, in order.
+std::vector<std::pair<std::string, std::uint32_t>> journal_dispatches(
+    const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  std::vector<std::pair<std::string, std::uint32_t>> out;
+  for (std::size_t at = 0; at + wire::kHeaderSize <= bytes.size();) {
+    const wire::FrameHeader h = wire::decode_header(bytes.data() + at);
+    const auto body = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                          at + wire::kHeaderSize);
+    const wire::JournalRecord record = wire::decode_journal_record(
+        std::vector<std::uint8_t>(body, body + h.payload_size));
+    out.emplace_back(record.cell_key, h.task_id);
+    at += wire::kHeaderSize + h.payload_size;
+  }
+  return out;
+}
+
+/// Run `sweep` through SweepRunner, SubprocessPool, DistributedPool and
+/// an in-process Coordinator: every plane produces SweepRunner's bytes,
+/// and each fleet plane simulates `simulated` cells and re-bills
+/// `rebilled`. SweepRunner's own stats land in `want`.
+void expect_planes_match_sweep_runner(const std::vector<run::JobSpec>& sweep,
+                                      std::size_t simulated,
+                                      std::size_t rebilled,
+                                      const std::string& journal_name,
+                                      run::SweepStats& want) {
+  run::SweepRunner runner(2);
+  const std::vector<sim::SimResult> reference = runner.run(sim_jobs(sweep));
+  want = runner.last_stats();
+  const auto expect_split = [&](const char* plane, std::size_t plane_simulated,
+                                std::size_t plane_rebilled) {
+    EXPECT_EQ(plane_simulated, simulated) << plane;
+    EXPECT_EQ(plane_rebilled, rebilled) << plane;
+  };
+
+  run::SubprocessPoolConfig proc_cfg;
+  proc_cfg.workers = 2;
+  run::SubprocessPool proc(proc_cfg);
+  expect_identical(reference, proc.run(sweep), sweep);
+  expect_split("proc", proc.last_stats().simulated_cells,
+               proc.last_stats().rebilled_cells);
+
+  AgentProc agent(2);
+  net::DistributedPoolConfig tcp_cfg;
+  tcp_cfg.agents = {agent.addr()};
+  net::DistributedPool tcp(tcp_cfg);
+  expect_identical(reference, tcp.run(sweep), sweep);
+  expect_split("tcp", tcp.last_stats().simulated_cells,
+               tcp.last_stats().rebilled_cells);
+
+  // In-process, so its counters land in this process's Registry: each
+  // task completes its members and re-bills all but one.
+  const bool counters_were_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const std::uint64_t completed_before = counter("svc.cells_completed");
+  const std::uint64_t rebilled_before = counter("svc.cells_rebilled");
+  TempJournal journal(journal_name);
+  CoordinatorConfig cfg;
+  cfg.port = 0;
+  cfg.agents = {agent.addr()};
+  cfg.journal_path = journal.path();
+  Coordinator coordinator(cfg);
+  run::SigpipeGuard sigpipe;
+  ClientThread client(coordinator.start(), "planes", sweep);
+  serve_until(coordinator, [&] { return client.finished.load(); });
+  client.thread.join();
+  const std::uint64_t completed =
+      counter("svc.cells_completed") - completed_before;
+  const std::uint64_t coordinator_rebilled =
+      counter("svc.cells_rebilled") - rebilled_before;
+  obs::set_counters_enabled(counters_were_on);
+  ASSERT_TRUE(client.error.empty()) << client.error;
+  expect_identical(reference, client.results, sweep);
+  expect_split("coordinator", completed - coordinator_rebilled,
+               coordinator_rebilled);
+  // SweepDone's meaning is unchanged: every cell was produced fresh.
+  EXPECT_EQ(client.stats.simulated_cells, sweep.size());
+}
+
+/// Every plane produces SweepRunner's bytes and its sharing split: one
+/// simulation per share group with sharing on, one per cell with it off.
+void expect_planes_share_like_sweep_runner(bool sharing) {
+  ScopedEnv share("ESCHED_PREFIX_SHARE", sharing ? "on" : "off");
+  const std::vector<run::JobSpec> sweep = price_variant_grid();
+  const std::size_t simulated = sharing ? 3 : sweep.size();
+  const std::size_t rebilled = sharing ? 4 : 0;
+  run::SweepStats want;
+  expect_planes_match_sweep_runner(
+      sweep, simulated, rebilled,
+      sharing ? "planes-shared" : "planes-unshared", want);
+  EXPECT_EQ(want.simulated_cells, simulated);
+  EXPECT_EQ(want.rebilled_cells, rebilled);
+  EXPECT_EQ(want.copied_cells, 0u);
 }
 
 TEST(CoordinatorTest, CoordinatorBinaryIsAvailable) {
@@ -674,6 +870,129 @@ TEST(CoordinatorTest, DeriveSweepIdIsDeterministicAndSpecSensitive) {
   auto relabeled = sweep;
   relabeled[0].label = "renamed";
   EXPECT_EQ(id, CoordinatorClient::derive_sweep_id(relabeled));
+}
+
+TEST(CoordinatorTest, EveryPlaneSimulatesEachShareGroupOnce) {
+  expect_planes_share_like_sweep_runner(true);
+}
+
+TEST(CoordinatorTest, WithSharingOffEveryPlaneSimulatesEveryCell) {
+  expect_planes_share_like_sweep_runner(false);
+}
+
+TEST(CoordinatorTest, ShareGroupAboveTheTaskCapRunsAsSeveralTasks) {
+  // Two more price variants of one trajectory than a task carries:
+  // in-process that is one simulation, on the fleet one per task.
+  ScopedEnv share("ESCHED_PREFIX_SHARE", "on");
+  std::vector<run::JobSpec> sweep;
+  for (std::size_t i = 0; i < wire::kMaxTaskMembers + 2; ++i) {
+    run::JobSpec spec = six_cell_sweep().front();
+    spec.pricing.ratio = 2.0 + 0.5 * static_cast<double>(i);
+    spec.label = "r" + std::to_string(i);
+    sweep.push_back(spec);
+  }
+  run::SweepStats want;
+  expect_planes_match_sweep_runner(sweep, 2, sweep.size() - 2,
+                                   "planes-capped", want);
+  EXPECT_EQ(want.simulated_cells, 1u);
+  EXPECT_EQ(want.rebilled_cells, sweep.size() - 1);
+}
+
+TEST(CoordinatorTest, PartlyJournaledGroupSimulatesOnce) {
+  // One member of a three-member share group is journaled; resubmitting
+  // the whole group after a restart serves that member from the journal
+  // and dispatches the other two as one task.
+  std::vector<run::JobSpec> group = price_variant_grid();
+  group.resize(3);  // fcfs at ratios 2, 3, 4
+  const auto reference = reference_results(group);
+
+  AgentProc agent(2);
+  TempJournal journal("partial-group");
+  CoordProc coord;
+  coord.start_coordinator(0, agent.addr().text(), journal.path());
+  const std::uint16_t port = coord.port();
+  CoordinatorClientConfig first_cfg = client_config(coord.addr());
+  first_cfg.sweep_id = "one-member";
+  CoordinatorClient first(first_cfg);
+  const std::vector<run::JobSpec> middle = {group[1]};
+  expect_identical({reference[1]}, first.run(middle), middle);
+
+  coord.kill_now();
+  coord.start_coordinator(port, agent.addr().text(), journal.path());
+  CoordinatorClientConfig second_cfg = client_config(coord.addr());
+  second_cfg.sweep_id = "whole-group";
+  CoordinatorClient second(second_cfg);
+  expect_identical(reference, second.run(group), group);
+  EXPECT_EQ(second.last_stats().simulated_cells, 2u);
+  EXPECT_EQ(second.last_stats().copied_cells, 1u);
+  coord.kill_now();
+
+  // The journal holds each cell once; the two fresh ones came from the
+  // second incarnation's first and only dispatch.
+  const auto records = journal_dispatches(journal.path());
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].first, run::cell_key(group[1]));
+  std::set<std::string> keys;
+  for (const auto& [key, task] : records) keys.insert(key);
+  EXPECT_EQ(keys.size(), 3u);
+  EXPECT_EQ(records[1].second, records[2].second);
+}
+
+TEST(CoordinatorTest, BadTariffInAnotherClientsSweepFailsOnlyThatSweep) {
+  // Client B's cell carries a tariff its model rejects, and shares a
+  // trajectory with client A's three cells. With no agent up yet both
+  // sweeps queue; the first dispatch then carries all four cells in one
+  // task, led by B's. Only B's sweep may fail.
+  std::vector<run::JobSpec> good = price_variant_grid();
+  good.resize(3);
+  const auto reference = reference_results(good);
+  run::JobSpec bad = good.front();
+  bad.pricing.ratio = 0.5;
+  bad.label = "half-ratio";
+
+  // An agent address nothing listens on yet: bound once, then released.
+  net::Fd probe = net::listen_tcp("127.0.0.1", 0);
+  const std::uint16_t agent_port = net::local_port(probe.get());
+  probe.reset();
+
+  TempJournal journal("bad-member");
+  CoordinatorConfig cfg;
+  cfg.port = 0;
+  cfg.agents = {{"127.0.0.1", agent_port}};
+  cfg.journal_path = journal.path();
+  cfg.reconnect_initial_seconds = 0.02;
+  cfg.reconnect_max_seconds = 0.05;
+  Coordinator coordinator(cfg);
+  const std::uint16_t port = coordinator.start();
+  run::SigpipeGuard sigpipe;
+
+  const auto queued = [&](std::size_t sweeps) {
+    return [&coordinator, sweeps] {
+      return coordinator.ops_sweeps().sweeps.size() == sweeps;
+    };
+  };
+  ClientThread b(port, "client-b", {bad});
+  serve_until(coordinator, queued(1));
+  ClientThread a(port, "client-a", good);
+  serve_until(coordinator, queued(2));
+  EXPECT_EQ(coordinator.ops_sweeps().cells_pending, 4u);
+
+  AgentProc agent(1, false, agent_port);
+  serve_until(coordinator, [&] { return a.finished && b.finished; });
+  a.thread.join();
+  b.thread.join();
+
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  expect_identical(reference, a.results, good);
+  EXPECT_EQ(a.stats.simulated_cells, 3u);
+  EXPECT_NE(b.error.find("half-ratio"), std::string::npos) << b.error;
+  EXPECT_NE(b.error.find("ratio must be >= 1"), std::string::npos) << b.error;
+
+  // A's three cells came back from a single dispatch.
+  const auto records = journal_dispatches(journal.path());
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].second, records[1].second);
+  EXPECT_EQ(records[1].second, records[2].second);
 }
 
 }  // namespace

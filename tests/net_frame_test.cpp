@@ -254,6 +254,37 @@ TEST(FrameConnTest, QueuesPartialWritesUntilFlushed) {
   EXPECT_FALSE(pair.a.wants_write());
 }
 
+TEST(FrameConnTest, FillStopsOnceAFrameIsComplete) {
+  // Three 40 kB frames sit in the kernel together. One fill() must stop
+  // at the read that completes the first (which also carries the start of
+  // the second), so a burst never piles up in the reassembly buffer; the
+  // rest arrive on later fills.
+  ConnPair pair = ConnPair::make();
+  const std::string text(40000, 'y');
+  for (std::uint32_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(pair.a.send(wire::encode_frame(wire::FrameType::kError, id, 0,
+                                               wire::encode_error(text))));
+  }
+  ASSERT_FALSE(pair.a.wants_write());
+
+  EXPECT_EQ(pair.b.fill(), FrameConn::ReadStatus::kOk);
+  wire::FrameHeader header;
+  std::vector<std::uint8_t> body;
+  std::string corrupt;
+  ASSERT_EQ(pair.b.frames().next(header, body, corrupt),
+            run::FrameAssembler::Status::kFrame);
+  EXPECT_EQ(header.task_id, 0u);
+  EXPECT_EQ(pair.b.frames().next(header, body, corrupt),
+            run::FrameAssembler::Status::kNeedMore);
+  EXPECT_TRUE(pair.b.frames().mid_frame());
+
+  auto rest = read_frames(pair.b, pair.a, 2);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].first.task_id, 1u);
+  EXPECT_EQ(rest[1].first.task_id, 2u);
+  EXPECT_EQ(wire::decode_error(rest[1].second), text);
+}
+
 TEST(FrameConnTest, ReportsPeerCloseAsClosed) {
   ConnPair pair = ConnPair::make();
   pair.a.close();

@@ -367,6 +367,52 @@ TEST(ProcPoolTest, DeterministicSpecErrorFailsFastWithoutRetry) {
   }
 }
 
+TEST(ProcPoolTest, UnknownTariffIsRejectedNotAnsweredByASibling) {
+  // "bogus" once shared a cell_key with the "paper" cell at the same
+  // prices, so it was answered with that cell's result. Alone or next to
+  // its would-be sibling, it must fail with the tariff's own error.
+  std::vector<JobSpec> sweep = three_policy_specs();
+  sweep.resize(1);
+  sweep.push_back(sweep.front());
+  sweep.back().pricing.model = "bogus";
+  SubprocessPoolConfig config;
+  config.workers = 2;
+  SubprocessPool pool(config);
+  for (const std::vector<JobSpec>& grid :
+       {std::vector<JobSpec>{sweep.back()}, sweep}) {
+    try {
+      pool.run(grid);
+      FAIL() << "a sweep with an unknown tariff returned results";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown pricing name \"bogus\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ProcPoolTest, BadTariffFailsItsSweepAfterTheGroupSimulatesOnce) {
+  // A price variant the tariff rejects rides in its share group's task
+  // and fails alone there; the pool fails the sweep naming it.
+  std::vector<JobSpec> sweep = three_policy_specs();
+  sweep.resize(1);
+  sweep.push_back(sweep.front());
+  sweep.back().pricing.ratio = 0.5;
+  sweep.back().label = "half-ratio";
+  SubprocessPoolConfig config;
+  config.workers = 1;
+  config.max_attempts = 5;
+  SubprocessPool pool(config);
+  try {
+    pool.run(sweep);
+    FAIL() << "expected the bad member to fail the sweep";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("member \"half-ratio\""), std::string::npos) << what;
+    EXPECT_NE(what.find("ratio must be >= 1"), std::string::npos) << what;
+  }
+}
+
 TEST(ProcPoolTest, CrashLeavesFlightDumpNamingTheInFlightCell) {
   // ESCHED_FAULT=crash postmortems: every crashed attempt leaves a
   // deterministic flight dump naming the cell in flight, the exhaustion
@@ -423,10 +469,11 @@ TEST(ProcPoolTest, CrashLeavesFlightDumpNamingTheInFlightCell) {
 }
 
 TEST(ProcPoolTest, SupervisorSleepsWhileWorkersAreBusy) {
-  // One worker, many cells: while it runs one, the rest wait with their
-  // backoff gates long open. The supervisor must sleep in poll() until the
-  // worker answers, not spin on the ready-time of cells no worker can
-  // take — so its own CPU time stays far below the run's wall time.
+  // One worker, several tasks (three share groups of four price ratios): while
+  // it runs one, the rest wait with their backoff gates long open. The
+  // supervisor must sleep in poll() until the worker answers, not spin on the
+  // ready-time of cells no worker can take — so its own CPU time stays far
+  // below the run's wall time.
   std::vector<JobSpec> sweep;
   for (const double ratio : {2.0, 3.0, 4.0, 5.0}) {
     for (JobSpec spec : three_policy_specs()) {
@@ -455,7 +502,8 @@ TEST(ProcPoolTest, SupervisorSleepsWhileWorkersAreBusy) {
   const double wall = pool.last_stats().wall_seconds;
 
   ASSERT_EQ(results.size(), sweep.size());
-  EXPECT_EQ(pool.last_stats().simulated_cells, sweep.size());
+  EXPECT_EQ(pool.last_stats().simulated_cells, 3u);
+  EXPECT_EQ(pool.last_stats().rebilled_cells, 9u);
   EXPECT_LT(cpu, 0.3 * wall) << "supervisor burned " << cpu << " CPU-s over "
                              << wall << " s of wall time";
 }

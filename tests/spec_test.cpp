@@ -9,8 +9,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/policy.hpp"
+#include "obs/tracer.hpp"
 #include "power/pricing.hpp"
 #include "power/profile.hpp"
 #include "run/sweep.hpp"
@@ -127,6 +129,126 @@ TEST(SpecTest, AllStandardNamesConstruct) {
     spec.model = model;
     EXPECT_NE(build_pricing(spec), nullptr) << model;
   }
+}
+
+JobSpec priced_cell(const char* policy, const char* model, double ratio) {
+  JobSpec spec;
+  spec.trace.months = 1;
+  spec.pricing.model = model;
+  spec.pricing.ratio = ratio;
+  spec.policy.name = policy;
+  spec.label = std::string(policy) + "/" + model + "/" + std::to_string(ratio);
+  return spec;
+}
+
+TEST(SpecTest, KeysOfValidCellsAreUnchanged) {
+  // Coordinator journals are keyed by cell_key: a valid cell's keys must
+  // never change by a byte.
+  const JobSpec spec = priced_cell("greedy", "paper", 4.0);
+  const std::string share =
+      "trace:sdsc-blue,,1,0,0x1.8p+1,0,0|policy:greedy|cfg:10,0x0p+0,000,0,"
+      "1,96|sched:20,1,0,100,0|periods:onoff-paper-default";
+  EXPECT_EQ(share_key(spec), share);
+  EXPECT_EQ(cell_key(spec), share + "|price:0x1.eb851eb851eb8p-6,0x1p+2");
+}
+
+TEST(SpecTest, KeysRejectUnknownTariffNames) {
+  // An unknown model must not alias a "paper" cell with the same prices:
+  // the keys throw what building the tariff throws.
+  const JobSpec bogus = priced_cell("fcfs", "bogus", 3.0);
+  std::string built;
+  try {
+    build_pricing(bogus.pricing);
+  } catch (const Error& e) {
+    built = e.what();
+  }
+  ASSERT_NE(built.find("unknown pricing name \"bogus\""), std::string::npos);
+  for (const auto& key : {share_key, cell_key}) {
+    try {
+      key(bogus);
+      FAIL() << "a key accepted an unknown tariff";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), built);
+    }
+  }
+  EXPECT_THROW(plan_groups({priced_cell("fcfs", "paper", 3.0), bogus}, true),
+               Error);
+}
+
+TEST(SpecTest, PlanGroupsAppliesTheSharingRules) {
+  obs::Tracer tracer;
+  std::vector<JobSpec> sweep = {
+      priced_cell("fcfs", "paper", 2.0),    // 0: leader of group 0
+      priced_cell("greedy", "paper", 2.0),  // 1: leader of group 1
+      priced_cell("fcfs", "paper", 4.0),    // 2: rebills group 0
+      priced_cell("fcfs", "onoff", 4.0),    // 3: same cell as 2: copy
+      priced_cell("fcfs", "flat", 2.0),     // 4: flat periods: group 2
+      priced_cell("fcfs", "flat", 9.0),     // 5: flat ignores ratio: copy
+      priced_cell("fcfs", "paper", 5.0),    // 6: traced: a group alone
+  };
+  sweep[6].config.tracer = &tracer;
+
+  const std::vector<ShareGroup> groups = plan_groups(sweep, true);
+  ASSERT_EQ(groups.size(), 4u);
+  EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 2}));
+  ASSERT_EQ(groups[0].copies.size(), 1u);
+  EXPECT_EQ(groups[0].copies[0].cell, 3u);
+  EXPECT_EQ(groups[0].copies[0].member, 1u);
+  EXPECT_EQ(groups[1].members, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(groups[2].members, (std::vector<std::size_t>{4}));
+  ASSERT_EQ(groups[2].copies.size(), 1u);
+  EXPECT_EQ(groups[2].copies[0].cell, 5u);
+  EXPECT_EQ(groups[3].members, (std::vector<std::size_t>{6}));
+
+  // Off, or without a spec, every cell is a group of its own.
+  EXPECT_EQ(plan_groups(sweep, false).size(), sweep.size());
+  const std::vector<const JobSpec*> unshared(sweep.size(), nullptr);
+  EXPECT_EQ(plan_groups(unshared, true).size(), sweep.size());
+
+  // A full group's next sibling leads a new group; copies ride with the
+  // member they copy and do not count to the cap.
+  const std::vector<ShareGroup> capped = plan_groups(sweep, true, 1);
+  ASSERT_EQ(capped.size(), 5u);
+  EXPECT_EQ(capped[0].members, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(capped[2].members, (std::vector<std::size_t>{2}));
+  ASSERT_EQ(capped[2].copies.size(), 1u);
+  EXPECT_EQ(capped[2].copies[0].cell, 3u);
+  EXPECT_EQ(capped[2].copies[0].member, 0u);
+}
+
+TEST(SpecTest, ExecuteGroupMatchesSimulatingEveryMember) {
+  const std::vector<JobSpec> members = {priced_cell("greedy", "paper", 2.0),
+                                        priced_cell("greedy", "paper", 3.0),
+                                        priced_cell("greedy", "onoff", 5.0)};
+  const std::vector<MemberOutcome> out = execute_group(members);
+  ASSERT_EQ(out.size(), members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    ASSERT_TRUE(out[i].ok()) << out[i].error;
+    EXPECT_TRUE(results_identical(out[i].result, execute_job_spec(members[i])))
+        << members[i].label;
+  }
+}
+
+TEST(SpecTest, ExecuteGroupFailsOnlyTheMemberWithABadTariff) {
+  // The bad member leads: the next valid tariff drives the simulation.
+  std::vector<JobSpec> members = {priced_cell("fcfs", "paper", 0.5),
+                                  priced_cell("fcfs", "paper", 2.0),
+                                  priced_cell("fcfs", "paper", 3.0)};
+  const std::vector<MemberOutcome> out = execute_group(members);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_NE(out[0].error.find("ratio must be >= 1"), std::string::npos)
+      << out[0].error;
+  for (std::size_t i = 1; i < 3; ++i) {
+    ASSERT_TRUE(out[i].ok()) << out[i].error;
+    EXPECT_TRUE(results_identical(out[i].result, execute_job_spec(members[i])));
+  }
+
+  // A shared failure (here: the policy) fails every member alike.
+  for (JobSpec& spec : members) spec.policy.name = "no-such-policy";
+  for (const MemberOutcome& o : execute_group(members)) {
+    EXPECT_FALSE(o.ok());
+  }
+  EXPECT_THROW(execute_job_spec(members[1]), Error);
 }
 
 }  // namespace

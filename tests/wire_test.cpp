@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -461,6 +467,313 @@ TEST(WireMetaTest, EncodeValidatesTooSoAClientFailsFast) {
   bad->centers[0].policy.name = "telekinesis";
   spec.meta = std::move(bad);
   EXPECT_THROW(encode_job(spec), Error);
+}
+
+
+// ---- share group tasks and their outcomes ------------------------------
+
+/// Three price variants of sample_spec: one share group, leader first.
+std::vector<JobSpec> sample_group() {
+  std::vector<JobSpec> members = {sample_spec(), sample_spec(), sample_spec()};
+  members[1].pricing.ratio = 2.0;
+  members[1].label = "r2";
+  members[2].pricing.off_peak_price = 0.05;
+  members[2].label = "p5";
+  return members;
+}
+
+/// A small hand-made result (the outcome codec never looks inside it).
+sim::SimResult small_result() {
+  sim::SimResult r;
+  r.policy_name = "greedy";
+  r.trace_name = "tiny";
+  r.system_nodes = 8;
+  r.horizon_end = 86400;
+  sim::JobRecord rec;
+  rec.id = 1;
+  rec.finish = 600;
+  rec.nodes = 4;
+  rec.power_per_node = 250.0;
+  r.records = {rec, rec};
+  r.records[1].id = 2;
+  r.total_bill = 1.25;
+  r.daily_bills = {1.25};
+  return r;
+}
+
+std::vector<Outcome> sample_outcomes() {
+  std::vector<Outcome> out(3);
+  out[0].result = encode_result(small_result());
+  out[1].ok = false;
+  out[1].error = "on/off ratio must be >= 1";
+  out[2].result = encode_result(small_result());
+  return out;
+}
+
+std::vector<std::uint8_t> u32_bytes(std::uint32_t v) {
+  return {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+          static_cast<std::uint8_t>(v >> 16),
+          static_cast<std::uint8_t>(v >> 24)};
+}
+
+TEST(WireTaskTest, TaskRoundTripsLeaderFirst) {
+  const std::vector<JobSpec> members = sample_group();
+  const std::vector<std::uint8_t> bytes = encode_task(members);
+  // u32 n, then the same length-prefixed encode_job blobs kSubmit nests.
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 4),
+            u32_bytes(3));
+  const std::vector<JobSpec> back = decode_task(bytes);
+  ASSERT_EQ(back.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(cell_key(back[i]), cell_key(members[i]));
+    EXPECT_EQ(back[i].label, members[i].label);
+  }
+  EXPECT_EQ(encode_task(back), bytes);
+}
+
+TEST(WireTaskTest, DecodeRejectsMalformedTasks) {
+  // No members.
+  EXPECT_THROW(decode_task(u32_bytes(0)), Error);
+  // A count that runs past the payload.
+  std::vector<std::uint8_t> bytes = encode_task(sample_group());
+  bytes[0] = 0xff;
+  bytes[1] = 0xff;
+  EXPECT_THROW(decode_task(bytes), Error);
+  // A member on another trajectory (a different policy).
+  std::vector<JobSpec> members = sample_group();
+  members[2].policy.name = "fcfs";
+  try {
+    decode_task(encode_task(members));
+    FAIL() << "a task mixing trajectories decoded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("member 2"), std::string::npos)
+        << e.what();
+  }
+  // A meta leader's members must be its equals: a price variant is not.
+  members = sample_group();
+  for (JobSpec& spec : members) spec.meta = sample_meta();
+  EXPECT_THROW(decode_task(encode_task(members)), Error);
+  members.resize(1);
+  members.push_back(members.front());
+  EXPECT_EQ(decode_task(encode_task(members)).size(), 2u);
+  // More members than a task may carry, though every blob is well formed.
+  const std::vector<JobSpec> many(kMaxTaskMembers + 1, sample_group().front());
+  EXPECT_THROW(encode_task(many), Error);
+  const std::vector<std::uint8_t> blob = encode_job(many.front());
+  bytes = u32_bytes(kMaxTaskMembers + 1);
+  for (std::size_t i = 0; i < many.size(); ++i) {
+    const std::vector<std::uint8_t> size = u32_bytes(
+        static_cast<std::uint32_t>(blob.size()));
+    bytes.insert(bytes.end(), size.begin(), size.end());
+    bytes.insert(bytes.end(), blob.begin(), blob.end());
+  }
+  EXPECT_THROW(decode_task(bytes), Error);
+}
+
+TEST(WireTaskTest, OutcomesRoundTripVerbatim) {
+  const std::vector<Outcome> outcomes = sample_outcomes();
+  const std::vector<std::uint8_t> bytes = encode_outcomes(outcomes);
+  const std::vector<Outcome> back = decode_outcomes(bytes);
+  ASSERT_EQ(back.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(back[i].ok, outcomes[i].ok);
+    EXPECT_EQ(back[i].result, outcomes[i].result);
+    EXPECT_EQ(back[i].error, outcomes[i].error);
+  }
+  EXPECT_TRUE(results_identical(decode_result(back[2].result), small_result()));
+
+  EXPECT_THROW(decode_outcomes(u32_bytes(0)), Error);
+  std::vector<std::uint8_t> bad_tag = bytes;
+  bad_tag[4] = 2;
+  EXPECT_THROW(decode_outcomes(bad_tag), Error);
+  std::vector<std::uint8_t> long_count = bytes;
+  long_count[0] = 4;
+  EXPECT_THROW(decode_outcomes(long_count), Error);
+  // More outcomes than a task has members, though each is well formed.
+  std::vector<Outcome> many(kMaxTaskMembers + 1, outcomes.front());
+  std::vector<std::uint8_t> too_many = encode_outcomes(many);
+  EXPECT_THROW(decode_outcomes(too_many), Error);
+  many.pop_back();
+  EXPECT_EQ(decode_outcomes(encode_outcomes(many)).size(), kMaxTaskMembers);
+}
+
+// ---- seeded mutation of the task and outcome decoders ------------------
+//
+// The seed corpus lives in tests/corpus/wire as hex files (whitespace
+// and '#' comment lines ignored). To regenerate it after a deliberate
+// encoding change, run wire_test with ESCHED_WRITE_WIRE_CORPUS set to
+// that directory.
+
+std::string corpus_path(const std::string& name) {
+  return std::string(ESCHED_WIRE_CORPUS_DIR) + "/" + name;
+}
+
+std::vector<std::uint8_t> read_hex(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::vector<std::uint8_t> bytes;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] == '#') continue;
+    std::string digits;
+    for (const char c : line) {
+      if (std::isxdigit(static_cast<unsigned char>(c)) != 0) digits += c;
+    }
+    for (std::size_t i = 0; i + 1 < digits.size(); i += 2) {
+      bytes.push_back(static_cast<std::uint8_t>(
+          std::stoul(digits.substr(i, 2), nullptr, 16)));
+    }
+  }
+  return bytes;
+}
+
+void write_hex(const std::string& path, const std::string& comment,
+               const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path);
+  out << "# " << comment << "\n";
+  static const char* kDigits = "0123456789abcdef";
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    out << kDigits[bytes[i] >> 4] << kDigits[bytes[i] & 15];
+    if (i % 32 == 31 || i + 1 == bytes.size()) out << "\n";
+  }
+}
+
+struct CorpusEntry {
+  const char* file;
+  bool task;  ///< decode_task if true, decode_outcomes otherwise
+};
+
+constexpr CorpusEntry kCorpus[] = {
+    {"task_singleton.hex", true},
+    {"task_group.hex", true},
+    {"task_meta.hex", true},
+    {"outcomes_mixed.hex", false},
+};
+
+void maybe_write_corpus() {
+  const char* dir = std::getenv("ESCHED_WRITE_WIRE_CORPUS");
+  if (dir == nullptr || *dir == '\0') return;
+  const std::string d = dir;
+  JobSpec meta = sample_spec();
+  meta.meta = sample_meta();
+  write_hex(d + "/task_singleton.hex", "kJob payload: a singleton task",
+            encode_task({sample_spec()}));
+  write_hex(d + "/task_group.hex", "kJob payload: three price variants",
+            encode_task(sample_group()));
+  write_hex(d + "/task_meta.hex", "kJob payload: a meta cell and its equal",
+            encode_task({meta, meta}));
+  write_hex(d + "/outcomes_mixed.hex",
+            "kResult payload: result, error, result",
+            encode_outcomes(sample_outcomes()));
+}
+
+/// Re-encode what a decoder accepted.
+std::vector<std::uint8_t> round_trip(const std::vector<std::uint8_t>& bytes,
+                                     bool task) {
+  return task ? encode_task(decode_task(bytes))
+              : encode_outcomes(decode_outcomes(bytes));
+}
+
+/// One random edit: flip a bit, set a byte, overwrite a u32 with a
+/// boundary value, truncate, insert, delete or duplicate a span.
+void mutate(std::vector<std::uint8_t>& bytes, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  const auto at = [&bytes](std::size_t i) {
+    return bytes.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  static const std::uint32_t kBoundaries[] = {0, 1, 2, 0x7f, 0x80, 0xff,
+                                              0xffff, 0x7fffffff, 0xffffffff};
+  switch (rng() % 7) {
+    case 0:
+      if (!bytes.empty()) {
+        std::uint8_t& b = bytes[pick(bytes.size())];
+        b = static_cast<std::uint8_t>(b ^ (1u << (rng() % 8)));
+      }
+      break;
+    case 1:
+      if (!bytes.empty()) {
+        bytes[pick(bytes.size())] = static_cast<std::uint8_t>(rng());
+      }
+      break;
+    case 2:
+      if (bytes.size() >= 4) {
+        const std::vector<std::uint8_t> v = u32_bytes(kBoundaries[pick(9)]);
+        std::copy(v.begin(), v.end(), at(pick(bytes.size() - 3)));
+      }
+      break;
+    case 3:
+      bytes.resize(pick(bytes.size() + 1));
+      break;
+    case 4: {
+      const std::size_t where = pick(bytes.size() + 1);
+      for (std::size_t n = 1 + pick(8); n > 0; --n) {
+        bytes.insert(at(where), static_cast<std::uint8_t>(rng()));
+      }
+      break;
+    }
+    case 5:
+      if (!bytes.empty()) {
+        const std::size_t from = pick(bytes.size());
+        const std::size_t n =
+            1 + pick(std::min<std::size_t>(16, bytes.size() - from));
+        bytes.erase(at(from), at(from + n));
+      }
+      break;
+    default:
+      if (!bytes.empty()) {
+        const std::size_t from = pick(bytes.size());
+        const std::size_t n =
+            1 + pick(std::min<std::size_t>(32, bytes.size() - from));
+        const std::vector<std::uint8_t> span(at(from), at(from + n));
+        bytes.insert(at(pick(bytes.size() + 1)), span.begin(), span.end());
+      }
+      break;
+  }
+}
+
+TEST(WireMutationTest, CorpusDecodesAndReEncodesExactly) {
+  maybe_write_corpus();
+  for (const CorpusEntry& entry : kCorpus) {
+    const std::vector<std::uint8_t> bytes = read_hex(corpus_path(entry.file));
+    ASSERT_FALSE(bytes.empty()) << entry.file;
+    EXPECT_EQ(round_trip(bytes, entry.task), bytes) << entry.file;
+  }
+}
+
+TEST(WireMutationTest, DecodersRejectOrReEncodeEveryMutant) {
+  // Fixed seed and budget: the same mutants every run. A decoder must
+  // either reject a mutant with esched::Error or accept exactly what it
+  // would itself encode — anything else is a decoder bug to fix there.
+  constexpr int kMutantsPerEntry = 4000;
+  std::mt19937_64 rng(0x5eedc0de);
+  std::size_t accepted = 0;
+  for (const CorpusEntry& entry : kCorpus) {
+    const std::vector<std::uint8_t> seed = read_hex(corpus_path(entry.file));
+    ASSERT_FALSE(seed.empty()) << entry.file;
+    for (int i = 0; i < kMutantsPerEntry; ++i) {
+      std::vector<std::uint8_t> mutant = seed;
+      for (std::uint64_t edits = 1 + rng() % 3; edits > 0; --edits) {
+        mutate(mutant, rng);
+      }
+      std::vector<std::uint8_t> again;
+      try {
+        again = round_trip(mutant, entry.task);
+      } catch (const Error&) {
+        continue;  // rejected
+      } catch (const std::exception& e) {
+        FAIL() << entry.file << " mutant " << i << " threw a non-esched "
+               << "exception: " << e.what();
+      }
+      ++accepted;
+      ASSERT_EQ(again, mutant) << entry.file << " mutant " << i
+                               << " decoded into something else";
+    }
+  }
+  // Mutations that keep the payload valid (an edited label, price or
+  // error text) must occur, or the test only ever exercised rejection.
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace
