@@ -28,9 +28,9 @@ cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
 # telemetry_test covers the fleet-telemetry locks (FleetAggregator,
 # SpanBuffer, FlightRecorder) that the coordinator's net thread and the
 # caller contend on during a distributed sweep.
-# svc_journal_test and endpoint_test pin the coordinator's durability
+# svc_journal_test and cell_queue_test pin the coordinator's durability
 # and session-bookkeeping contracts (crash-safe journal replay/healing,
-# idempotent TaskLedger completion); coordinator_test runs full client
+# CellQueue claim/settle bookkeeping); coordinator_test runs full client
 # sessions against a sanitized esched-coordinator + esched-agentd fleet
 # (the binaries build in this tree via its declared dependencies), so
 # the coordinator's poll loop and the client's reconnect path run under
@@ -49,7 +49,7 @@ cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
 cmake --build build-tsan -j \
   --target thread_pool_test sweep_runner_test obs_registry_test \
   event_queue_test telemetry_test \
-  svc_journal_test endpoint_test coordinator_test \
+  svc_journal_test endpoint_test cell_queue_test coordinator_test \
   obs_log_test http_exposition_test meta_test
 ./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
@@ -58,6 +58,7 @@ cmake --build build-tsan -j \
 ./build-tsan/tests/telemetry_test
 ./build-tsan/tests/svc_journal_test
 ./build-tsan/tests/endpoint_test
+./build-tsan/tests/cell_queue_test
 ./build-tsan/tests/coordinator_test
 ./build-tsan/tests/obs_log_test
 ./build-tsan/tests/http_exposition_test
@@ -73,7 +74,7 @@ cmake -B build-asan -S . -DESCHED_SANITIZE=address,undefined \
   -DESCHED_BUILD_BENCH=OFF -DESCHED_BUILD_EXAMPLES=OFF
 asan_tests="wire_test net_frame_test session_server_test svc_journal_test
   http_exposition_test minijson_test swf_test endpoint_test
-  distributed_test coordinator_test"
+  cell_queue_test distributed_test coordinator_test"
 # shellcheck disable=SC2086  # word-split the list on purpose
 cmake --build build-asan -j --target $asan_tests
 for t in $asan_tests; do

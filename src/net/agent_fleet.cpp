@@ -22,11 +22,7 @@ namespace wire = run::wire;
 using Clock = run::EndpointClock;
 
 using obs::bump;
-
-Clock::time_point after(Clock::time_point now, double seconds) {
-  return now + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(seconds));
-}
+using run::after;
 
 /// The message of a kError/kFail payload; a garbled one still gets its
 /// failure classified, under `fallback`.
@@ -154,6 +150,26 @@ bool AgentFleet::any_usable() const {
     if (a.state != Agent::State::kDead) return true;
   }
   return false;
+}
+
+std::string AgentFleet::unusable_reason(Clock::time_point now) const {
+  std::string detail;
+  for (const run::AgentLiveness& live : liveness(now)) {
+    if (!detail.empty()) detail += "; ";
+    detail += live.addr + ": " + live.last_error;
+  }
+  return "no usable agents remain (" + detail + ")";
+}
+
+std::size_t AgentFleet::idle_slots() const {
+  std::size_t idle = 0;
+  for (const Agent& a : agents_) {
+    if (a.state != Agent::State::kReady) continue;
+    for (const run::Endpoint& ep : a.slots) {
+      if (!ep.busy()) ++idle;
+    }
+  }
+  return idle;
 }
 
 std::size_t AgentFleet::ready_slots() const {

@@ -63,8 +63,8 @@ struct FleetConfig {
   /// configured with one; an empty token is accepted only by agents
   /// configured without one. A mismatch is a permanent rejection.
   std::string auth_token;
-  /// Attempt budget per task (first run + retries). Must be >= 1. Kept
-  /// by the owner's task bookkeeping; the fleet only reports failures.
+  /// Attempt budget per cell (first run + retries). Must be >= 1. Kept
+  /// by the owner's run::CellQueue; the fleet only reports failures.
   std::uint32_t max_attempts = 3;
   /// Backoff before retry k (1-based) is
   /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
@@ -91,8 +91,8 @@ class FleetOwner {
  public:
   using Clock = run::EndpointClock;
 
-  /// Claim the next ready task for a free slot; false when none is
-  /// dispatchable right now.
+  /// Claim the next ready task for a free slot (run::CellQueue::claim);
+  /// false when none is dispatchable right now.
   virtual bool claim(Clock::time_point now, run::Dispatch& work) = 0;
 
   /// Agent `agent` answered `slot`'s task with result bytes (CRC already
@@ -103,7 +103,7 @@ class FleetOwner {
                          Clock::time_point now) = 0;
 
   /// Transient failure of one attempt (connection loss, timeout, kFail):
-  /// requeue it under the owner's attempt budget.
+  /// requeue its cells under their attempt budgets.
   virtual void on_transient(std::size_t task, const std::string& reason,
                             Clock::time_point now) = 0;
 
@@ -148,8 +148,14 @@ class AgentFleet {
   /// False once every agent is permanently gone (rejected, or out of
   /// connect budget).
   bool any_usable() const;
+  /// "no usable agents remain (<addr>: <last error>; ...)": what a driver
+  /// fails its open work with once any_usable() is false.
+  std::string unusable_reason(Clock::time_point now) const;
   /// Slots on agents that completed a handshake and are still connected.
   std::size_t ready_slots() const;
+  /// Those of the ready slots that hold no task: an owner bounds its poll
+  /// by its next ready-time only while one is idle.
+  std::size_t idle_slots() const;
   /// Largest ready_slots() seen since construction.
   std::size_t peak_slots() const { return peak_slots_; }
 

@@ -23,9 +23,9 @@ namespace {
 using Clock = run::EndpointClock;
 namespace wire = run::wire;
 
-/// One run() of the pool: the PoolRun (ledger, payloads, results) fed to
-/// the agents through an AgentFleet — the TCP sibling of the Supervisor
-/// in run/proc.cpp.
+/// One run() of the pool: the PoolRun (cell queue, results) fed to the
+/// agents through an AgentFleet — the TCP sibling of the Supervisor in
+/// run/proc.cpp.
 class FleetRun final : public FleetOwner {
  public:
   /// With a telemetry sink, every task carries a trace context so the
@@ -37,8 +37,9 @@ class FleetRun final : public FleetOwner {
            obs::FleetAggregator* telemetry)
       : stats_(stats),
         tracer_(tracer),
+        stamp_trace_(telemetry != nullptr),
         tasks_(sweep, run::retry_policy(config), "net.task", stats, progress,
-               /*stamp_trace=*/telemetry != nullptr),
+               stamp_trace_),
         fleet_(config, config.connect_attempts, *this, tracer, telemetry) {
     tasks_.set_lanes(config.agents.size());
   }
@@ -56,14 +57,14 @@ class FleetRun final : public FleetOwner {
   FleetRun& operator=(const FleetRun&) = delete;
 
   std::vector<sim::SimResult> run() {
-    while (!tasks_.ledger().all_done()) step();
+    while (!tasks_.done()) step();
     return tasks_.finish();
   }
 
   // ---- FleetOwner -----------------------------------------------------
 
   bool claim(Clock::time_point now, run::Dispatch& work) override {
-    return tasks_.claim(now, work);
+    return tasks_.queue().claim(now, work);
   }
 
   bool on_result(std::size_t agent, const run::Endpoint& slot,
@@ -71,21 +72,24 @@ class FleetRun final : public FleetOwner {
                  Clock::time_point now) override {
     const std::size_t task = slot.task;
     const std::chrono::duration<double> seconds = now - slot.dispatched;
-    if (!tasks_.complete(task, bytes, seconds.count(), agent)) return false;
+    std::string label;
+    if (!tasks_.complete(task, std::move(bytes), seconds.count(), agent,
+                         label)) {
+      return false;
+    }
     const std::uint32_t track =
         AgentFleet::kTrackBase + static_cast<std::uint32_t>(agent);
     if (tracer_ != nullptr && tracer_->enabled()) {
-      const run::JobSpec& cell = tasks_.leader(task);
       tracer_->complete_span(
-          "cell:" + (cell.label.empty() ? std::to_string(task) : cell.label) +
-              "#" + std::to_string(slot.attempt),
+          "cell:" + (label.empty() ? std::to_string(task) : label) + "#" +
+              std::to_string(slot.attempt),
           "net", slot.dispatched, now, track);
-      if (cell.parent_span_id != 0) {
-        // Flow start anchored on the dispatch span; the matching finish
-        // is emitted when the fleet aggregator stitches the remote
-        // simulate span carrying the same id.
-        tracer_->flow_event('s', cell.parent_span_id, "dispatch", "net", 1,
-                            track, slot.dispatched);
+      if (stamp_trace_) {
+        // Flow start anchored on the dispatch span (the task's stamped
+        // parent span id); the matching finish is emitted when the fleet
+        // aggregator stitches the remote simulate span carrying it.
+        tracer_->flow_event('s', task + 1, "dispatch", "net", 1, track,
+                            slot.dispatched);
       }
     }
     return true;
@@ -93,27 +97,31 @@ class FleetRun final : public FleetOwner {
 
   void on_transient(std::size_t task, const std::string& reason,
                     Clock::time_point now) override {
-    tasks_.ledger().fail_attempt(task, reason, now);  // throws on budget
+    tasks_.fail_attempt(task, reason, now);  // throws on budget
   }
 
   void on_error(std::size_t task, const std::string& message) override {
     // Retrying reruns the same deterministic simulation on another
     // agent — fail the sweep fast.
-    tasks_.ledger().fail_deterministic(task, message);
+    tasks_.fail_task(task, message);
   }
 
  private:
   void step() {
     const Clock::time_point now = Clock::now();
     fleet_.tick(now);
-    throw_if_no_usable_agents();
+    if (!fleet_.any_usable()) {
+      throw Error("DistributedPool: " + fleet_.unusable_reason(now));
+    }
 
+    // A backoff ready-time bounds the wait only while a slot is idle:
+    // with every slot busy, only an answer or a fleet deadline can make
+    // progress, so the loop sleeps in poll().
     std::vector<struct pollfd> fds;
     fleet_.register_fds(fds);
     Clock::time_point deadline = fleet_.next_deadline();
-    Clock::time_point ready{};
-    if (tasks_.ledger().next_ready_at(ready)) {
-      deadline = std::min(deadline, ready);
+    if (fleet_.idle_slots() > 0) {
+      deadline = std::min(deadline, tasks_.queue().next_ready());
     }
     const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
                           static_cast<nfds_t>(fds.size()),
@@ -125,18 +133,9 @@ class FleetRun final : public FleetOwner {
     if (rc > 0) fleet_.on_poll(fds);
   }
 
-  void throw_if_no_usable_agents() const {
-    if (fleet_.any_usable()) return;
-    std::string detail;
-    for (const run::AgentLiveness& live : fleet_.liveness(Clock::now())) {
-      if (!detail.empty()) detail += "; ";
-      detail += live.addr + ": " + live.last_error;
-    }
-    throw Error("DistributedPool: no usable agents remain (" + detail + ")");
-  }
-
   run::SweepStats& stats_;
   obs::Tracer* tracer_;
+  bool stamp_trace_;
   run::PoolRun tasks_;
   AgentFleet fleet_;
 };

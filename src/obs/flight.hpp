@@ -7,7 +7,7 @@
 // ESCHED_FLIGHT_RING, default 64). The dump path is deterministic —
 // <dir>/flight-task<T>-attempt<A>.json — so the supervisor that observed
 // the death can find the dump for the exact attempt it lost and append
-// it to the failure reason it records in the task ledger. The dump body
+// it to the failure reason it records for the attempt. The dump body
 // contains no timestamps or pids: the same fault on the same (task,
 // attempt) produces byte-identical dumps, which is what makes crash
 // postmortems diffable across runs.

@@ -73,101 +73,19 @@ double RetryPolicy::backoff_seconds(std::uint32_t attempts_made) const {
                   backoff_initial_seconds * std::ldexp(1.0, exponent));
 }
 
-namespace {
-
-std::string join_failures(const std::vector<std::string>& lines) {
-  std::string out;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out += (i == 0 ? "[" : "; [") + lines[i] + "]";
-  }
-  return out;
-}
-
-}  // namespace
-
-TaskLedger::TaskLedger(const std::vector<JobSpec>& sweep, RetryPolicy policy,
-                       EndpointClock::time_point now)
-    : sweep_(sweep), policy_(policy) {
-  ESCHED_REQUIRE(policy_.max_attempts >= 1,
-                 "TaskLedger: max_attempts must be >= 1");
-  tasks_.resize(sweep.size());
-  pending_.reserve(sweep.size());
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    tasks_[i].ready_at = now;
-    pending_.push_back(i);
-  }
-}
-
-std::size_t TaskLedger::claim_ready(EndpointClock::time_point now) {
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (tasks_[pending_[i]].ready_at <= now) {
-      const std::size_t task = pending_[i];
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      return task;
-    }
-  }
-  return kNoTask;
-}
-
-std::uint32_t TaskLedger::begin_attempt(std::size_t task) {
-  TaskState& t = tasks_[task];
-  const std::uint32_t attempt = t.attempts;
-  ++t.attempts;
-  return attempt;
-}
-
-bool TaskLedger::complete(std::size_t task) {
-  TaskState& t = tasks_[task];
-  if (t.done) return false;
-  t.done = true;
-  ++done_;
-  return true;
-}
-
-void TaskLedger::fail_attempt(std::size_t task, const std::string& reason,
-                              EndpointClock::time_point now) {
-  TaskState& t = tasks_[task];
-  t.failures.push_back("attempt " + std::to_string(t.attempts) + ": " +
-                       reason);
-  if (t.attempts >= policy_.max_attempts) {
-    throw Error("sweep cell \"" + sweep_[task].label + "\" (task " +
-                std::to_string(task) + ") failed after " +
-                std::to_string(t.attempts) + " attempt(s): " +
-                join_failures(t.failures));
-  }
-  t.ready_at = now + std::chrono::duration_cast<EndpointClock::duration>(
-                         std::chrono::duration<double>(
-                             policy_.backoff_seconds(t.attempts)));
-  pending_.push_back(task);
-}
-
-void TaskLedger::fail_deterministic(std::size_t task,
-                                    const std::string& message) const {
-  throw Error("sweep cell \"" + sweep_[task].label + "\" (task " +
-              std::to_string(task) + ") failed: " + message);
-}
-
-bool TaskLedger::next_ready_at(EndpointClock::time_point& out) const {
-  bool have = false;
-  for (const std::size_t task : pending_) {
-    if (!have || tasks_[task].ready_at < out) {
-      out = tasks_[task].ready_at;
-      have = true;
-    }
-  }
-  return have;
-}
-
 void Endpoint::begin(std::size_t task_index, std::uint32_t attempt_number,
                      EndpointClock::time_point now, double timeout_seconds) {
   task = task_index;
   attempt = attempt_number;
   dispatched = now;
   has_deadline = timeout_seconds > 0.0;
-  if (has_deadline) {
-    deadline = now + std::chrono::duration_cast<EndpointClock::duration>(
-                         std::chrono::duration<double>(timeout_seconds));
-  }
+  if (has_deadline) deadline = after(now, timeout_seconds);
+}
+
+EndpointClock::time_point after(EndpointClock::time_point now,
+                                double seconds) {
+  return now + std::chrono::duration_cast<EndpointClock::duration>(
+                   std::chrono::duration<double>(seconds));
 }
 
 int poll_timeout_ms(EndpointClock::time_point deadline,

@@ -4,21 +4,19 @@
 // (net/agent_fleet.hpp, driven by both net::DistributedPool and
 // svc::Coordinator) face the same problem shape: task attempts are
 // dispatched to *endpoints* — a worker pipe, an agent connection — that
-// can die mid-answer, answer garbage, or hang; failed attempts must be
-// requeued with capped exponential backoff under a per-task budget; and
-// inbound bytes arrive in arbitrary chunks that must be reassembled into
-// CRC-verified frames before anything trusts them. This header holds the
-// one implementation of each of those pieces, so the proc and tcp paths
-// classify failures identically instead of drifting apart:
+// can die mid-answer, answer garbage, or hang, and inbound bytes arrive
+// in arbitrary chunks that must be reassembled into CRC-verified frames
+// before anything trusts them. This header holds the one implementation
+// of each of those pieces, so the proc and tcp paths classify failures
+// identically instead of drifting apart (requeueing a failed attempt
+// under its cells' budgets is run::CellQueue's, run/cell_queue.hpp):
 //
 //  * FrameAssembler — incremental frame reassembly over any byte stream
 //    (pipe reads, socket reads), distinguishing "need more bytes" from
 //    "complete verified frame" from "corruption" exactly like the
 //    supervisor's original inline loop did.
-//  * RetryPolicy / TaskLedger — per-task attempt accounting: backoff
-//    gating, requeue ordering, attempt budgets, and the exhaustion
-//    diagnostic naming the cell and every failed attempt (the message
-//    format proc_pool_test pins).
+//  * RetryPolicy — the attempt budget and its capped exponential
+//    backoff.
 //  * Endpoint — the in-flight-attempt bookkeeping every transport slot
 //    carries: which (task, attempt) it holds, when it was dispatched,
 //    and its wall-clock deadline.
@@ -33,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "run/spec.hpp"
 #include "run/wire.hpp"
 
 namespace esched::run {
@@ -89,9 +86,9 @@ class FrameAssembler {
 };
 
 /// Retry/backoff knobs shared by SubprocessPoolConfig and
-/// net::FleetConfig.
+/// net::FleetConfig, applied per cell by run::CellQueue.
 struct RetryPolicy {
-  /// Attempt budget per task (first run + retries). Must be >= 1.
+  /// Attempt budget per cell (first run + retries). Must be >= 1.
   std::uint32_t max_attempts = 3;
   /// Backoff before retry k (1-based) is
   /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
@@ -109,68 +106,6 @@ RetryPolicy retry_policy(const Config& config) {
   return {config.max_attempts, config.backoff_initial_seconds,
           config.backoff_max_seconds};
 }
-
-/// Per-task attempt/retry bookkeeping for one sweep run, transport
-/// agnostic. The ledger owns the pending queue (requeue order preserved),
-/// the backoff gates, the attempt budget, and the exhaustion diagnostic;
-/// transports own dispatching and failure *classification* (the reason
-/// strings recorded here).
-class TaskLedger {
- public:
-  /// References `sweep` for cell labels; must outlive the ledger. Every
-  /// task starts pending with its backoff gate already open.
-  TaskLedger(const std::vector<JobSpec>& sweep, RetryPolicy policy,
-             EndpointClock::time_point now);
-
-  std::size_t size() const { return tasks_.size(); }
-  std::size_t done_count() const { return done_; }
-  bool all_done() const { return done_ >= tasks_.size(); }
-  bool has_pending() const { return !pending_.empty(); }
-
-  /// Pop the first pending task whose backoff has elapsed (requeue
-  /// order), or kNoTask when every pending task is still gated.
-  std::size_t claim_ready(EndpointClock::time_point now);
-
-  /// Start an attempt on a claimed task; returns the 0-based attempt
-  /// number (what fault injection and the wire header key on).
-  std::uint32_t begin_attempt(std::size_t task);
-
-  /// Mark a task's in-flight attempt successful. Returns true when the
-  /// task was newly completed, false when it was already done — a
-  /// duplicate delivery (journal replay, a straggler answer racing a
-  /// requeue) must be dropped idempotently, never double-counted, and
-  /// the caller needs to know which happened to keep its own result and
-  /// progress accounting honest (endpoint_test pins both edges).
-  bool complete(std::size_t task);
-
-  /// Record a failed attempt and requeue with backoff. Throws
-  /// esched::Error naming the cell and every failed attempt when the
-  /// budget is exhausted — the message format proc_pool_test pins.
-  void fail_attempt(std::size_t task, const std::string& reason,
-                    EndpointClock::time_point now);
-
-  /// Fail fast on a deterministic error: throws esched::Error naming the
-  /// cell with the transport-reported message, never retrying.
-  [[noreturn]] void fail_deterministic(std::size_t task,
-                                       const std::string& message) const;
-
-  /// Earliest backoff ready-time among pending tasks; false when none.
-  bool next_ready_at(EndpointClock::time_point& out) const;
-
- private:
-  struct TaskState {
-    std::uint32_t attempts = 0;  ///< attempts started (dispatched) so far
-    std::vector<std::string> failures;  ///< one line per failed attempt
-    EndpointClock::time_point ready_at{};  ///< backoff gate for redispatch
-    bool done = false;
-  };
-
-  const std::vector<JobSpec>& sweep_;
-  RetryPolicy policy_;
-  std::vector<TaskState> tasks_;
-  std::vector<std::size_t> pending_;
-  std::size_t done_ = 0;
-};
 
 /// The in-flight bookkeeping common to every transport slot: one worker
 /// pipe (run/proc) or one remote agent slot (net/agent_fleet) holds at
@@ -208,6 +143,10 @@ struct Dispatch {
   /// encode_job bytes, copied into the kJob frame right after the claim.
   const std::vector<std::uint8_t>* payload = nullptr;
 };
+
+/// `seconds` after `now`.
+EndpointClock::time_point after(EndpointClock::time_point now,
+                                double seconds);
 
 /// Milliseconds poll() should wait for `deadline`: rounded up, clamped to
 /// [0, 60000] (every loop wakes at least once a minute).

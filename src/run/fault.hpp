@@ -12,8 +12,11 @@
 // attempt) pair — not per process — so the same sweep with the same plan
 // always injects the same faults on the same cells, regardless of which
 // worker a cell lands on, and a retried attempt re-rolls (which is what
-// lets a crash-on-first-attempt cell succeed on its second). Probability
-// bands are checked in order crash, hang, garbage.
+// lets a crash-on-first-attempt cell succeed on its second). Task ids
+// come from run::CellQueue, the one queue under the proc, tcp and
+// coordinator planes: a share group keeps the id its leader got, in
+// claim order, on every plane and across retries. Probability bands are
+// checked in order crash, hang, garbage.
 //
 //   crash:<p>    raise SIGKILL mid-task (after reading the job frame) —
 //                the "worker killed by SIGKILL" acceptance path

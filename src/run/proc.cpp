@@ -56,7 +56,7 @@ class ScopedEnv {
   bool had_previous_ = false;
 };
 
-/// One run() of the pool: the PoolRun (ledger, payloads, results) fed to
+/// One run() of the pool: the PoolRun (cell queue, results) fed to
 /// esched-worker children through WorkerSlots. Unwinding — budget
 /// exhaustion, a deterministic kError, a throwing progress callback —
 /// destroys the slots, which kill and reap every worker: no zombies.
@@ -72,7 +72,7 @@ class Supervisor final : public WorkerSlotsOwner {
         workers_(std::max<std::size_t>(
             1, std::min(config.workers != 0 ? config.workers
                                             : SweepRunner::default_jobs(),
-                        tasks_.size()))),
+                        tasks_.queue().queued_cells()))),
         slots_(workers_, std::move(worker_path), config.task_timeout_seconds,
                *this, tracer) {
     tasks_.set_lanes(workers_);
@@ -83,7 +83,7 @@ class Supervisor final : public WorkerSlotsOwner {
   Supervisor& operator=(const Supervisor&) = delete;
 
   std::vector<sim::SimResult> run() {
-    while (!tasks_.ledger().all_done()) step();
+    while (!tasks_.done()) step();
     slots_.close_all();
     return tasks_.finish();
   }
@@ -92,7 +92,7 @@ class Supervisor final : public WorkerSlotsOwner {
 
   bool claim(std::size_t /*slot*/, Clock::time_point now,
              Dispatch& work) override {
-    return tasks_.claim(now, work);
+    return tasks_.queue().claim(now, work);
   }
 
   bool on_answer(std::size_t slot, const Endpoint& ep, wire::FrameType type,
@@ -106,13 +106,16 @@ class Supervisor final : public WorkerSlotsOwner {
       }
       // Deterministic failure: retrying reruns the same deterministic
       // simulation, so fail the sweep fast with the worker's message.
-      tasks_.ledger().fail_deterministic(ep.task, message);
+      tasks_.fail_task(ep.task, message);
     }
     const Clock::time_point now = Clock::now();
     const std::chrono::duration<double> seconds = now - ep.dispatched;
-    if (!tasks_.complete(ep.task, body, seconds.count(), slot)) return false;
+    std::string label;
+    if (!tasks_.complete(ep.task, std::move(body), seconds.count(), slot,
+                         label)) {
+      return false;
+    }
     if (tracer_ != nullptr && tracer_->enabled()) {
-      const std::string& label = tasks_.leader(ep.task).label;
       tracer_->complete_span(
           "task:" + (label.empty() ? std::to_string(ep.task) : label) + "#" +
               std::to_string(ep.attempt),
@@ -139,8 +142,8 @@ class Supervisor final : public WorkerSlotsOwner {
   void on_attempt_failed(std::size_t /*slot*/, const Endpoint& ep,
                          const std::string& reason) override {
     // Throws on budget exhaustion.
-    tasks_.ledger().fail_attempt(
-        ep.task, with_flight_dump(ep.task, ep.attempt, reason), Clock::now());
+    tasks_.fail_attempt(ep.task, with_flight_dump(ep.task, ep.attempt, reason),
+                        Clock::now());
     bump("pool.retries");
   }
 
@@ -168,10 +171,8 @@ class Supervisor final : public WorkerSlotsOwner {
     std::vector<struct pollfd> fds;
     slots_.register_fds(fds);
     Clock::time_point deadline = slots_.next_deadline();
-    Clock::time_point ready{};
-    if (slots_.busy_count() < workers_ &&
-        tasks_.ledger().next_ready_at(ready)) {
-      deadline = std::min(deadline, ready);
+    if (slots_.busy_count() < workers_) {
+      deadline = std::min(deadline, tasks_.queue().next_ready());
     }
     const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
                           static_cast<nfds_t>(fds.size()),

@@ -7,13 +7,13 @@
 // Worker death, protocol corruption and hangs (the per-task timeout,
 // SubprocessPoolConfig::task_timeout_seconds) are detected by
 // run::WorkerSlots (run/worker_slots.hpp) and cost one attempt. Retries
-// use capped exponential backoff and a per-task attempt budget;
-// exhausting it raises esched::Error naming the cell and every failed
-// attempt. A kError frame (deterministic failure: bad spec, invalid
+// (run::CellQueue) use capped exponential backoff and a per-cell attempt
+// budget; exhausting it raises esched::Error naming the cell and every
+// failed attempt. A kError frame (deterministic failure: bad spec, invalid
 // trace) fails fast instead — retrying can only fail the same way again.
 //
-// Determinism: one task per share group (run::plan_groups, at most
-// wire::kMaxTaskMembers members) — workers
+// Determinism: a task is a share group (at most wire::kMaxTaskMembers
+// members, as run::plan_groups groups them) — workers
 // rebuild its cells from their declarative JobSpecs (run/spec.hpp),
 // simulate the trajectory once and re-bill the price variants
 // (run::execute_group); every builder is deterministic in the spec, and
@@ -47,12 +47,12 @@ namespace esched::run {
 /// (bench/common.cpp) so drivers and tests agree on behaviour.
 struct SubprocessPoolConfig {
   /// Worker process count; 0 = SweepRunner::default_jobs() (ESCHED_JOBS
-  /// or hardware concurrency), capped at the task count.
+  /// or hardware concurrency), capped at the distinct cell count.
   std::size_t workers = 0;
   /// Per-task wall-clock timeout in seconds; expiry SIGKILLs the worker
   /// and requeues the task. 0 disables the timeout.
   double task_timeout_seconds = 0.0;
-  /// Attempt budget per task (first run + retries). Must be >= 1.
+  /// Attempt budget per cell (first run + retries). Must be >= 1.
   std::uint32_t max_attempts = 3;
   /// Backoff before retry k (1-based) is
   /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
@@ -86,10 +86,10 @@ class SubprocessPool {
   std::vector<sim::SimResult> run(const std::vector<JobSpec>& sweep);
 
   /// Counters from the most recent run(). simulated/copied/rebilled
-  /// cells follow the sharing plan, as SweepRunner's do (a share group
-  /// above wire::kMaxTaskMembers simulates once per task); cpu_seconds and
-  /// the per-task durations measure supervisor-observed round-trip times
-  /// (dispatch to answer) of *successful* attempts, one per share group.
+  /// cells count what the tasks produced: one simulation per task (a
+  /// share group above wire::kMaxTaskMembers runs as several);
+  /// cpu_seconds and the per-task durations measure supervisor-observed
+  /// round-trip times (dispatch to answer) of *successful* attempts.
   const SweepStats& last_stats() const { return stats_; }
 
   /// Same contract as SweepRunner::set_progress. Calls arrive on the

@@ -245,7 +245,7 @@ std::vector<sim::SimResult> CoordinatorClient::run(
           }
           if (have[index]) {
             // Duplicate delivery (attach replay overlapping live
-            // streaming): idempotent drop, like TaskLedger::complete.
+            // streaming): idempotent drop, like CellQueue::complete.
             bump("svc.client_duplicate_drops");
             break;
           }

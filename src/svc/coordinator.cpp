@@ -33,35 +33,21 @@ void publish_journal_hits() {
       .set(static_cast<double>(reg.counter("svc.journal_hits").value()));
 }
 
-std::string join_failures(const std::vector<std::string>& lines) {
-  std::string out;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    out += (i == 0 ? "[" : "; [") + lines[i] + "]";
-  }
-  return out;
-}
-
-Clock::time_point after(Clock::time_point now, double seconds) {
-  return now + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(seconds));
-}
-
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)),
       sessions_("esched-coordinator", "svc.coordinator", config_.auth_token,
                 *this),
-      fleet_(config_, net::AgentFleet::kNeverAbandon, *this) {
-  ESCHED_REQUIRE(config_.max_attempts >= 1,
-                 "esched-coordinator: max_attempts must be >= 1");
+      fleet_(config_, net::AgentFleet::kNeverAbandon, *this),
+      queue_(run::retry_policy(config_),
+             run::SweepRunner::prefix_sharing_default()) {
   ESCHED_REQUIRE(!config_.agents.empty(),
                  "esched-coordinator: no agents configured (pass --agents "
                  "or set ESCHED_AGENTS)");
   ESCHED_REQUIRE(!config_.journal_path.empty(),
                  "esched-coordinator: no journal path configured (pass "
                  "--journal)");
-  retry_ = run::retry_policy(config_);
 }
 
 std::uint16_t Coordinator::start() {
@@ -89,6 +75,11 @@ void Coordinator::serve() {
 void Coordinator::step() {
   const Clock::time_point now = Clock::now();
   fleet_.tick(now);
+  if (!queue_.empty() && !fleet_.any_usable()) {
+    // Every agent rejected us for good: no queued cell can ever run.
+    fail_cells(queue_.fail_all("esched-coordinator: " +
+                               fleet_.unusable_reason(now)));
+  }
 
   std::vector<struct pollfd> fds;
   sessions_.register_fds(fds);
@@ -108,14 +99,12 @@ void Coordinator::step() {
   }
 }
 
+/// A backoff ready-time bounds the wait only while an agent slot is
+/// idle: with every slot busy, only an answer, a fleet deadline or a
+/// client can make progress, so the loop sleeps in poll().
 int Coordinator::next_timeout_ms(Clock::time_point now) const {
   Clock::time_point nearest = fleet_.next_deadline();
-  for (const std::string& key : pending_) {
-    const auto it = cells_.find(key);
-    if (it != cells_.end() && !it->second.in_flight) {
-      nearest = std::min(nearest, it->second.ready_at);
-    }
-  }
+  if (fleet_.idle_slots() > 0) nearest = std::min(nearest, queue_.next_ready());
   return run::poll_timeout_ms(nearest, now);
 }
 
@@ -208,18 +197,7 @@ void Coordinator::on_submit(std::uint64_t id,
       send_cell_done(id, i, keys[i]);
       continue;
     }
-    auto cell = cells_.find(keys[i]);
-    if (cell == cells_.end()) {
-      Cell fresh;
-      fresh.spec = request.specs[i];
-      if (sharing_ && fresh.spec.meta == nullptr) {
-        fresh.share = run::share_key(fresh.spec);
-      }
-      fresh.ready_at = now;
-      cell = cells_.emplace(keys[i], std::move(fresh)).first;
-      enqueue(cell->first, cell->second);
-    }
-    cell->second.waiters.emplace_back(request.sweep_id, i);
+    queue_.add(keys[i], request.specs[i], {request.sweep_id, i}, now);
   }
   maybe_finish_sweep(request.sweep_id);
 }
@@ -300,217 +278,85 @@ void Coordinator::fail_sweep(const std::string& sweep_id,
   const std::uint64_t client = it->second.client;
   sweeps_.erase(it);
   // Forget this sweep's interest in every other cell.
-  for (auto& [key, cell] : cells_) {
-    std::erase_if(cell.waiters,
-                  [&](const auto& w) { return w.first == sweep_id; });
-  }
+  queue_.forget(sweep_id);
   if (client != 0) send_error(client, message);
 }
 
 // ---- work management --------------------------------------------------
 
-void Coordinator::enqueue(const std::string& key, Cell& cell) {
-  pending_.push_back(key);
-  if (!cell.share.empty()) queued_by_share_[cell.share].push_back(key);
-}
-
-void Coordinator::unindex(const std::string& key, const Cell& cell) {
-  if (cell.share.empty()) return;
-  const auto it = queued_by_share_.find(cell.share);
-  if (it == queued_by_share_.end()) return;
-  std::erase(it->second, key);
-  if (it->second.empty()) queued_by_share_.erase(it);
-}
-
-/// Pop the first pending cell whose backoff elapsed, skipping (and
-/// discarding) stale queue entries for cells that completed, failed or
-/// left in another cell's task while queued. The task it leads takes
-/// along the first ready queued cells of its share group, as
-/// run::plan_groups groups them (at most wire::kMaxTaskMembers in all),
-/// and starts each member's next attempt under one fresh dispatch id.
 bool Coordinator::claim(Clock::time_point now, run::Dispatch& work) {
-  for (std::size_t i = 0; i < pending_.size();) {
-    const auto it = cells_.find(pending_[i]);
-    const bool stale = it == cells_.end() || it->second.in_flight;
-    if (!stale && it->second.ready_at > now) {
-      ++i;
-      continue;
-    }
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (stale) continue;
-
-    std::vector<std::string> keys{it->first};
-    run::ShareGroup group{{0}, {}};
-    if (!it->second.share.empty()) {
-      // Only as many candidates as one task can carry: the leader heads
-      // group 0, and the planner stops it at the same cap.
-      std::vector<const run::JobSpec*> specs{&it->second.spec};
-      for (const std::string& key : queued_by_share_.at(it->second.share)) {
-        if (keys.size() == wire::kMaxTaskMembers) break;
-        const Cell& cell = cells_.at(key);
-        if (key != it->first && cell.ready_at <= now) {
-          keys.push_back(key);
-          specs.push_back(&cell.spec);
-        }
-      }
-      if (specs.size() > 1) {
-        group = run::plan_groups(specs, true, wire::kMaxTaskMembers).front();
-      }
-    }
-    Task task;
-    std::vector<run::JobSpec> members;
-    work.attempt = it->second.attempts;
-    for (const std::size_t m : group.members) {
-      Cell& cell = cells_.at(keys[m]);
-      unindex(keys[m], cell);
-      cell.in_flight = true;
-      ++cell.attempts;
-      members.push_back(cell.spec);
-      task.keys.push_back(keys[m]);
-      bump("svc.cells_dispatched");
-    }
-    task.payload = wire::encode_task(members);
-    work.task = next_dispatch_;
-    work.payload = &in_flight_.emplace(next_dispatch_++, std::move(task))
-                         .first->second.payload;
-    return true;
-  }
-  return false;
+  if (!queue_.claim(now, work)) return false;
+  bump("svc.cells_dispatched", queue_.task_size(work.task));
+  return true;
 }
 
 bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& slot,
                             std::vector<std::uint8_t> bytes,
                             Clock::time_point /*now*/) {
-  const auto task = static_cast<std::uint32_t>(slot.task);
-  const auto flight = in_flight_.find(task);
-  if (flight == in_flight_.end()) return false;
-  std::vector<wire::Outcome> outcomes;
-  try {
-    outcomes = wire::decode_outcomes(bytes);
-  } catch (const Error&) {
-    return false;
-  }
-  if (outcomes.size() != flight->second.keys.size()) return false;
-  // The outcomes own every result now; free the reply before they are
-  // journaled, so a group costs no more peak memory than its results.
-  std::vector<std::uint8_t>().swap(bytes);
-  const std::vector<std::string> keys = std::move(flight->second.keys);
-  in_flight_.erase(flight);
-
+  std::vector<run::SettledCell> settled;
+  if (!queue_.complete(slot.task, std::move(bytes), settled)) return false;
   std::uint64_t produced = 0;
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    if (!outcomes[k].ok) {
-      // Deterministic failure of this member alone: retrying reruns the
-      // same simulation.
-      const auto cell = cells_.find(keys[k]);
-      const std::string label =
-          cell != cells_.end() ? cell->second.spec.label : keys[k];
-      fail_cell(keys[k], "sweep cell \"" + label +
-                             "\" failed: " + outcomes[k].error);
-      continue;
-    }
+  for (run::SettledCell& cell : settled) {
+    if (!cell.ok()) continue;
     ++produced;
-    deliver(keys[k], std::move(outcomes[k].result), task, slot.attempt);
+    deliver(cell, static_cast<std::uint32_t>(slot.task), slot.attempt);
   }
   // One produced member was simulated, the others re-billed from it.
   if (produced > 1) bump("svc.cells_rebilled", produced - 1);
+  // A member's error outcome fails only that member's sweeps.
+  fail_cells(settled);
   return true;
 }
 
 /// Journal, store and stream one produced cell.
-void Coordinator::deliver(const std::string& key,
-                          std::vector<std::uint8_t> bytes, std::uint32_t task,
+void Coordinator::deliver(run::SettledCell& cell, std::uint32_t task,
                           std::uint32_t attempt) {
   // Stored and journaled *verbatim* (the CRC already vouched for the
   // bytes): decoding and re-encoding could only risk the byte-identity
   // the journal promises. Durability first: the record is on disk (or
   // counted as dropped) before any client sees the result.
   wire::JournalRecord record;
-  record.cell_key = key;
-  record.result_bytes = bytes;
+  record.cell_key = cell.key;
+  record.result_bytes = cell.result;
   journal_.append(record, task, attempt);
-  store_[key] = std::move(bytes);
+  store_[cell.key] = std::move(cell.result);
   bump("svc.cells_completed");
 
-  const auto it = cells_.find(key);
-  if (it == cells_.end()) return;  // no one was waiting
-  const std::vector<std::pair<std::string, std::size_t>> waiters =
-      std::move(it->second.waiters);
-  cells_.erase(it);
-
   std::set<std::string> counted;  // one simulated++ per sweep per cell
-  std::set<std::string> touched;
-  for (const auto& [sweep_id, index] : waiters) {
-    const auto sweep = sweeps_.find(sweep_id);
+  for (const run::CellWaiter& waiter : cell.waiters) {
+    const auto sweep = sweeps_.find(waiter.sweep);
     if (sweep == sweeps_.end()) continue;  // sweep failed meanwhile
     Sweep& s = sweep->second;
-    if (s.delivered[index]) continue;
-    s.delivered[index] = true;
+    if (s.delivered[waiter.index]) continue;
+    s.delivered[waiter.index] = true;
     ++s.delivered_count;
-    if (counted.insert(sweep_id).second) ++s.simulated;
-    if (s.client != 0) send_cell_done(s.client, index, key);
-    touched.insert(sweep_id);
+    if (counted.insert(waiter.sweep).second) ++s.simulated;
+    if (s.client != 0) send_cell_done(s.client, waiter.index, cell.key);
   }
-  for (const std::string& sweep_id : touched) {
+  for (const std::string& sweep_id : counted) {
     if (sweeps_.count(sweep_id) != 0) maybe_finish_sweep(sweep_id);
   }
 }
 
-/// A failed attempt requeues every member of the task, each under its
-/// own attempt budget.
 void Coordinator::on_transient(std::size_t task, const std::string& reason,
                                Clock::time_point now) {
-  const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
-  if (flight == in_flight_.end()) return;
-  const std::vector<std::string> keys = std::move(flight->second.keys);
-  in_flight_.erase(flight);
-  for (const std::string& key : keys) {
-    const auto it = cells_.find(key);
-    if (it == cells_.end()) continue;
-    Cell& cell = it->second;
-    cell.in_flight = false;
-    cell.failures.push_back("attempt " + std::to_string(cell.attempts) +
-                            ": " + reason);
-    if (cell.attempts >= config_.max_attempts) {
-      fail_cell(key, "sweep cell \"" + cell.spec.label + "\" failed after " +
-                         std::to_string(cell.attempts) + " attempt(s): " +
-                         join_failures(cell.failures));
-      continue;
-    }
-    cell.ready_at = after(now, retry_.backoff_seconds(cell.attempts));
-    enqueue(key, cell);
-  }
+  fail_cells(queue_.fail_attempt(task, reason, now));
 }
 
 void Coordinator::on_error(std::size_t task, const std::string& message) {
-  const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
-  if (flight == in_flight_.end()) return;
-  const std::vector<std::string> keys = std::move(flight->second.keys);
-  in_flight_.erase(flight);
-  // Deterministic failure of the whole task: retrying reruns the same
-  // simulation.
-  for (const std::string& key : keys) {
-    const auto cell = cells_.find(key);
-    const std::string label =
-        cell != cells_.end() ? cell->second.spec.label : key;
-    fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
-  }
+  fail_cells(queue_.fail_task(task, message));
 }
 
-/// Deterministic failure or attempt-budget exhaustion: every sweep
-/// waiting on this cell fails (the in-process pools fail the whole sweep
-/// on the same conditions), other sweeps are untouched.
-void Coordinator::fail_cell(const std::string& key,
-                            const std::string& message) {
-  const auto it = cells_.find(key);
-  if (it == cells_.end()) return;
-  if (!it->second.in_flight) unindex(key, it->second);
-  std::set<std::string> affected;
-  for (const auto& [sweep_id, index] : it->second.waiters) {
-    affected.insert(sweep_id);
+/// Deterministic failure, attempt-budget exhaustion or a fleet gone for
+/// good: every sweep waiting on a failed cell fails (the pools fail the
+/// whole sweep on the same conditions), other sweeps are untouched.
+void Coordinator::fail_cells(const std::vector<run::SettledCell>& cells) {
+  for (const run::SettledCell& cell : cells) {
+    if (cell.ok()) continue;
+    for (const run::CellWaiter& waiter : cell.waiters) {
+      fail_sweep(waiter.sweep, cell.error);
+    }
   }
-  cells_.erase(it);
-  for (const std::string& sweep_id : affected) fail_sweep(sweep_id, message);
 }
 
 std::vector<run::AgentLiveness> Coordinator::fleet_liveness() const {
@@ -542,13 +388,8 @@ OpsHealth Coordinator::ops_health() const {
 OpsSweeps Coordinator::ops_sweeps() const {
   const Clock::time_point now = Clock::now();
   OpsSweeps out;
-  for (const auto& [key, cell] : cells_) {
-    if (cell.in_flight) {
-      ++out.cells_in_flight;
-    } else {
-      ++out.cells_pending;
-    }
-  }
+  out.cells_in_flight = queue_.in_flight_cells();
+  out.cells_pending = queue_.queued_cells();
   for (const auto& [id, sweep] : sweeps_) {
     OpsSweepInfo info;
     info.id = id;

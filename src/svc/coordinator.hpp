@@ -20,13 +20,14 @@
 //    cell, ever — and a coordinator SIGKILLed mid-sweep resumes after
 //    restart by replaying the journal and re-simulating only the cells
 //    whose records are absent (coordinator_test counts them).
-//  * A fleet task is a share group (run::plan_groups): a claimed cell
-//    takes along ready queued cells with its run::share_key, up to
-//    wire::kMaxTaskMembers in all; the worker simulates that trajectory
-//    once and re-bills the rest, and each member is journaled under its
-//    own cell_key. A price-level grid therefore costs one simulation per
-//    trajectory (per task of a larger group), and a group with some
-//    members already journaled still simulates once.
+//  * A fleet task is a share group (run::CellQueue, the pools' queue
+//    too): a claimed cell takes along ready queued cells with its
+//    run::share_key, up to wire::kMaxTaskMembers in all; the worker
+//    simulates that trajectory once and re-bills the rest, and each
+//    member is journaled under its own cell_key. A price-level grid
+//    therefore costs one simulation per trajectory (per task of a larger
+//    group), and a group with some members already journaled still
+//    simulates once.
 //  * The agent fleet is a net::AgentFleet kept alive across sweeps —
 //    the same implementation DistributedPool drives per run, except that
 //    the daemon never abandons an agent on connect failures (the fleet
@@ -38,13 +39,12 @@
 //    re-sent, the rest stream as they finish. kSubmit is idempotent —
 //    re-submitting an id with the identical grid behaves like kAttach.
 //
-// Single-threaded poll() loop, like the agentd and the per-run pool;
-// cells carry their own attempt budgets (RetryPolicy backoff) because
-// they come and go dynamically.
+// Single-threaded poll() loop, like the agentd and the per-run pool.
+// Once every agent has rejected the daemon (token or version mismatch),
+// every sweep waiting on the fleet fails with "no usable agents remain".
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -52,9 +52,9 @@
 #include "net/agent_fleet.hpp"
 #include "net/session_server.hpp"
 #include "obs/http_exposition.hpp"
+#include "run/cell_queue.hpp"
 #include "run/endpoint.hpp"
 #include "run/fault.hpp"
-#include "run/sweep.hpp"
 #include "svc/journal.hpp"
 #include "svc/ops.hpp"
 
@@ -112,28 +112,6 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
  private:
   using Clock = run::EndpointClock;
 
-  /// One distinct cell (by cell_key) somewhere between queued and
-  /// journaled. Carries its own attempt budget (the TaskLedger
-  /// bookkeeping, inlined because cells come and go dynamically).
-  struct Cell {
-    run::JobSpec spec;  ///< encoded into every task the cell rides in
-    /// run::share_key, its queued_by_share_ entry; empty when the cell
-    /// cannot join a group (a meta cell, or sharing off).
-    std::string share;
-    std::uint32_t attempts = 0;
-    std::vector<std::string> failures;
-    bool in_flight = false;
-    Clock::time_point ready_at{};  ///< backoff gate while queued
-    /// (sweep id, grid index) pairs waiting on this cell.
-    std::vector<std::pair<std::string, std::size_t>> waiters;
-  };
-
-  /// One dispatched fleet task: a share group of cells.
-  struct Task {
-    std::vector<std::string> keys;       ///< member cell keys, leader first
-    std::vector<std::uint8_t> payload;   ///< encode_task bytes
-  };
-
   /// One submitted sweep, resumable by id.
   struct Sweep {
     std::vector<std::string> keys;  ///< cell_key per grid index
@@ -165,8 +143,7 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
   void maybe_finish_sweep(const std::string& sweep_id);
   void fail_sweep(const std::string& sweep_id, const std::string& message);
 
-  // Work management: the fleet's owner interface. Fleet task ids are
-  // dispatch ids (in_flight_ keys).
+  // Work management: the fleet's owner interface over the cell queue.
   bool claim(Clock::time_point now, run::Dispatch& work) override;
   bool on_result(std::size_t agent, const run::Endpoint& slot,
                  std::vector<std::uint8_t> bytes,
@@ -174,29 +151,21 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
   void on_transient(std::size_t task, const std::string& reason,
                     Clock::time_point now) override;
   void on_error(std::size_t task, const std::string& message) override;
-  void fail_cell(const std::string& key, const std::string& message);
-  void deliver(const std::string& key, std::vector<std::uint8_t> bytes,
-               std::uint32_t task, std::uint32_t attempt);
-  void enqueue(const std::string& key, Cell& cell);
-  void unindex(const std::string& key, const Cell& cell);
+  void fail_cells(const std::vector<run::SettledCell>& cells);
+  void deliver(run::SettledCell& cell, std::uint32_t task,
+               std::uint32_t attempt);
 
   CoordinatorConfig config_;
-  run::RetryPolicy retry_;
   net::SessionServer sessions_;
   Journal journal_;
   obs::HttpServer http_;
   net::AgentFleet fleet_;
+  /// Every cell between submitted and journaled; its waiters are (sweep
+  /// id, grid index) pairs.
+  run::CellQueue queue_;
   Clock::time_point started_at_{};
 
   std::map<std::string, std::vector<std::uint8_t>> store_;  ///< key -> result
-  std::map<std::string, Cell> cells_;  ///< key -> queued/in-flight work
-  std::deque<std::string> pending_;    ///< dispatch order (requeues at back)
-  /// share_key -> keys of its queued groupable cells, in queue order:
-  /// the cells a claimed leader can take along in its task.
-  std::map<std::string, std::vector<std::string>> queued_by_share_;
-  std::map<std::uint32_t, Task> in_flight_;  ///< dispatch id -> task
-  bool sharing_ = run::SweepRunner::prefix_sharing_default();
-  std::uint32_t next_dispatch_ = 0;
   std::map<std::string, Sweep> sweeps_;
 };
 

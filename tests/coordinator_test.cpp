@@ -27,12 +27,14 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -154,7 +156,8 @@ class ServiceProc {
 class AgentProc : public ServiceProc {
  public:
   /// port 0 picks an ephemeral port.
-  explicit AgentProc(int slots, bool http = false, std::uint16_t port = 0) {
+  explicit AgentProc(int slots, bool http = false, std::uint16_t port = 0,
+                     const std::string& token = "") {
     const std::string path =
         run::find_sibling_binary("ESCHED_AGENTD", "esched-agentd");
     ESCHED_REQUIRE(!path.empty(), "esched-agentd binary not built?");
@@ -163,6 +166,10 @@ class AgentProc : public ServiceProc {
     if (http) {
       args.push_back("--http-port");
       args.push_back("0");
+    }
+    if (!token.empty()) {
+      args.push_back("--token");
+      args.push_back(token);
     }
     start(path, std::move(args));
   }
@@ -311,10 +318,10 @@ std::vector<run::SimJob> sim_jobs(const std::vector<run::JobSpec>& sweep) {
   return jobs;
 }
 
-/// Step an in-process coordinator until `done`, failing after a minute.
-void serve_until(Coordinator& coordinator, const std::function<bool()>& done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+/// Step an in-process coordinator until `done`, failing after `limit`.
+void serve_until(Coordinator& coordinator, const std::function<bool()>& done,
+                 std::chrono::seconds limit = std::chrono::seconds(60)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
   while (!done()) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "coordinator stalled";
@@ -888,7 +895,7 @@ TEST(CoordinatorTest, ShareGroupAboveTheTaskCapRunsAsSeveralTasks) {
   for (std::size_t i = 0; i < wire::kMaxTaskMembers + 2; ++i) {
     run::JobSpec spec = six_cell_sweep().front();
     spec.pricing.ratio = 2.0 + 0.5 * static_cast<double>(i);
-    spec.label = "r" + std::to_string(i);
+    spec.label = std::string("r") + std::to_string(i);
     sweep.push_back(spec);
   }
   run::SweepStats want;
@@ -993,6 +1000,106 @@ TEST(CoordinatorTest, BadTariffInAnotherClientsSweepFailsOnlyThatSweep) {
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].second, records[1].second);
   EXPECT_EQ(records[1].second, records[2].second);
+}
+
+TEST(CoordinatorTest, EveryAgentRejectingFailsOpenAndLaterSweeps) {
+  // The only agent wants a token this coordinator does not send, so it
+  // rejects the daemon for good. A client waiting on the fleet must get
+  // that diagnosis instead of waiting forever — and so must the next one.
+  AgentProc agent(1, false, 0, "secret");
+  TempJournal journal("rejected");
+  CoordinatorConfig cfg;
+  cfg.port = 0;
+  cfg.agents = {agent.addr()};
+  cfg.journal_path = journal.path();
+  auto coordinator = std::make_unique<Coordinator>(cfg);
+  const std::uint16_t port = coordinator->start();
+  run::SigpipeGuard sigpipe;
+
+  for (const char* id : {"rejected-first", "rejected-later"}) {
+    ClientThread client(port, id, six_cell_sweep());
+    // Settled once the sweep was queued and then failed: its kError is
+    // on the wire, and a daemon with no usable agent has nothing left to
+    // wake its poll() for.
+    bool queued = false;
+    const auto settled = [&] {
+      const std::size_t open = coordinator->ops_sweeps().sweeps.size();
+      queued = queued || open == 1;
+      return client.finished.load() || (queued && open == 0);
+    };
+    serve_until(*coordinator, settled, std::chrono::seconds(20));
+    if (!settled()) {
+      // Closing the daemon's sockets lets the hung client give up.
+      coordinator.reset();
+      return;
+    }
+    client.thread.join();
+    EXPECT_NE(client.error.find("no usable agents remain"), std::string::npos)
+        << id << ": " << client.error;
+    EXPECT_NE(client.error.find(agent.addr().text()), std::string::npos)
+        << id << ": " << client.error;
+    EXPECT_NE(client.error.find("auth token mismatch"), std::string::npos)
+        << id << ": " << client.error;
+  }
+  EXPECT_EQ(coordinator->ops_sweeps().cells_pending, 0u);
+  EXPECT_EQ(coordinator->fleet_liveness()[0].state, "dead");
+}
+
+TEST(CoordinatorTest, LoopSleepsWhileEveryAgentSlotIsBusy) {
+  // One agent slot, four tasks (knapsack over four trace seeds): while
+  // the slot runs one, the rest wait with their backoff gates long open.
+  // The daemon must sleep in poll() until the agent answers, not spin on
+  // the ready-time of cells no slot can take.
+  std::vector<run::JobSpec> sweep;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    run::JobSpec spec = six_cell_sweep()[2];  // knapsack
+    spec.trace.seed = seed;
+    spec.trace.months = 2;
+    spec.label += "/seed" + std::to_string(seed);
+    sweep.push_back(spec);
+  }
+  const auto thread_cpu_seconds = [] {
+    struct rusage usage {};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    const auto seconds = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+  };
+
+  AgentProc agent(1);
+  TempJournal journal("sleeps");
+  CoordinatorConfig cfg;
+  cfg.port = 0;
+  cfg.agents = {agent.addr()};
+  cfg.journal_path = journal.path();
+  // Frequent pings: the loop notices the client's exit within 50 ms, so
+  // the measured wall time is the sweep's; a busy host still gets a
+  // second to answer them.
+  cfg.heartbeat_interval_seconds = 0.05;
+  cfg.heartbeat_misses = 20;
+  Coordinator coordinator(cfg);
+  const std::uint16_t port = coordinator.start();
+  run::SigpipeGuard sigpipe;
+  // Let the fleet handshake first, so the measured span is the sweep.
+  serve_until(coordinator,
+              [&] { return coordinator.fleet_liveness()[0].state == "alive"; });
+
+  const auto start = std::chrono::steady_clock::now();
+  const double cpu_before = thread_cpu_seconds();
+  ClientThread client(port, "sleeps", sweep);
+  serve_until(coordinator, [&] { return client.finished.load(); });
+  const double cpu = thread_cpu_seconds() - cpu_before;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  client.thread.join();
+
+  ASSERT_TRUE(client.error.empty()) << client.error;
+  EXPECT_EQ(client.results.size(), sweep.size());
+  EXPECT_LT(cpu, 0.3 * wall) << "coordinator burned " << cpu
+                             << " CPU-s over " << wall << " s of wall time";
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -551,6 +552,43 @@ TEST(DistributedTest, SweepStatsReportPerAgentLiveness) {
   // Never connected: no heartbeat age, but a failure reason naming why.
   EXPECT_LT(stats.agent_liveness[1].last_heartbeat_age_seconds, 0.0);
   EXPECT_FALSE(stats.agent_liveness[1].last_error.empty());
+}
+
+TEST(DistributedTest, PoolSleepsWhileEveryAgentSlotIsBusy) {
+  // One agent slot, four tasks (knapsack over four trace seeds): while
+  // the slot runs one, the rest wait with their backoff gates long open.
+  // The pool must sleep in poll() until the agent answers, not spin on
+  // the ready-time of cells no slot can take — so its own CPU time stays
+  // far below the run's wall time.
+  std::vector<run::JobSpec> sweep;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    run::JobSpec spec = six_cell_sweep()[2];  // knapsack
+    spec.trace.seed = seed;
+    spec.trace.months = 2;
+    spec.label += "/seed" + std::to_string(seed);
+    sweep.push_back(spec);
+  }
+  const auto thread_cpu_seconds = [] {
+    struct rusage usage {};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    const auto seconds = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+  };
+
+  AgentProc agent(1);
+  DistributedPool pool(test_config({agent.addr()}));
+  const double cpu_before = thread_cpu_seconds();
+  const auto results = pool.run(sweep);
+  const double cpu = thread_cpu_seconds() - cpu_before;
+  const double wall = pool.last_stats().wall_seconds;
+
+  ASSERT_EQ(results.size(), sweep.size());
+  EXPECT_EQ(pool.last_stats().simulated_cells, sweep.size());
+  EXPECT_LT(cpu, 0.3 * wall) << "pool burned " << cpu << " CPU-s over "
+                             << wall << " s of wall time";
 }
 
 TEST(DistributedTest, ReachabilityProbe) {

@@ -1,138 +1,13 @@
-// Pins the transport-shared failure primitives of run/endpoint.hpp —
-// above all the TaskLedger duplicate-delivery contract: a result for an
-// already-completed task must be dropped idempotently (complete()
-// returns false), never double-counted. Both the subprocess pool and
-// the TCP transports (net/distributed, svc/coordinator) lean on this
-// when a straggler answer races a requeued attempt, and the journal
-// replay path leans on it when a crash-recovered coordinator re-offers
-// cells that finished before the crash.
+// Pins the transport-shared failure primitives of run/endpoint.hpp: the
+// capped exponential backoff every plane's cell queue retries under
+// (run::CellQueue's own contract is cell_queue_test's).
 #include "run/endpoint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <string>
-#include <vector>
-
-#include "run/spec.hpp"
-#include "util/error.hpp"
-
 namespace {
 
 using namespace esched;
-using Clock = run::EndpointClock;
-
-std::vector<run::JobSpec> specs(std::size_t n) {
-  std::vector<run::JobSpec> sweep(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sweep[i].label = "cell-" + std::to_string(i);
-  }
-  return sweep;
-}
-
-run::RetryPolicy policy(std::uint32_t max_attempts = 3) {
-  run::RetryPolicy p;
-  p.max_attempts = max_attempts;
-  p.backoff_initial_seconds = 0.0;  // requeues are immediately ready
-  p.backoff_max_seconds = 0.0;
-  return p;
-}
-
-TEST(TaskLedgerTest, CompleteReturnsTrueOnlyOnce) {
-  const auto sweep = specs(2);
-  const Clock::time_point now = Clock::now();
-  run::TaskLedger ledger(sweep, policy(), now);
-
-  const std::size_t task = ledger.claim_ready(now);
-  ASSERT_NE(task, run::kNoTask);
-  ledger.begin_attempt(task);
-
-  EXPECT_TRUE(ledger.complete(task));
-  EXPECT_EQ(ledger.done_count(), 1u);
-
-  // The duplicate delivery: a second answer for the same task (journal
-  // replay, straggler frame) must be a no-op.
-  EXPECT_FALSE(ledger.complete(task));
-  EXPECT_FALSE(ledger.complete(task));
-  EXPECT_EQ(ledger.done_count(), 1u);
-  EXPECT_FALSE(ledger.all_done());
-}
-
-TEST(TaskLedgerTest, StragglerAnswerAfterRequeueIsDropped) {
-  // The race the distributed transports hit: attempt 0 times out and is
-  // requeued; attempt 1 completes; then attempt 0's answer finally
-  // arrives. The late answer must not bump done_count past the truth.
-  const auto sweep = specs(1);
-  Clock::time_point now = Clock::now();
-  run::TaskLedger ledger(sweep, policy(), now);
-
-  const std::size_t task = ledger.claim_ready(now);
-  ASSERT_EQ(task, 0u);
-  EXPECT_EQ(ledger.begin_attempt(task), 0u);
-  ledger.fail_attempt(task, "timed out", now);
-
-  now += std::chrono::seconds(1);
-  ASSERT_EQ(ledger.claim_ready(now), 0u);
-  EXPECT_EQ(ledger.begin_attempt(task), 1u);
-  EXPECT_TRUE(ledger.complete(task));
-  EXPECT_TRUE(ledger.all_done());
-
-  // Attempt 0's straggler answer.
-  EXPECT_FALSE(ledger.complete(task));
-  EXPECT_EQ(ledger.done_count(), 1u);
-  EXPECT_TRUE(ledger.all_done());
-}
-
-TEST(TaskLedgerTest, ReplayCompletionsBeforeAnyDispatch) {
-  // The journal-replay shape: a recovered coordinator marks cells done
-  // straight from the journal, without claim/begin, and only the
-  // remainder is ever dispatched.
-  const auto sweep = specs(3);
-  const Clock::time_point now = Clock::now();
-  run::TaskLedger ledger(sweep, policy(), now);
-
-  EXPECT_TRUE(ledger.complete(1));
-  EXPECT_FALSE(ledger.complete(1));  // duplicate journal record
-  EXPECT_EQ(ledger.done_count(), 1u);
-
-  // The completed cell is still in the pending queue (complete() does
-  // not unschedule); a transport that replays first must drop it on
-  // claim. Pin the observable contract: claiming and completing the
-  // remaining cells finishes the sweep with done_count == 3.
-  std::size_t claimed = 0;
-  for (;;) {
-    const std::size_t task = ledger.claim_ready(now);
-    if (task == run::kNoTask) break;
-    ++claimed;
-    ledger.begin_attempt(task);
-    ledger.complete(task);
-  }
-  EXPECT_EQ(claimed, 3u);  // replayed cell was claimed, completes false
-  EXPECT_EQ(ledger.done_count(), 3u);
-  EXPECT_TRUE(ledger.all_done());
-}
-
-TEST(TaskLedgerTest, BudgetExhaustionStillThrowsAfterDuplicates) {
-  // Duplicate completions of one task must not eat another task's
-  // attempt budget bookkeeping.
-  const auto sweep = specs(2);
-  Clock::time_point now = Clock::now();
-  run::TaskLedger ledger(sweep, policy(2), now);
-
-  const std::size_t first = ledger.claim_ready(now);
-  ledger.begin_attempt(first);
-  EXPECT_TRUE(ledger.complete(first));
-  EXPECT_FALSE(ledger.complete(first));
-
-  const std::size_t second = ledger.claim_ready(now);
-  ASSERT_NE(second, run::kNoTask);
-  ledger.begin_attempt(second);
-  ledger.fail_attempt(second, "agent died", now);
-  now += std::chrono::seconds(1);
-  ASSERT_EQ(ledger.claim_ready(now), second);
-  ledger.begin_attempt(second);
-  EXPECT_THROW(ledger.fail_attempt(second, "agent died again", now), Error);
-}
 
 TEST(RetryPolicyTest, BackoffIsCappedExponential) {
   run::RetryPolicy p;
