@@ -30,9 +30,11 @@ cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
 # caller contend on during a distributed sweep.
 # svc_journal_test and cell_queue_test pin the coordinator's durability
 # and session-bookkeeping contracts (crash-safe journal replay/healing,
-# CellQueue claim/settle bookkeeping); coordinator_test runs full client
-# sessions against a sanitized esched-coordinator + esched-agentd fleet
-# (the binaries build in this tree via its declared dependencies), so
+# CellQueue claim/settle bookkeeping); pool_run_test drives the one pool
+# driver (run::PoolRun) over scripted fake lanes; coordinator_test runs
+# full client sessions against a sanitized esched-coordinator +
+# esched-agentd fleet (the binaries build in this tree via its declared
+# dependencies), so
 # the coordinator's poll loop and the client's reconnect path run under
 # TSan end to end — including the SIGKILL-mid-sweep resume and the HTTP
 # operational-plane test, which forks a sanitized esched-top against the
@@ -49,8 +51,8 @@ cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
 cmake --build build-tsan -j \
   --target thread_pool_test sweep_runner_test obs_registry_test \
   event_queue_test telemetry_test \
-  svc_journal_test endpoint_test cell_queue_test coordinator_test \
-  obs_log_test http_exposition_test meta_test
+  svc_journal_test endpoint_test cell_queue_test pool_run_test \
+  coordinator_test obs_log_test http_exposition_test meta_test
 ./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
 ./build-tsan/tests/obs_registry_test
@@ -59,6 +61,7 @@ cmake --build build-tsan -j \
 ./build-tsan/tests/svc_journal_test
 ./build-tsan/tests/endpoint_test
 ./build-tsan/tests/cell_queue_test
+./build-tsan/tests/pool_run_test
 ./build-tsan/tests/coordinator_test
 ./build-tsan/tests/obs_log_test
 ./build-tsan/tests/http_exposition_test
@@ -68,13 +71,17 @@ echo "== tier-1: ASan+UBSan build of the untrusted-bytes tests =="
 # Every decoder of bytes from outside the process (wire frames, the
 # session handshake, journal replay, the HTTP request parser, minijson,
 # SWF) runs under AddressSanitizer and UndefinedBehaviorSanitizer, with
-# any UB finding fatal. distributed_test and coordinator_test fork the
-# sanitized daemons and workers of this tree, which inherit the options.
+# any UB finding fatal. proc_pool_test, distributed_test and
+# coordinator_test fork the sanitized daemons and workers of this tree,
+# which inherit the options; proc_pool_test's `garbage` fault band makes
+# workers write corrupt frames that run::WorkerSlots must reassemble and
+# reject. pool_run_test drives run::PoolRun over fake lanes.
 cmake -B build-asan -S . -DESCHED_SANITIZE=address,undefined \
   -DESCHED_BUILD_BENCH=OFF -DESCHED_BUILD_EXAMPLES=OFF
 asan_tests="wire_test net_frame_test session_server_test svc_journal_test
   http_exposition_test minijson_test swf_test endpoint_test
-  cell_queue_test distributed_test coordinator_test"
+  cell_queue_test pool_run_test proc_pool_test distributed_test
+  coordinator_test"
 # shellcheck disable=SC2086  # word-split the list on purpose
 cmake --build build-asan -j --target $asan_tests
 for t in $asan_tests; do

@@ -24,21 +24,10 @@ using Clock = run::EndpointClock;
 using obs::bump;
 using run::after;
 
-/// The message of a kError/kFail payload; a garbled one still gets its
-/// failure classified, under `fallback`.
-std::string decode_message(const std::vector<std::uint8_t>& body,
-                           const char* fallback) {
-  try {
-    return wire::decode_error(body);
-  } catch (const Error&) {
-    return fallback;
-  }
-}
-
 }  // namespace
 
 AgentFleet::AgentFleet(const FleetConfig& config,
-                       std::uint32_t connect_attempts, FleetOwner& owner,
+                       std::uint32_t connect_attempts, run::LaneOwner& owner,
                        obs::Tracer* tracer, obs::FleetAggregator* telemetry)
     : config_(config),
       connect_attempts_(connect_attempts),
@@ -145,14 +134,10 @@ void AgentFleet::on_poll(const std::vector<struct pollfd>& fds) {
 
 // ---- fleet state -------------------------------------------------------
 
-bool AgentFleet::any_usable() const {
-  for (const Agent& a : agents_) {
-    if (a.state != Agent::State::kDead) return true;
-  }
-  return false;
-}
-
 std::string AgentFleet::unusable_reason(Clock::time_point now) const {
+  for (const Agent& a : agents_) {
+    if (a.state != Agent::State::kDead) return {};
+  }
   std::string detail;
   for (const run::AgentLiveness& live : liveness(now)) {
     if (!detail.empty()) detail += "; ";
@@ -161,7 +146,7 @@ std::string AgentFleet::unusable_reason(Clock::time_point now) const {
   return "no usable agents remain (" + detail + ")";
 }
 
-std::size_t AgentFleet::idle_slots() const {
+std::size_t AgentFleet::idle_lanes() const {
   std::size_t idle = 0;
   for (const Agent& a : agents_) {
     if (a.state != Agent::State::kReady) continue;
@@ -297,7 +282,7 @@ void AgentFleet::connection_lost(std::size_t index, const std::string& reason,
   const std::vector<run::Endpoint> slots = std::move(a.slots);
   a.slots.clear();
   for (const run::Endpoint& ep : slots) {
-    if (ep.busy()) requeue(ep.task, reason, now);
+    if (ep.busy()) requeue(index, ep, reason, now);
   }
 }
 
@@ -308,10 +293,10 @@ void AgentFleet::back_off(Agent& a, Clock::time_point now) {
       std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
 }
 
-void AgentFleet::requeue(std::size_t task, const std::string& reason,
-                         Clock::time_point now) {
+void AgentFleet::requeue(std::size_t index, const run::Endpoint& ep,
+                         const std::string& reason, Clock::time_point now) {
   bump("net.cells_requeued");
-  owner_.on_transient(task, reason, now);
+  owner_.on_transient(index, ep, reason, now);
 }
 
 void AgentFleet::emit_connection_span(std::size_t index,
@@ -334,7 +319,7 @@ void AgentFleet::dispatch(Clock::time_point now) {
     if (a.state != Agent::State::kReady) continue;
     for (run::Endpoint& ep : a.slots) {
       if (ep.busy()) continue;
-      if (!owner_.claim(now, work)) return;  // nothing dispatchable now
+      if (!owner_.claim(i, now, work)) return;  // nothing dispatchable now
       ep.begin(work.task, work.attempt, now, config_.task_timeout_seconds);
       if (!a.conn->send(wire::encode_frame(
               wire::FrameType::kJob, static_cast<std::uint32_t>(work.task),
@@ -356,9 +341,9 @@ void AgentFleet::check_task_deadlines(Clock::time_point now) {
       expired = true;
       // The timed-out cell gets its own diagnosis; the connection reset
       // below requeues its siblings with a collateral reason.
-      const std::size_t task = ep.task;
+      const run::Endpoint timed_out = ep;
       ep.clear();
-      requeue(task,
+      requeue(i, timed_out,
               "timed out after " +
                   run::format_seconds(config_.task_timeout_seconds) +
                   "s on agent " + a.addr.text(),
@@ -451,7 +436,8 @@ void AgentFleet::on_handshake_frame(std::size_t index,
   if (header.type == wire::FrameType::kError) {
     // Version or auth mismatch: the agent will never accept us.
     abandon(index, who(index) + " rejected handshake: " +
-                       decode_message(body, "(undecodable error payload)"));
+                       wire::decode_error_or(body,
+                                             "(undecodable error payload)"));
     return;
   }
   if (header.type != wire::FrameType::kWelcome) {
@@ -549,9 +535,10 @@ void AgentFleet::on_session_frame(std::size_t index,
         now);
     return;
   }
+  const run::Endpoint answered = *ep;
   switch (header.type) {
     case wire::FrameType::kResult:
-      if (!owner_.on_result(index, *ep, std::move(body), now)) {
+      if (!owner_.on_result(index, answered, std::move(body), now)) {
         connection_lost(
             index, who(index) + ": protocol corruption (undecodable result)",
             now);
@@ -559,25 +546,22 @@ void AgentFleet::on_session_frame(std::size_t index,
       }
       ep->clear();
       return;
-    case wire::FrameType::kError: {
+    case wire::FrameType::kError:
       // Deterministic failure: retrying reruns the same simulation.
-      const std::size_t task = ep->task;
       ep->clear();
-      owner_.on_error(task,
-                      decode_message(body, "(undecodable error payload)"));
+      owner_.on_error(
+          index, answered,
+          wire::decode_error_or(body, "(undecodable error payload)"));
       return;
-    }
-    case wire::FrameType::kFail: {
+    case wire::FrameType::kFail:
       // Transient failure at the agent (its worker died): requeue this
       // attempt only; the connection stays up.
-      const std::size_t task = ep->task;
       ep->clear();
-      requeue(task,
+      requeue(index, answered,
               who(index) + ": " +
-                  decode_message(body, "(undecodable failure payload)"),
+                  wire::decode_error_or(body, "(undecodable failure payload)"),
               now);
       return;
-    }
     default:
       connection_lost(index, who(index) + ": unexpected frame type in session",
                       now);

@@ -11,7 +11,8 @@
 //    token check; a kError answer or a version mismatch is a permanent
 //    rejection ("dead"), never retried;
 //  * one run::Endpoint per slot the kWelcome announces; free slots pull
-//    work from the owner (FleetOwner::claim) and carry it as kJob frames;
+//    work from the owner (run::LaneOwner::claim) and carry it as kJob
+//    frames;
 //  * kPing heartbeats: an agent that leaves heartbeat_misses pings
 //    unanswered is declared dead even if its socket still looks open;
 //  * per-task deadlines: a cell can't be killed remotely, so an expired
@@ -26,10 +27,10 @@
 // pool abandons an agent after `connect_attempts` consecutive failed
 // connects, the daemon never does (kNeverAbandon).
 //
-// Poll integration mirrors obs::HttpServer: call tick(now) and
-// register_fds() before poll(), on_poll() after it, and bound the poll
-// timeout with next_deadline(). Single-threaded; owner callbacks run on
-// the caller's thread and may throw (the exception propagates out of
+// The fleet is run::Lanes, one lane per agent, reporting to a
+// run::LaneOwner: the pool's run::PoolRun drives it like worker slots,
+// the coordinator from its own loop. Single-threaded; owner callbacks run
+// on the caller's thread and may throw (the exception propagates out of
 // tick()/on_poll(); the owner then tears the fleet down).
 #pragma once
 
@@ -38,11 +39,10 @@
 #include <string>
 #include <vector>
 
-#include <poll.h>
-
 #include "net/frame_io.hpp"
 #include "net/socket.hpp"
 #include "run/endpoint.hpp"
+#include "run/pool_run.hpp"
 #include "run/sweep.hpp"
 
 namespace esched::obs {
@@ -85,39 +85,8 @@ struct FleetConfig {
   double reconnect_max_seconds = 2.0;
 };
 
-/// What a fleet owner supplies (work) and receives (outcomes). A task is
-/// identified by the id the owner returned from claim().
-class FleetOwner {
+class AgentFleet final : public run::Lanes {
  public:
-  using Clock = run::EndpointClock;
-
-  /// Claim the next ready task for a free slot (run::CellQueue::claim);
-  /// false when none is dispatchable right now.
-  virtual bool claim(Clock::time_point now, run::Dispatch& work) = 0;
-
-  /// Agent `agent` answered `slot`'s task with result bytes (CRC already
-  /// verified). Return false when the bytes are undecodable: the fleet
-  /// then retires the connection and requeues the task.
-  virtual bool on_result(std::size_t agent, const run::Endpoint& slot,
-                         std::vector<std::uint8_t> bytes,
-                         Clock::time_point now) = 0;
-
-  /// Transient failure of one attempt (connection loss, timeout, kFail):
-  /// requeue its cells under their attempt budgets.
-  virtual void on_transient(std::size_t task, const std::string& reason,
-                            Clock::time_point now) = 0;
-
-  /// Deterministic kError from an agent: retrying cannot help.
-  virtual void on_error(std::size_t task, const std::string& message) = 0;
-
- protected:
-  ~FleetOwner() = default;
-};
-
-class AgentFleet {
- public:
-  using Clock = run::EndpointClock;
-
   /// connect_attempts value meaning "retry forever".
   static constexpr std::uint32_t kNeverAbandon = 0;
   /// Remote-cell / connection-lifetime spans go on tracks 2000+agent so
@@ -130,32 +99,25 @@ class AgentFleet {
   /// kTelemetry ingestion under "agent.<index>.<role>") when non-null.
   /// Every agent connects at the first tick().
   AgentFleet(const FleetConfig& config, std::uint32_t connect_attempts,
-             FleetOwner& owner, obs::Tracer* tracer = nullptr,
+             run::LaneOwner& owner, obs::Tracer* tracer = nullptr,
              obs::FleetAggregator* telemetry = nullptr);
 
-  /// Drive the clocks — reconnects, connect/handshake deadlines, task
-  /// deadlines, heartbeats — then fill free slots from the owner.
-  void tick(Clock::time_point now);
+  // ---- Lanes: one lane per configured agent, indexed like
+  // config.agents. The deadlines are reconnects, connect/handshake and
+  // task deadlines and heartbeats; the idle lanes are the free slots of
+  // ready agents. unusable_reason is "no usable agents remain (<addr>:
+  // <last error>; ...)" once every agent is permanently gone (rejected,
+  // or out of connect budget).
+  void tick(Clock::time_point now) override;
+  void register_fds(std::vector<struct pollfd>& fds) override;
+  void on_poll(const std::vector<struct pollfd>& fds) override;
+  Clock::time_point next_deadline() const override;
+  std::size_t idle_lanes() const override;
+  std::size_t lane_count() const override { return agents_.size(); }
+  std::string unusable_reason(Clock::time_point now) const override;
 
-  /// Earliest instant tick() has work to do (time_point::max() if none);
-  /// owners take the minimum with their own next ready-time.
-  Clock::time_point next_deadline() const;
-
-  /// Append the fds to poll; on_poll() must see the same array.
-  void register_fds(std::vector<struct pollfd>& fds);
-  void on_poll(const std::vector<struct pollfd>& fds);
-
-  /// False once every agent is permanently gone (rejected, or out of
-  /// connect budget).
-  bool any_usable() const;
-  /// "no usable agents remain (<addr>: <last error>; ...)": what a driver
-  /// fails its open work with once any_usable() is false.
-  std::string unusable_reason(Clock::time_point now) const;
   /// Slots on agents that completed a handshake and are still connected.
   std::size_t ready_slots() const;
-  /// Those of the ready slots that hold no task: an owner bounds its poll
-  /// by its next ready-time only while one is idle.
-  std::size_t idle_slots() const;
   /// Largest ready_slots() seen since construction.
   std::size_t peak_slots() const { return peak_slots_; }
 
@@ -214,8 +176,8 @@ class AgentFleet {
   void connection_lost(std::size_t index, const std::string& reason,
                        Clock::time_point now);
   void back_off(Agent& a, Clock::time_point now);
-  void requeue(std::size_t task, const std::string& reason,
-               Clock::time_point now);
+  void requeue(std::size_t index, const run::Endpoint& ep,
+               const std::string& reason, Clock::time_point now);
   void emit_connection_span(std::size_t index, Clock::time_point now);
 
   void dispatch(Clock::time_point now);
@@ -237,7 +199,7 @@ class AgentFleet {
 
   const FleetConfig& config_;
   std::uint32_t connect_attempts_;
-  FleetOwner& owner_;
+  run::LaneOwner& owner_;
   obs::Tracer* tracer_;
   obs::FleetAggregator* telemetry_;
 

@@ -9,11 +9,12 @@
 // run::WorkerSlots, the same worker supervisor as the local
 // SubprocessPool, so (task, attempt)-keyed fault injection and the wire
 // contract behave identically however many machines sit between the
-// sweep and the simulation. Worker answers (kResult/kError) are forwarded
-// back to the owning coordinator; a failed attempt (death, corruption) is
-// answered with kFail (transient — the coordinator requeues). A
-// coordinator that disconnects takes its queued jobs and its in-flight
-// workers with it.
+// sweep and the simulation. Worker answers are forwarded back to the
+// owning coordinator: a kResult verbatim, a kError re-encoded from its
+// message; a failed attempt (death, corruption) is answered with kFail
+// (transient — the coordinator requeues), its reason naming the worker's
+// flight-recorder dump when there is one. A coordinator that disconnects
+// takes its queued jobs and its in-flight workers with it.
 //
 // ESCHED_FAULT (run/fault.hpp): the agentd acts on the net* bands —
 // netdrop (close the coordinator connection on job receipt), netslow
@@ -26,12 +27,10 @@
 // stdout carries one ready line (net::print_ready_line), with
 // slots=<n>; diagnostics go to the structured log.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <string>
@@ -78,7 +77,7 @@ struct Options {
       "                     [--worker PATH] [--token SECRET] [--verbose]\n"
       "                     [--http-port PORT] [--log-out PATH]\n"
       "\n"
-      "Serve sweep cells to DistributedPool coordinators (--isolate=tcp).\n"
+      "Serve sweep cells to --isolate=tcp sweeps and esched-coordinator.\n"
       "  --bind HOST    listen address (default 127.0.0.1; use 0.0.0.0 to\n"
       "                 accept coordinators from other machines)\n"
       "  --port PORT    listen port (default 9555; 0 picks an ephemeral\n"
@@ -123,14 +122,19 @@ struct Job {
   bool garbage = false;               ///< netgarbage: corrupt the answer
 };
 
-class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
+class Agentd final : public run::LaneOwner, public net::SessionOwner {
  public:
   Agentd(Options options, run::FaultPlan faults)
       : options_(std::move(options)),
         faults_(faults),
         sessions_(kDaemon, "net.agentd", options_.token, *this),
         slots_(options_.slots, options_.worker_path, 0.0, *this),
-        leases_(options_.slots) {}
+        leases_(options_.slots) {
+    slots_.set_telemetry(
+        [this](std::size_t slot, std::vector<std::uint8_t>& body) {
+          return forward_telemetry(slot, body);
+        });
+  }
   // sessions_ and slots_ hold this object's address.
   Agentd(const Agentd&) = delete;
   Agentd& operator=(const Agentd&) = delete;
@@ -141,7 +145,7 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     net::start_http_plane(http_, options_.serve,
                           {{"/healthz", [this] { return healthz(); }}});
     net::print_ready_line(kDaemon, options_.serve.bind_host, port,
-                          "slots=" + std::to_string(slots_.size()),
+                          "slots=" + std::to_string(slots_.lane_count()),
                           http_.port());
     started_at_ = Clock::now();
 
@@ -159,13 +163,7 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     slots_.register_fds(fds);
     http_.register_fds(fds);
 
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                          next_timeout_ms());
-    if (rc < 0 && errno != EINTR) {
-      throw Error(std::string("esched-agentd: poll failed: ") +
-                  std::strerror(errno));
-    }
-    if (rc > 0) {
+    if (run::poll_fds(fds, next_timeout_ms(), kDaemon)) {
       http_.on_poll(fds.data(), fds.size());
       slots_.on_poll(fds);
       sessions_.on_poll(fds);
@@ -185,7 +183,7 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
 
   // ---- coordinator sessions (net::SessionOwner) ------------------------
 
-  std::size_t welcome_slots() const override { return slots_.size(); }
+  std::size_t welcome_slots() const override { return slots_.lane_count(); }
 
   void on_session_open(std::uint64_t id, const net::Hello& hello) override {
     Peer& peer = peers_[id];
@@ -224,7 +222,7 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
       if (job.client != id) keep.push_back(std::move(job));
     }
     queue_.swap(keep);
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    for (std::size_t slot = 0; slot < slots_.lane_count(); ++slot) {
       if (slots_.busy(slot) && leases_[slot].client == id) {
         slots_.retire(slot, "client dropped: " + why);
       }
@@ -241,7 +239,7 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     obs::set_telemetry_enabled(true);
     obs::set_counters_enabled(true);
     ::setenv("ESCHED_TELEMETRY", "1", 1);
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    for (std::size_t slot = 0; slot < slots_.lane_count(); ++slot) {
       if (!slots_.busy(slot)) slots_.retire(slot, "telemetry enabled");
     }
   }
@@ -319,7 +317,7 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     }
   }
 
-  // ---- workers (run::WorkerSlotsOwner) ----------------------------------
+  // ---- workers (run::LaneOwner) ----------------------------------------
 
   bool claim(std::size_t slot, Clock::time_point /*now*/,
              run::Dispatch& work) override {
@@ -333,11 +331,22 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     return true;
   }
 
-  /// Forward the answer (kResult or kError) to the owning coordinator,
-  /// applying a pending netgarbage corruption after the CRC.
-  bool on_answer(std::size_t slot, const run::Endpoint& /*ep*/,
-                 wire::FrameType type,
-                 std::vector<std::uint8_t>& body) override {
+  bool on_result(std::size_t slot, const run::Endpoint& /*ep*/,
+                 std::vector<std::uint8_t> bytes,
+                 Clock::time_point /*now*/) override {
+    answer(slot, wire::FrameType::kResult, bytes);
+    return true;
+  }
+
+  void on_error(std::size_t slot, const run::Endpoint& /*ep*/,
+                const std::string& message) override {
+    answer(slot, wire::FrameType::kError, wire::encode_error(message));
+  }
+
+  /// Forward an answer to the owning coordinator, applying a pending
+  /// netgarbage corruption after the CRC.
+  void answer(std::size_t slot, wire::FrameType type,
+              const std::vector<std::uint8_t>& body) {
     const Job& lease = leases_[slot];
     std::vector<std::uint8_t> out =
         wire::encode_frame(type, lease.task, lease.attempt, body);
@@ -346,15 +355,13 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     send_to_client(client, std::move(out));
     // The agentd's own registry rides behind each forwarded answer.
     send_agent_telemetry(client, lease.task, lease.attempt);
-    return true;
   }
 
   /// Re-label the worker's shipment with its slot ("worker" ->
   /// "worker.<slot>") and forward it, if the owning coordinator asked for
   /// telemetry. An undecodable payload is dropped, never fatal: telemetry
   /// must never cost work.
-  bool on_telemetry(std::size_t slot, const run::Endpoint& /*ep*/,
-                    std::vector<std::uint8_t>& body) override {
+  bool forward_telemetry(std::size_t slot, std::vector<std::uint8_t>& body) {
     const Job& lease = leases_[slot];
     if (!wants_telemetry(lease.client)) return true;
     try {
@@ -371,8 +378,9 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
 
   /// Answer kFail: transient, so the coordinator requeues the attempt,
   /// possibly on another agent.
-  void on_attempt_failed(std::size_t slot, const run::Endpoint& /*ep*/,
-                         const std::string& reason) override {
+  void on_transient(std::size_t slot, const run::Endpoint& /*ep*/,
+                    const std::string& reason,
+                    Clock::time_point /*now*/) override {
     const Job& lease = leases_[slot];
     obs::log_warn("net.agentd", "worker attempt failed",
                   {{"slot", slot}, {"reason", reason}});
@@ -390,8 +398,8 @@ class Agentd final : public run::WorkerSlotsOwner, public net::SessionOwner {
     health.uptime_seconds =
         std::chrono::duration<double>(Clock::now() - started_at_).count();
     health.clients = sessions_.size();
-    health.slots = slots_.size();
-    health.busy_slots = slots_.busy_count();
+    health.slots = slots_.lane_count();
+    health.busy_slots = slots_.lane_count() - slots_.idle_lanes();
     return svc::render_healthz(health);
   }
 

@@ -1,17 +1,17 @@
-// The multi-machine twin of run::SubprocessPool: fan sweep cells out to
-// esched-agentd processes over TCP.
+// Multi-machine sweep execution: fan sweep cells out to esched-agentd
+// processes over TCP.
 //
-// One DistributedPool drives N agents from a single-threaded poll()
-// loop, exactly like the subprocess supervisor drives worker pipes — no
-// locks, no signal handlers (SIGPIPE ignored for the duration of run()).
-// The agent lifecycle (handshake, heartbeats, task deadlines, reconnect
-// backoff, corruption handling) is net::AgentFleet's, shared with the
-// esched-coordinator daemon; the cells are run::CellQueue's, the results
-// run::PoolRun's. Its failure model is the subprocess supervisor's: a lost
-// connection or kFail requeues the attempt's cells under their budgets, a
-// kError fails the sweep fast, and an agent that fails `connect_attempts`
-// consecutive connects is abandoned — the sweep fails only when *no*
-// usable agent remains.
+// One DistributedPool drives N agents (net::AgentFleet, shared with the
+// esched-coordinator daemon) through the one pool driver, run::PoolRun,
+// that also drives run::SubprocessPool's worker slots — single-threaded,
+// no locks, no signal handlers (SIGPIPE ignored for the duration of
+// run()). The agent lifecycle (handshake, heartbeats, task deadlines,
+// reconnect backoff, corruption handling) is the fleet's; the cells and
+// the failure model are the driver's: a lost connection or kFail
+// requeues the attempt's cells under their budgets, a kError fails the
+// sweep fast, and an agent that fails `connect_attempts` consecutive
+// connects is abandoned — the sweep fails only when *no* usable agent
+// remains.
 //
 // Determinism: cells are rebuilt from declarative JobSpecs by whichever
 // agent runs them, results are stored by submission index, and retried
@@ -27,8 +27,8 @@
 
 #include "net/agent_fleet.hpp"
 #include "net/socket.hpp"
+#include "run/pool_run.hpp"
 #include "run/spec.hpp"
-#include "run/sweep.hpp"
 #include "sim/result.hpp"
 
 namespace esched::net {
@@ -41,9 +41,24 @@ struct DistributedPoolConfig : FleetConfig {
   std::uint32_t connect_attempts = 5;
 };
 
-/// The TCP twin of SubprocessPool. One instance may run() multiple
-/// sweeps; connections are opened per run and closed before run returns.
-class DistributedPool {
+/// The TCP pool. One instance may run() multiple sweeps; connections are
+/// opened per run and closed before run returns.
+///
+/// In last_stats(), threads is the slot total across agents that
+/// completed a handshake; worker_busy_seconds is indexed by agent;
+/// agent_liveness holds each agent's final health state
+/// (alive/suspect/dead/connecting) with its last heartbeat age — the
+/// fleet picture a driver prints when a sweep limps home on a subset of
+/// its agents. Its tracer gets one track per agent (2000 + agent index)
+/// carrying a complete span per remote cell round trip and per
+/// connection lifetime. With a telemetry sink, the session hello carries
+/// kHelloFlagTelemetry, every kTelemetry frame an agent sends back is
+/// ingested under "agent.<index>.<role>" with the clock offset estimated
+/// from the handshake (mid-RTT local clock vs the agent's kWelcome steady
+/// clock), and each unique cell is dispatched with a trace context
+/// (JobSpec::trace_id/parent_span_id) so remote simulate spans stitch
+/// under the coordinator's dispatch spans.
+class DistributedPool : public run::PoolBase {
  public:
   explicit DistributedPool(DistributedPoolConfig config);
 
@@ -60,43 +75,8 @@ class DistributedPool {
   /// any throw.
   std::vector<sim::SimResult> run(const std::vector<run::JobSpec>& sweep);
 
-  /// Counters from the most recent run(). threads is the slot total
-  /// across agents that completed a handshake; worker_busy_seconds is
-  /// indexed by agent (coordinator-observed round-trip times of
-  /// successful attempts); agent_liveness holds each agent's final
-  /// health state (alive/suspect/dead/connecting) with its last
-  /// heartbeat age — the fleet picture a driver prints when a sweep
-  /// limps home on a subset of its agents.
-  const run::SweepStats& last_stats() const { return stats_; }
-
-  /// Same contract as SweepRunner::set_progress; calls arrive on the
-  /// coordinating thread.
-  void set_progress(run::ProgressCallback callback) {
-    progress_ = std::move(callback);
-  }
-
-  /// Optional tracer: one track per agent (2000 + agent index) carrying
-  /// a complete span per remote cell round-trip and per connection
-  /// lifetime. Non-owning; must outlive run().
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Optional fleet telemetry sink. When set, the session hello carries
-  /// kHelloFlagTelemetry, every kTelemetry frame an agent sends back is
-  /// ingested under "agent.<index>.<role>" with the clock offset
-  /// estimated from the handshake (mid-RTT local clock vs the agent's
-  /// kWelcome steady clock), and each unique cell is dispatched with a
-  /// trace context (JobSpec::trace_id/parent_span_id) so remote simulate
-  /// spans stitch under the coordinator's dispatch spans. Non-owning;
-  /// must outlive run(). Telemetry never affects results: SimResult
-  /// bytes are identical with it on or off.
-  void set_telemetry(obs::FleetAggregator* fleet) { fleet_ = fleet; }
-
  private:
   DistributedPoolConfig config_;
-  run::SweepStats stats_;
-  run::ProgressCallback progress_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::FleetAggregator* fleet_ = nullptr;
 };
 
 }  // namespace esched::net

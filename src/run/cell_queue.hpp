@@ -1,9 +1,10 @@
 // The one cell scheduler under every out-of-process plane: proc
 // (run::SubprocessPool), tcp (net::DistributedPool) and esched-coordinator
 // (svc::Coordinator) claim, group and retry cells through it. A plane
-// keeps only its driver — poll loop, transport callbacks, spans — and
-// decides what a settled cell means: the pools decode it into their
-// results (run/pool_run.hpp), the daemon journals, stores and streams it.
+// keeps only its driver — poll loop, transport callbacks, spans; the two
+// pools share one, run::PoolRun — and decides what a settled cell means:
+// the pools decode it into their results (run/pool_run.hpp), the daemon
+// journals, stores and streams it.
 //
 //  * A cell is one cell_key: adding a duplicate only adds a waiter, and
 //    it settles with its first copy.

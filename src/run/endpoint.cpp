@@ -96,6 +96,16 @@ int poll_timeout_ms(EndpointClock::time_point deadline,
   return ms > 60000.0 ? 60000 : static_cast<int>(ms);
 }
 
+bool poll_fds(std::vector<struct pollfd>& fds, int timeout_ms,
+              const char* who) {
+  const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
+                        static_cast<nfds_t>(fds.size()), timeout_ms);
+  if (rc < 0 && errno != EINTR) {
+    throw Error(std::string(who) + ": poll failed: " + std::strerror(errno));
+  }
+  return rc > 0;
+}
+
 std::string format_seconds(double seconds) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", seconds);

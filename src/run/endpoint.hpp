@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
+
 #include "run/wire.hpp"
 
 namespace esched::run {
@@ -152,6 +154,12 @@ EndpointClock::time_point after(EndpointClock::time_point now,
 /// [0, 60000] (every loop wakes at least once a minute).
 int poll_timeout_ms(EndpointClock::time_point deadline,
                     EndpointClock::time_point now);
+
+/// poll() `fds` for at most `timeout_ms`: true when some fd has events,
+/// false on a timeout or EINTR. Any other failure throws esched::Error
+/// "<who>: poll failed: ...".
+bool poll_fds(std::vector<struct pollfd>& fds, int timeout_ms,
+              const char* who);
 
 /// A duration as failure reasons quote it ("%g": "1", "0.25").
 std::string format_seconds(double seconds);

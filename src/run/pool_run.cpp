@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/registry.hpp"
+#include "obs/tracer.hpp"
 #include "run/wire.hpp"
 #include "util/error.hpp"
 
@@ -25,15 +26,25 @@ void throw_failed(const std::vector<SettledCell>& settled) {
 
 }  // namespace
 
+EndpointClock::time_point wake_time(const Lanes& lanes,
+                                    const CellQueue& queue) {
+  const EndpointClock::time_point deadline = lanes.next_deadline();
+  if (lanes.idle_lanes() == 0) return deadline;
+  return std::min(deadline, queue.next_ready());
+}
+
 PoolRun::PoolRun(const std::vector<JobSpec>& sweep, const RetryPolicy& retry,
-                 const char* task_timer, SweepStats& stats,
-                 const ProgressCallback& progress, bool stamp_trace)
-    : task_timer_(task_timer),
+                 const PoolNames& names, SweepStats& stats,
+                 const ProgressCallback& progress, obs::Tracer* tracer,
+                 bool stamp_trace)
+    : names_(names),
       stats_(stats),
       progress_(progress),
+      tracer_(tracer),
+      stamp_trace_(stamp_trace),
       queue_(retry, SweepRunner::prefix_sharing_default(), stamp_trace),
       results_(sweep.size()),
-      wall_start_(EndpointClock::now()) {
+      wall_start_(Clock::now()) {
   stats_ = SweepStats{};
   stats_.tasks = sweep.size();
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -41,20 +52,58 @@ PoolRun::PoolRun(const std::vector<JobSpec>& sweep, const RetryPolicy& retry,
   }
 }
 
-void PoolRun::set_lanes(std::size_t lanes) {
-  stats_.worker_busy_seconds.assign(lanes, 0.0);
+std::vector<sim::SimResult> PoolRun::run(Lanes& lanes) {
+  stats_.worker_busy_seconds.assign(lanes.lane_count(), 0.0);
+  while (!queue_.empty()) {
+    const Clock::time_point now = Clock::now();
+    lanes.tick(now);
+    if (queue_.empty()) break;  // settled by a lane's own clock
+    const std::string unusable = lanes.unusable_reason(now);
+    if (!unusable.empty()) throw Error(names_.pool + (": " + unusable));
+    std::vector<struct pollfd> fds;
+    lanes.register_fds(fds);
+    if (poll_fds(fds, poll_timeout_ms(wake_time(lanes, queue_), now),
+                 names_.pool)) {
+      lanes.on_poll(fds);
+    }
+  }
+  return finish();
 }
 
-bool PoolRun::complete(std::size_t task, std::vector<std::uint8_t> reply,
-                       double seconds, std::size_t lane, std::string& label) {
-  std::vector<SettledCell> settled;
-  if (!queue_.complete(task, std::move(reply), settled)) return false;
-  throw_failed(settled);
-  label = settled.front().label;
+bool PoolRun::claim(std::size_t /*lane*/, Clock::time_point now,
+                    Dispatch& work) {
+  return queue_.claim(now, work);
+}
 
+bool PoolRun::on_result(std::size_t lane, const Endpoint& ep,
+                        std::vector<std::uint8_t> bytes,
+                        Clock::time_point now) {
+  std::vector<SettledCell> settled;
+  if (!queue_.complete(ep.task, std::move(bytes), settled)) return false;
+  throw_failed(settled);
+
+  const double seconds =
+      std::chrono::duration<double>(now - ep.dispatched).count();
   if (obs::counters_enabled()) {
-    obs::Registry::global().timer(task_timer_).record(
+    obs::Registry::global().timer(names_.task_timer).record(
         static_cast<std::uint64_t>(seconds * 1e9));
+  }
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    const std::string& label = settled.front().label;
+    const std::uint32_t track =
+        names_.track_base + static_cast<std::uint32_t>(lane);
+    tracer_->complete_span(names_.span +
+                               (label.empty() ? std::to_string(ep.task)
+                                              : label) +
+                               "#" + std::to_string(ep.attempt),
+                           names_.category, ep.dispatched, now, track);
+    if (stamp_trace_) {
+      // Flow start anchored on the dispatch span (the task's stamped
+      // parent span id); the matching finish is emitted when the fleet
+      // aggregator stitches the remote simulate span carrying it.
+      tracer_->flow_event('s', ep.task + 1, "dispatch", names_.category, 1,
+                          track, ep.dispatched);
+    }
   }
   obs::bump("pool.cells_rebilled", settled.size() - 1);
   ++stats_.simulated_cells;
@@ -86,29 +135,22 @@ bool PoolRun::complete(std::size_t task, std::vector<std::uint8_t> reply,
   return true;
 }
 
-void PoolRun::fail_attempt(std::size_t task, const std::string& reason,
-                           EndpointClock::time_point now) {
-  throw_failed(queue_.fail_attempt(task, reason, now));
+void PoolRun::on_transient(std::size_t /*lane*/, const Endpoint& ep,
+                           const std::string& reason, Clock::time_point now) {
+  throw_failed(queue_.fail_attempt(ep.task, reason, now));
+  if (names_.retries != nullptr) obs::bump(names_.retries);
 }
 
-void PoolRun::fail_task(std::size_t task, const std::string& message) {
-  throw_failed(queue_.fail_task(task, message));
-  throw Error("fail_task: task " + std::to_string(task) + " not in flight");
+void PoolRun::on_error(std::size_t /*lane*/, const Endpoint& ep,
+                       const std::string& message) {
+  throw_failed(queue_.fail_task(ep.task, message));
+  throw Error("kError for task " + std::to_string(ep.task) +
+              ", which is not in flight");
 }
 
 std::vector<sim::SimResult> PoolRun::finish() {
   stats_.wall_seconds = seconds_since(wall_start_);
-  if (!task_seconds_.empty()) {
-    stats_.task_min_seconds = task_seconds_.front();
-    stats_.task_max_seconds = task_seconds_.front();
-    for (const double s : task_seconds_) {
-      stats_.cpu_seconds += s;
-      stats_.task_min_seconds = std::min(stats_.task_min_seconds, s);
-      stats_.task_max_seconds = std::max(stats_.task_max_seconds, s);
-    }
-    stats_.task_mean_seconds =
-        stats_.cpu_seconds / static_cast<double>(task_seconds_.size());
-  }
+  stats_.time_tasks(task_seconds_);
   // Round trips of successful attempts: the pool twin of the in-process
   // runner's sim latency.
   stats_.sim_latency = latency_stats(task_seconds_);

@@ -1,5 +1,6 @@
 // Multi-process sweep execution: a pool of esched-worker subprocesses
-// driven over pipes by a single-threaded poll() supervisor.
+// (run::WorkerSlots) driven over pipes by the one pool driver,
+// run::PoolRun.
 //
 // Why processes when run/sweep.hpp already has threads: isolation. A
 // worker that segfaults, leaks until the OOM killer arrives, or wedges in
@@ -22,28 +23,23 @@
 // including under injected faults (run/fault.hpp), because a retried
 // attempt reruns the same deterministic simulation.
 //
-// The supervisor itself is single-threaded: one poll() loop multiplexes
-// every worker pipe, timeout deadline and — while a worker slot is idle —
-// retry ready-time. No locks, no signal handlers (SIGPIPE is ignored for
-// the duration of run()).
+// The driver is single-threaded: one poll() loop multiplexes every
+// worker pipe, timeout deadline and — while a worker slot is idle — retry
+// ready-time (run/pool_run.hpp). No locks, no signal handlers (SIGPIPE is
+// ignored for the duration of run()).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "run/pool_run.hpp"
 #include "run/spec.hpp"
-#include "run/sweep.hpp"
 #include "sim/result.hpp"
-
-namespace esched::obs {
-class FleetAggregator;
-class Tracer;
-}  // namespace esched::obs
 
 namespace esched::run {
 
-/// Supervisor knobs. The defaults match the bench CLI defaults
+/// Pool knobs. The defaults match the bench CLI defaults
 /// (bench/common.cpp) so drivers and tests agree on behaviour.
 struct SubprocessPoolConfig {
   /// Worker process count; 0 = SweepRunner::default_jobs() (ESCHED_JOBS
@@ -64,8 +60,12 @@ struct SubprocessPoolConfig {
 
 /// The multi-process twin of SweepRunner. One instance may run() multiple
 /// sweeps; workers are spawned on first dispatch and reaped before run
-/// returns.
-class SubprocessPool {
+/// returns. Its tracer spans go on per-worker tracks (1000 + slot): worker
+/// lifetimes and task round trips. With a telemetry sink, run() exports
+/// ESCHED_TELEMETRY=1 to its workers (restored afterwards) and ingests
+/// every kTelemetry frame they send under the label "worker.<slot>"
+/// (clock offset 0 — same machine, same steady clock).
+class SubprocessPool : public PoolBase {
  public:
   explicit SubprocessPool(SubprocessPoolConfig config = {});
 
@@ -85,41 +85,8 @@ class SubprocessPool {
   /// binary cannot be spawned. All workers are reaped before any throw.
   std::vector<sim::SimResult> run(const std::vector<JobSpec>& sweep);
 
-  /// Counters from the most recent run(). simulated/copied/rebilled
-  /// cells count what the tasks produced: one simulation per task (a
-  /// share group above wire::kMaxTaskMembers runs as several);
-  /// cpu_seconds and the per-task durations measure supervisor-observed
-  /// round-trip times (dispatch to answer) of *successful* attempts.
-  const SweepStats& last_stats() const { return stats_; }
-
-  /// Same contract as SweepRunner::set_progress. Calls arrive on the
-  /// supervising thread; a throwing callback settles the pool (workers
-  /// reaped) before the exception propagates.
-  void set_progress(ProgressCallback callback) {
-    progress_ = std::move(callback);
-  }
-
-  /// Optional tracer: worker lifetimes and task round-trips are emitted
-  /// as Chrome "X" complete spans on per-worker tracks (1000 + slot).
-  /// Non-owning; must outlive run().
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Optional fleet telemetry sink. When set, run() exports
-  /// ESCHED_TELEMETRY=1 to its workers (restored afterwards) and ingests
-  /// every kTelemetry frame they send under the label "worker.<slot>"
-  /// (clock offset 0 — same machine, same steady clock). Non-owning;
-  /// must outlive run(). Telemetry never affects results: frames are
-  /// advisory and SimResult bytes are identical with it on or off.
-  void set_telemetry(obs::FleetAggregator* fleet) { fleet_ = fleet; }
-
-  const SubprocessPoolConfig& config() const { return config_; }
-
  private:
   SubprocessPoolConfig config_;
-  SweepStats stats_;
-  ProgressCallback progress_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::FleetAggregator* fleet_ = nullptr;
 };
 
 }  // namespace esched::run

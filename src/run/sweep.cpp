@@ -8,6 +8,7 @@
 #include <exception>
 #include <future>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -129,6 +130,15 @@ void SweepStats::count_sharing(const std::vector<ShareGroup>& groups) {
     copied_cells += group.copies.size();
     rebilled_cells += group.members.size() - 1;
   }
+}
+
+void SweepStats::time_tasks(const std::vector<double>& seconds) {
+  if (seconds.empty()) return;
+  const auto [min, max] = std::minmax_element(seconds.begin(), seconds.end());
+  task_min_seconds = *min;
+  task_max_seconds = *max;
+  cpu_seconds = std::accumulate(seconds.begin(), seconds.end(), 0.0);
+  task_mean_seconds = cpu_seconds / static_cast<double>(seconds.size());
 }
 
 std::vector<sim::SimResult> SweepRunner::run(
@@ -265,21 +275,14 @@ std::vector<sim::SimResult> SweepRunner::run(
 
   stats_.wall_seconds = seconds_since(wall_start);
   std::vector<sim::SimResult> results;
+  std::vector<double> task_seconds;
   results.reserve(outcomes.size());
-  if (!outcomes.empty()) {
-    stats_.task_min_seconds = outcomes.front().seconds;
-    stats_.task_max_seconds = outcomes.front().seconds;
-  }
+  task_seconds.reserve(outcomes.size());
   for (TaskOutcome& out : outcomes) {
-    stats_.cpu_seconds += out.seconds;
-    stats_.task_min_seconds = std::min(stats_.task_min_seconds, out.seconds);
-    stats_.task_max_seconds = std::max(stats_.task_max_seconds, out.seconds);
+    task_seconds.push_back(out.seconds);
     results.push_back(std::move(out.result));
   }
-  if (!outcomes.empty()) {
-    stats_.task_mean_seconds =
-        stats_.cpu_seconds / static_cast<double>(outcomes.size());
-  }
+  stats_.time_tasks(task_seconds);
   std::vector<double> sim_seconds;
   std::vector<double> rebill_seconds;
   sim_seconds.reserve(groups.size());

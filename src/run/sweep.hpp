@@ -121,6 +121,10 @@ struct SweepStats {
   /// copied.
   void count_sharing(const std::vector<ShareGroup>& groups);
 
+  /// Fill cpu_seconds and the per-task min/mean/max from every task's
+  /// duration (left at 0 when there is none).
+  void time_tasks(const std::vector<double>& seconds);
+
   /// Fraction of the wall time worker `i` spent executing tasks — the
   /// load-balance picture of a sweep (0 when wall time is unmeasurable).
   double worker_busy_fraction(std::size_t i) const {

@@ -423,6 +423,15 @@ std::string decode_error(const std::vector<std::uint8_t>& payload) {
   return message;
 }
 
+std::string decode_error_or(const std::vector<std::uint8_t>& payload,
+                            const char* fallback) {
+  try {
+    return decode_error(payload);
+  } catch (const Error&) {
+    return fallback;
+  }
+}
+
 std::vector<std::uint8_t> encode_task(const std::vector<JobSpec>& members) {
   ESCHED_REQUIRE(!members.empty() && members.size() <= kMaxTaskMembers,
                  "encode_task: a task holds 1 to kMaxTaskMembers members");

@@ -226,6 +226,10 @@ std::vector<Outcome> decode_outcomes(const std::vector<std::uint8_t>& payload);
 /// Error-string payload codec (FrameType::kError).
 std::vector<std::uint8_t> encode_error(const std::string& message);
 std::string decode_error(const std::vector<std::uint8_t>& payload);
+/// decode_error, or `fallback` when the payload does not decode: a
+/// garbled message still gets its failure classified.
+std::string decode_error_or(const std::vector<std::uint8_t>& payload,
+                            const char* fallback);
 
 /// Version of the kTelemetry payload encoding. The payload leads with
 /// this as a u32 so the shipment format can evolve without bumping the

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include <unistd.h>
 
+#include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -18,7 +20,7 @@ namespace esched::run {
 using obs::bump;
 
 WorkerSlots::WorkerSlots(std::size_t count, std::string worker_path,
-                         double task_timeout_seconds, WorkerSlotsOwner& owner,
+                         double task_timeout_seconds, LaneOwner& owner,
                          obs::Tracer* tracer)
     : slots_(count),
       worker_path_(std::move(worker_path)),
@@ -26,10 +28,10 @@ WorkerSlots::WorkerSlots(std::size_t count, std::string worker_path,
       owner_(owner),
       tracer_(tracer) {}
 
-std::size_t WorkerSlots::busy_count() const {
+std::size_t WorkerSlots::idle_lanes() const {
   return static_cast<std::size_t>(
       std::count_if(slots_.begin(), slots_.end(),
-                    [](const Slot& s) { return s.ep.busy(); }));
+                    [](const Slot& s) { return !s.ep.busy(); }));
 }
 
 // ---- the owner's poll loop ---------------------------------------------
@@ -124,8 +126,7 @@ void WorkerSlots::dispatch(std::size_t slot, const Dispatch& work,
       // fork/pipe exhaustion: transient, so it costs this attempt only.
       const Endpoint ep = s.ep;
       s.ep.clear();
-      owner_.on_attempt_failed(slot, ep,
-                               std::string("cannot spawn worker: ") + e.what());
+      fail(slot, ep, std::string("cannot spawn worker: ") + e.what());
       return;
     }
     s.spawned = now;
@@ -180,12 +181,28 @@ void WorkerSlots::lose(std::size_t slot, const std::string& prefix,
                    {{"slot", slot}, {"death", prefix + death + suffix}});
     return;
   }
-  owner_.on_attempt_failed(slot, ep, prefix + death + suffix);
+  fail(slot, ep, prefix + death + suffix);
 }
 
 void WorkerSlots::corrupt(std::size_t slot, const std::string& what) {
   bump("pool.corrupt_frames");
   lose(slot, "protocol corruption (" + what + "; worker ", ")");
+}
+
+/// When flight recording is on (ESCHED_FLIGHT_DIR, inherited by the
+/// workers), a crashed attempt leaves a dump at a deterministic path —
+/// name it in the failure reason so the postmortem is one message away.
+void WorkerSlots::fail(std::size_t slot, const Endpoint& ep,
+                       std::string reason) {
+  const char* dir = std::getenv("ESCHED_FLIGHT_DIR");
+  if (dir != nullptr && *dir != '\0') {
+    const std::string path = obs::FlightRecorder::dump_path(
+        dir, static_cast<std::uint32_t>(ep.task), ep.attempt);
+    if (::access(path.c_str(), R_OK) == 0) {
+      reason += "; flight recorder: " + path;
+    }
+  }
+  owner_.on_transient(slot, ep, reason, Clock::now());
 }
 
 // ---- inbound frames ----------------------------------------------------
@@ -232,7 +249,7 @@ void WorkerSlots::process_frames(std::size_t slot) {
     }
     if (header.type == wire::FrameType::kTelemetry) {
       // Advisory shipment ahead of the answer: keep reading.
-      if (!owner_.on_telemetry(slot, s.ep, body)) {
+      if (telemetry_ && !telemetry_(slot, body)) {
         corrupt(slot, "undecodable telemetry");
         return;
       }
@@ -246,7 +263,10 @@ void WorkerSlots::process_frames(std::size_t slot) {
     }
     const Endpoint ep = s.ep;
     s.ep.clear();
-    if (!owner_.on_answer(slot, ep, header.type, body)) {
+    if (header.type == wire::FrameType::kError) {
+      owner_.on_error(
+          slot, ep, wire::decode_error_or(body, "(undecodable error payload)"));
+    } else if (!owner_.on_result(slot, ep, std::move(body), Clock::now())) {
       s.ep = ep;
       corrupt(slot, "undecodable answer");
       return;

@@ -1,28 +1,28 @@
 // N esched-worker slots driven from their owner's poll() loop: the one
-// worker supervisor behind run::SubprocessPool (--isolate=proc) and
-// esched-agentd (the remote half of --isolate=tcp and the coordinator).
-// DESIGN.md "Worker slots" has the failure model.
+// worker supervisor behind run::SubprocessPool (--isolate=proc, through
+// run::PoolRun) and esched-agentd (the remote half of --isolate=tcp and
+// the coordinator). DESIGN.md "Worker slots" has the failure model.
 //
 // A slot holds at most one task attempt and at most one live worker. It
 // spawns the worker when work is dispatched and none is alive, writes one
 // kJob frame per attempt, and accepts only kResult, kError or kTelemetry
 // frames for its own (task, attempt). A death, corruption or expired
-// deadline SIGKILLs and reaps the worker and reports the attempt failed;
-// exit status 127 (exec failed) throws esched::Error instead.
+// deadline SIGKILLs and reaps the worker and reports the attempt failed
+// (naming the attempt's flight-recorder dump when one exists); exit
+// status 127 (exec failed) throws esched::Error instead.
 //
-// Poll integration mirrors net::AgentFleet: tick(now) and register_fds()
-// before poll(), on_poll() after it; next_deadline() bounds the timeout.
-// Owner callbacks run on the caller's thread and may throw; the
-// destructor then kills and reaps every worker — no zombies.
+// The slots are run::Lanes (one lane per slot) reporting to a
+// run::LaneOwner. Owner callbacks run on the caller's thread and may
+// throw; the destructor then kills and reaps every worker — no zombies.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include <poll.h>
-
 #include "run/endpoint.hpp"
+#include "run/pool_run.hpp"
 #include "run/wire.hpp"
 
 namespace esched::obs {
@@ -31,39 +31,8 @@ class Tracer;
 
 namespace esched::run {
 
-/// What a WorkerSlots owner supplies (attempts) and receives (answers and
-/// failures). `ep` is the attempt as dispatched: task, attempt number and
-/// dispatch time.
-class WorkerSlotsOwner {
+class WorkerSlots final : public Lanes {
  public:
-  /// Claim the next ready attempt for idle `slot`; false when none is
-  /// dispatchable right now.
-  virtual bool claim(std::size_t slot, EndpointClock::time_point now,
-                     Dispatch& work) = 0;
-
-  /// `slot` answered `ep` with a kResult or kError frame (`type`); the
-  /// slot is idle again. Return false when the payload is undecodable:
-  /// the worker is then killed and the attempt failed as corruption.
-  virtual bool on_answer(std::size_t slot, const Endpoint& ep,
-                         wire::FrameType type,
-                         std::vector<std::uint8_t>& body) = 0;
-
-  /// A kTelemetry frame ahead of `ep`'s answer. Return false to treat it
-  /// as corruption.
-  virtual bool on_telemetry(std::size_t slot, const Endpoint& ep,
-                            std::vector<std::uint8_t>& body) = 0;
-
-  /// Attempt `ep` on `slot` failed for `reason`; its worker is gone.
-  virtual void on_attempt_failed(std::size_t slot, const Endpoint& ep,
-                                 const std::string& reason) = 0;
-
- protected:
-  ~WorkerSlotsOwner() = default;
-};
-
-class WorkerSlots {
- public:
-  using Clock = EndpointClock;
 
   /// Worker-lifetime spans go on tracks 1000+slot so they never collide
   /// with the per-thread B/E tracks of the in-process runner.
@@ -73,26 +42,29 @@ class WorkerSlots {
   /// a SIGKILL deadline per attempt. `owner` and `tracer` (optional) must
   /// outlive the slots.
   WorkerSlots(std::size_t count, std::string worker_path,
-              double task_timeout_seconds, WorkerSlotsOwner& owner,
+              double task_timeout_seconds, LaneOwner& owner,
               obs::Tracer* tracer = nullptr);
   ~WorkerSlots() { close_all(); }
   WorkerSlots(const WorkerSlots&) = delete;
   WorkerSlots& operator=(const WorkerSlots&) = delete;
 
-  std::size_t size() const { return slots_.size(); }
   bool busy(std::size_t slot) const { return slots_[slot].ep.busy(); }
-  std::size_t busy_count() const;
 
-  /// Expire attempt deadlines, then fill idle slots from the owner.
-  void tick(Clock::time_point now);
+  /// Takes each kTelemetry frame a worker sends ahead of `slot`'s
+  /// answer; returns false to treat it as corruption. Without a hook the
+  /// frames are dropped.
+  using TelemetryHook =
+      std::function<bool(std::size_t slot, std::vector<std::uint8_t>& body)>;
+  void set_telemetry(TelemetryHook hook) { telemetry_ = std::move(hook); }
 
-  /// Earliest attempt deadline (time_point::max() if none).
-  Clock::time_point next_deadline() const;
-
-  /// Append the live workers' pipes to poll; on_poll() must see the same
-  /// array.
-  void register_fds(std::vector<struct pollfd>& fds);
-  void on_poll(const std::vector<struct pollfd>& fds);
+  // ---- Lanes: the deadlines are the attempts'; a slot is always usable.
+  void tick(Clock::time_point now) override;
+  void register_fds(std::vector<struct pollfd>& fds) override;
+  void on_poll(const std::vector<struct pollfd>& fds) override;
+  Clock::time_point next_deadline() const override;
+  std::size_t idle_lanes() const override;
+  std::size_t lane_count() const override { return slots_.size(); }
+  std::string unusable_reason(Clock::time_point) const override { return {}; }
 
   /// The owner wants `slot`'s worker gone (`reason` is logged): SIGKILL
   /// and reap it. An in-flight attempt is dropped without a report. No-op
@@ -121,12 +93,16 @@ class WorkerSlots {
   void lose(std::size_t slot, const std::string& prefix,
             const std::string& suffix);
   void corrupt(std::size_t slot, const std::string& what);
+  /// Report `ep` failed on `slot`, naming its flight-recorder dump if the
+  /// worker left one.
+  void fail(std::size_t slot, const Endpoint& ep, std::string reason);
 
   std::vector<Slot> slots_;
   const std::string worker_path_;
   const double task_timeout_seconds_;
-  WorkerSlotsOwner& owner_;
+  LaneOwner& owner_;
   obs::Tracer* tracer_;
+  TelemetryHook telemetry_;
   /// Where register_fds() put the pipes, and which slot each belongs to.
   std::size_t poll_base_ = 0;
   std::vector<std::size_t> polled_;

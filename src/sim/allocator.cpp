@@ -38,15 +38,6 @@ void CountingAllocator::release_slot(std::int32_t slot) {
   cluster_.release_slot(slot);
 }
 
-bool CountingAllocator::try_allocate(JobId job, NodeCount nodes,
-                                     Watts watts_per_node) {
-  if (!cluster_.fits(nodes)) return false;
-  cluster_.allocate(job, nodes, watts_per_node);
-  return true;
-}
-
-void CountingAllocator::release(JobId job) { cluster_.release(job); }
-
 Watts CountingAllocator::current_power() const {
   return cluster_.current_power();
 }
@@ -118,46 +109,19 @@ std::int32_t ContiguousAllocator::try_allocate_slot(NodeCount nodes,
   return slot;
 }
 
-void ContiguousAllocator::release_block(NodeCount start) {
-  const auto block = by_start_.find(start);
+void ContiguousAllocator::release_slot(std::int32_t slot) {
+  const auto s = static_cast<std::size_t>(slot);
+  ESCHED_REQUIRE(slot >= 0 && s < slot_start_.size() && slot_start_[s] >= 0,
+                 "release of unallocated slot " + std::to_string(slot));
+  const auto block = by_start_.find(slot_start_[s]);
   ESCHED_REQUIRE(block != by_start_.end(), "allocator state corrupted");
   free_ += block->second.length;
   busy_power_ -= block->second.watts_per_node *
                  static_cast<double>(block->second.length);
   if (busy_power_ < 0.0) busy_power_ = 0.0;
   by_start_.erase(block);
-}
-
-void ContiguousAllocator::release_slot(std::int32_t slot) {
-  const auto s = static_cast<std::size_t>(slot);
-  ESCHED_REQUIRE(slot >= 0 && s < slot_start_.size() && slot_start_[s] >= 0,
-                 "release of unallocated slot " + std::to_string(slot));
-  release_block(slot_start_[s]);
   slot_start_[s] = -1;
   free_slots_.push_back(slot);
-}
-
-bool ContiguousAllocator::try_allocate(JobId job, NodeCount nodes,
-                                       Watts watts_per_node) {
-  ESCHED_REQUIRE(nodes > 0, "allocation must take nodes");
-  ESCHED_REQUIRE(watts_per_node >= 0.0, "negative job power");
-  ESCHED_REQUIRE(job_to_start_.find(job) == job_to_start_.end(),
-                 "job " + std::to_string(job) + " is already running");
-  const auto [start, found] = best_fit(nodes);
-  if (!found) return false;
-  by_start_.emplace(start, Allocation{start, nodes, watts_per_node});
-  job_to_start_.emplace(job, start);
-  free_ -= nodes;
-  busy_power_ += watts_per_node * static_cast<double>(nodes);
-  return true;
-}
-
-void ContiguousAllocator::release(JobId job) {
-  const auto it = job_to_start_.find(job);
-  ESCHED_REQUIRE(it != job_to_start_.end(),
-                 "release of non-running job " + std::to_string(job));
-  release_block(it->second);
-  job_to_start_.erase(it);
 }
 
 Watts ContiguousAllocator::current_power() const {

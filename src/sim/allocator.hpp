@@ -10,14 +10,9 @@
 // simplification of such partitioned machines, so the fragmentation cost
 // of topology constraints can be measured (bench/ablation_fragmentation).
 //
-// Two parallel APIs:
-//  * slot handles (try_allocate_slot/release_slot) — the simulator's hot
-//    path: the engine keeps the returned handle in its own per-job arrays
-//    and releases by handle, so no allocator ever hashes a JobId per
-//    event;
-//  * JobId keys (try_allocate/release) — convenience for tests and cold
-//    paths, with duplicate-id detection.
-// The two must not be mixed for the same allocation.
+// Allocations are slot handles (try_allocate_slot/release_slot): the
+// engine keeps the returned handle in its own per-job arrays and releases
+// by handle, so no allocator ever hashes a JobId per event.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +52,6 @@ class NodeAllocator {
   /// Hot path: release the allocation behind `slot`; throws if invalid.
   virtual void release_slot(std::int32_t slot) = 0;
 
-  /// Place a job keyed by id; returns false when placement fails.
-  virtual bool try_allocate(JobId job, NodeCount nodes,
-                            Watts watts_per_node) = 0;
-
-  /// Release a running job's nodes by id; throws if unknown.
-  virtual void release(JobId job) = 0;
-
   /// Aggregate electrical power right now (busy + idle draw).
   virtual Watts current_power() const = 0;
 
@@ -84,9 +72,6 @@ class CountingAllocator final : public NodeAllocator {
   std::int32_t try_allocate_slot(NodeCount nodes,
                                  Watts watts_per_node) override;
   void release_slot(std::int32_t slot) override;
-  bool try_allocate(JobId job, NodeCount nodes,
-                    Watts watts_per_node) override;
-  void release(JobId job) override;
   Watts current_power() const override;
   std::string name() const override { return "counting"; }
 
@@ -109,9 +94,6 @@ class ContiguousAllocator final : public NodeAllocator {
   std::int32_t try_allocate_slot(NodeCount nodes,
                                  Watts watts_per_node) override;
   void release_slot(std::int32_t slot) override;
-  bool try_allocate(JobId job, NodeCount nodes,
-                    Watts watts_per_node) override;
-  void release(JobId job) override;
   Watts current_power() const override;
   std::string name() const override { return "contiguous"; }
 
@@ -129,8 +111,6 @@ class ContiguousAllocator final : public NodeAllocator {
   };
   /// Find the best-fit hole for `nodes`; returns (start, found).
   std::pair<NodeCount, bool> best_fit(NodeCount nodes) const;
-  /// Remove the block starting at `start` and return its nodes.
-  void release_block(NodeCount start);
 
   NodeCount total_;
   NodeCount free_;
@@ -138,7 +118,6 @@ class ContiguousAllocator final : public NodeAllocator {
   Watts busy_power_ = 0.0;
   /// Allocations keyed by block start (ordered -> linear hole scan).
   std::map<NodeCount, Allocation> by_start_;
-  std::map<JobId, NodeCount> job_to_start_;
   /// Slot columns: slot -> block start (-1 marks a free slot).
   std::vector<NodeCount> slot_start_;
   std::vector<std::int32_t> free_slots_;

@@ -54,20 +54,6 @@ void Cluster::release_slot(std::int32_t slot) {
   ESCHED_REQUIRE(free_ <= total_, "node accounting corrupted");
 }
 
-void Cluster::allocate(JobId job, NodeCount nodes, Watts watts_per_node) {
-  ESCHED_REQUIRE(id_to_slot_.find(job) == id_to_slot_.end(),
-                 "job " + std::to_string(job) + " is already running");
-  id_to_slot_.emplace(job, allocate_slot(nodes, watts_per_node));
-}
-
-void Cluster::release(JobId job) {
-  const auto it = id_to_slot_.find(job);
-  ESCHED_REQUIRE(it != id_to_slot_.end(),
-                 "release of non-running job " + std::to_string(job));
-  release_slot(it->second);
-  id_to_slot_.erase(it);
-}
-
 Watts Cluster::current_power() const {
   return busy_power_ + idle_watts_per_node_ * static_cast<double>(free_);
 }

@@ -9,13 +9,10 @@
 //
 // Storage is struct-of-arrays slot columns: an allocation is a small
 // integer slot handle into parallel vectors, recycled through a free
-// list, so the simulator's hot loop never hashes a JobId. A JobId-keyed
-// convenience API (allocate/release) remains for tests and cold paths;
-// the two APIs must not be mixed for the same allocation.
+// list, so the simulator's hot loop never hashes a JobId.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.hpp"
@@ -51,13 +48,6 @@ class Cluster {
   /// that is not currently allocated.
   void release_slot(std::int32_t slot);
 
-  /// Convenience: allocate keyed by job id. Throws if the job is already
-  /// running (via this API) or does not fit.
-  void allocate(JobId job, NodeCount nodes, Watts watts_per_node);
-
-  /// Convenience: release job `job`'s nodes. Throws if it is not running.
-  void release(JobId job);
-
   /// Aggregate electrical power right now: running jobs plus idle draw.
   Watts current_power() const;
 
@@ -72,9 +62,6 @@ class Cluster {
   std::vector<NodeCount> slot_nodes_;
   std::vector<Watts> slot_power_;  ///< nodes * watts_per_node, per slot
   std::vector<std::int32_t> free_slots_;
-
-  // Only the JobId convenience API touches this map.
-  std::unordered_map<JobId, std::int32_t> id_to_slot_;
 };
 
 }  // namespace esched::sim

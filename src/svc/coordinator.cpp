@@ -1,9 +1,6 @@
 #include "svc/coordinator.hpp"
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <set>
 #include <utility>
 
@@ -75,10 +72,10 @@ void Coordinator::serve() {
 void Coordinator::step() {
   const Clock::time_point now = Clock::now();
   fleet_.tick(now);
-  if (!queue_.empty() && !fleet_.any_usable()) {
-    // Every agent rejected us for good: no queued cell can ever run.
-    fail_cells(queue_.fail_all("esched-coordinator: " +
-                               fleet_.unusable_reason(now)));
+  // Every agent rejected us for good: no queued cell can ever run.
+  const std::string unusable = fleet_.unusable_reason(now);
+  if (!unusable.empty() && !queue_.empty()) {
+    fail_cells(queue_.fail_all("esched-coordinator: " + unusable));
   }
 
   std::vector<struct pollfd> fds;
@@ -86,26 +83,14 @@ void Coordinator::step() {
   fleet_.register_fds(fds);
   http_.register_fds(fds);
 
-  const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                        next_timeout_ms(now));
-  if (rc < 0 && errno != EINTR) {
-    throw Error("esched-coordinator: poll failed: " +
-                std::string(std::strerror(errno)));
-  }
-  if (rc > 0) {
+  // Sessions and the HTTP plane have no deadlines of their own.
+  if (run::poll_fds(fds,
+                    run::poll_timeout_ms(run::wake_time(fleet_, queue_), now),
+                    "esched-coordinator")) {
     http_.on_poll(fds.data(), fds.size());
     sessions_.on_poll(fds);
     fleet_.on_poll(fds);
   }
-}
-
-/// A backoff ready-time bounds the wait only while an agent slot is
-/// idle: with every slot busy, only an answer, a fleet deadline or a
-/// client can make progress, so the loop sleeps in poll().
-int Coordinator::next_timeout_ms(Clock::time_point now) const {
-  Clock::time_point nearest = fleet_.next_deadline();
-  if (fleet_.idle_slots() > 0) nearest = std::min(nearest, queue_.next_ready());
-  return run::poll_timeout_ms(nearest, now);
 }
 
 // ---- client sessions ---------------------------------------------------
@@ -284,22 +269,23 @@ void Coordinator::fail_sweep(const std::string& sweep_id,
 
 // ---- work management --------------------------------------------------
 
-bool Coordinator::claim(Clock::time_point now, run::Dispatch& work) {
+bool Coordinator::claim(std::size_t /*agent*/, Clock::time_point now,
+                        run::Dispatch& work) {
   if (!queue_.claim(now, work)) return false;
   bump("svc.cells_dispatched", queue_.task_size(work.task));
   return true;
 }
 
-bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& slot,
+bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& ep,
                             std::vector<std::uint8_t> bytes,
                             Clock::time_point /*now*/) {
   std::vector<run::SettledCell> settled;
-  if (!queue_.complete(slot.task, std::move(bytes), settled)) return false;
+  if (!queue_.complete(ep.task, std::move(bytes), settled)) return false;
   std::uint64_t produced = 0;
   for (run::SettledCell& cell : settled) {
     if (!cell.ok()) continue;
     ++produced;
-    deliver(cell, static_cast<std::uint32_t>(slot.task), slot.attempt);
+    deliver(cell, static_cast<std::uint32_t>(ep.task), ep.attempt);
   }
   // One produced member was simulated, the others re-billed from it.
   if (produced > 1) bump("svc.cells_rebilled", produced - 1);
@@ -338,13 +324,15 @@ void Coordinator::deliver(run::SettledCell& cell, std::uint32_t task,
   }
 }
 
-void Coordinator::on_transient(std::size_t task, const std::string& reason,
+void Coordinator::on_transient(std::size_t /*agent*/, const run::Endpoint& ep,
+                               const std::string& reason,
                                Clock::time_point now) {
-  fail_cells(queue_.fail_attempt(task, reason, now));
+  fail_cells(queue_.fail_attempt(ep.task, reason, now));
 }
 
-void Coordinator::on_error(std::size_t task, const std::string& message) {
-  fail_cells(queue_.fail_task(task, message));
+void Coordinator::on_error(std::size_t /*agent*/, const run::Endpoint& ep,
+                           const std::string& message) {
+  fail_cells(queue_.fail_task(ep.task, message));
 }
 
 /// Deterministic failure, attempt-budget exhaustion or a fleet gone for

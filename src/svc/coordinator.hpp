@@ -55,6 +55,7 @@
 #include "run/cell_queue.hpp"
 #include "run/endpoint.hpp"
 #include "run/fault.hpp"
+#include "run/pool_run.hpp"
 #include "svc/journal.hpp"
 #include "svc/ops.hpp"
 
@@ -80,7 +81,7 @@ struct CoordinatorConfig : net::FleetConfig, net::ServeOptions {
 /// The daemon. start() binds and replays the journal; serve() runs the
 /// poll loop forever (the process is stopped by signal — SIGKILL is the
 /// *tested* shutdown path, that's the point of the journal).
-class Coordinator : private net::FleetOwner, private net::SessionOwner {
+class Coordinator : private run::LaneOwner, private net::SessionOwner {
  public:
   explicit Coordinator(CoordinatorConfig config);
   // sessions_ and fleet_ hold this object's address.
@@ -124,8 +125,6 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
     Clock::time_point submitted_at{};  ///< for /sweeps elapsed + ETA
   };
 
-  int next_timeout_ms(Clock::time_point now) const;
-
   // Client sessions (net::SessionOwner).
   std::size_t welcome_slots() const override;
   void on_session_frame(std::uint64_t id, const run::wire::FrameHeader& header,
@@ -144,13 +143,15 @@ class Coordinator : private net::FleetOwner, private net::SessionOwner {
   void fail_sweep(const std::string& sweep_id, const std::string& message);
 
   // Work management: the fleet's owner interface over the cell queue.
-  bool claim(Clock::time_point now, run::Dispatch& work) override;
-  bool on_result(std::size_t agent, const run::Endpoint& slot,
+  bool claim(std::size_t agent, Clock::time_point now,
+             run::Dispatch& work) override;
+  bool on_result(std::size_t agent, const run::Endpoint& ep,
                  std::vector<std::uint8_t> bytes,
                  Clock::time_point now) override;
-  void on_transient(std::size_t task, const std::string& reason,
-                    Clock::time_point now) override;
-  void on_error(std::size_t task, const std::string& message) override;
+  void on_transient(std::size_t agent, const run::Endpoint& ep,
+                    const std::string& reason, Clock::time_point now) override;
+  void on_error(std::size_t agent, const run::Endpoint& ep,
+                const std::string& message) override;
   void fail_cells(const std::vector<run::SettledCell>& cells);
   void deliver(run::SettledCell& cell, std::uint32_t task,
                std::uint32_t attempt);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/fcfs_policy.hpp"
 #include "core/greedy_policy.hpp"
 #include "metrics/metrics.hpp"
@@ -21,26 +23,30 @@ TEST(CountingAllocatorTest, MirrorsCluster) {
   EXPECT_EQ(a.total_nodes(), 100);
   EXPECT_EQ(a.free_nodes(), 100);
   EXPECT_TRUE(a.can_allocate(100));
-  EXPECT_TRUE(a.try_allocate(1, 60, 30.0));
+  const std::int32_t first = a.try_allocate_slot(60, 30.0);
+  ASSERT_GE(first, 0);
   EXPECT_FALSE(a.can_allocate(41));
-  EXPECT_FALSE(a.try_allocate(2, 41, 30.0));
-  EXPECT_TRUE(a.try_allocate(2, 40, 30.0));
+  EXPECT_EQ(a.try_allocate_slot(41, 30.0), -1);
+  EXPECT_GE(a.try_allocate_slot(40, 30.0), 0);
   // 60*30 + 40*30 busy, 0 idle.
   EXPECT_DOUBLE_EQ(a.current_power(), 3000.0);
-  a.release(1);
+  a.release_slot(first);
   EXPECT_EQ(a.free_nodes(), 60);
   EXPECT_EQ(a.name(), "counting");
 }
 
 TEST(ContiguousAllocatorTest, BasicPlacementAndRelease) {
   ContiguousAllocator a(10);
-  EXPECT_TRUE(a.try_allocate(1, 4, 10.0));
-  EXPECT_TRUE(a.try_allocate(2, 4, 10.0));
+  const std::int32_t first = a.try_allocate_slot(4, 10.0);
+  const std::int32_t second = a.try_allocate_slot(4, 10.0);
+  ASSERT_GE(first, 0);
+  ASSERT_GE(second, 0);
+  EXPECT_NE(first, second);
   EXPECT_EQ(a.free_nodes(), 2);
   EXPECT_TRUE(a.can_allocate(2));
   EXPECT_FALSE(a.can_allocate(3));
-  a.release(1);
-  a.release(2);
+  a.release_slot(first);
+  a.release_slot(second);
   EXPECT_EQ(a.free_nodes(), 10);
   EXPECT_EQ(a.largest_hole(), 10);
   EXPECT_EQ(a.hole_count(), 1u);
@@ -51,27 +57,29 @@ TEST(ContiguousAllocatorTest, FragmentationBlocksByCountFeasibleJobs) {
   // three 3-node jobs (0-2, 3-5, 6-8), release the middle one. Free = 4
   // nodes (3..5 and 9) but the largest hole is 3.
   ContiguousAllocator a(10);
-  ASSERT_TRUE(a.try_allocate(1, 3, 10.0));  // 0..2
-  ASSERT_TRUE(a.try_allocate(2, 3, 10.0));  // 3..5
-  ASSERT_TRUE(a.try_allocate(3, 3, 10.0));  // 6..8
-  a.release(2);
+  ASSERT_GE(a.try_allocate_slot(3, 10.0), 0);  // 0..2
+  const std::int32_t middle = a.try_allocate_slot(3, 10.0);  // 3..5
+  ASSERT_GE(middle, 0);
+  ASSERT_GE(a.try_allocate_slot(3, 10.0), 0);  // 6..8
+  a.release_slot(middle);
   EXPECT_EQ(a.free_nodes(), 4);
   EXPECT_EQ(a.largest_hole(), 3);
   EXPECT_EQ(a.hole_count(), 2u);
   EXPECT_FALSE(a.can_allocate(4));  // count-feasible, placement-infeasible
-  EXPECT_FALSE(a.try_allocate(4, 4, 10.0));
-  EXPECT_TRUE(a.try_allocate(5, 3, 10.0));  // fits the 3..5 hole
+  EXPECT_EQ(a.try_allocate_slot(4, 10.0), -1);
+  EXPECT_GE(a.try_allocate_slot(3, 10.0), 0);  // fits the 3..5 hole
 }
 
 TEST(ContiguousAllocatorTest, BestFitPrefersSmallestHole) {
   // Holes of size 2 (after releasing a 2-node job) and a big tail. A
   // 2-node request should take the small hole, preserving the tail.
   ContiguousAllocator a(20);
-  ASSERT_TRUE(a.try_allocate(1, 2, 10.0));   // 0..1
-  ASSERT_TRUE(a.try_allocate(2, 2, 10.0));   // 2..3
-  ASSERT_TRUE(a.try_allocate(3, 2, 10.0));   // 4..5
-  a.release(2);                              // hole 2..3, tail 6..19
-  ASSERT_TRUE(a.try_allocate(4, 2, 10.0));
+  ASSERT_GE(a.try_allocate_slot(2, 10.0), 0);  // 0..1
+  const std::int32_t middle = a.try_allocate_slot(2, 10.0);  // 2..3
+  ASSERT_GE(middle, 0);
+  ASSERT_GE(a.try_allocate_slot(2, 10.0), 0);  // 4..5
+  a.release_slot(middle);                      // hole 2..3, tail 6..19
+  ASSERT_GE(a.try_allocate_slot(2, 10.0), 0);
   // The tail must still be 14 wide: a 14-node job fits.
   EXPECT_TRUE(a.can_allocate(14));
   EXPECT_EQ(a.largest_hole(), 14);
@@ -80,18 +88,23 @@ TEST(ContiguousAllocatorTest, BestFitPrefersSmallestHole) {
 TEST(ContiguousAllocatorTest, PowerAccounting) {
   ContiguousAllocator a(10, /*idle=*/1.0);
   EXPECT_DOUBLE_EQ(a.current_power(), 10.0);
-  a.try_allocate(1, 4, 25.0);
+  const std::int32_t slot = a.try_allocate_slot(4, 25.0);
   EXPECT_DOUBLE_EQ(a.current_power(), 100.0 + 6.0);
-  a.release(1);
+  a.release_slot(slot);
   EXPECT_DOUBLE_EQ(a.current_power(), 10.0);
 }
 
 TEST(ContiguousAllocatorTest, Misuse) {
   ContiguousAllocator a(10);
-  EXPECT_THROW(a.try_allocate(1, 0, 10.0), Error);
-  EXPECT_TRUE(a.try_allocate(1, 4, 10.0));
-  EXPECT_THROW(a.try_allocate(1, 2, 10.0), Error);  // duplicate id
-  EXPECT_THROW(a.release(99), Error);
+  EXPECT_THROW(a.try_allocate_slot(0, 10.0), Error);
+  EXPECT_THROW(a.try_allocate_slot(2, -1.0), Error);  // negative power
+  const std::int32_t slot = a.try_allocate_slot(4, 10.0);
+  ASSERT_GE(slot, 0);
+  EXPECT_THROW(a.release_slot(99), Error);  // never handed out
+  EXPECT_THROW(a.release_slot(-1), Error);  // not a slot
+  a.release_slot(slot);
+  EXPECT_THROW(a.release_slot(slot), Error);  // double release
+  EXPECT_EQ(a.free_nodes(), 10);
   EXPECT_THROW(ContiguousAllocator(0), Error);
 }
 

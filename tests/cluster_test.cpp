@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/error.hpp"
 
 namespace esched::sim {
@@ -14,18 +16,19 @@ TEST(ClusterTest, AllocateAndRelease) {
   EXPECT_EQ(c.free_nodes(), 100);
   EXPECT_EQ(c.busy_nodes(), 0);
 
-  c.allocate(1, 30, 25.0);
+  const std::int32_t a = c.allocate_slot(30, 25.0);
   EXPECT_EQ(c.free_nodes(), 70);
   EXPECT_EQ(c.busy_nodes(), 30);
   EXPECT_EQ(c.running_jobs(), 1u);
 
-  c.allocate(2, 70, 40.0);
+  const std::int32_t b = c.allocate_slot(70, 40.0);
+  EXPECT_NE(a, b);
   EXPECT_EQ(c.free_nodes(), 0);
   EXPECT_FALSE(c.fits(1));
 
-  c.release(1);
+  c.release_slot(a);
   EXPECT_EQ(c.free_nodes(), 30);
-  c.release(2);
+  c.release_slot(b);
   EXPECT_EQ(c.free_nodes(), 100);
   EXPECT_EQ(c.running_jobs(), 0u);
 }
@@ -33,37 +36,38 @@ TEST(ClusterTest, AllocateAndRelease) {
 TEST(ClusterTest, PowerTracksRunningMix) {
   Cluster c(100);
   EXPECT_DOUBLE_EQ(c.current_power(), 0.0);
-  c.allocate(1, 10, 25.0);  // 250 W
+  const std::int32_t a = c.allocate_slot(10, 25.0);  // 250 W
   EXPECT_DOUBLE_EQ(c.current_power(), 250.0);
-  c.allocate(2, 20, 50.0);  // +1000 W
+  const std::int32_t b = c.allocate_slot(20, 50.0);  // +1000 W
   EXPECT_DOUBLE_EQ(c.current_power(), 1250.0);
-  c.release(1);
+  c.release_slot(a);
   EXPECT_DOUBLE_EQ(c.current_power(), 1000.0);
-  c.release(2);
+  c.release_slot(b);
   EXPECT_DOUBLE_EQ(c.current_power(), 0.0);
 }
 
 TEST(ClusterTest, IdlePowerCountsFreeNodes) {
   Cluster c(10, /*idle_watts_per_node=*/5.0);
   EXPECT_DOUBLE_EQ(c.current_power(), 50.0);  // all idle
-  c.allocate(1, 4, 30.0);
+  const std::int32_t a = c.allocate_slot(4, 30.0);
   // 4*30 busy + 6*5 idle.
   EXPECT_DOUBLE_EQ(c.current_power(), 120.0 + 30.0);
-  c.release(1);
+  c.release_slot(a);
   EXPECT_DOUBLE_EQ(c.current_power(), 50.0);
 }
 
 TEST(ClusterTest, RejectsMisuse) {
   Cluster c(10);
-  EXPECT_THROW(c.allocate(1, 11, 10.0), Error);  // too big
-  EXPECT_THROW(c.allocate(1, 0, 10.0), Error);   // no nodes
-  EXPECT_THROW(c.allocate(1, 2, -1.0), Error);   // negative power
-  c.allocate(1, 5, 10.0);
-  EXPECT_THROW(c.allocate(1, 2, 10.0), Error);   // duplicate id
-  EXPECT_THROW(c.allocate(2, 6, 10.0), Error);   // over capacity
-  EXPECT_THROW(c.release(99), Error);            // unknown job
-  c.release(1);
-  EXPECT_THROW(c.release(1), Error);             // double release
+  EXPECT_THROW(c.allocate_slot(11, 10.0), Error);  // too big
+  EXPECT_THROW(c.allocate_slot(0, 10.0), Error);   // no nodes
+  EXPECT_THROW(c.allocate_slot(2, -1.0), Error);   // negative power
+  const std::int32_t a = c.allocate_slot(5, 10.0);
+  EXPECT_THROW(c.allocate_slot(6, 10.0), Error);   // over capacity
+  EXPECT_THROW(c.release_slot(99), Error);         // never handed out
+  EXPECT_THROW(c.release_slot(-1), Error);         // not a slot
+  c.release_slot(a);
+  EXPECT_THROW(c.release_slot(a), Error);          // double release
+  EXPECT_EQ(c.free_nodes(), 10);
 }
 
 TEST(ClusterTest, ConstructionValidation) {
