@@ -333,7 +333,7 @@ std::string coordinator_blocker(const std::vector<run::SimJob>& sweep,
            "ESCHED_COORDINATOR)";
   }
   const net::HostPort addr = net::parse_host_port(options.coordinator);
-  if (!svc::CoordinatorClient::reachable(addr)) {
+  if (!net::reachable(addr, 0.5)) {
     return "coordinator unreachable at " + options.coordinator;
   }
   return {};

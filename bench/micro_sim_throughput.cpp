@@ -55,11 +55,7 @@
 #include <thread>
 #include <vector>
 
-#include <poll.h>
-#include <unistd.h>
-
 #include "common.hpp"
-#include "net/socket.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -542,38 +538,10 @@ double time_policy_pass(const trace::Trace& t,
 /// in a tight loop — each scrape is a fresh connection, exactly what a
 /// Prometheus scrape (or curl in the ops-smoke CI job) does.
 bool scrape_metrics_once(std::uint16_t port) {
-  std::string error;
-  net::Fd fd = net::connect_tcp_start({"127.0.0.1", port}, error);
-  if (!fd.valid()) return false;
-  {
-    struct pollfd pfd = {fd.get(), POLLOUT, 0};
-    if (::poll(&pfd, 1, 1000) <= 0) return false;
-  }
-  if (!net::connect_tcp_finish(fd.get(), error)) return false;
-  const std::string request =
-      "GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::write(fd.get(), request.data() + sent, request.size() - sent);
-    if (n < 0) {
-      struct pollfd pfd = {fd.get(), POLLOUT, 0};
-      if (::poll(&pfd, 1, 1000) <= 0) return false;
-      continue;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  char buf[4096];
-  std::size_t total = 0;
-  for (;;) {
-    const ssize_t n = ::read(fd.get(), buf, sizeof buf);
-    if (n > 0) {
-      total += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n == 0) return total > 0;
-    struct pollfd pfd = {fd.get(), POLLIN, 0};
-    if (::poll(&pfd, 1, 1000) <= 0) return false;
+  try {
+    return !obs::http_get({"127.0.0.1", port}, "/metrics", 1.0).empty();
+  } catch (const Error&) {
+    return false;
   }
 }
 

@@ -68,20 +68,22 @@ cmake --build build-tsan -j \
 ./build-tsan/tests/meta_test
 
 echo "== tier-1: ASan+UBSan build of the untrusted-bytes tests =="
-# Every decoder of bytes from outside the process (wire frames, the
-# session handshake, journal replay, the HTTP request parser, minijson,
-# SWF) runs under AddressSanitizer and UndefinedBehaviorSanitizer, with
-# any UB finding fatal. proc_pool_test, distributed_test and
+# Every decoder of bytes from outside the process (wire frames, both
+# halves of the session handshake, journal replay, the HTTP request
+# parser, minijson, SWF) runs under AddressSanitizer and
+# UndefinedBehaviorSanitizer, with any UB finding fatal. proc_pool_test, distributed_test and
 # coordinator_test fork the sanitized daemons and workers of this tree,
 # which inherit the options; proc_pool_test's `garbage` fault band makes
 # workers write corrupt frames that run::WorkerSlots must reassemble and
-# reject. pool_run_test drives run::PoolRun over fake lanes.
+# reject. pool_run_test drives run::PoolRun over fake lanes;
+# session_client_test feeds net::SessionClient a fake server's rejections,
+# foreign versions and a 200 MiB pre-welcome frame header.
 cmake -B build-asan -S . -DESCHED_SANITIZE=address,undefined \
   -DESCHED_BUILD_BENCH=OFF -DESCHED_BUILD_EXAMPLES=OFF
-asan_tests="wire_test net_frame_test session_server_test svc_journal_test
-  http_exposition_test minijson_test swf_test endpoint_test
-  cell_queue_test pool_run_test proc_pool_test distributed_test
-  coordinator_test"
+asan_tests="wire_test net_frame_test session_server_test session_client_test
+  svc_journal_test http_exposition_test minijson_test swf_test
+  endpoint_test cell_queue_test pool_run_test proc_pool_test
+  distributed_test coordinator_test"
 # shellcheck disable=SC2086  # word-split the list on purpose
 cmake --build build-asan -j --target $asan_tests
 for t in $asan_tests; do

@@ -23,6 +23,44 @@ void flush_backfill_counters(std::uint64_t attempts, std::uint64_t hits) {
   hits_counter.add(hits);
 }
 
+/// Protect a blocked job of `blocker_nodes` with a reservation over
+/// `occupancy` (the running set plus this pass's starts) and backfill
+/// queue[from..] around it within the power `budget` (kNoPowerBudget for
+/// none), appending each started index to `starts`. If the occupancy
+/// snapshot cannot account for enough nodes (possible when callers pass
+/// partial occupancy information), no reservation is computable — fail
+/// open by not backfilling.
+void backfill(const ScheduleContext& ctx, std::span<const PendingJob> queue,
+              std::size_t from, NodeCount blocker_nodes, NodeCount free,
+              Watts power, Watts budget,
+              const std::vector<RunningJob>& occupancy,
+              std::vector<std::size_t>& starts) {
+  NodeCount accounted = free;
+  for (const RunningJob& r : occupancy) accounted += r.nodes;
+  if (accounted < blocker_nodes) return;
+  Reservation reservation =
+      compute_reservation(blocker_nodes, free, ctx.now, occupancy);
+  std::uint64_t attempts = 0;
+  std::uint64_t hits = 0;
+  for (std::size_t j = from; j < queue.size(); ++j) {
+    if (free == 0) break;
+    ++attempts;
+    if (!can_backfill(queue[j], free, ctx.now, reservation)) continue;
+    if (power + queue[j].total_power() > budget) continue;
+    // Backfills admitted via the extra-nodes clause consume them (they
+    // still hold the nodes at shadow time); shadow-terminating backfills
+    // leave the reservation untouched.
+    if (ctx.now + queue[j].walltime > reservation.shadow_time) {
+      reservation.extra_nodes -= queue[j].nodes;
+    }
+    starts.push_back(j);
+    ++hits;
+    free -= queue[j].nodes;
+    power += queue[j].total_power();
+  }
+  flush_backfill_counters(attempts, hits);
+}
+
 }  // namespace
 
 Scheduler::Scheduler(SchedulingPolicy& policy, const SchedulerConfig& config)
@@ -94,31 +132,8 @@ std::vector<std::size_t> Scheduler::decide_easy(
   if (i == queue.size()) return starts;
 
   // queue[i] is the blocker; protect it with a reservation and backfill.
-  // If the caller's running-set snapshot cannot account for enough nodes
-  // (possible when callers pass partial occupancy information), no
-  // reservation is computable — fail open by not backfilling.
-  NodeCount accounted = free;
-  for (const RunningJob& r : occupancy) accounted += r.nodes;
-  if (accounted < queue[i].nodes) return starts;
-  Reservation reservation =
-      compute_reservation(queue[i].nodes, free, ctx.now, occupancy);
-  std::uint64_t attempts = 0;
-  std::uint64_t hits = 0;
-  for (std::size_t j = i + 1; j < queue.size(); ++j) {
-    if (free == 0) break;
-    ++attempts;
-    if (!can_backfill(queue[j], free, ctx.now, reservation)) continue;
-    // Backfills admitted via the extra-nodes clause consume them (they
-    // still hold the nodes at shadow time); shadow-terminating backfills
-    // leave the reservation untouched.
-    if (ctx.now + queue[j].walltime > reservation.shadow_time) {
-      reservation.extra_nodes -= queue[j].nodes;
-    }
-    starts.push_back(j);
-    ++hits;
-    free -= queue[j].nodes;
-  }
-  flush_backfill_counters(attempts, hits);
+  backfill(ctx, queue, i + 1, queue[i].nodes, free, ctx.current_power,
+           SchedulingPolicy::kNoPowerBudget, occupancy, starts);
   return starts;
 }
 
@@ -182,27 +197,8 @@ std::vector<std::size_t> Scheduler::decide_window(
   for (const std::size_t idx : starts) {
     occupancy.push_back({window[idx].nodes, ctx.now + window[idx].walltime});
   }
-  NodeCount accounted = free;
-  for (const RunningJob& r : occupancy) accounted += r.nodes;
-  if (accounted < window[oldest_unstarted].nodes) return starts;
-  Reservation reservation = compute_reservation(
-      window[oldest_unstarted].nodes, free, ctx.now, occupancy);
-  std::uint64_t attempts = 0;
-  std::uint64_t hits = 0;
-  for (std::size_t j = w; j < queue.size(); ++j) {
-    if (free == 0) break;
-    ++attempts;
-    if (!can_backfill(queue[j], free, ctx.now, reservation)) continue;
-    if (power + queue[j].total_power() > budget) continue;
-    if (ctx.now + queue[j].walltime > reservation.shadow_time) {
-      reservation.extra_nodes -= queue[j].nodes;
-    }
-    starts.push_back(j);
-    ++hits;
-    free -= queue[j].nodes;
-    power += queue[j].total_power();
-  }
-  flush_backfill_counters(attempts, hits);
+  backfill(ctx, queue, w, window[oldest_unstarted].nodes, free, power,
+           budget, occupancy, starts);
   return starts;
 }
 

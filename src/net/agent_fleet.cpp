@@ -1,12 +1,9 @@
 #include "net/agent_fleet.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
-#include "net/protocol.hpp"
 #include "obs/fleet.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
@@ -30,35 +27,21 @@ AgentFleet::AgentFleet(const FleetConfig& config,
                        std::uint32_t connect_attempts, run::LaneOwner& owner,
                        obs::Tracer* tracer, obs::FleetAggregator* telemetry)
     : config_(config),
-      connect_attempts_(connect_attempts),
       owner_(owner),
       tracer_(tracer),
       telemetry_(telemetry) {
-  agents_.resize(config_.agents.size());
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    agents_[i].addr = config_.agents[i];
-    agents_[i].backoff_seconds = config_.reconnect_initial_seconds;
-    agents_[i].connects_left = connect_attempts_;
+  const std::uint32_t flags = telemetry_ != nullptr ? kHelloFlagTelemetry : 0;
+  agents_.reserve(config_.agents.size());
+  for (std::size_t i = 0; i < config_.agents.size(); ++i) {
+    agents_.emplace_back(SessionClient(config_.agents[i], config_,
+                                       connect_attempts, *this, i, flags));
   }
 }
 
 // ---- the owner's poll loop ---------------------------------------------
 
 void AgentFleet::tick(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state == Agent::State::kBackoff && now >= a.retry_at) {
-      start_connect(i, now);
-    } else if ((a.state == Agent::State::kConnecting ||
-                a.state == Agent::State::kHandshaking) &&
-               now >= a.connect_deadline) {
-      connect_failure(i,
-                      a.state == Agent::State::kConnecting
-                          ? "connect timed out"
-                          : "handshake timed out",
-                      now);
-    }
-  }
+  for (Agent& a : agents_) a.session.tick(now);
   check_task_deadlines(now);
   check_heartbeats(now);
   dispatch(now);
@@ -67,76 +50,31 @@ void AgentFleet::tick(Clock::time_point now) {
 Clock::time_point AgentFleet::next_deadline() const {
   Clock::time_point nearest = Clock::time_point::max();
   for (const Agent& a : agents_) {
-    switch (a.state) {
-      case Agent::State::kBackoff:
-        nearest = std::min(nearest, a.retry_at);
-        break;
-      case Agent::State::kConnecting:
-      case Agent::State::kHandshaking:
-        nearest = std::min(nearest, a.connect_deadline);
-        break;
-      case Agent::State::kReady:
-        nearest = std::min(nearest, a.next_ping);
-        for (const run::Endpoint& ep : a.slots) {
-          if (ep.busy() && ep.has_deadline) {
-            nearest = std::min(nearest, ep.deadline);
-          }
-        }
-        break;
-      case Agent::State::kDead:
-        break;
+    nearest = std::min(nearest, a.session.next_deadline());
+    if (!a.session.ready()) continue;
+    nearest = std::min(nearest, a.next_ping);
+    for (const run::Endpoint& ep : a.slots) {
+      if (ep.busy() && ep.has_deadline) {
+        nearest = std::min(nearest, ep.deadline);
+      }
     }
   }
   return nearest;
 }
 
 void AgentFleet::register_fds(std::vector<struct pollfd>& fds) {
-  poll_base_ = fds.size();
-  polled_.clear();
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    const Agent& a = agents_[i];
-    if (a.state == Agent::State::kConnecting) {
-      fds.push_back({a.conn->fd(), POLLOUT, 0});
-    } else if (a.connected()) {
-      const short events =
-          static_cast<short>(POLLIN | (a.conn->wants_write() ? POLLOUT : 0));
-      fds.push_back({a.conn->fd(), events, 0});
-    } else {
-      continue;
-    }
-    polled_.push_back(i);
-  }
+  for (Agent& a : agents_) a.session.register_fds(fds);
 }
 
 void AgentFleet::on_poll(const std::vector<struct pollfd>& fds) {
-  ESCHED_REQUIRE(fds.size() >= poll_base_ + polled_.size(),
-                 "AgentFleet::on_poll: fds do not match register_fds");
-  for (std::size_t k = 0; k < polled_.size(); ++k) {
-    const short revents = fds[poll_base_ + k].revents;
-    if (revents == 0) continue;
-    const std::size_t i = polled_[k];
-    Agent& a = agents_[i];
-    const Clock::time_point now = Clock::now();
-    if (a.state == Agent::State::kConnecting) {
-      if ((revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-        on_connect_writable(i, now);
-      }
-      continue;
-    }
-    if (!a.connected()) continue;
-    if ((revents & POLLOUT) != 0 && !a.conn->flush()) {
-      connection_lost(i, who(i) + ": send failed (connection lost)", now);
-      continue;
-    }
-    if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) on_readable(i, now);
-  }
+  for (Agent& a : agents_) a.session.on_poll(fds);
 }
 
 // ---- fleet state -------------------------------------------------------
 
 std::string AgentFleet::unusable_reason(Clock::time_point now) const {
   for (const Agent& a : agents_) {
-    if (a.state != Agent::State::kDead) return {};
+    if (!a.session.dead()) return {};
   }
   std::string detail;
   for (const run::AgentLiveness& live : liveness(now)) {
@@ -149,7 +87,6 @@ std::string AgentFleet::unusable_reason(Clock::time_point now) const {
 std::size_t AgentFleet::idle_lanes() const {
   std::size_t idle = 0;
   for (const Agent& a : agents_) {
-    if (a.state != Agent::State::kReady) continue;
     for (const run::Endpoint& ep : a.slots) {
       if (!ep.busy()) ++idle;
     }
@@ -159,9 +96,7 @@ std::size_t AgentFleet::idle_lanes() const {
 
 std::size_t AgentFleet::ready_slots() const {
   std::size_t total = 0;
-  for (const Agent& a : agents_) {
-    if (a.state == Agent::State::kReady) total += a.slots.size();
-  }
+  for (const Agent& a : agents_) total += a.slots.size();
   return total;
 }
 
@@ -171,25 +106,17 @@ std::vector<run::AgentLiveness> AgentFleet::liveness(
   out.reserve(agents_.size());
   for (const Agent& a : agents_) {
     run::AgentLiveness live;
-    live.addr = a.addr.text();
-    switch (a.state) {
-      case Agent::State::kReady:
-        live.state = a.pings_unanswered == 0 ? "alive" : "suspect";
-        break;
-      case Agent::State::kDead:
-        live.state = "dead";
-        break;
-      case Agent::State::kBackoff:
-      case Agent::State::kConnecting:
-      case Agent::State::kHandshaking:
-        live.state = "connecting";
-        break;
+    live.addr = a.session.addr().text();
+    if (a.session.ready()) {
+      live.state = a.pings_unanswered == 0 ? "alive" : "suspect";
+    } else {
+      live.state = a.session.dead() ? "dead" : "connecting";
     }
     if (a.ever_connected) {
       live.last_heartbeat_age_seconds =
           std::chrono::duration<double>(now - a.last_pong).count();
     }
-    live.last_error = a.last_error;
+    live.last_error = a.session.last_error();
     out.push_back(std::move(live));
   }
   return out;
@@ -197,100 +124,47 @@ std::vector<run::AgentLiveness> AgentFleet::liveness(
 
 void AgentFleet::disconnect_all(Clock::time_point now) noexcept {
   for (std::size_t i = 0; i < agents_.size(); ++i) {
-    emit_connection_span(i, now);
-    agents_[i].conn.reset();
+    if (agents_[i].session.ready()) emit_connection_span(i, now);
+    agents_[i].session.disconnect();
+    agents_[i].slots.clear();
   }
 }
 
-// ---- connection lifecycle ----------------------------------------------
+// ---- session lifecycle -------------------------------------------------
 
 std::string AgentFleet::who(std::size_t index) const {
-  return "agent " + agents_[index].addr.text();
+  return "agent " + agents_[index].session.addr().text();
 }
 
-void AgentFleet::start_connect(std::size_t index, Clock::time_point now) {
-  Agent& a = agents_[index];
-  std::string error;
-  Fd fd = connect_tcp_start(a.addr, error);
-  if (!fd.valid()) {
-    connect_failure(index, error, now);
-    return;
-  }
-  a.conn.emplace(std::move(fd));
-  a.state = Agent::State::kConnecting;
-  a.connect_deadline = after(now, config_.connect_timeout_seconds);
-}
-
-void AgentFleet::on_connect_writable(std::size_t index,
-                                     Clock::time_point now) {
-  Agent& a = agents_[index];
-  std::string error;
-  if (!connect_tcp_finish(a.conn->fd(), error)) {
-    connect_failure(index, error, now);
-    return;
-  }
-  Hello hello;
-  hello.protocol = kNetProtocolVersion;
-  hello.token = config_.auth_token;
-  if (telemetry_ != nullptr) hello.flags |= kHelloFlagTelemetry;
-  a.hello_sent = now;
-  if (!a.conn->send(wire::encode_frame(wire::FrameType::kHello, 0, 0,
-                                       encode_hello(hello)))) {
-    connect_failure(index, "send failed during handshake", now);
-    return;
-  }
-  a.state = Agent::State::kHandshaking;  // connect_deadline still armed
-}
-
-/// A connect attempt failed before the handshake completed: back off,
-/// or abandon the agent once its consecutive-connect budget is spent.
-void AgentFleet::connect_failure(std::size_t index, const std::string& error,
+void AgentFleet::on_session_open(std::size_t index, const Welcome& welcome,
                                  Clock::time_point now) {
   Agent& a = agents_[index];
-  if (connect_attempts_ != kNeverAbandon && --a.connects_left == 0) {
-    abandon(index, error);
-    return;
-  }
-  a.conn.reset();
-  a.last_error = error;
-  back_off(a, now);
+  a.slots.assign(std::max<std::uint32_t>(1, welcome.slots), run::Endpoint{});
+  a.connected_at = now;
+  a.ping_seq = 0;
+  a.pings_unanswered = 0;
+  a.last_pong = now;
+  a.next_ping = after(now, config_.heartbeat_interval_seconds);
+  bump("net.connects");
+  if (a.ever_connected) bump("net.reconnects");
+  a.ever_connected = true;
+  peak_slots_ = std::max(peak_slots_, ready_slots());
+  obs::log_debug("net.fleet", "agent ready",
+                 {{"addr", a.session.addr().text()},
+                  {"slots", a.slots.size()}});
 }
 
-/// Permanent: the agent rejected us (version or token mismatch) or used
-/// up its connect budget. Only reachable before kReady, so no slot holds
-/// work.
-void AgentFleet::abandon(std::size_t index, const std::string& error) {
-  Agent& a = agents_[index];
-  obs::log_error("net.fleet", "abandoning agent",
-                 {{"addr", a.addr.text()}, {"reason", error}});
-  a.conn.reset();
-  a.last_error = error;
-  a.state = Agent::State::kDead;
-}
-
-/// An established connection died (`reason`): hand every in-flight task
-/// back to the owner and schedule a reconnect.
-void AgentFleet::connection_lost(std::size_t index, const std::string& reason,
-                                 Clock::time_point now) {
-  Agent& a = agents_[index];
-  obs::log_debug("net.fleet", "agent connection lost",
-                 {{"addr", a.addr.text()}, {"reason", reason}});
+/// An open session died (`why`): hand every in-flight task back to the
+/// owner; the session client reconnects.
+void AgentFleet::on_session_closed(std::size_t index, const std::string& why,
+                                   Clock::time_point now) {
   emit_connection_span(index, now);
-  a.conn.reset();
-  a.last_error = reason;
-  back_off(a, now);
-  const std::vector<run::Endpoint> slots = std::move(a.slots);
-  a.slots.clear();
+  const std::string reason = who(index) + ": " + why;
+  const std::vector<run::Endpoint> slots = std::move(agents_[index].slots);
+  agents_[index].slots.clear();
   for (const run::Endpoint& ep : slots) {
     if (ep.busy()) requeue(index, ep, reason, now);
   }
-}
-
-void AgentFleet::back_off(Agent& a, Clock::time_point now) {
-  a.state = Agent::State::kBackoff;
-  a.retry_at = after(now, a.backoff_seconds);
-  a.backoff_seconds =
-      std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
 }
 
 void AgentFleet::requeue(std::size_t index, const run::Endpoint& ep,
@@ -302,12 +176,10 @@ void AgentFleet::requeue(std::size_t index, const run::Endpoint& ep,
 void AgentFleet::emit_connection_span(std::size_t index,
                                       Clock::time_point now) {
   const Agent& a = agents_[index];
-  if (a.state != Agent::State::kReady || tracer_ == nullptr ||
-      !tracer_->enabled()) {
-    return;
-  }
-  tracer_->complete_span("agent:" + a.addr.text(), "net", a.connected_at,
-                         now, kTrackBase + static_cast<std::uint32_t>(index));
+  if (tracer_ == nullptr || !tracer_->enabled()) return;
+  tracer_->complete_span("agent:" + a.session.addr().text(), "net",
+                         a.connected_at, now,
+                         kTrackBase + static_cast<std::uint32_t>(index));
 }
 
 // ---- clocks and dispatch -----------------------------------------------
@@ -316,16 +188,16 @@ void AgentFleet::dispatch(Clock::time_point now) {
   run::Dispatch work;
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady) continue;
     for (run::Endpoint& ep : a.slots) {
       if (ep.busy()) continue;
       if (!owner_.claim(i, now, work)) return;  // nothing dispatchable now
       ep.begin(work.task, work.attempt, now, config_.task_timeout_seconds);
-      if (!a.conn->send(wire::encode_frame(
-              wire::FrameType::kJob, static_cast<std::uint32_t>(work.task),
-              work.attempt, *work.payload))) {
-        connection_lost(i, who(i) + ": send failed (connection lost)", now);
-        break;  // a.slots is gone; next agent
+      if (!a.session.send(
+              wire::encode_frame(wire::FrameType::kJob,
+                                 static_cast<std::uint32_t>(work.task),
+                                 work.attempt, *work.payload),
+              now)) {
+        break;  // the session closed and a.slots is gone; next agent
       }
     }
   }
@@ -334,7 +206,6 @@ void AgentFleet::dispatch(Clock::time_point now) {
 void AgentFleet::check_task_deadlines(Clock::time_point now) {
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady) continue;
     bool expired = false;
     for (run::Endpoint& ep : a.slots) {
       if (!ep.deadline_expired(now)) continue;
@@ -346,14 +217,13 @@ void AgentFleet::check_task_deadlines(Clock::time_point now) {
       requeue(i, timed_out,
               "timed out after " +
                   run::format_seconds(config_.task_timeout_seconds) +
-                  "s on agent " + a.addr.text(),
+                  "s on agent " + a.session.addr().text(),
               now);
     }
     if (expired) {
       // A cell can't be killed remotely: retire the whole connection
       // (the agent drops orphaned results on EOF) and reconnect.
-      connection_lost(i, who(i) + ": connection reset after a task timeout",
-                      now);
+      a.session.close("connection reset after a task timeout", now);
     }
   }
 }
@@ -361,11 +231,10 @@ void AgentFleet::check_task_deadlines(Clock::time_point now) {
 void AgentFleet::check_heartbeats(Clock::time_point now) {
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady || now < a.next_ping) continue;
+    if (!a.session.ready() || now < a.next_ping) continue;
     if (a.pings_unanswered >= config_.heartbeat_misses) {
-      connection_lost(
-          i,
-          who(i) + ": missed " + std::to_string(a.pings_unanswered) +
+      a.session.close(
+          "missed " + std::to_string(a.pings_unanswered) +
               " heartbeats (last heartbeat " +
               run::format_seconds(
                   std::chrono::duration<double>(now - a.last_pong).count()) +
@@ -374,10 +243,10 @@ void AgentFleet::check_heartbeats(Clock::time_point now) {
       continue;
     }
     if (a.pings_unanswered > 0) bump("net.heartbeats_missed");
-    if (!a.conn->send(wire::encode_frame(wire::FrameType::kPing,
-                                         a.ping_seq++, 0, {}))) {
-      connection_lost(i, who(i) + ": send failed (connection lost)", now);
-      continue;
+    if (!a.session.send(wire::encode_frame(wire::FrameType::kPing,
+                                           a.ping_seq++, 0, {}),
+                        now)) {
+      continue;  // the session closed
     }
     ++a.pings_unanswered;
     a.next_ping = after(now, config_.heartbeat_interval_seconds);
@@ -385,110 +254,6 @@ void AgentFleet::check_heartbeats(Clock::time_point now) {
 }
 
 // ---- inbound frames ----------------------------------------------------
-
-void AgentFleet::on_readable(std::size_t index, Clock::time_point now) {
-  Agent& a = agents_[index];
-  const FrameConn::ReadStatus status = a.conn->fill();
-  if (status == FrameConn::ReadStatus::kError) {
-    connection_lost(index,
-                    who(index) + ": read failed (" +
-                        std::string(std::strerror(errno)) + ")",
-                    now);
-    return;
-  }
-  while (a.connected()) {
-    wire::FrameHeader header;
-    std::vector<std::uint8_t> body;
-    std::string corrupt;
-    const run::FrameAssembler::Status frame =
-        a.conn->frames().next(header, body, corrupt);
-    if (frame == run::FrameAssembler::Status::kNeedMore) break;
-    if (frame == run::FrameAssembler::Status::kCorrupt) {
-      connection_lost(index,
-                      who(index) + ": protocol corruption (" + corrupt + ")",
-                      now);
-      return;
-    }
-    if (a.state == Agent::State::kHandshaking) {
-      on_handshake_frame(index, header, body, now);
-    } else {
-      on_session_frame(index, header, body, now);
-    }
-  }
-  if (!a.connected() || status != FrameConn::ReadStatus::kClosed) return;
-  if (a.state == Agent::State::kHandshaking) {
-    // Rejected during handshake with no kError frame — treat like a
-    // failed connect (counts against the connect budget).
-    connect_failure(index, "agent closed connection during handshake", now);
-  } else {
-    connection_lost(index,
-                    who(index) + ": closed connection" +
-                        (a.conn->frames().mid_frame() ? " mid-frame" : ""),
-                    now);
-  }
-}
-
-void AgentFleet::on_handshake_frame(std::size_t index,
-                                    const wire::FrameHeader& header,
-                                    const std::vector<std::uint8_t>& body,
-                                    Clock::time_point now) {
-  Agent& a = agents_[index];
-  if (header.type == wire::FrameType::kError) {
-    // Version or auth mismatch: the agent will never accept us.
-    abandon(index, who(index) + " rejected handshake: " +
-                       wire::decode_error_or(body,
-                                             "(undecodable error payload)"));
-    return;
-  }
-  if (header.type != wire::FrameType::kWelcome) {
-    connection_lost(index, who(index) + ": unexpected frame before kWelcome",
-                    now);
-    return;
-  }
-  Welcome welcome;
-  try {
-    welcome = decode_welcome(body);
-  } catch (const Error& e) {
-    connection_lost(index,
-                    who(index) + ": protocol corruption (" +
-                        std::string(e.what()) + ")",
-                    now);
-    return;
-  }
-  if (welcome.protocol != kNetProtocolVersion) {
-    abandon(index, "protocol version mismatch (coordinator=" +
-                       std::to_string(kNetProtocolVersion) +
-                       ", agent=" + std::to_string(welcome.protocol) + ")");
-    return;
-  }
-  if (welcome.steady_nanos != 0) {
-    // NTP-style one-shot offset estimate: assume the agent sampled its
-    // clock at the midpoint of the hello->welcome round trip. Good to
-    // ~RTT/2, plenty for aligning millisecond-scale simulate spans.
-    const Clock::time_point midpoint = a.hello_sent + (now - a.hello_sent) / 2;
-    const std::int64_t local_nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            midpoint.time_since_epoch())
-            .count();
-    a.clock_offset_nanos =
-        local_nanos - static_cast<std::int64_t>(welcome.steady_nanos);
-  }
-  a.state = Agent::State::kReady;
-  a.slots.assign(std::max<std::uint32_t>(1, welcome.slots), run::Endpoint{});
-  a.connected_at = now;
-  a.backoff_seconds = config_.reconnect_initial_seconds;
-  a.connects_left = connect_attempts_;
-  a.ping_seq = 0;
-  a.pings_unanswered = 0;
-  a.last_pong = now;
-  a.next_ping = after(now, config_.heartbeat_interval_seconds);
-  bump("net.connects");
-  if (a.ever_connected) bump("net.reconnects");
-  a.ever_connected = true;
-  peak_slots_ = std::max(peak_slots_, ready_slots());
-  obs::log_debug("net.fleet", "agent ready",
-                 {{"addr", a.addr.text()}, {"slots", a.slots.size()}});
-}
 
 void AgentFleet::on_session_frame(std::size_t index,
                                   const wire::FrameHeader& header,
@@ -511,12 +276,10 @@ void AgentFleet::on_session_frame(std::size_t index,
       const obs::Telemetry telemetry = wire::decode_telemetry(body);
       telemetry_->ingest(
           "agent." + std::to_string(index) + "." + telemetry.role, telemetry,
-          a.clock_offset_nanos);
+          a.session.clock_offset_nanos());
       bump("net.telemetry_frames");
     } catch (const Error& e) {
-      connection_lost(index,
-                      who(index) + ": protocol corruption (" +
-                          std::string(e.what()) + ")",
+      a.session.close("protocol corruption (" + std::string(e.what()) + ")",
                       now);
     }
     return;
@@ -530,18 +293,14 @@ void AgentFleet::on_session_frame(std::size_t index,
     }
   }
   if (ep == nullptr) {
-    connection_lost(
-        index, who(index) + ": answer for a task this agent does not hold",
-        now);
+    a.session.close("answer for a task this agent does not hold", now);
     return;
   }
   const run::Endpoint answered = *ep;
   switch (header.type) {
     case wire::FrameType::kResult:
       if (!owner_.on_result(index, answered, std::move(body), now)) {
-        connection_lost(
-            index, who(index) + ": protocol corruption (undecodable result)",
-            now);
+        a.session.close("protocol corruption (undecodable result)", now);
         return;
       }
       ep->clear();
@@ -563,8 +322,7 @@ void AgentFleet::on_session_frame(std::size_t index,
               now);
       return;
     default:
-      connection_lost(index, who(index) + ": unexpected frame type in session",
-                      now);
+      a.session.close("unexpected frame type in session", now);
       return;
   }
 }

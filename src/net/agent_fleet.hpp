@@ -4,12 +4,11 @@
 // Both TCP planes run cells on agents the same way, so both drive this
 // one implementation: net::DistributedPool (one sweep, connections opened
 // and closed inside run()) and svc::Coordinator (a daemon whose fleet
-// lives as long as the process). For every configured agent the fleet
-// runs the whole lifecycle:
+// lives as long as the process). Each agent is one net::SessionClient,
+// which owns connect, handshake (version and token check; a rejection is
+// permanent), the connect budget, reconnect backoff and the clock-offset
+// estimate. On top of each open session the fleet runs:
 //
-//  * connect, then kHello -> kWelcome with the protocol-version and auth
-//    token check; a kError answer or a version mismatch is a permanent
-//    rejection ("dead"), never retried;
 //  * one run::Endpoint per slot the kWelcome announces; free slots pull
 //    work from the owner (run::LaneOwner::claim) and carry it as kJob
 //    frames;
@@ -19,13 +18,13 @@
 //    deadline retires the whole connection;
 //  * any connection loss (EOF, I/O error, corruption, an answer for a
 //    task the agent does not hold) hands every in-flight task back to the
-//    owner and reconnects with capped exponential backoff;
-//  * frame reassembly, the handshake clock-offset estimate, and (when a
-//    FleetAggregator is attached) kTelemetry ingestion.
+//    owner; the session client reconnects;
+//  * (when a FleetAggregator is attached) kTelemetry ingestion, re-based
+//    by the session's clock offset.
 //
 // The connect budget is the one behaviour that differs per owner: the
 // pool abandons an agent after `connect_attempts` consecutive failed
-// connects, the daemon never does (kNeverAbandon).
+// connects, the daemon never does (SessionClient::kNeverAbandon).
 //
 // The fleet is run::Lanes, one lane per agent, reporting to a
 // run::LaneOwner: the pool's run::PoolRun drives it like worker slots,
@@ -35,11 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "net/frame_io.hpp"
+#include "net/session_client.hpp"
 #include "net/socket.hpp"
 #include "run/endpoint.hpp"
 #include "run/pool_run.hpp"
@@ -53,16 +52,12 @@ class Tracer;
 namespace esched::net {
 
 /// Knobs shared by every fleet owner (DistributedPoolConfig and
-/// svc::CoordinatorConfig inherit them). Defaults match the bench CLI
-/// defaults (bench/common.cpp) so drivers and tests agree on behaviour.
-struct FleetConfig {
+/// svc::CoordinatorConfig inherit them), on top of the session client's
+/// connect knobs. Defaults match the bench CLI defaults (bench/common.cpp)
+/// so drivers and tests agree on behaviour.
+struct FleetConfig : SessionClientConfig {
   /// Agent addresses (host:port). Must be non-empty.
   std::vector<HostPort> agents;
-  /// Shared secret carried in every kHello (net::Hello::token). Must
-  /// match the agentd's --token / ESCHED_AUTH_TOKEN when the agent is
-  /// configured with one; an empty token is accepted only by agents
-  /// configured without one. A mismatch is a permanent rejection.
-  std::string auth_token;
   /// Attempt budget per cell (first run + retries). Must be >= 1. Kept
   /// by the owner's run::CellQueue; the fleet only reports failures.
   std::uint32_t max_attempts = 3;
@@ -73,22 +68,15 @@ struct FleetConfig {
   /// Per-task wall-clock timeout; expiry retires the agent connection
   /// and requeues its in-flight cells. 0 disables the timeout.
   double task_timeout_seconds = 0.0;
-  /// TCP connect + handshake deadline per attempt.
-  double connect_timeout_seconds = 5.0;
   /// kPing cadence per connected agent.
   double heartbeat_interval_seconds = 1.0;
   /// Unanswered pings before the agent is declared dead.
   std::uint32_t heartbeat_misses = 3;
-  /// Reconnect backoff: initial delay, doubled per consecutive failure,
-  /// capped at the max.
-  double reconnect_initial_seconds = 0.1;
-  double reconnect_max_seconds = 2.0;
 };
 
-class AgentFleet final : public run::Lanes {
+class AgentFleet final : public run::Lanes, private SessionClientOwner {
  public:
-  /// connect_attempts value meaning "retry forever".
-  static constexpr std::uint32_t kNeverAbandon = 0;
+  using Clock = run::EndpointClock;
   /// Remote-cell / connection-lifetime spans go on tracks 2000+agent so
   /// they collide neither with in-process worker tracks nor with the
   /// subprocess pool's 1000+slot tracks.
@@ -97,17 +85,22 @@ class AgentFleet final : public run::Lanes {
   /// `config` and `owner` must outlive the fleet; so must `tracer`
   /// (connection-lifetime spans) and `telemetry` (kHelloFlagTelemetry +
   /// kTelemetry ingestion under "agent.<index>.<role>") when non-null.
-  /// Every agent connects at the first tick().
+  /// `connect_attempts` is each agent's session budget
+  /// (SessionClient::kNeverAbandon: retry forever). Every agent connects
+  /// at the first tick().
   AgentFleet(const FleetConfig& config, std::uint32_t connect_attempts,
              run::LaneOwner& owner, obs::Tracer* tracer = nullptr,
              obs::FleetAggregator* telemetry = nullptr);
+  // Every agent's session holds this object's address.
+  AgentFleet(const AgentFleet&) = delete;
+  AgentFleet& operator=(const AgentFleet&) = delete;
 
   // ---- Lanes: one lane per configured agent, indexed like
-  // config.agents. The deadlines are reconnects, connect/handshake and
-  // task deadlines and heartbeats; the idle lanes are the free slots of
-  // ready agents. unusable_reason is "no usable agents remain (<addr>:
-  // <last error>; ...)" once every agent is permanently gone (rejected,
-  // or out of connect budget).
+  // config.agents. The deadlines are the sessions' (reconnects,
+  // connect/handshake), task deadlines and heartbeats; the idle lanes
+  // are the free slots of ready agents. unusable_reason is "no usable
+  // agents remain (<addr>: <last error>; ...)" once every agent is
+  // permanently gone (rejected, or out of connect budget).
   void tick(Clock::time_point now) override;
   void register_fds(std::vector<struct pollfd>& fds) override;
   void on_poll(const std::vector<struct pollfd>& fds) override;
@@ -129,24 +122,11 @@ class AgentFleet final : public run::Lanes {
 
  private:
   struct Agent {
-    enum class State {
-      kBackoff,      ///< waiting for retry_at before (re)connecting
-      kConnecting,   ///< TCP connect in flight (poll for POLLOUT)
-      kHandshaking,  ///< kHello sent, waiting for kWelcome
-      kReady,        ///< handshake done; jobs and heartbeats flow
-      kDead,         ///< abandoned for good
-    };
+    explicit Agent(SessionClient s) : session(std::move(s)) {}
 
-    HostPort addr;
-    State state = State::kBackoff;
-    std::optional<FrameConn> conn;
+    SessionClient session;
     std::vector<run::Endpoint> slots;  ///< sized by the kWelcome slot count
-
-    Clock::time_point retry_at{};          ///< kBackoff: next connect time
-    Clock::time_point connect_deadline{};  ///< kConnecting/kHandshaking
-    Clock::time_point connected_at{};      ///< kReady: for lifetime spans
-    double backoff_seconds = 0.0;
-    std::uint32_t connects_left = 0;
+    Clock::time_point connected_at{};  ///< open session: for lifetime spans
     bool ever_connected = false;
 
     Clock::time_point next_ping{};
@@ -154,28 +134,18 @@ class AgentFleet final : public run::Lanes {
     std::uint32_t pings_unanswered = 0;
     /// Last proof of life: the kWelcome, then every kPong.
     Clock::time_point last_pong{};
-
-    /// When the kHello left, for the clock-offset estimate.
-    Clock::time_point hello_sent{};
-    /// Adding this to the agent's steady-clock nanos re-bases its span
-    /// timestamps onto this process's steady clock.
-    std::int64_t clock_offset_nanos = 0;
-
-    std::string last_error;
-
-    bool connected() const {
-      return state == State::kHandshaking || state == State::kReady;
-    }
   };
 
-  void start_connect(std::size_t index, Clock::time_point now);
-  void on_connect_writable(std::size_t index, Clock::time_point now);
-  void connect_failure(std::size_t index, const std::string& error,
-                       Clock::time_point now);
-  void abandon(std::size_t index, const std::string& error);
-  void connection_lost(std::size_t index, const std::string& reason,
-                       Clock::time_point now);
-  void back_off(Agent& a, Clock::time_point now);
+  // ---- SessionClientOwner: the agent index is the session id.
+  void on_session_open(std::size_t index, const Welcome& welcome,
+                       Clock::time_point now) override;
+  void on_session_frame(std::size_t index,
+                        const run::wire::FrameHeader& header,
+                        std::vector<std::uint8_t>& body,
+                        Clock::time_point now) override;
+  void on_session_closed(std::size_t index, const std::string& why,
+                         Clock::time_point now) override;
+
   void requeue(std::size_t index, const run::Endpoint& ep,
                const std::string& reason, Clock::time_point now);
   void emit_connection_span(std::size_t index, Clock::time_point now);
@@ -184,30 +154,16 @@ class AgentFleet final : public run::Lanes {
   void check_task_deadlines(Clock::time_point now);
   void check_heartbeats(Clock::time_point now);
 
-  void on_readable(std::size_t index, Clock::time_point now);
-  void on_handshake_frame(std::size_t index,
-                          const run::wire::FrameHeader& header,
-                          const std::vector<std::uint8_t>& body,
-                          Clock::time_point now);
-  void on_session_frame(std::size_t index,
-                        const run::wire::FrameHeader& header,
-                        std::vector<std::uint8_t>& body,
-                        Clock::time_point now);
-
   /// "agent host:port", the prefix of every per-agent failure reason.
   std::string who(std::size_t index) const;
 
   const FleetConfig& config_;
-  std::uint32_t connect_attempts_;
   run::LaneOwner& owner_;
   obs::Tracer* tracer_;
   obs::FleetAggregator* telemetry_;
 
   std::vector<Agent> agents_;
   std::size_t peak_slots_ = 0;
-  /// Where register_fds() put the agent fds, and which agent each is.
-  std::size_t poll_base_ = 0;
-  std::vector<std::size_t> polled_;
 };
 
 }  // namespace esched::net

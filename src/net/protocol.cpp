@@ -73,6 +73,7 @@ Welcome decode_welcome(const std::vector<std::uint8_t>& payload) {
   run::wire::ByteReader r(payload);
   Welcome welcome;
   welcome.protocol = r.u32();
+  if (welcome.protocol != kNetProtocolVersion) return welcome;
   welcome.slots = r.u32();
   welcome.steady_nanos = r.u64();
   r.expect_end();

@@ -48,6 +48,10 @@ inline constexpr std::uint32_t kNetProtocolVersion = 4;
 /// Hello::flags bits.
 inline constexpr std::uint32_t kHelloFlagTelemetry = 1u << 0;
 
+/// Largest payload either side accepts before the handshake completes. A
+/// kHello is three words plus the token, so tokens stay under 4 KiB.
+inline constexpr std::uint32_t kMaxHelloPayload = 4096;
+
 struct Hello {
   std::uint32_t protocol = kNetProtocolVersion;
   /// Session options requested by the coordinator (kHelloFlag*). An
@@ -88,6 +92,8 @@ std::string check_hello(const run::wire::FrameHeader& header,
                         const std::string& token, const std::string& server,
                         Hello& hello);
 
+/// decode_welcome, like decode_hello, returns a foreign version's
+/// Welcome with only its protocol field set.
 std::vector<std::uint8_t> encode_welcome(const Welcome& welcome);
 Welcome decode_welcome(const std::vector<std::uint8_t>& payload);
 

@@ -1,5 +1,5 @@
 // The server half of the framed session protocol (net/protocol.hpp) —
-// the twin of net::AgentFleet, the client half — and the serving shell
+// the twin of net::SessionClient, the client half — and the serving shell
 // around it. esched-agentd and esched-coordinator both run on these.
 //
 // SessionServer owns everything about a peer connection that does not
@@ -15,7 +15,7 @@
 // The owner hears only of sessions that passed the handshake: opened
 // (with the Hello), every later frame (kPing included, so an owner that
 // holds its outbound frames holds pongs too), closed (why). It answers
-// with send() and close(). Poll integration mirrors AgentFleet:
+// with send() and close(). Poll integration mirrors SessionClient:
 // register_fds() before poll(), on_poll() after it, one thread.
 #pragma once
 
@@ -35,10 +35,6 @@
 #include "util/cli.hpp"
 
 namespace esched::net {
-
-/// Largest payload a server accepts before the handshake completes. A
-/// kHello is three words plus the token, so tokens stay under 4 KiB.
-inline constexpr std::uint32_t kMaxHelloPayload = 4096;
 
 /// What a session server reports to its daemon. Session ids are never
 /// reused within one server.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -223,15 +224,32 @@ bool connect_tcp_finish(int fd, std::string& error) {
   return true;
 }
 
+Fd connect_tcp(const HostPort& addr, double timeout_seconds,
+               std::string& error) {
+  Fd fd = connect_tcp_start(addr, error);
+  if (!fd.valid()) return fd;
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      Clock::now() + std::chrono::duration<double>(timeout_seconds);
+  struct pollfd pfd = {fd.get(), POLLOUT, 0};
+  int rc = 0;
+  do {
+    const double left_ms =
+        std::chrono::duration<double, std::milli>(deadline - Clock::now())
+            .count();
+    rc = ::poll(&pfd, 1, static_cast<int>(std::ceil(std::max(0.0, left_ms))));
+  } while (rc < 0 && errno == EINTR);
+  if (rc <= 0) {
+    error = rc == 0 ? "connect timed out"
+                    : std::string("poll: ") + std::strerror(errno);
+    return Fd();
+  }
+  return connect_tcp_finish(fd.get(), error) ? std::move(fd) : Fd();
+}
+
 bool reachable(const HostPort& addr, double timeout_seconds) {
   std::string error;
-  Fd fd = connect_tcp_start(addr, error);
-  if (!fd.valid()) return false;
-  struct pollfd pfd = {fd.get(), POLLOUT, 0};
-  const int timeout_ms =
-      static_cast<int>(std::ceil(std::max(0.0, timeout_seconds) * 1000.0));
-  if (::poll(&pfd, 1, timeout_ms) <= 0) return false;  // timeout or error
-  return connect_tcp_finish(fd.get(), error);
+  return connect_tcp(addr, timeout_seconds, error).valid();
 }
 
 }  // namespace esched::net

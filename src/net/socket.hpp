@@ -38,12 +38,6 @@ class Fd {
   bool valid() const { return fd_ >= 0; }
   /// Close now (idempotent).
   void reset();
-  /// Give up ownership without closing.
-  int release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
 
  private:
   int fd_ = -1;
@@ -98,6 +92,13 @@ Fd connect_tcp_start(const HostPort& addr, std::string& error);
 /// established, false with `error` describing the failure (connection
 /// refused, unreachable, ...).
 bool connect_tcp_finish(int fd, std::string& error);
+
+/// Blocking connect: connect_tcp_start, then wait up to
+/// `timeout_seconds` (through EINTR) for the outcome. Returns the
+/// connected fd (still non-blocking), or an invalid Fd with `error` set
+/// ("connect timed out" when the deadline passed).
+Fd connect_tcp(const HostPort& addr, double timeout_seconds,
+               std::string& error);
 
 /// True when `addr` accepts a TCP connection within `timeout_seconds` —
 /// the cheap probe behind bench/common's graceful fallback; no

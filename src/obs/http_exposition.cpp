@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/error.hpp"
+
 namespace esched::obs {
 
 namespace {
@@ -214,6 +216,61 @@ void HttpServer::close() {
   conns_.clear();
   listener_.reset();
   port_ = 0;
+}
+
+// ---------------------------------------------------------------------------
+// The client side
+
+std::string http_get(const net::HostPort& addr, const std::string& path,
+                     double timeout_seconds) {
+  std::string error;
+  const net::Fd fd = net::connect_tcp(addr, timeout_seconds, error);
+  ESCHED_REQUIRE(fd.valid(), error == "connect timed out"
+                                 ? "connect to " + addr.text() + " timed out"
+                                 : "cannot reach " + addr.text() + ": " +
+                                       error);
+  const int timeout_ms = static_cast<int>(timeout_seconds * 1000.0);
+  const auto wait = [&](short events, const char* what) {
+    struct pollfd pfd = {fd.get(), events, 0};
+    ESCHED_REQUIRE(::poll(&pfd, 1, timeout_ms) > 0,
+                   std::string(what) + addr.text() + " timed out");
+  };
+
+  const std::string request = "GET " + path + " HTTP/1.1\r\nHost: " +
+                              addr.host + "\r\nConnection: close\r\n\r\n";
+  std::size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n =
+        ::write(fd.get(), request.data() + sent, request.size() - sent);
+    if (n < 0) {
+      wait(POLLOUT, "request to ");
+      continue;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd.get(), buf, sizeof buf);
+    if (n > 0) {
+      response.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0) break;  // the server closes after the response
+    wait(POLLIN, "response from ");
+  }
+
+  const std::size_t line_end = response.find("\r\n");
+  ESCHED_REQUIRE(line_end != std::string::npos,
+                 addr.text() + path + ": truncated HTTP response");
+  const std::string status_line = response.substr(0, line_end);
+  ESCHED_REQUIRE(status_line.find(" 200 ") != std::string::npos,
+                 addr.text() + path + ": " + status_line);
+  const std::size_t body = response.find("\r\n\r\n");
+  ESCHED_REQUIRE(body != std::string::npos,
+                 addr.text() + path + ": headerless HTTP response");
+  return response.substr(body + 4);
 }
 
 // ---------------------------------------------------------------------------

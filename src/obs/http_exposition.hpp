@@ -122,6 +122,13 @@ class HttpServer {
   std::vector<std::unique_ptr<Conn>> conns_;
 };
 
+/// The client side: one blocking HTTP/1.1 GET of `path` over a fresh
+/// connection, each wait bounded by `timeout_seconds`; returns the
+/// response body. Throws esched::Error on connect/IO failure or any
+/// non-200 status (the status line is quoted in the message).
+std::string http_get(const net::HostPort& addr, const std::string& path,
+                     double timeout_seconds);
+
 /// Render a registry snapshot in Prometheus text exposition format 0.0.4.
 /// Counters → `# TYPE esched_<name> counter`; gauges → gauge; timers →
 /// summary with p50/p95/p99 quantile labels plus _count/_sum. Metric

@@ -17,7 +17,21 @@
 namespace esched::sim {
 
 namespace {
+
 constexpr std::size_t kNoPred = std::numeric_limits<std::size_t>::max();
+
+/// Copy a finished meter's bills and energies into `result`.
+void copy_bill(const power::BillingMeter& meter, SimResult& result) {
+  result.total_bill = meter.total_bill();
+  result.bill_on_peak = meter.bill_in(power::PricePeriod::kOnPeak);
+  result.bill_off_peak = meter.bill_in(power::PricePeriod::kOffPeak);
+  result.total_energy = meter.total_energy();
+  result.energy_on_peak = meter.energy_in(power::PricePeriod::kOnPeak);
+  result.energy_off_peak = meter.energy_in(power::PricePeriod::kOffPeak);
+  result.it_energy = meter.it_energy();
+  result.daily_bills = meter.daily_bills();
+}
+
 }  // namespace
 
 /// The simulation engine. Hot per-job state lives in struct-of-arrays
@@ -174,14 +188,7 @@ class Simulation::Impl {
                                     j.nodes,    j.power_per_node,
                                     j.user};
     }
-    result.total_bill = meter_.total_bill();
-    result.bill_on_peak = meter_.bill_in(power::PricePeriod::kOnPeak);
-    result.bill_off_peak = meter_.bill_in(power::PricePeriod::kOffPeak);
-    result.total_energy = meter_.total_energy();
-    result.energy_on_peak = meter_.energy_in(power::PricePeriod::kOnPeak);
-    result.energy_off_peak = meter_.energy_in(power::PricePeriod::kOffPeak);
-    result.it_energy = meter_.it_energy();
-    result.daily_bills = meter_.daily_bills();
+    copy_bill(meter_, result);
     if (config_.record_daily_curves) {
       result.power_curve = power_curve_.averages();
       result.utilization_curve = util_curve_.averages();
@@ -569,14 +576,7 @@ void rebill(SimResult& result, const PowerSignal& signal,
   for (std::size_t i = 0; i < signal.times.size(); ++i)
     meter.set_power(signal.times[i], signal.watts[i]);
   meter.finish(result.horizon_end);
-  result.total_bill = meter.total_bill();
-  result.bill_on_peak = meter.bill_in(power::PricePeriod::kOnPeak);
-  result.bill_off_peak = meter.bill_in(power::PricePeriod::kOffPeak);
-  result.total_energy = meter.total_energy();
-  result.energy_on_peak = meter.energy_in(power::PricePeriod::kOnPeak);
-  result.energy_off_peak = meter.energy_in(power::PricePeriod::kOffPeak);
-  result.it_energy = meter.it_energy();
-  result.daily_bills = meter.daily_bills();
+  copy_bill(meter, result);
 }
 
 }  // namespace esched::sim

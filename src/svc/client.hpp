@@ -18,17 +18,20 @@
 //    sweep id. Duplicate kCellDone frames from replay overlap are
 //    dropped idempotently.
 //
-// Deterministic failures (kError: a cell failed on the fleet, an auth or
-// version rejection) throw esched::Error with the coordinator's message.
-// Connection failures retry with capped backoff up to a consecutive-
-// failure budget.
+// The session itself is one net::SessionClient. Deterministic failures
+// (kError: a cell failed on the fleet, an auth or version rejection)
+// throw esched::Error with the coordinator's message. Connection
+// failures retry with capped backoff under the session client's budget
+// rule: each failure before kWelcome spends one of `connect_attempts`, a
+// handshake restores them, and a session lost after kWelcome reconnects
+// without spending.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "net/frame_io.hpp"
+#include "net/session_client.hpp"
 #include "net/socket.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
@@ -36,20 +39,17 @@
 
 namespace esched::svc {
 
-struct CoordinatorClientConfig {
+/// The session client's connect knobs (auth_token must match the
+/// coordinator's --token / ESCHED_AUTH_TOKEN; "" only works against an
+/// un-authed coordinator) plus the coordinator and the sweep id.
+struct CoordinatorClientConfig : net::SessionClientConfig {
   net::HostPort coordinator;
-  /// Shared secret for the kHello (must match the coordinator's --token /
-  /// ESCHED_AUTH_TOKEN; "" only works against an un-authed coordinator).
-  std::string auth_token;
   /// Sweep id for submission/resumption; "" derives a deterministic id
   /// from the grid (derive_sweep_id), which is what makes an unmodified
   /// re-run of the same bench resume instead of duplicate.
   std::string sweep_id;
-  double connect_timeout_seconds = 5.0;
-  /// Consecutive failed connect/reconnect attempts before run() throws.
+  /// Consecutive failed connects (before kWelcome) before run() throws.
   std::uint32_t connect_attempts = 5;
-  double reconnect_initial_seconds = 0.1;
-  double reconnect_max_seconds = 2.0;
 };
 
 class CoordinatorClient {
@@ -62,11 +62,6 @@ class CoordinatorClient {
   /// changes the id. Throws like run::cell_key on specs that cannot
   /// cross a process boundary.
   static std::string derive_sweep_id(const std::vector<run::JobSpec>& sweep);
-
-  /// True when the coordinator accepts a TCP connection within the
-  /// timeout — the cheap probe behind bench/common's graceful fallback.
-  static bool reachable(const net::HostPort& coordinator,
-                        double timeout_seconds = 0.5);
 
   /// Live progress after each cell result (run::ProgressCallback
   /// semantics; called from inside run(), on this thread).

@@ -36,7 +36,7 @@ Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)),
       sessions_("esched-coordinator", "svc.coordinator", config_.auth_token,
                 *this),
-      fleet_(config_, net::AgentFleet::kNeverAbandon, *this),
+      fleet_(config_, net::SessionClient::kNeverAbandon, *this),
       queue_(run::retry_policy(config_),
              run::SweepRunner::prefix_sharing_default()) {
   ESCHED_REQUIRE(!config_.agents.empty(),

@@ -11,8 +11,8 @@
 // CI and the TSan tier use, and the mode to pipe into a file.
 //
 // The client half is deliberately primitive: one blocking HTTP/1.1 GET
-// per endpoint per frame over a fresh connection (the server speaks
-// Connection: close), body read to EOF. No keep-alive, no pipelining —
+// (obs::http_get) per endpoint per frame over a fresh connection (the
+// server speaks Connection: close), body read to EOF. No keep-alive, no pipelining —
 // at one frame per second against a localhost daemon there is nothing
 // to optimize, and the simple client doubles as an end-to-end exerciser
 // of the server's close-after-response contract.
@@ -26,10 +26,8 @@
 #include <thread>
 #include <vector>
 
-#include <poll.h>
-#include <unistd.h>
-
 #include "net/socket.hpp"
+#include "obs/http_exposition.hpp"
 #include "obs/log.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -51,67 +49,6 @@ void usage() {
       "  --once              print one frame and exit (no screen clears);\n"
       "                      exit status 0 when the daemon answered\n",
       stderr);
-}
-
-/// One blocking HTTP/1.1 GET over a fresh connection; returns the
-/// response body. Throws esched::Error on connect/IO failure or any
-/// non-200 status (the status line is quoted in the message).
-std::string http_get(const net::HostPort& addr, const std::string& path,
-                     double timeout_seconds) {
-  std::string error;
-  net::Fd fd = net::connect_tcp_start(addr, error);
-  ESCHED_REQUIRE(fd.valid(), "cannot reach " + addr.text() + ": " + error);
-  {
-    struct pollfd pfd = {fd.get(), POLLOUT, 0};
-    const int rc =
-        ::poll(&pfd, 1, static_cast<int>(timeout_seconds * 1000.0));
-    ESCHED_REQUIRE(rc > 0, "connect to " + addr.text() + " timed out");
-  }
-  ESCHED_REQUIRE(net::connect_tcp_finish(fd.get(), error),
-                 "cannot reach " + addr.text() + ": " + error);
-
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: " + addr.host +
-                              "\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::write(fd.get(), request.data() + sent, request.size() - sent);
-    if (n < 0) {
-      struct pollfd pfd = {fd.get(), POLLOUT, 0};
-      ESCHED_REQUIRE(
-          ::poll(&pfd, 1, static_cast<int>(timeout_seconds * 1000.0)) > 0,
-          "request to " + addr.text() + " timed out");
-      continue;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd.get(), buf, sizeof buf);
-    if (n > 0) {
-      response.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) break;  // server closes after the response (no keep-alive)
-    struct pollfd pfd = {fd.get(), POLLIN, 0};
-    ESCHED_REQUIRE(
-        ::poll(&pfd, 1, static_cast<int>(timeout_seconds * 1000.0)) > 0,
-        "response from " + addr.text() + " timed out");
-  }
-
-  const std::size_t line_end = response.find("\r\n");
-  ESCHED_REQUIRE(line_end != std::string::npos,
-                 addr.text() + path + ": truncated HTTP response");
-  const std::string status_line = response.substr(0, line_end);
-  ESCHED_REQUIRE(status_line.find(" 200 ") != std::string::npos,
-                 addr.text() + path + ": " + status_line);
-  const std::size_t body = response.find("\r\n\r\n");
-  ESCHED_REQUIRE(body != std::string::npos,
-                 addr.text() + path + ": headerless HTTP response");
-  return response.substr(body + 4);
 }
 
 /// Parse Prometheus text exposition into {name{labels} -> value}. Only
@@ -233,11 +170,11 @@ int run_top(const CliArgs& args) {
   double last_cells = -1.0;
   for (;;) {
     const minijson::Value health =
-        minijson::Value::parse(http_get(addr, "/healthz", timeout));
+        minijson::Value::parse(obs::http_get(addr, "/healthz", timeout));
     const minijson::Value sweeps =
-        minijson::Value::parse(http_get(addr, "/sweeps", timeout));
+        minijson::Value::parse(obs::http_get(addr, "/sweeps", timeout));
     const std::map<std::string, double> metrics =
-        parse_metrics(http_get(addr, "/metrics", timeout));
+        parse_metrics(obs::http_get(addr, "/metrics", timeout));
 
     double cells_per_second = -1.0;
     const auto cells = metrics.find("esched_svc_cells_completed");

@@ -33,13 +33,13 @@
 #include <thread>
 #include <vector>
 
-#include <poll.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "net/distributed.hpp"
 #include "net/socket.hpp"
+#include "obs/http_exposition.hpp"
 #include "obs/registry.hpp"
 #include "run/endpoint.hpp"
 #include "run/proc.hpp"
@@ -651,49 +651,7 @@ TEST(CoordinatorTest, DiskFullFaultsNeverChangeResults) {
 /// One blocking HTTP/1.1 GET; returns the response body, fails the test
 /// (via Error) on connect trouble or a non-200 status.
 std::string http_get(const net::HostPort& addr, const std::string& path) {
-  std::string error;
-  net::Fd fd = net::connect_tcp_start(addr, error);
-  ESCHED_REQUIRE(fd.valid(), "connect to " + addr.text() + ": " + error);
-  {
-    struct pollfd pfd = {fd.get(), POLLOUT, 0};
-    ESCHED_REQUIRE(::poll(&pfd, 1, 10000) > 0,
-                   "connect to " + addr.text() + " timed out");
-  }
-  ESCHED_REQUIRE(net::connect_tcp_finish(fd.get(), error),
-                 "connect to " + addr.text() + ": " + error);
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: test\r\n"
-                              "Connection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::write(fd.get(), request.data() + sent, request.size() - sent);
-    if (n < 0) {
-      struct pollfd pfd = {fd.get(), POLLOUT, 0};
-      ESCHED_REQUIRE(::poll(&pfd, 1, 10000) > 0, "send timed out");
-      continue;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd.get(), buf, sizeof buf);
-    if (n > 0) {
-      response.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) break;
-    struct pollfd pfd = {fd.get(), POLLIN, 0};
-    ESCHED_REQUIRE(::poll(&pfd, 1, 10000) > 0, "response timed out");
-  }
-  ESCHED_REQUIRE(response.find(" 200 ") != std::string::npos &&
-                     response.find(" 200 ") < response.find("\r\n"),
-                 addr.text() + path + " answered: " +
-                     response.substr(0, response.find("\r\n")));
-  const std::size_t body = response.find("\r\n\r\n");
-  ESCHED_REQUIRE(body != std::string::npos, "headerless HTTP response");
-  return response.substr(body + 4);
+  return obs::http_get(addr, path, 10.0);
 }
 
 /// Run `esched-top HOST:PORT --once`, capture stdout, require exit 0.
