@@ -77,11 +77,14 @@ echo "== tier-1: ASan+UBSan build of the untrusted-bytes tests =="
 # workers write corrupt frames that run::WorkerSlots must reassemble and
 # reject. pool_run_test drives run::PoolRun over fake lanes;
 # session_client_test feeds net::SessionClient a fake server's rejections,
-# foreign versions and a 200 MiB pre-welcome frame header.
+# foreign versions and a 200 MiB pre-welcome frame header. trace_test and
+# meta_test check Trace::add_job's in-place insert against std::stable_sort;
+# every trace goes through it (SWF-loaded, generated, carved per center).
 cmake -B build-asan -S . -DESCHED_SANITIZE=address,undefined \
   -DESCHED_BUILD_BENCH=OFF -DESCHED_BUILD_EXAMPLES=OFF
 asan_tests="wire_test net_frame_test session_server_test session_client_test
   svc_journal_test http_exposition_test minijson_test swf_test
+  trace_test meta_test
   endpoint_test cell_queue_test pool_run_test proc_pool_test
   distributed_test coordinator_test"
 # shellcheck disable=SC2086  # word-split the list on purpose

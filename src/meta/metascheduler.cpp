@@ -125,9 +125,8 @@ trace::Trace build_center_trace(const trace::Trace& global,
     if (plan.center[i] != center) continue;
     trace::Job job = global[i];
     if (plan.center[i] != plan.home[i]) job.submit += spec.move_penalty;
-    out.add_job(job);
+    out.add_job(job);  // move-penalty shifts insert a job out of order
   }
-  out.finalize();  // move-penalty shifts can reorder arrivals
   return out;
 }
 

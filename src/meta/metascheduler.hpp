@@ -40,13 +40,14 @@ struct RoutingPlan {
 };
 
 /// Phase 1: deterministic home assignment + routing of every job of the
-/// (finalized) global trace. Throws esched::Error when a job fits on no
-/// center or the spec fails validate().
+/// global trace. Throws esched::Error when a job fits on no center or the
+/// spec fails validate().
 RoutingPlan route_jobs(const trace::Trace& global, const MetaSpec& spec);
 
 /// Phase 2: one center's sub-trace. Named "<global>@<center>", sized to
-/// the center's nodes (0 = the global machine size), jobs re-sorted
-/// after the move-penalty shift.
+/// the center's nodes (0 = the global machine size). A moved job arrives
+/// `move_penalty` late, so add_job inserts it after the jobs it now
+/// trails: the carve costs O(jobs + displaced positions), one pass.
 trace::Trace build_center_trace(const trace::Trace& global,
                                 const MetaSpec& spec,
                                 const RoutingPlan& plan,

@@ -123,8 +123,8 @@ class Simulation {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Run `policy` over `trace` under `pricing`. The trace must be finalized
-/// and valid; every job must carry a power profile if the bill is to be
+/// Run `policy` over `trace` under `pricing`. The trace must be valid;
+/// every job must carry a power profile if the bill is to be
 /// meaningful. Deterministic: same inputs, same SimResult.
 ///
 /// `visibility` (optional) decouples the power profile the *scheduler*

@@ -148,7 +148,6 @@ Trace generate(const SyntheticConfig& cfg, std::uint64_t seed) {
       out.add_job(j);
     }
   }
-  out.finalize();
   return out;
 }
 
@@ -310,7 +309,6 @@ Trace make_mira_like(const MiraConfig& mc, std::uint64_t seed) {
                         science_weights, kSecondsPerMonth - split, sigma),
          sigma, /*power_sd=*/2.5);
   }
-  out.finalize();
   return renumber(out);
 }
 

@@ -1,6 +1,6 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "util/error.hpp"
@@ -22,19 +22,12 @@ void Trace::add_job(Job job) {
   ESCHED_REQUIRE(job.walltime > 0, "job walltime must be positive");
   ESCHED_REQUIRE(job.submit >= 0, "job submit time must be non-negative");
   ESCHED_REQUIRE(job.power_per_node >= 0.0, "job power must be non-negative");
-  const bool in_order =
-      jobs_.empty() || jobs_.back().submit < job.submit ||
-      (jobs_.back().submit == job.submit && jobs_.back().id < job.id);
-  jobs_.push_back(job);
-  if (!in_order) finalize();
-}
-
-void Trace::finalize() {
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const Job& a, const Job& b) {
-                     if (a.submit != b.submit) return a.submit < b.submit;
-                     return a.id < b.id;
-                   });
+  // Insert after the last job that does not order after `job`: where a
+  // stable sort of the append sequence would put it. An in-order append
+  // costs O(1), an out-of-order one its displacement.
+  auto pos = jobs_.end();
+  while (pos != jobs_.begin() && submit_before(job, *std::prev(pos))) --pos;
+  jobs_.insert(pos, job);
 }
 
 TimeSec Trace::first_submit() const {

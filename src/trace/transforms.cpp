@@ -25,7 +25,6 @@ Trace scale_arrivals(const Trace& input, double factor) {
     j.submit = static_cast<TimeSec>(std::llround(base + scaled_offset));
     out.add_job(j);
   }
-  out.finalize();
   return out;
 }
 

@@ -52,7 +52,6 @@ trace::Trace uniform_trace(std::size_t jobs, DurationSec gap = 60,
     job.power_per_node = 40.0;
     trace.add_job(job);
   }
-  trace.finalize();
   return trace;
 }
 
@@ -204,7 +203,6 @@ TEST(RouteJobsTest, CapacityGatesBothHomeAndDestination) {
     job.power_per_node = 40.0;
     trace.add_job(job);
   }
-  trace.finalize();
   const RoutingPlan plan = route_jobs(trace, spec);
   EXPECT_EQ(plan.jobs_per_center[0], 0u);
   EXPECT_EQ(plan.jobs_per_center[1], 10u);
@@ -256,6 +254,37 @@ TEST(RouteJobsTest, MovePenaltyDelaysOffHomeArrivals) {
       EXPECT_EQ(job.submit, expected) << "job " << job.id;
     }
   }
+}
+
+TEST(RouteJobsTest, CarveMatchesFilterShiftStableSort) {
+  // A penalty of ten arrival gaps puts every moved job behind the home
+  // jobs that follow it, so the carve inserts out of order many times.
+  MetaSpec spec = two_center_spec("cheapest-now");
+  spec.move_penalty = 600;
+  const trace::Trace trace = uniform_trace(2000, 60);
+  const RoutingPlan plan = route_jobs(trace, spec);
+  ASSERT_GT(plan.moved, 0u);
+  bool reordered = false;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    std::vector<trace::Job> expected;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (plan.center[i] != c) continue;
+      trace::Job job = trace[i];
+      if (plan.center[i] != plan.home[i]) job.submit += spec.move_penalty;
+      expected.push_back(job);
+    }
+    const std::vector<trace::Job> filtered = expected;
+    std::stable_sort(expected.begin(), expected.end(), trace::submit_before);
+    const trace::Trace local = build_center_trace(trace, spec, plan, c);
+    ASSERT_EQ(local.size(), expected.size()) << "center " << c;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      ASSERT_EQ(local[k].id, expected[k].id) << "center " << c << " pos " << k;
+      ASSERT_EQ(local[k].submit, expected[k].submit) << "job " << local[k].id;
+      reordered = reordered || filtered[k].id != expected[k].id;
+    }
+    local.validate();
+  }
+  EXPECT_TRUE(reordered);  // the case exercises out-of-order inserts
 }
 
 TEST(SimulateCenterTest, SingleCenterIsByteIdenticalToPlainCell) {

@@ -135,7 +135,6 @@ trace::Trace random_trace(Rng& rng) {
     j.user = static_cast<int>(rng.uniform_int(0, 3));
     t.add_job(j);
   }
-  t.finalize();
   return t;
 }
 

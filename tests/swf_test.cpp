@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -232,6 +234,48 @@ TEST(SwfTest, RoundTripWithPowerColumn) {
   ASSERT_EQ(back.size(), 2u);
   EXPECT_NEAR(back[0].power_per_node, 23.456789, 1e-6);
   EXPECT_NEAR(back[1].power_per_node, 57.5, 1e-6);
+}
+
+TEST(SwfTest, ReversedFileLoadsToTheSortedTrace) {
+  // Pairs of jobs share a submit, so ties must resolve by id either way.
+  Trace t("big", 64);
+  for (JobId id = 1; id <= 50000; ++id) {
+    t.add_job(make_job(id, (id / 2) * 30, 1 + id % 64, 600));
+  }
+  std::ostringstream out;
+  save(out, t, /*with_power_column=*/false);
+
+  std::istringstream lines(out.str());
+  std::string header;
+  std::vector<std::string> records;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == ';') {
+      header += line + "\n";
+    } else {
+      records.push_back(line);
+    }
+  }
+  ASSERT_EQ(records.size(), t.size());
+  std::string reversed = header;
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    reversed += *it + "\n";
+  }
+
+  std::istringstream sorted_in(out.str());
+  std::istringstream reversed_in(reversed);
+  const Trace a = load(sorted_in, "big");
+  const Trace b = load(reversed_in, "big");
+  ASSERT_EQ(a.size(), t.size());
+  ASSERT_EQ(b.size(), t.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(b[i].id, a[i].id) << "pos " << i;
+    ASSERT_EQ(b[i].submit, a[i].submit) << "pos " << i;
+    ASSERT_EQ(b[i].nodes, a[i].nodes) << "pos " << i;
+    ASSERT_EQ(b[i].runtime, a[i].runtime) << "pos " << i;
+    ASSERT_EQ(b[i].walltime, a[i].walltime) << "pos " << i;
+    ASSERT_EQ(a[i].id, t[i].id) << "pos " << i;
+  }
+  b.validate();
 }
 
 TEST(SwfTest, LoadFileErrorsOnMissingPath) {

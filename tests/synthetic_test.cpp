@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "trace/trace_stats.hpp"
 #include "util/error.hpp"
@@ -158,6 +159,30 @@ TEST(MiraTest, StructureMatchesCaseStudy) {
   EXPECT_GT(static_cast<double>(single_rack_second_half) /
                 static_cast<double>(second_half_count),
             0.7);
+}
+
+TEST(MiraTest, JobOrderDigestIsPinned) {
+  // make_mira_like appends each phase's jobs at random submits, so every
+  // job takes add_job's out-of-order path. FNV-1a 64 over each job's
+  // (id, submit, nodes, runtime, walltime), recorded when add_job still
+  // re-sorted the whole trace per out-of-order append.
+  const Trace t = make_mira_like();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Job& j : t.jobs()) {
+    mix(j.id);
+    mix(j.submit);
+    mix(j.nodes);
+    mix(j.runtime);
+    mix(j.walltime);
+  }
+  EXPECT_EQ(t.size(), 3333u);
+  EXPECT_EQ(h, 0x84b5f8306ea498faull);
 }
 
 TEST(MiraTest, ConfigKnobsRespected) {

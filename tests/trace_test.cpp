@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "trace/trace_stats.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace esched::trace {
 namespace {
@@ -24,7 +29,7 @@ Job make_job(JobId id, TimeSec submit, NodeCount nodes,
 TEST(TraceTest, AddJobKeepsSubmitOrder) {
   Trace t("test", 64);
   t.add_job(make_job(1, 100, 4, 60));
-  t.add_job(make_job(2, 50, 4, 60));   // out of order: triggers re-sort
+  t.add_job(make_job(2, 50, 4, 60));   // out of order: inserted in place
   t.add_job(make_job(3, 75, 4, 60));
   EXPECT_EQ(t.size(), 3u);
   EXPECT_EQ(t[0].id, 2);
@@ -39,6 +44,63 @@ TEST(TraceTest, TiesBreakById) {
   t.add_job(make_job(2, 100, 1, 60));
   EXPECT_EQ(t[0].id, 2);
   EXPECT_EQ(t[1].id, 9);
+}
+
+/// Expects `t` to hold exactly `appended` in std::stable_sort order.
+void expect_stable_sorted(const Trace& t, std::vector<Job> appended) {
+  std::stable_sort(appended.begin(), appended.end(), submit_before);
+  ASSERT_EQ(t.size(), appended.size());
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    // `user` carries the append index, so equal keys check stability.
+    ASSERT_EQ(t[i].id, appended[i].id) << "pos " << i;
+    ASSERT_EQ(t[i].submit, appended[i].submit) << "pos " << i;
+    ASSERT_EQ(t[i].user, appended[i].user) << "pos " << i;
+  }
+}
+
+TEST(TraceTest, AddJobMatchesStableSortOfAppendOrder) {
+  // Seeded random append orders: few distinct submits (many ties), ids
+  // drawn with repeats, so whole (submit, id) keys collide too.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Trace t("prop", 64);
+    std::vector<Job> appended;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    for (std::size_t i = 0; i < n; ++i) {
+      Job j = make_job(rng.uniform_int(1, 200), rng.uniform_int(0, 40), 1, 60);
+      j.user = static_cast<int>(i);
+      t.add_job(j);
+      appended.push_back(j);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_stable_sorted(t, appended);
+  }
+}
+
+TEST(TraceTest, CarvePatternInsertsInLinearTime) {
+  // The multi-center carve's shape: every other job arrives a move
+  // penalty (ten gaps) late. A re-sort per out-of-order append made this
+  // take minutes; an in-place insert moves each on-time job past the at
+  // most five late jobs ahead of it.
+  Trace t("carve", 64);
+  std::vector<Job> appended;
+  constexpr std::size_t kJobs = 200000;
+  appended.reserve(kJobs);
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const auto step = static_cast<TimeSec>(i) * 60;
+    Job j = make_job(static_cast<JobId>(i + 1), step + (i % 2 ? 600 : 0), 1,
+                     60);
+    j.user = static_cast<int>(i);
+    t.add_job(j);
+    appended.push_back(j);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 5.0);  // well under a second, even under sanitizers
+  expect_stable_sorted(t, appended);
+  t.validate();
 }
 
 TEST(TraceTest, RejectsInvalidJobs) {
