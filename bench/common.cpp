@@ -396,13 +396,6 @@ std::vector<sim::SimResult> run_sweep_tcp(
 std::vector<sim::SimResult> run_all_policies(const trace::Trace& trace,
                                              const power::PricingModel& tariff,
                                              const sim::SimConfig& config,
-                                             std::size_t jobs) {
-  return run_sweep(all_policies_sweep(trace, tariff, config), jobs);
-}
-
-std::vector<sim::SimResult> run_all_policies(const trace::Trace& trace,
-                                             const power::PricingModel& tariff,
-                                             const sim::SimConfig& config,
                                              const Options& options) {
   return run_sweep(all_policies_sweep(trace, tariff, config), options);
 }
@@ -423,12 +416,6 @@ std::vector<sim::SimResult> run_all_policies(Workload which,
                               policy + "/" + workload_name(which)));
   }
   return run_sweep(sweep, options);
-}
-
-std::vector<sim::SimResult> run_sweep(const std::vector<run::SimJob>& sweep,
-                                      std::size_t jobs) {
-  run::SweepRunner runner(jobs);
-  return runner.run(sweep);
 }
 
 std::vector<sim::SimResult> run_sweep(const std::vector<run::SimJob>& sweep,

@@ -214,17 +214,10 @@ run::SimJob make_meta_cell(std::shared_ptr<const trace::Trace> trace,
                            const sim::SimConfig& config, std::string label);
 
 /// Run FCFS, Greedy and Knapsack over the trace; results in that order.
-/// Backed by the parallel sweep runner: the three simulations execute on
-/// `jobs` workers (0 = runner default, 1 = serial) with bit-identical
-/// results either way. Pass Options::jobs to honor --jobs.
-std::vector<sim::SimResult> run_all_policies(const trace::Trace& trace,
-                                             const power::PricingModel& tariff,
-                                             const sim::SimConfig& config,
-                                             std::size_t jobs = 0);
-
-/// As above, honoring the full observability contract of `options`:
-/// --jobs, task trace spans (--trace-out), live progress (--progress) and
-/// a registry snapshot to --metrics-out after the sweep.
+/// Backed by the parallel sweep runner, with bit-identical results at any
+/// worker count, and honoring the full observability contract of
+/// `options`: --jobs, task trace spans (--trace-out), live progress
+/// (--progress) and a registry snapshot to --metrics-out after the sweep.
 std::vector<sim::SimResult> run_all_policies(const trace::Trace& trace,
                                              const power::PricingModel& tariff,
                                              const sim::SimConfig& config,
@@ -241,14 +234,10 @@ std::vector<sim::SimResult> run_all_policies(Workload which,
                                              const sim::SimConfig& config,
                                              const Options& options);
 
-/// Submit a whole experiment grid through the parallel runner; results in
-/// submission order. Thin wrapper over run::SweepRunner for drivers that
-/// build their own run::SimJob vectors.
-std::vector<sim::SimResult> run_sweep(const std::vector<run::SimJob>& sweep,
-                                      std::size_t jobs = 0);
-
-/// Options-aware variant: wires the tracer, progress rendering and the
-/// metrics snapshot exactly like run_all_policies(..., options).
+/// Submit a whole experiment grid, for drivers that build their own
+/// run::SimJob vectors; results in submission order. Wires the tracer,
+/// progress rendering and the metrics snapshot exactly like
+/// run_all_policies(..., options).
 std::vector<sim::SimResult> run_sweep(const std::vector<run::SimJob>& sweep,
                                       const Options& options);
 

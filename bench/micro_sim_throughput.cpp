@@ -3,14 +3,6 @@
 // policy. Establishes that five-month, hundred-thousand-job studies run
 // in seconds (the reason the sweeps in bench/ are cheap).
 //
-// Sweep mode (`--sweep`): instead of google-benchmark, run a 3-policy x
-// 4-power-ratio grid twice — serially (--jobs 1 semantics) and through
-// the parallel SweepRunner — verify the results are bit-identical, and
-// print wall/cpu/task timings plus the speedup. `--sweep-json FILE`
-// additionally records the numbers (BENCH_sweep.json in the repo).
-// Extra sweep flags: --months N (default 1), --jobs N (default: runner
-// default, i.e. ESCHED_JOBS or hardware_concurrency).
-//
 // Obs-overhead mode (`--obs-overhead`): measure the cost of the src/obs
 // instrumentation by running the three policies over one trace with
 // (a) observability off, (b) counters hot, (c) counters + full tracing,
@@ -121,120 +113,6 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
-
-// ---- sweep mode: serial vs parallel runner comparison ----
-
-constexpr double kSweepPowerRatios[] = {2.0, 3.0, 4.0, 5.0};
-
-void print_stats(const char* label, const run::SweepStats& s) {
-  std::printf(
-      "%-8s jobs=%zu tasks=%zu wall=%.3fs cpu=%.3fs "
-      "task min/mean/max=%.3f/%.3f/%.3f s\n",
-      label, s.threads, s.tasks, s.wall_seconds, s.cpu_seconds,
-      s.task_min_seconds, s.task_mean_seconds, s.task_max_seconds);
-}
-
-void write_json(const std::string& path, std::size_t months,
-                std::size_t cells, std::size_t trace_jobs,
-                const run::SweepStats& serial,
-                const run::SweepStats& parallel, bool identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ESCHED_REQUIRE(f != nullptr, "cannot open " + path + " for writing");
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_sim_throughput --sweep\",\n"
-               "  \"grid\": {\"policies\": 3, \"power_ratios\": "
-               "[2, 3, 4, 5], \"months\": %zu, \"cells\": %zu,\n"
-               "           \"trace_jobs_per_cell\": %zu},\n"
-               "  \"host_hardware_threads\": %u,\n",
-               months, cells, trace_jobs,
-               std::thread::hardware_concurrency());
-  const auto emit = [f](const char* key, const run::SweepStats& s) {
-    std::fprintf(f,
-                 "  \"%s\": {\"jobs\": %zu, \"wall_seconds\": %.6f, "
-                 "\"cpu_seconds\": %.6f,\n"
-                 "    \"task_seconds_min\": %.6f, \"task_seconds_mean\": "
-                 "%.6f, \"task_seconds_max\": %.6f},\n",
-                 key, s.threads, s.wall_seconds, s.cpu_seconds,
-                 s.task_min_seconds, s.task_mean_seconds,
-                 s.task_max_seconds);
-  };
-  emit("serial", serial);
-  emit("parallel", parallel);
-  std::fprintf(f,
-               "  \"note\": \"wall speedup is bounded by "
-               "host_hardware_threads; the 4x target needs >= 8 cores\",\n"
-               "  \"speedup_wall\": %.3f,\n"
-               "  \"bit_identical\": %s\n"
-               "}\n",
-               parallel.wall_seconds > 0.0
-                   ? serial.wall_seconds / parallel.wall_seconds
-                   : 0.0,
-               identical ? "true" : "false");
-  std::fclose(f);
-}
-
-int run_sweep_mode(const CliArgs& args) {
-  const auto months =
-      static_cast<std::size_t>(args.get_int_or("months", 1));
-  const auto jobs = static_cast<std::size_t>(args.get_int_or("jobs", 0));
-
-  // The grid: 3 policies x 4 power ratios over a one-seed ANL-BGP-like
-  // month. Each ratio gets its own trace (profiles are part of the trace).
-  std::vector<run::SimJob> sweep;
-  std::vector<std::shared_ptr<const trace::Trace>> traces;
-  const auto tariff =
-      std::make_shared<const power::OnOffPeakPricing>(0.03, 3.0);
-  for (const double ratio : kSweepPowerRatios) {
-    trace::Trace t = trace::make_anl_bgp_like(months, 99);
-    power::ProfileConfig cfg;
-    cfg.ratio = ratio;
-    power::assign_profiles(t, cfg, 99);
-    traces.push_back(std::make_shared<const trace::Trace>(std::move(t)));
-    const run::PolicyFactory factories[] = {
-        [] { return std::make_unique<core::FcfsPolicy>(); },
-        [] { return std::make_unique<core::GreedyPowerPolicy>(); },
-        [] { return std::make_unique<core::KnapsackPolicy>(); },
-    };
-    for (const run::PolicyFactory& factory : factories) {
-      sweep.push_back({traces.back(), tariff, factory, sim::SimConfig{},
-                       "ratio=" + std::to_string(ratio), nullptr});
-    }
-  }
-
-  run::SweepRunner serial_runner(1);
-  const auto serial_results = serial_runner.run(sweep);
-  const run::SweepStats serial = serial_runner.last_stats();
-
-  run::SweepRunner parallel_runner(jobs);
-  const auto parallel_results = parallel_runner.run(sweep);
-  const run::SweepStats parallel = parallel_runner.last_stats();
-
-  bool identical = serial_results.size() == parallel_results.size();
-  for (std::size_t i = 0; identical && i < serial_results.size(); ++i) {
-    identical = run::results_identical(serial_results[i],
-                                       parallel_results[i]);
-  }
-
-  std::printf("== micro_sim_throughput --sweep ==\n");
-  std::printf("grid: 3 policies x 4 power ratios, months=%zu, %zu jobs "
-              "per trace\n",
-              months, traces.front()->size());
-  print_stats("serial", serial);
-  print_stats("parallel", parallel);
-  std::printf("speedup(wall)=%.2fx  bit-identical=%s\n",
-              parallel.wall_seconds > 0.0
-                  ? serial.wall_seconds / parallel.wall_seconds
-                  : 0.0,
-              identical ? "yes" : "NO");
-
-  if (const auto json = args.get("sweep-json")) {
-    write_json(*json, months, sweep.size(), traces.front()->size(), serial,
-               parallel, identical);
-    std::printf("wrote %s\n", json->c_str());
-  }
-  return identical ? 0 : 1;
-}
 
 // ---- sim-core mode: the fast-core acceptance bench ----
 
@@ -741,7 +619,6 @@ int run_obs_overhead_mode(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   const esched::CliArgs args = esched::CliArgs::parse(argc, argv);
-  if (args.has("sweep")) return run_sweep_mode(args);
   if (args.has("sim-core")) return run_sim_core_mode(args);
   if (args.has("obs-overhead")) return run_obs_overhead_mode(args);
   benchmark::Initialize(&argc, argv);

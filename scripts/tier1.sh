@@ -49,11 +49,10 @@ cmake -B build-tsan -S . -DESCHED_SANITIZE=thread \
 # byte-identity pass that runs meta cells through the threaded
 # supervisor against sanitized esched-worker children.
 cmake --build build-tsan -j \
-  --target thread_pool_test sweep_runner_test obs_registry_test \
+  --target sweep_runner_test obs_registry_test \
   event_queue_test telemetry_test \
   svc_journal_test endpoint_test cell_queue_test pool_run_test \
   coordinator_test obs_log_test http_exposition_test meta_test
-./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
 ./build-tsan/tests/obs_registry_test
 ./build-tsan/tests/event_queue_test

@@ -8,37 +8,10 @@
 #include "metrics/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/minijson.hpp"
 #include "util/types.hpp"
 
 namespace esched::metrics {
-
-namespace {
-
-// Minimal JSON string escaping (we only emit ASCII policy/trace names,
-// but be correct anyway).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void write_jobs_csv(std::ostream& out, const sim::SimResult& result) {
   out.precision(std::numeric_limits<double>::max_digits10);
@@ -78,8 +51,8 @@ void write_daily_curves_csv(std::ostream& out, const sim::SimResult& result) {
 void write_summary_json(std::ostream& out, const sim::SimResult& result) {
   out.precision(std::numeric_limits<double>::max_digits10);
   out << "{\n"
-      << "  \"policy\": \"" << json_escape(result.policy_name) << "\",\n"
-      << "  \"trace\": \"" << json_escape(result.trace_name) << "\",\n"
+      << "  \"policy\": \"" << minijson::escape(result.policy_name) << "\",\n"
+      << "  \"trace\": \"" << minijson::escape(result.trace_name) << "\",\n"
       << "  \"system_nodes\": " << result.system_nodes << ",\n"
       << "  \"jobs\": " << result.records.size() << ",\n"
       << "  \"horizon_begin\": " << result.horizon_begin << ",\n"

@@ -5,41 +5,11 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "util/minijson.hpp"
+
 namespace esched::obs {
 
 namespace {
-
-/// Minimal JSON string escaping for the cell label (the decision-record
-/// lines in the ring are already rendered JSON).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void crash_handler(int signo) {
   FlightRecorder::global().dump();
@@ -101,7 +71,7 @@ std::string FlightRecorder::dump() {
   if (!out.good()) return "";
   // No timestamps, no pids: the dump must be byte-stable across runs so
   // crash postmortems are diffable.
-  out << "{\n  \"cell\": \"" << json_escape(label_) << "\",\n"
+  out << "{\n  \"cell\": \"" << minijson::escape(label_) << "\",\n"
       << "  \"task\": " << task_ << ",\n"
       << "  \"attempt\": " << attempt_ << ",\n"
       << "  \"records\": [";

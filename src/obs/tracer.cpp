@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/minijson.hpp"
 
 namespace esched::obs {
 
@@ -21,30 +22,6 @@ std::uint32_t this_thread_tid() {
   return tid;
 }
 
-// Same minimal escaping contract as metrics/export.cpp: ASCII-safe JSON
-// strings without a JSON library.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string render_tick_json(const TickRecord& record) {
@@ -52,7 +29,7 @@ std::string render_tick_json(const TickRecord& record) {
   line.precision(std::numeric_limits<double>::max_digits10);
   // Fixed key order — the JSONL schema documented in DESIGN.md; tests
   // (and humans with grep) rely on it.
-  line << "{\"sim\": \"" << json_escape(record.sim)
+  line << "{\"sim\": \"" << minijson::escape(record.sim)
        << "\", \"t\": " << record.time << ", \"period\": \""
        << record.period << "\", \"free_before\": " << record.free_before
        << ", \"free_after\": " << record.free_after
@@ -112,7 +89,7 @@ void Tracer::emit_event(const std::string& name, const char* category,
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.3f", ts);
   chrome_ << (first_event_ ? "" : ",\n") << "{\"name\": \""
-          << json_escape(name) << "\", \"cat\": \"" << category
+          << minijson::escape(name) << "\", \"cat\": \"" << category
           << "\", \"ph\": \"" << phase
           << "\", \"pid\": 1, \"tid\": " << tid << ", \"ts\": " << buf
           << "}";
@@ -152,7 +129,7 @@ void Tracer::complete_span_for(std::uint32_t pid, std::uint32_t track,
   std::snprintf(ts_buf, sizeof ts_buf, "%.3f", ts);
   std::snprintf(dur_buf, sizeof dur_buf, "%.3f", dur);
   chrome_ << (first_event_ ? "" : ",\n") << "{\"name\": \""
-          << json_escape(name) << "\", \"cat\": \"" << category
+          << minijson::escape(name) << "\", \"cat\": \"" << category
           << "\", \"ph\": \"X\", \"pid\": " << pid
           << ", \"tid\": " << track << ", \"ts\": " << ts_buf
           << ", \"dur\": " << dur_buf << "}";
@@ -166,7 +143,7 @@ void Tracer::process_name(std::uint32_t pid, const std::string& name) {
           << "{\"name\": \"process_name\", \"cat\": \"__metadata\", "
              "\"ph\": \"M\", \"pid\": "
           << pid << ", \"tid\": 0, \"args\": {\"name\": \""
-          << json_escape(name) << "\"}}";
+          << minijson::escape(name) << "\"}}";
   first_event_ = false;
 }
 
@@ -182,7 +159,7 @@ void Tracer::flow_event(char phase, std::uint64_t id,
   char ts_buf[64];
   std::snprintf(ts_buf, sizeof ts_buf, "%.3f", ts);
   chrome_ << (first_event_ ? "" : ",\n") << "{\"name\": \""
-          << json_escape(name) << "\", \"cat\": \"" << category
+          << minijson::escape(name) << "\", \"cat\": \"" << category
           << "\", \"ph\": \"" << phase << "\", \"id\": " << id
           << ", \"pid\": " << pid << ", \"tid\": " << track
           << ", \"ts\": " << ts_buf

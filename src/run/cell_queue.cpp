@@ -54,25 +54,16 @@ bool CellQueue::claim(Clock::time_point now, Dispatch& work) {
   if (first == pending_.end()) return false;
   Cell& leader = cells_.at(*first);
 
+  // The leader and its ready share-key siblings in queue order, up to
+  // the cap: exactly plan_groups' group of them, since queued cells have
+  // distinct cell_keys (a duplicate only adds a waiter), and the two
+  // config pointers plan_groups also checks never reach a task (the wire
+  // refuses a facility model and drops the tracer).
   std::vector<CellId> members{*first};
   if (!leader.share.empty()) {
-    // Only as many candidates as one task can carry: the leader heads
-    // group 0, and the planner stops it at the same cap.
-    std::vector<const JobSpec*> candidates{&leader.spec};
     for (const CellId id : queued_by_share_.at(leader.share)) {
       if (members.size() == wire::kMaxTaskMembers) break;
-      const Cell& cell = cells_.at(id);
-      if (id != *first && cell.ready_at <= now) {
-        members.push_back(id);
-        candidates.push_back(&cell.spec);
-      }
-    }
-    if (candidates.size() > 1) {
-      const std::vector<CellId> ids = std::move(members);
-      const ShareGroup group =
-          plan_groups(candidates, true, wire::kMaxTaskMembers).front();
-      members.clear();
-      for (const std::size_t m : group.members) members.push_back(ids[m]);
+      if (id != *first && cells_.at(id).ready_at <= now) members.push_back(id);
     }
   }
 

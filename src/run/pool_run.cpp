@@ -67,7 +67,8 @@ std::vector<sim::SimResult> PoolRun::run(Lanes& lanes) {
       lanes.on_poll(fds);
     }
   }
-  return finish();
+  stats_.wall_seconds = seconds_since(wall_start_);
+  return std::move(results_);
 }
 
 bool PoolRun::claim(std::size_t /*lane*/, Clock::time_point now,
@@ -108,7 +109,6 @@ bool PoolRun::on_result(std::size_t lane, const Endpoint& ep,
   obs::bump("pool.cells_rebilled", settled.size() - 1);
   ++stats_.simulated_cells;
   stats_.rebilled_cells += settled.size() - 1;
-  task_seconds_.push_back(seconds);
   stats_.worker_busy_seconds[lane] += seconds;
   for (const SettledCell& cell : settled) {
     const std::size_t first = cell.waiters.front().index;
@@ -146,15 +146,6 @@ void PoolRun::on_error(std::size_t /*lane*/, const Endpoint& ep,
   throw_failed(queue_.fail_task(ep.task, message));
   throw Error("kError for task " + std::to_string(ep.task) +
               ", which is not in flight");
-}
-
-std::vector<sim::SimResult> PoolRun::finish() {
-  stats_.wall_seconds = seconds_since(wall_start_);
-  stats_.time_tasks(task_seconds_);
-  // Round trips of successful attempts: the pool twin of the in-process
-  // runner's sim latency.
-  stats_.sim_latency = latency_stats(task_seconds_);
-  return std::move(results_);
 }
 
 }  // namespace esched::run

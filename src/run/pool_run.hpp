@@ -119,10 +119,9 @@ class PoolBase {
  public:
   /// Counters from the most recent run(). simulated/copied/rebilled cells
   /// count what the tasks produced: one simulation per task (a share
-  /// group above wire::kMaxTaskMembers runs as several); cpu_seconds, the
-  /// per-task durations and worker_busy_seconds (one entry per lane)
-  /// measure pool-observed round trips (dispatch to answer) of
-  /// *successful* attempts.
+  /// group above wire::kMaxTaskMembers runs as several);
+  /// worker_busy_seconds (one entry per lane) sums pool-observed round
+  /// trips (dispatch to answer) of *successful* attempts.
   const SweepStats& last_stats() const { return stats_; }
 
   /// Same contract as SweepRunner::set_progress. Calls arrive on the
@@ -169,7 +168,7 @@ class PoolRun final : public LaneOwner {
   std::size_t cells() const { return queue_.queued_cells(); }
 
   /// Poll `lanes` (which report to this run) until every cell has its
-  /// result, then fill the per-task stats and hand the results back in
+  /// result, then record the wall time and hand the results back in
   /// sweep order. stats.worker_busy_seconds has one entry per lane.
   /// Throws esched::Error when a cell exhausts its attempt budget, on a
   /// kError, and when no lane is usable.
@@ -191,8 +190,6 @@ class PoolRun final : public LaneOwner {
                 const std::string& message) override;
 
  private:
-  std::vector<sim::SimResult> finish();
-
   const PoolNames& names_;
   SweepStats& stats_;
   const ProgressCallback& progress_;
@@ -200,7 +197,6 @@ class PoolRun final : public LaneOwner {
   bool stamp_trace_;
   CellQueue queue_;
   std::vector<sim::SimResult> results_;
-  std::vector<double> task_seconds_;
   std::size_t cells_done_ = 0;
   Clock::time_point wall_start_;
 };

@@ -1,14 +1,11 @@
 #include "run/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <future>
 #include <mutex>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -17,7 +14,6 @@
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "run/spec.hpp"
-#include "run/thread_pool.hpp"
 #include "util/error.hpp"
 
 namespace esched::run {
@@ -45,11 +41,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-struct TaskOutcome {
-  sim::SimResult result;
-  double seconds = 0.0;
-};
 
 /// Produce one share group's members: the metascheduling layer for a
 /// meta leader (the SimJob's pointer members only exist to satisfy the
@@ -82,23 +73,6 @@ void record_cell_timer(const char* name, double seconds) {
 
 }  // namespace
 
-LatencyStats latency_stats(std::vector<double> seconds) {
-  LatencyStats out;
-  out.count = seconds.size();
-  if (seconds.empty()) return out;
-  std::sort(seconds.begin(), seconds.end());
-  const auto rank = [&](double q) {
-    // Nearest-rank: ceil(q * n) clamped into [1, n], 1-based.
-    const auto n = static_cast<double>(seconds.size());
-    const auto r = static_cast<std::size_t>(std::ceil(q * n));
-    return seconds[std::min(seconds.size() - 1, r == 0 ? 0 : r - 1)];
-  };
-  out.p50_seconds = rank(0.50);
-  out.p95_seconds = rank(0.95);
-  out.p99_seconds = rank(0.99);
-  return out;
-}
-
 SweepRunner::SweepRunner(std::size_t jobs)
     : jobs_(jobs != 0 ? jobs : default_jobs()) {}
 
@@ -130,15 +104,6 @@ void SweepStats::count_sharing(const std::vector<ShareGroup>& groups) {
     copied_cells += group.copies.size();
     rebilled_cells += group.members.size() - 1;
   }
-}
-
-void SweepStats::time_tasks(const std::vector<double>& seconds) {
-  if (seconds.empty()) return;
-  const auto [min, max] = std::minmax_element(seconds.begin(), seconds.end());
-  task_min_seconds = *min;
-  task_max_seconds = *max;
-  cpu_seconds = std::accumulate(seconds.begin(), seconds.end(), 0.0);
-  task_mean_seconds = cpu_seconds / static_cast<double>(seconds.size());
 }
 
 std::vector<sim::SimResult> SweepRunner::run(
@@ -188,16 +153,16 @@ std::vector<sim::SimResult> SweepRunner::run(
 
   // Results and errors indexed by submission position. A group task
   // writes only its own cells, so the tasks never share a slot.
-  std::vector<TaskOutcome> outcomes(sweep.size());
+  std::vector<sim::SimResult> results(sweep.size());
   std::vector<std::exception_ptr> errors(sweep.size());
 
-  // One task per share group: trace span around it, busy-time attribution to
-  // the executing worker, then the group's cells settle — members, then copies
-  // — each followed by the progress callback. A failed group leaves its cells
-  // empty; the leader's (earliest) exception is the one that propagates. Worker
-  // slots are disjoint per thread (the inline path owns slot 0), so the
-  // busy-time writes need no lock; future::get / thread join publish them.
-  const auto run_task = [&](const ShareGroup& group) {
+  // One task per share group, run by worker `slot`: trace span around it,
+  // then the group's cells settle — members, then copies — each adding its
+  // duration to the worker's busy time and followed by the progress
+  // callback. A failed group leaves its cells empty; the leader's
+  // (earliest) exception is the one that propagates. Each worker owns its
+  // busy-time slot, so those writes need no lock; the joins publish them.
+  const auto run_task = [&](const ShareGroup& group, std::size_t slot) {
     const std::size_t lead = group.members.front();
     std::string span_name;
     if (tracer_ != nullptr) {
@@ -211,10 +176,7 @@ std::vector<sim::SimResult> SweepRunner::run(
     } catch (...) {
       errors[lead] = std::current_exception();
     }
-    std::size_t slot = ThreadPool::current_index();
-    if (slot >= workers) slot = 0;
     const auto settle = [&](std::size_t i, double seconds) {
-      outcomes[i].seconds = seconds;
       stats_.worker_busy_seconds[slot] += seconds;
       try {
         report_progress();
@@ -226,7 +188,7 @@ std::vector<sim::SimResult> SweepRunner::run(
       const std::size_t i = group.members[k];
       double seconds = 0.0;
       if (!produced.empty()) {
-        outcomes[i].result = std::move(produced[k].result);
+        results[i] = std::move(produced[k].result);
         seconds = produced[k].seconds;
         record_cell_timer(k == 0 ? "sweep.cell_sim" : "sweep.cell_rebill",
                           seconds);
@@ -236,65 +198,49 @@ std::vector<sim::SimResult> SweepRunner::run(
     for (const ShareGroup::Copy& copy : group.copies) {
       const auto start = Clock::now();
       if (!produced.empty()) {
-        outcomes[copy.cell].result =
-            outcomes[group.members[copy.member]].result;
+        results[copy.cell] = results[group.members[copy.member]];
       }
       settle(copy.cell, seconds_since(start));
     }
   };
 
-  // Settle-all-then-propagate: every submitted task runs to completion
-  // (or to its own exception) before the first exception — whether it
-  // came from the task itself or from a throwing progress callback — is
-  // rethrown in submission order. Abandoning in-flight tasks on the
-  // first failure would leave the pool half-drained and make "which
-  // cells actually ran" depend on scheduling; settling first keeps
-  // failure behaviour deterministic and deadlock-free.
-  if (workers == 1) {
-    // Inline serial execution: the reference the determinism test holds
-    // the threaded path to, and free of pool overhead for --jobs 1.
-    for (const ShareGroup& group : groups) run_task(group);
-  } else {
-    ThreadPool pool(workers);
-    std::vector<std::future<void>> futures;
-    futures.reserve(groups.size());
-    for (const ShareGroup& group : groups) {
-      futures.push_back(
-          pool.submit([&run_task, &group] { run_task(group); }));
+  // The claim loop. The calling thread is worker 0 and workers - 1
+  // threads are workers 1..n-1; each takes the next share group, in plan
+  // order, from one cursor until none is left. With one worker no thread
+  // starts: that is the serial reference the determinism tests hold the
+  // threaded runs to. Nothing escapes a worker — whatever run_task throws
+  // is stored as its group's failure — so joining the threads settles
+  // every group.
+  std::atomic<std::size_t> cursor{0};
+  const auto work = [&](std::size_t slot) {
+    for (std::size_t g = cursor++; g < groups.size(); g = cursor++) {
+      try {
+        run_task(groups[g], slot);
+      } catch (...) {
+        const std::size_t lead = groups[g].members.front();
+        if (errors[lead] == nullptr) errors[lead] = std::current_exception();
+      }
     }
-    for (std::future<void>& f : futures) f.get();
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t slot = 1; slot < workers; ++slot) {
+      threads.emplace_back(work, slot);
+    }
+    work(0);
   }
 
-  std::exception_ptr first_error;
-  for (const std::exception_ptr& e : errors) {
-    if (e != nullptr) {
-      first_error = e;
-      break;
-    }
-  }
-
+  // Settle-all-then-propagate: every group ran to completion (or to its
+  // own exception) above; only now is the first exception in submission
+  // order — from a task or from a throwing progress callback — rethrown.
+  // Abandoning groups on the first failure would make "which cells
+  // actually ran" depend on scheduling; settling first keeps failure
+  // behaviour deterministic.
   stats_.wall_seconds = seconds_since(wall_start);
-  std::vector<sim::SimResult> results;
-  std::vector<double> task_seconds;
-  results.reserve(outcomes.size());
-  task_seconds.reserve(outcomes.size());
-  for (TaskOutcome& out : outcomes) {
-    task_seconds.push_back(out.seconds);
-    results.push_back(std::move(out.result));
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) std::rethrow_exception(e);
   }
-  stats_.time_tasks(task_seconds);
-  std::vector<double> sim_seconds;
-  std::vector<double> rebill_seconds;
-  sim_seconds.reserve(groups.size());
-  for (const ShareGroup& group : groups) {
-    sim_seconds.push_back(outcomes[group.members.front()].seconds);
-    for (std::size_t k = 1; k < group.members.size(); ++k) {
-      rebill_seconds.push_back(outcomes[group.members[k]].seconds);
-    }
-  }
-  stats_.sim_latency = latency_stats(std::move(sim_seconds));
-  stats_.rebill_latency = latency_stats(std::move(rebill_seconds));
-  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

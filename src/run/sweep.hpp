@@ -1,6 +1,7 @@
 // The parallel experiment runner: fan a grid of independent trace-driven
 // simulations (policy x trace x tariff x config — the shape of every
-// table/figure sweep in bench/) across a fixed thread pool.
+// table/figure sweep in bench/) across worker threads that claim its
+// share groups, in plan order, from one cursor.
 //
 // Ownership rules (the reason the API looks the way it does):
 //  * Traces and tariffs are immutable during a run and *shared read-only*
@@ -58,20 +59,6 @@ struct SimJob {
   std::shared_ptr<const JobSpec> spec;
 };
 
-/// Exact quantiles over one class of per-cell durations (nearest-rank on
-/// the sorted list; all zeros when `count` is 0). Unlike the obs::Timer
-/// histogram quantiles these are exact — a sweep has few enough cells to
-/// keep every sample.
-struct LatencyStats {
-  std::size_t count = 0;
-  double p50_seconds = 0.0;
-  double p95_seconds = 0.0;
-  double p99_seconds = 0.0;
-};
-
-/// Nearest-rank quantiles of `seconds` (consumed; sorted internally).
-LatencyStats latency_stats(std::vector<double> seconds);
-
 /// One remote agent's health as the fleet coordinator last saw it
 /// (net/distributed.hpp, svc/coordinator.hpp). The state machine is
 /// driven by kPing/kPong: "alive" = connected with every ping answered,
@@ -87,8 +74,8 @@ struct AgentLiveness {
   std::string last_error;  ///< most recent failure ("" when none)
 };
 
-/// Counters from the last SweepRunner::run() — the measurable half of the
-/// speedup story (micro_sim_throughput --sweep prints these).
+/// Counters from the last run() of SweepRunner or of a pool
+/// (bench/suite reads the sharing breakdown and the busy fractions).
 struct SweepStats {
   std::size_t tasks = 0;          ///< cells executed
   std::size_t threads = 0;        ///< workers actually used
@@ -99,18 +86,9 @@ struct SweepStats {
   std::size_t copied_cells = 0;
   std::size_t rebilled_cells = 0;
   double wall_seconds = 0.0;      ///< end-to-end elapsed time
-  double cpu_seconds = 0.0;       ///< sum of per-task durations
-  double task_min_seconds = 0.0;
-  double task_mean_seconds = 0.0;
-  double task_max_seconds = 0.0;
   /// Per-worker sum of task durations, indexed by worker (size ==
-  /// `threads`; the 1-thread inline path attributes everything to 0).
+  /// `threads`; worker 0 of a SweepRunner is the calling thread).
   std::vector<double> worker_busy_seconds;
-  /// Latency distributions of the cells simulated in full and the cells
-  /// re-billed from a leader's power signal (the two non-trivial ways a
-  /// cell gets its result; copies are ~free and not tracked).
-  LatencyStats sim_latency;
-  LatencyStats rebill_latency;
   /// Distributed transports only: per-agent health at the end of the run
   /// (empty for in-process/subprocess sweeps). Indexed like the
   /// configured agent list.
@@ -120,10 +98,6 @@ struct SweepStats {
   /// simulated cell per group, its other members rebilled, its copies
   /// copied.
   void count_sharing(const std::vector<ShareGroup>& groups);
-
-  /// Fill cpu_seconds and the per-task min/mean/max from every task's
-  /// duration (left at 0 when there is none).
-  void time_tasks(const std::vector<double>& seconds);
 
   /// Fraction of the wall time worker `i` spent executing tasks — the
   /// load-balance picture of a sweep (0 when wall time is unmeasurable).
@@ -147,8 +121,9 @@ struct SweepProgress {
 /// threads — keep it quick; rendering a stderr line is the intended use.
 using ProgressCallback = std::function<void(const SweepProgress&)>;
 
-/// Runs SimJob grids on `jobs` worker threads (0 = default_jobs()).
-/// A 1-thread runner executes inline on the calling thread — the serial
+/// Runs SimJob grids on `jobs` workers (0 = default_jobs()). The calling
+/// thread is worker 0 and the others are threads started per run(), so a
+/// 1-worker runner executes on the calling thread alone — the serial
 /// reference the determinism test compares against.
 class SweepRunner {
  public:
@@ -166,7 +141,7 @@ class SweepRunner {
   /// work: every submitted task still settles (runs to completion or to
   /// its own exception), and only then is the first exception in
   /// submission order rethrown. A throwing ProgressCallback therefore
-  /// cannot deadlock the pool or leak half-finished tasks
+  /// cannot deadlock the workers or leak half-finished tasks
   /// (sweep_runner_test pins both contracts).
   std::vector<sim::SimResult> run(const std::vector<SimJob>& sweep);
 

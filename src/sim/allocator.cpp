@@ -10,36 +10,64 @@ namespace esched::sim {
 
 CountingAllocator::CountingAllocator(NodeCount total_nodes,
                                      Watts idle_watts_per_node)
-    : cluster_(total_nodes, idle_watts_per_node) {}
-
-NodeCount CountingAllocator::total_nodes() const {
-  return cluster_.total_nodes();
+    : total_(total_nodes),
+      free_(total_nodes),
+      idle_watts_per_node_(idle_watts_per_node) {
+  ESCHED_REQUIRE(total_ > 0, "allocator needs at least one node");
+  ESCHED_REQUIRE(idle_watts_per_node_ >= 0.0, "negative idle power");
 }
 
-NodeCount CountingAllocator::free_nodes() const {
-  return cluster_.free_nodes();
-}
+NodeCount CountingAllocator::total_nodes() const { return total_; }
+
+NodeCount CountingAllocator::free_nodes() const { return free_; }
 
 void CountingAllocator::reserve(std::size_t max_concurrent) {
-  cluster_.reserve(max_concurrent);
+  slot_nodes_.reserve(max_concurrent);
+  slot_power_.reserve(max_concurrent);
+  free_slots_.reserve(max_concurrent);
 }
 
 bool CountingAllocator::can_allocate(NodeCount nodes) const {
-  return cluster_.fits(nodes);
+  return nodes <= free_;
 }
 
 std::int32_t CountingAllocator::try_allocate_slot(NodeCount nodes,
                                                   Watts watts_per_node) {
-  if (!cluster_.fits(nodes)) return -1;
-  return cluster_.allocate_slot(nodes, watts_per_node);
+  if (nodes > free_) return -1;
+  ESCHED_REQUIRE(nodes > 0, "allocation must take nodes");
+  ESCHED_REQUIRE(watts_per_node >= 0.0, "negative job power");
+  const Watts power = watts_per_node * static_cast<double>(nodes);
+  std::int32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slot_nodes_[static_cast<std::size_t>(slot)] = nodes;
+    slot_power_[static_cast<std::size_t>(slot)] = power;
+  } else {
+    slot = static_cast<std::int32_t>(slot_nodes_.size());
+    slot_nodes_.push_back(nodes);
+    slot_power_.push_back(power);
+  }
+  free_ -= nodes;
+  busy_power_ += power;
+  return slot;
 }
 
 void CountingAllocator::release_slot(std::int32_t slot) {
-  cluster_.release_slot(slot);
+  const auto s = static_cast<std::size_t>(slot);
+  ESCHED_REQUIRE(slot >= 0 && s < slot_nodes_.size() && slot_nodes_[s] > 0,
+                 "release of unallocated slot " + std::to_string(slot));
+  free_ += slot_nodes_[s];
+  busy_power_ -= slot_power_[s];
+  if (busy_power_ < 0.0) busy_power_ = 0.0;  // guard fp drift at empty
+  slot_nodes_[s] = 0;
+  slot_power_[s] = 0.0;
+  free_slots_.push_back(slot);
+  ESCHED_REQUIRE(free_ <= total_, "node accounting corrupted");
 }
 
 Watts CountingAllocator::current_power() const {
-  return cluster_.current_power();
+  return busy_power_ + idle_watts_per_node_ * static_cast<double>(free_);
 }
 
 // ---------------------------------------------------------- Contiguous --

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/cluster.hpp"
 #include "util/types.hpp"
 
 namespace esched::sim {
@@ -60,7 +59,10 @@ class NodeAllocator {
 };
 
 /// The paper's model: a fungible pool — any free nodes serve any job.
-/// Thin adapter over Cluster.
+/// It tracks free nodes, per-allocation state and the aggregate
+/// electrical power of the running mix, including an optional idle power
+/// per free node. Storage is struct-of-arrays slot columns: a slot handle
+/// indexes parallel vectors and is recycled through a free list.
 class CountingAllocator final : public NodeAllocator {
  public:
   explicit CountingAllocator(NodeCount total_nodes,
@@ -76,7 +78,14 @@ class CountingAllocator final : public NodeAllocator {
   std::string name() const override { return "counting"; }
 
  private:
-  Cluster cluster_;
+  NodeCount total_;
+  NodeCount free_;
+  Watts idle_watts_per_node_;
+  Watts busy_power_ = 0.0;  ///< sum over running jobs of nodes*watts
+  // Slot columns (parallel). slot_nodes_[s] == 0 marks a free slot.
+  std::vector<NodeCount> slot_nodes_;
+  std::vector<Watts> slot_power_;  ///< nodes * watts_per_node, per slot
+  std::vector<std::int32_t> free_slots_;
 };
 
 /// 1-D contiguous-block allocation: nodes form a line, a job occupies a

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/minijson.hpp"
+
 namespace esched::svc {
 
 namespace {
@@ -16,7 +18,7 @@ void append_kv(std::string& out, const char* key, const std::string& value) {
   out += '"';
   out += key;
   out += "\":\"";
-  out += json_escape(value);
+  out += minijson::escape(value);
   out += '"';
 }
 
@@ -42,30 +44,6 @@ void append_kv(std::string& out, const char* key, bool value) {
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string render_healthz(const OpsHealth& health) {
   std::string out = "{";

@@ -52,9 +52,6 @@ struct OpsSweeps {
   std::size_t cells_in_flight = 0;  ///< distinct cells on the fleet now
 };
 
-/// JSON string escaping for the renderers (exposed for reuse in tests).
-std::string json_escape(const std::string& s);
-
 std::string render_healthz(const OpsHealth& health);
 std::string render_sweeps(const OpsSweeps& sweeps);
 

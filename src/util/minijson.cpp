@@ -1,5 +1,6 @@
 #include "util/minijson.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -21,6 +22,30 @@ const char* type_name(Value::Type t) {
 }
 
 }  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 class Parser {
  public:
@@ -161,19 +186,32 @@ class Parser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          // Preserved verbatim (see header): enough for our own emitters,
-          // which never escape beyond the mandatory set.
-          out += "\\u";
+          // An ASCII code point (what escape() writes for a control byte)
+          // decodes to its byte; any other is preserved verbatim (see
+          // header).
+          const std::size_t digits = pos_;
+          unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             if (pos_ >= s_.size()) fail("bad \\u escape");
             const char h = s_[pos_++];
-            const bool hex = (h >= '0' && h <= '9') ||
-                             (h >= 'a' && h <= 'f') || (h >= 'A' && h <= 'F');
-            if (!hex) {
+            unsigned v = 0;
+            if (h >= '0' && h <= '9') {
+              v = static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              v = static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              v = static_cast<unsigned>(h - 'A' + 10);
+            } else {
               --pos_;
               fail("bad \\u escape");
             }
-            out.push_back(h);
+            code = code * 16 + v;
+          }
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else {
+            out += "\\u";
+            out.append(s_, digits, 4);
           }
           break;
         }

@@ -1,20 +1,31 @@
-// A minimal JSON value parser (RFC 8259 subset: no surrogate-pair
-// decoding — \uXXXX escapes are preserved verbatim) for the handful of
-// places that *read* JSON this codebase itself emitted: esched-top
-// parsing a coordinator's /healthz and /sweeps answers, and tests
-// asserting on endpoint content. This is deliberately not a general
-// JSON library — no DOM mutation, no serialization — just a tree of
-// values with typed accessors that throw esched::Error (naming the
-// offending key or byte offset) instead of silently defaulting.
+// A minimal JSON value parser (RFC 8259 subset: a \uXXXX escape of an
+// ASCII code point decodes to its byte, any other is preserved verbatim)
+// for the handful of places that *read* JSON this codebase itself
+// emitted: esched-top parsing a coordinator's /healthz and /sweeps
+// answers, and tests asserting on endpoint content. This is deliberately
+// not a general JSON library — no DOM mutation, no serialization — just
+// a tree of values with typed accessors that throw esched::Error (naming
+// the offending key or byte offset) instead of silently defaulting.
+//
+// Its one writer is escape(), the string escaping every JSON emitter of
+// the codebase shares (metrics export, tracer, flight recorder, ops
+// endpoints), so what they write is what this parser reads back.
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace esched::minijson {
+
+/// The body of a JSON string holding `s` (no surrounding quotes): `"`,
+/// `\` and every control byte are escaped (`\n`, `\r`, `\t`, else
+/// `\u00XX`); all other bytes, UTF-8 included, pass through.
+/// Value::parse of the quoted result gives back `s`.
+std::string escape(std::string_view s);
 
 class Value {
  public:

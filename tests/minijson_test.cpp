@@ -26,6 +26,30 @@ TEST(MinijsonTest, StringEscapes) {
   EXPECT_EQ(Value::parse("\"a\\\\b\"").as_string(), "a\\b");
   EXPECT_EQ(Value::parse("\"a\\nb\\tc\"").as_string(), "a\nb\tc");
   EXPECT_EQ(Value::parse("\"a\\/b\"").as_string(), "a/b");
+  // \u escapes of ASCII decode; others stay verbatim.
+  EXPECT_EQ(Value::parse("\"\\u0041\\u000d\"").as_string(), "A\r");
+  EXPECT_EQ(Value::parse("\"\\u00e9\"").as_string(), "\\u00e9");
+}
+
+/// `s` escaped and quoted, then parsed back.
+std::string round_trip(const std::string& s) {
+  std::string json = "\"";
+  json += escape(s);
+  json += '"';
+  return Value::parse(json).as_string();
+}
+
+TEST(MinijsonTest, EscapeRoundTripsEveryAsciiByte) {
+  // escape() is the writer every JSON emitter shares; what it writes for
+  // any byte 0x01-0x7f must parse back to that byte.
+  std::string all;
+  for (int c = 0x01; c <= 0x7f; ++c) all.push_back(static_cast<char>(c));
+  EXPECT_EQ(round_trip(all), all);
+  for (const char c : all) {
+    const std::string one(1, c);
+    EXPECT_EQ(round_trip(one), one) << "byte " << static_cast<int>(c);
+  }
+  EXPECT_EQ(escape("a\"b\\c\r\x01"), "a\\\"b\\\\c\\r\\u0001");
 }
 
 TEST(MinijsonTest, NestedStructuresAndWhitespace) {

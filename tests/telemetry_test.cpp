@@ -2,9 +2,8 @@
 // obs/flight): the coordinator-side merge of per-process Registry
 // snapshots (label-prefixed metrics plus fleet.* sums, highest-sequence-
 // wins snapshot semantics, clock-offset re-basing of shipped spans), the
-// bounded span buffer, the crash flight recorder's ring/dump contract
-// (dump names the in-flight cell; byte-stable across runs), and the
-// exact nearest-rank latency quantiles SweepStats report.
+// bounded span buffer, and the crash flight recorder's ring/dump
+// contract (dump names the in-flight cell; byte-stable across runs).
 #include "obs/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "obs/registry.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/tracer.hpp"
-#include "run/sweep.hpp"
 #include "util/error.hpp"
 
 namespace esched::obs {
@@ -208,29 +206,6 @@ TEST(FlightRecorderTest, DumpNamesTheInFlightCellAndIsByteStable) {
 
   std::remove(path.c_str());
   ::rmdir(dir.c_str());
-}
-
-TEST(LatencyStatsTest, NearestRankQuantilesAreExact) {
-  const run::LatencyStats empty = run::latency_stats({});
-  EXPECT_EQ(empty.count, 0u);
-  EXPECT_EQ(empty.p50_seconds, 0.0);
-
-  const run::LatencyStats one = run::latency_stats({3.5});
-  EXPECT_EQ(one.count, 1u);
-  EXPECT_EQ(one.p50_seconds, 3.5);
-  EXPECT_EQ(one.p99_seconds, 3.5);
-
-  // 100 samples 0.01..1.00 (shuffled order must not matter): nearest-rank
-  // p50 is the 50th sorted sample, p95 the 95th, p99 the 99th.
-  std::vector<double> seconds;
-  for (int i = 100; i >= 1; --i) {
-    seconds.push_back(0.01 * i);
-  }
-  const run::LatencyStats s = run::latency_stats(std::move(seconds));
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.p50_seconds, 0.50);
-  EXPECT_DOUBLE_EQ(s.p95_seconds, 0.95);
-  EXPECT_DOUBLE_EQ(s.p99_seconds, 0.99);
 }
 
 }  // namespace
