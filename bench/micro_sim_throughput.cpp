@@ -11,8 +11,12 @@
 // esched-coordinator adds on top of the simulation itself), and
 // (e) counters + a live HTTP exposition plane under scrape load (an
 // obs::HttpServer answering GET /metrics as fast as a scraper thread
-// can ask while the simulation runs), taking the best of `--reps`
-// repetitions each. `--scale s|m|l|xl` picks the trace
+// can ask while the simulation runs), over `--reps` repetitions (21 by
+// default). Each rep runs (a) and (b) back to back, alternating which
+// goes first, then (c)-(e); a config's overhead is the median over reps
+// of its time divided by the same rep's (a), so a neighbour's load or a
+// clock drift moves both sides of a ratio alike instead of picking a
+// lucky best. `--scale s|m|l|xl` picks the trace
 // length like --sim-core (an explicit --months overrides it);
 // `--obs-json FILE` records the numbers (BENCH_obs_overhead.json in the
 // repo, the <2%/<5% overhead contract from DESIGN.md);
@@ -36,6 +40,7 @@
 // makes the exit status enforce a floor (the CI perf-smoke gate).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -430,7 +435,7 @@ int run_obs_overhead_mode(const CliArgs& args) {
       args.has("months")
           ? static_cast<std::size_t>(args.get_int_or("months", 1))
           : scale_months(args.get_or("scale", "s"));
-  const auto reps = static_cast<std::size_t>(args.get_int_or("reps", 5));
+  const auto reps = static_cast<std::size_t>(args.get_int_or("reps", 21));
   ESCHED_REQUIRE(reps >= 1, "--reps must be >= 1");
 
   trace::Trace t = trace::make_anl_bgp_like(months, 99);
@@ -490,13 +495,22 @@ int run_obs_overhead_mode(const CliArgs& args) {
   });
   double off = 0.0, counters = 0.0, full = 0.0, journaled = 0.0;
   double scraped = 0.0, scraped_seconds_total = 0.0;
+  // Per-rep ratios to the same rep's (a), one vector per config (b)-(e).
+  std::vector<double> counters_ratio, full_ratio, journaled_ratio,
+      scraped_ratio;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    // (a) Observability fully off — the cost every production run pays.
-    obs::set_counters_enabled(false);
-    const double a = time_policy_pass(t, pricing, sim::SimConfig{}, 1);
-    // (b) Counters hot, no tracing.
+    // (a) Observability fully off — the cost every production run pays —
+    // and (b) counters hot, no tracing: adjacent, in alternating order.
+    const auto time_with_counters = [&](bool on) {
+      obs::set_counters_enabled(on);
+      return time_policy_pass(t, pricing, sim::SimConfig{}, 1);
+    };
+    const bool off_first = rep % 2 == 0;
+    const double first = time_with_counters(!off_first);
+    const double second = time_with_counters(off_first);
+    const double a = off_first ? first : second;
+    const double b = off_first ? second : first;
     obs::set_counters_enabled(true);
-    const double b = time_policy_pass(t, pricing, sim::SimConfig{}, 1);
     // (c) Counters + both trace sinks (Chrome spans and the per-tick
     // JSONL decision log) — the worst case: decision-log I/O.
     const double c = time_policy_pass(t, pricing, traced, 1);
@@ -520,6 +534,10 @@ int run_obs_overhead_mode(const CliArgs& args) {
     if (rep == 0 || c < full) full = c;
     if (rep == 0 || d < journaled) journaled = d;
     if (rep == 0 || e < scraped) scraped = e;
+    counters_ratio.push_back(b / a);
+    full_ratio.push_back(c / a);
+    journaled_ratio.push_back(d / a);
+    scraped_ratio.push_back(e / a);
   }
   http_stop.store(true, std::memory_order_relaxed);
   pump.join();
@@ -535,11 +553,21 @@ int run_obs_overhead_mode(const CliArgs& args) {
   }
   if (!args.has("obs-journal-out")) std::remove(journal_path.c_str());
 
-  const auto overhead = [off](double seconds) {
-    return off > 0.0 ? (seconds / off - 1.0) * 100.0 : 0.0;
+  // Median per-rep ratio as a percentage over (a).
+  const auto overhead = [](std::vector<double> ratios) {
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t n = ratios.size();
+    const double median = n % 2 == 1 ? ratios[n / 2]
+                                     : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
+    return (median - 1.0) * 100.0;
   };
+  const double counters_pct = overhead(counters_ratio);
+  const double full_pct = overhead(full_ratio);
+  const double journaled_pct = overhead(journaled_ratio);
+  const double scraped_pct = overhead(scraped_ratio);
   std::printf("== micro_sim_throughput --obs-overhead ==\n");
-  std::printf("3 policies x %zu jobs, best of %zu reps per config\n",
+  std::printf("3 policies x %zu jobs, %zu reps: best time per config, "
+              "median per-rep overhead over off\n",
               t.size(), reps);
   // Per-append cost of the durability layer, over the counters-only
   // baseline (3 appends per pass — one per policy result).
@@ -547,19 +575,18 @@ int run_obs_overhead_mode(const CliArgs& args) {
       journaled > counters ? (journaled - counters) * 1e3 / 3.0 : 0.0;
   std::printf("off          %.3f ms\n", off * 1e3);
   std::printf("counters     %.3f ms  (%+.2f%%)\n", counters * 1e3,
-              overhead(counters));
-  std::printf("full tracing %.3f ms  (%+.2f%%)\n", full * 1e3,
-              overhead(full));
+              counters_pct);
+  std::printf("full tracing %.3f ms  (%+.2f%%)\n", full * 1e3, full_pct);
   std::printf("journaled    %.3f ms  (%+.2f%%, %.3f ms per durable "
               "append)\n",
-              journaled * 1e3, overhead(journaled), journal_ms_per_append);
+              journaled * 1e3, journaled_pct, journal_ms_per_append);
   const double scrapes_per_second =
       scraped_seconds_total > 0.0
           ? static_cast<double>(scrapes.load()) / scraped_seconds_total
           : 0.0;
   std::printf("http-scraped %.3f ms  (%+.2f%%, %.0f scrapes/s against "
               "/metrics)\n",
-              scraped * 1e3, overhead(scraped), scrapes_per_second);
+              scraped * 1e3, scraped_pct, scrapes_per_second);
 
   if (const auto json = args.get("obs-json")) {
     std::FILE* f = std::fopen(json->c_str(), "w");
@@ -574,6 +601,8 @@ int run_obs_overhead_mode(const CliArgs& args) {
         "  \"seconds_best\": {\"off\": %.6f, \"counters\": %.6f, "
         "\"full_tracing\": %.6f, \"journaled\": %.6f, "
         "\"http_scraped\": %.6f},\n"
+        "  \"overhead_statistic\": \"median over reps of the config's "
+        "time / the same rep's off\",\n"
         "  \"overhead_percent\": {\"counters\": %.2f, "
         "\"full_tracing\": %.2f, \"journaled\": %.2f, "
         "\"http_scraped\": %.2f},\n"
@@ -587,28 +616,28 @@ int run_obs_overhead_mode(const CliArgs& args) {
         "simulation runs (reported, not gated)\"\n"
         "}\n",
         months, t.size(), reps, off, counters, full, journaled, scraped,
-        overhead(counters), overhead(full), overhead(journaled),
-        overhead(scraped), journal_ms_per_append, scrapes_per_second);
+        counters_pct, full_pct, journaled_pct, scraped_pct,
+        journal_ms_per_append, scrapes_per_second);
     std::fclose(f);
     std::printf("wrote %s\n", json->c_str());
   }
   if (const auto cap = args.get("max-counters-overhead")) {
     const double limit = std::strtod(cap->c_str(), nullptr);
-    if (overhead(counters) > limit) {
+    if (counters_pct > limit) {
       std::fprintf(stderr,
                    "obs-overhead: counters overhead %.2f%% exceeds the "
                    "--max-counters-overhead cap %.2f%%\n",
-                   overhead(counters), limit);
+                   counters_pct, limit);
       return 1;
     }
   }
   if (const auto cap = args.get("max-journal-overhead")) {
     const double limit = std::strtod(cap->c_str(), nullptr);
-    if (overhead(journaled) > limit) {
+    if (journaled_pct > limit) {
       std::fprintf(stderr,
                    "obs-overhead: journaled overhead %.2f%% exceeds the "
                    "--max-journal-overhead cap %.2f%%\n",
-                   overhead(journaled), limit);
+                   journaled_pct, limit);
       return 1;
     }
   }

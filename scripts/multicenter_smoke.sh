@@ -2,10 +2,13 @@
 # Multi-center determinism smoke: the src/meta acceptance gate, end to
 # end on loopback (the CI multicenter-smoke job runs exactly this).
 #
-# The smallest fig_multicenter grid (2 centers x every routing policy)
+# A small fig_multicenter grid (2 and 6 centers x every routing policy)
 # runs four ways — in-process, --isolate=proc, --isolate=tcp over two
 # agents, and through an esched-coordinator with a result journal — and
 # every output must be byte-identical to the in-process reference. A
+# scenario's centers are one share group, dispatched as tasks of at most
+# four centers: a 2-center scenario is one task, a 6-center scenario two
+# tasks that route the same global trace independently. A
 # second client pass over the coordinator must also be byte-identical,
 # served from the journal this time (meta cells replay like any other
 # cell: their canonical keys pin the whole scenario plus center index).
@@ -16,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 MONTHS="${ESCHED_SMOKE_MONTHS:-1}"
 BENCH=./build/bench/fig_multicenter_savings
-FLAGS=(--months "$MONTHS" --centers 2 --csv)
+FLAGS=(--months "$MONTHS" --centers 2,6 --csv)
 COORD_PORT=9580
 AGENT_PORTS=(9581 9582)
 AGENTS=127.0.0.1:9581,127.0.0.1:9582
@@ -31,7 +34,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== multicenter-smoke: months=$MONTHS, 2 centers, all routers =="
+echo "== multicenter-smoke: months=$MONTHS, 2 and 6 centers, all routers =="
 
 echo "-- in-process reference --"
 "$BENCH" "${FLAGS[@]}" --jobs 1 > "$workdir/ref.out"

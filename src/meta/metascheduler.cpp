@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -130,55 +131,79 @@ trace::Trace build_center_trace(const trace::Trace& global,
   return out;
 }
 
-sim::SimResult simulate_center(const run::JobSpec& spec) {
-  ESCHED_REQUIRE(spec.meta != nullptr,
-                 "meta: simulate_center needs a spec with a MetaSpec");
-  const MetaSpec& meta = *spec.meta;
-  validate_center(meta, spec.meta_center);
-  const CenterSpec& center = meta.centers[spec.meta_center];
-
-  const trace::Trace global = run::build_trace(spec.trace);
-  const RoutingPlan plan = route_jobs(global, meta);
-
-  if (obs::counters_enabled()) {
+std::vector<run::MemberOutcome> simulate_centers(
+    const trace::Trace& global, const std::vector<const run::JobSpec*>& members,
+    const sim::SimConfig& config) {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  std::vector<run::MemberOutcome> out(members.size());
+  if (members.empty()) return out;
+  const MetaSpec& meta = *members.front()->meta;
+  const auto route_begin = Clock::now();
+  RoutingPlan plan;
+  try {
+    plan = route_jobs(global, meta);
+  } catch (const std::exception& e) {
+    for (run::MemberOutcome& o : out) o.error = e.what();
+    return out;
+  }
+  const double route_seconds = seconds_since(route_begin);
+  const bool counters = obs::counters_enabled();
+  if (counters) {
     obs::Registry& reg = obs::Registry::global();
-    reg.counter("meta.cells").add(1);
+    reg.counter("meta.route_plans").add(1);
     reg.counter("meta.route.jobs").add(global.size());
     reg.counter("meta.route.moved").add(plan.moved);
-    reg.counter("meta.center." + center.name + ".jobs")
-        .add(plan.jobs_per_center[spec.meta_center]);
   }
 
-  const std::unique_ptr<power::PricingModel> pricing =
-      run::build_pricing(center.pricing);
-  const std::unique_ptr<core::SchedulingPolicy> policy =
-      run::build_policy(center.policy);
-  sim::SimConfig config = spec.config;
   // A facility model never reaches a meta cell (the wire codec rejects
   // it and bench meta cells are built without one); the tracer may stay
   // — tracing never changes results, and per-center spans are the point.
-  config.facility_model = nullptr;
-
-  const auto begin = std::chrono::steady_clock::now();
-  sim::SimResult result;
-  if (meta.centers.size() == 1 && center.nodes == 0) {
-    // Single-center identity: nothing can move and the machine size is
-    // inherited, so simulate the global trace itself — bit-identical
-    // (trace name included) to the equivalent plain single-site cell.
-    result = sim::simulate(global, *pricing, *policy, config);
-  } else {
-    const trace::Trace local =
-        build_center_trace(global, meta, plan, spec.meta_center);
-    result = sim::simulate(local, *pricing, *policy, config);
+  sim::SimConfig governed = config;
+  governed.facility_model = nullptr;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const run::JobSpec& spec = *members[k];
+    const auto begin = Clock::now();
+    try {
+      validate_center(meta, spec.meta_center);
+      const CenterSpec& center = meta.centers[spec.meta_center];
+      if (counters) {
+        obs::Registry& reg = obs::Registry::global();
+        reg.counter("meta.cells").add(1);
+        reg.counter("meta.center." + center.name + ".jobs")
+            .add(plan.jobs_per_center[spec.meta_center]);
+      }
+      const std::unique_ptr<power::PricingModel> pricing =
+          run::build_pricing(center.pricing);
+      const std::unique_ptr<core::SchedulingPolicy> policy =
+          run::build_policy(center.policy);
+      if (meta.centers.size() == 1 && center.nodes == 0) {
+        // Single-center identity: nothing can move and the machine size
+        // is inherited, so simulate the global trace itself —
+        // bit-identical (trace name included) to the equivalent plain
+        // single-site cell.
+        out[k].result = sim::simulate(global, *pricing, *policy, governed);
+      } else {
+        const trace::Trace local =
+            build_center_trace(global, meta, plan, spec.meta_center);
+        out[k].result = sim::simulate(local, *pricing, *policy, governed);
+      }
+      if (governed.tracer != nullptr) {
+        governed.tracer->complete_span(
+            "center:" + center.name +
+                (spec.label.empty() ? "" : " " + spec.label),
+            "meta", begin, Clock::now(), kCenterTrackBase + spec.meta_center);
+      }
+    } catch (const std::exception& e) {
+      out[k].error = e.what();
+    }
+    out[k].seconds = seconds_since(begin);
   }
-  if (config.tracer != nullptr) {
-    config.tracer->complete_span(
-        "center:" + center.name +
-            (spec.label.empty() ? "" : " " + spec.label),
-        "meta", begin, std::chrono::steady_clock::now(),
-        kCenterTrackBase + spec.meta_center);
-  }
-  return result;
+  // The leader carries the routing pass the whole group shares.
+  out.front().seconds += route_seconds;
+  return out;
 }
 
 }  // namespace esched::meta

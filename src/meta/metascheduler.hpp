@@ -2,13 +2,17 @@
 // then simulate each center with the unchanged single-site engine.
 //
 // Execution model (the reason this slots into every existing pool): one
-// scenario = N ordinary sweep cells, one per center. Each cell rebuilds
-// the *global* trace from its TraceSpec, re-runs the deterministic
-// routing pass, carves out its own center's sub-trace and simulates it
-// with the center's tariff and policy. Routing is a pure function of
-// (trace, MetaSpec), so the N cells agree on the assignment without
-// ever communicating — which is what keeps multi-center sweeps
-// bit-identical across in-process, proc, TCP and coordinator execution.
+// scenario = N ordinary sweep cells, one per center, and the N cells are
+// one share group (run::group_key: the trace, the simulator config and
+// the whole MetaSpec, not the center index), dispatched as tasks of at
+// most wire::kMaxTaskMembers centers. A task builds the *global* trace
+// once, runs the deterministic routing pass once, then carves and
+// simulates each member's center with the center's tariff and policy
+// (simulate_centers). Routing is a pure function of (trace, MetaSpec),
+// so the tasks of one scenario agree on the assignment without ever
+// communicating — which is what keeps multi-center sweeps bit-identical
+// across in-process, proc, TCP and coordinator execution, however the
+// centers are split into tasks.
 //
 // Two-phase determinism:
 //  1. route_jobs() walks the global trace in submission order. Each job
@@ -53,15 +57,22 @@ trace::Trace build_center_trace(const trace::Trace& global,
                                 const RoutingPlan& plan,
                                 std::uint32_t center);
 
-/// Execute one per-center cell end to end: rebuild the global trace,
-/// route, carve, simulate under the center's tariff and policy. This is
-/// what run::execute_job_spec dispatches to when a spec carries a
-/// MetaSpec — identical in-process and in an esched-worker.
+/// Produce a scenario group: `members` are centers of one scenario
+/// (equal run::group_key, so one MetaSpec) and `global` is the trace
+/// their TraceSpec names. Routes `global` once under the leader's
+/// MetaSpec, then carves and simulates each member's center under
+/// `config` (the spec's own, or the in-process one carrying a tracer)
+/// with the center's tariff and policy. One outcome per member, in
+/// order. Never throws: a routing failure fails every member with the
+/// same message, and a bad center (index out of range) fails only its
+/// own member.
 ///
 /// Single-center identity: a 1-center scenario with inherited nodes
 /// simulates the global trace *itself* (no rename, no copy), so its
 /// SimResult is bit-identical to the equivalent plain JobSpec cell
 /// (meta_test pins this with results_identical).
-sim::SimResult simulate_center(const run::JobSpec& spec);
+std::vector<run::MemberOutcome> simulate_centers(
+    const trace::Trace& global, const std::vector<const run::JobSpec*>& members,
+    const sim::SimConfig& config);
 
 }  // namespace esched::meta

@@ -42,8 +42,10 @@ inline constexpr std::uint32_t kNetMagic = 0x45534e31u;
 /// alignment); v3 added Hello::token (shared-secret authentication for
 /// agents/coordinators on untrusted networks); v4 made a kJob a share
 /// group task and a kResult its per-member outcomes (run/wire.hpp), so
-/// a peer still on v3 is rejected at the handshake.
-inline constexpr std::uint32_t kNetProtocolVersion = 4;
+/// a peer still on v3 is rejected at the handshake; v5 lets a kJob carry
+/// several centers of one multi-center scenario (run::group_key), which
+/// a v4 worker rejects mid-sweep, so a v4 peer is rejected up front.
+inline constexpr std::uint32_t kNetProtocolVersion = 5;
 
 /// Hello::flags bits.
 inline constexpr std::uint32_t kHelloFlagTelemetry = 1u << 0;

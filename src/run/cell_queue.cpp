@@ -23,7 +23,7 @@ bool CellQueue::add(const std::string& key, const JobSpec& spec,
   Cell cell;
   cell.key = key;
   cell.spec = spec;
-  if (sharing_ && spec.meta == nullptr) cell.share = share_key(spec);
+  if (sharing_) cell.group = group_key(spec);
   cell.ready_at = now;
   cell.waiters.push_back(std::move(waiter));
   by_key_.emplace(key, next_cell_);
@@ -35,16 +35,16 @@ bool CellQueue::add(const std::string& key, const JobSpec& spec,
 void CellQueue::enqueue(CellId id) {
   pending_.push_back(id);
   const Cell& cell = cells_.at(id);
-  if (!cell.share.empty()) queued_by_share_[cell.share].push_back(id);
+  if (!cell.group.empty()) queued_by_group_[cell.group].push_back(id);
 }
 
 void CellQueue::dequeue(CellId id) {
   pending_.erase(std::find(pending_.begin(), pending_.end(), id));
-  const std::string& share = cells_.at(id).share;
-  if (share.empty()) return;
-  const auto it = queued_by_share_.find(share);
+  const std::string& group = cells_.at(id).group;
+  if (group.empty()) return;
+  const auto it = queued_by_group_.find(group);
   std::erase(it->second, id);
-  if (it->second.empty()) queued_by_share_.erase(it);
+  if (it->second.empty()) queued_by_group_.erase(it);
 }
 
 bool CellQueue::claim(Clock::time_point now, Dispatch& work) {
@@ -54,14 +54,14 @@ bool CellQueue::claim(Clock::time_point now, Dispatch& work) {
   if (first == pending_.end()) return false;
   Cell& leader = cells_.at(*first);
 
-  // The leader and its ready share-key siblings in queue order, up to
+  // The leader and its ready group-key siblings in queue order, up to
   // the cap: exactly plan_groups' group of them, since queued cells have
   // distinct cell_keys (a duplicate only adds a waiter), and the two
   // config pointers plan_groups also checks never reach a task (the wire
   // refuses a facility model and drops the tracer).
   std::vector<CellId> members{*first};
-  if (!leader.share.empty()) {
-    for (const CellId id : queued_by_share_.at(leader.share)) {
+  if (!leader.group.empty()) {
+    for (const CellId id : queued_by_group_.at(leader.group)) {
       if (members.size() == wire::kMaxTaskMembers) break;
       if (id != *first && cells_.at(id).ready_at <= now) members.push_back(id);
     }
@@ -142,6 +142,10 @@ bool CellQueue::complete(std::size_t task, std::vector<std::uint8_t> reply,
 
   const std::vector<CellId> members = take_task(task);
   const std::string leader = cells_.at(members.front()).spec.label;
+  // The first produced member was simulated; the others were too in a
+  // scenario group, and re-billed from it in any other.
+  const bool rebills = rebills_members(cells_.at(members.front()).spec);
+  bool produced = false;
   out.clear();
   out.reserve(members.size());
   for (std::size_t k = 0; k < members.size(); ++k) {
@@ -149,6 +153,8 @@ bool CellQueue::complete(std::size_t task, std::vector<std::uint8_t> reply,
     if (outcome.ok) {
       out.push_back(settle(members[k], {}));
       out.back().result = std::move(outcome.result);
+      out.back().rebilled = rebills && produced;
+      produced = true;
       continue;
     }
     // Deterministic: retrying reruns the same simulation.
@@ -201,7 +207,7 @@ std::vector<SettledCell> CellQueue::fail_all(const std::string& message) {
   failed.reserve(cells_.size());
   while (!cells_.empty()) failed.push_back(settle(cells_.begin()->first, message));
   pending_.clear();
-  queued_by_share_.clear();
+  queued_by_group_.clear();
   tasks_.clear();
   return failed;
 }

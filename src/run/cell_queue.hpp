@@ -9,7 +9,7 @@
 //  * A cell is one cell_key: adding a duplicate only adds a waiter, and
 //    it settles with its first copy.
 //  * A claim pops the first ready queued cell and takes along ready
-//    queued cells with its share_key, up to wire::kMaxTaskMembers, as
+//    queued cells with its group_key, up to wire::kMaxTaskMembers, as
 //    run::plan_groups groups them.
 //  * Task ids are stable: a cell keeps the id it got the first time it
 //    led a task, and ids go out in claim order — so on a fresh sweep
@@ -47,6 +47,9 @@ struct SettledCell {
   std::vector<CellWaiter> waiters;
   std::vector<std::uint8_t> result;  ///< encode_result bytes, verbatim
   std::string error;  ///< why it failed, naming it; empty when produced
+  /// Produced by re-billing its task's simulated member rather than by a
+  /// simulation of its own (run::rebills_members decides).
+  bool rebilled = false;
 
   bool ok() const { return error.empty(); }
 };
@@ -103,7 +106,7 @@ class CellQueue {
   struct Cell {
     std::string key;
     JobSpec spec;
-    std::string share;  ///< share_key; empty when it cannot be grouped
+    std::string group;  ///< group_key; empty with sharing off
     std::uint32_t task = kNoId;  ///< the id it got when it first led
     std::uint32_t attempts = 0;    ///< attempts started
     std::vector<std::string> failures;  ///< one line per failed attempt
@@ -124,8 +127,8 @@ class CellQueue {
   std::map<CellId, Cell> cells_;  ///< queued or in flight, oldest first
   std::unordered_map<std::string, CellId> by_key_;
   std::deque<CellId> pending_;  ///< queued, in claim order
-  /// share_key -> its queued cells, in queue order.
-  std::unordered_map<std::string, std::vector<CellId>> queued_by_share_;
+  /// group_key -> its queued cells, in queue order.
+  std::unordered_map<std::string, std::vector<CellId>> queued_by_group_;
   std::unordered_map<std::size_t, std::vector<CellId>> tasks_;  ///< in flight
   std::vector<std::uint8_t> payload_;  ///< the last claim's kJob payload
 };

@@ -106,11 +106,14 @@ bool PoolRun::on_result(std::size_t lane, const Endpoint& ep,
                           track, ep.dispatched);
     }
   }
-  obs::bump("pool.cells_rebilled", settled.size() - 1);
-  ++stats_.simulated_cells;
-  stats_.rebilled_cells += settled.size() - 1;
   stats_.worker_busy_seconds[lane] += seconds;
   for (const SettledCell& cell : settled) {
+    if (cell.rebilled) {
+      obs::bump("pool.cells_rebilled");
+      ++stats_.rebilled_cells;
+    } else {
+      ++stats_.simulated_cells;
+    }
     const std::size_t first = cell.waiters.front().index;
     try {
       results_[first] = wire::decode_result(cell.result);

@@ -118,8 +118,9 @@ struct PoolNames {
 class PoolBase {
  public:
   /// Counters from the most recent run(). simulated/copied/rebilled cells
-  /// count what the tasks produced: one simulation per task (a share
-  /// group above wire::kMaxTaskMembers runs as several);
+  /// count what the tasks produced: one simulation per single-site task
+  /// (a share group above wire::kMaxTaskMembers runs as several), one
+  /// per member of a scenario task (run::rebills_members);
   /// worker_busy_seconds (one entry per lane) sums pool-observed round
   /// trips (dispatch to answer) of *successful* attempts.
   const SweepStats& last_stats() const { return stats_; }

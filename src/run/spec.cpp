@@ -1,5 +1,6 @@
 #include "run/spec.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -9,6 +10,7 @@
 #include "meta/metascheduler.hpp"
 #include "meta/spec.hpp"
 #include "power/profile.hpp"
+#include "run/wire.hpp"
 #include "trace/swf.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -106,31 +108,18 @@ std::vector<MemberOutcome> execute_group(
   return out;
 }
 
-MemberOutcome execute_meta_cell(const JobSpec& spec,
-                                const sim::SimConfig& config) {
-  const auto start = Clock::now();
-  JobSpec governed = spec;
-  governed.config = config;
-  MemberOutcome out;
-  out.result = meta::simulate_center(governed);
-  out.seconds = seconds_since(start);
-  return out;
-}
-
 std::vector<MemberOutcome> execute_group(const std::vector<JobSpec>& members) {
   std::vector<MemberOutcome> out(members.size());
   try {
     ESCHED_REQUIRE(!members.empty(), "execute_group: a group without members");
     const JobSpec& leader = members.front();
-    // A meta leader's members can only be its equals.
-    if (leader.meta != nullptr) {
-      out[0] = execute_meta_cell(leader, leader.config);
-      for (std::size_t i = 1; i < out.size(); ++i) {
-        out[i].result = out[0].result;
-      }
-      return out;
-    }
     const trace::Trace trace = build_trace(leader.trace);
+    if (!rebills_members(leader)) {
+      std::vector<const JobSpec*> centers;
+      centers.reserve(members.size());
+      for (const JobSpec& member : members) centers.push_back(&member);
+      return meta::simulate_centers(trace, centers, leader.config);
+    }
     // A member whose tariff cannot be built fails alone; the others
     // share the trajectory, driven by the first valid tariff.
     std::vector<std::unique_ptr<power::PricingModel>> owned;
@@ -172,21 +161,10 @@ sim::SimResult execute_job_spec(const JobSpec& spec) {
   return std::move(out.result);
 }
 
-std::string share_key(const JobSpec& spec) {
-  // Every field that can change the scheduling trajectory, rendered
-  // exactly. Tariff prices are deliberately absent: the scheduler sees
-  // only the period structure, and all spec-constructible tariffs of one
-  // model share it ("paper"/"onoff" both mean OnOffPeakPricing with the
-  // paper's default windows; "flat" has its own). config.tracer and
-  // config.facility_model never appear in a shareable cell (callers gate
-  // on both being null — tracing is observability-only anyway, and a
-  // facility model would make metering non-replayable here).
-  power::require_pricing_name(spec.pricing.model);
-  const TraceSpec& t = spec.trace;
-  const sim::SimConfig& c = spec.config;
-  const core::SchedulerConfig& s = c.scheduler;
-  std::string key;
-  key.reserve(192);
+namespace {
+
+/// The `trace:` segment of share_key.
+void append_trace_segment(std::string& key, const TraceSpec& t) {
   key += "trace:";
   key += t.source;
   key += ',';
@@ -201,8 +179,11 @@ std::string share_key(const JobSpec& spec) {
   key += t.force_power_ratio ? '1' : '0';
   key += ',';
   key += std::to_string(t.power_seed);
-  key += "|policy:";
-  key += spec.policy.name;
+}
+
+/// The `|cfg:` and `|sched:` segments of share_key.
+void append_config_segments(std::string& key, const sim::SimConfig& c) {
+  const core::SchedulerConfig& s = c.scheduler;
   key += "|cfg:";
   key += std::to_string(c.tick_interval);
   key += ',';
@@ -227,6 +208,26 @@ std::string share_key(const JobSpec& spec) {
   key += std::to_string(s.conservative_depth);
   key += ',';
   key += std::to_string(s.starvation_age);
+}
+
+}  // namespace
+
+std::string share_key(const JobSpec& spec) {
+  // Every field that can change the scheduling trajectory, rendered
+  // exactly. Tariff prices are deliberately absent: the scheduler sees
+  // only the period structure, and all spec-constructible tariffs of one
+  // model share it ("paper"/"onoff" both mean OnOffPeakPricing with the
+  // paper's default windows; "flat" has its own). config.tracer and
+  // config.facility_model never appear in a shareable cell (callers gate
+  // on both being null — tracing is observability-only anyway, and a
+  // facility model would make metering non-replayable here).
+  power::require_pricing_name(spec.pricing.model);
+  std::string key;
+  key.reserve(192);
+  append_trace_segment(key, spec.trace);
+  key += "|policy:";
+  key += spec.policy.name;
+  append_config_segments(key, spec.config);
   key += "|periods:";
   key += spec.pricing.model == "flat" ? "flat" : "onoff-paper-default";
   // The tz offset shifts the period structure the scheduler reacts to.
@@ -249,6 +250,24 @@ std::string share_key(const JobSpec& spec) {
   return key;
 }
 
+std::string group_key(const JobSpec& spec) {
+  if (spec.meta == nullptr) return share_key(spec);
+  // A scenario group shares the global trace and one routing pass, so
+  // its key is what both depend on: the trace, the simulator config and
+  // the whole scenario. Each center's tariff and policy come from the
+  // MetaSpec, so the cell's own pricing/policy and index stay out.
+  power::require_pricing_name(spec.pricing.model);
+  std::string key;
+  key.reserve(256);
+  append_trace_segment(key, spec.trace);
+  append_config_segments(key, spec.config);
+  key += "|meta:";
+  key += meta::spec_key(*spec.meta);
+  return key;
+}
+
+bool rebills_members(const JobSpec& leader) { return leader.meta == nullptr; }
+
 std::string cell_key(const JobSpec& spec) {
   std::string key = share_key(spec);
   key += "|price:";
@@ -265,7 +284,7 @@ std::string cell_key(const JobSpec& spec) {
 std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
                                     bool enabled, std::size_t max_members) {
   std::vector<ShareGroup> groups;
-  // cell_key -> (group, member position); share_key -> group.
+  // cell_key -> (group, member position); group_key -> group.
   std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> cells;
   std::unordered_map<std::string, std::size_t> shares;
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -280,21 +299,19 @@ std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
       groups[it->second.first].copies.push_back({i, it->second.second});
       continue;
     }
-    // Meta cells never join a trajectory-sharing group: the cell's own
-    // tariff goes unused (each center bills under its own), so
-    // re-billing a share-key sibling's signal with it would produce a
-    // wrong bill. Identical meta cells still copy via cell_key above.
-    if (spec->meta == nullptr) {
-      const auto [it, fresh] = shares.emplace(share_key(*spec), groups.size());
-      if (!fresh && groups[it->second].members.size() < max_members) {
-        ShareGroup& group = groups[it->second];
-        cells.emplace(std::move(cell),
-                      std::make_pair(it->second, group.members.size()));
-        group.members.push_back(i);
-        continue;
-      }
-      it->second = groups.size();  // a full group's sibling leads anew
+    const std::size_t cap =
+        rebills_members(*spec)
+            ? max_members
+            : std::min<std::size_t>(max_members, wire::kMaxTaskMembers);
+    const auto [it, fresh] = shares.emplace(group_key(*spec), groups.size());
+    if (!fresh && groups[it->second].members.size() < cap) {
+      ShareGroup& group = groups[it->second];
+      cells.emplace(std::move(cell),
+                    std::make_pair(it->second, group.members.size()));
+      group.members.push_back(i);
+      continue;
     }
+    it->second = groups.size();  // a full group's sibling leads anew
     cells.emplace(std::move(cell), std::make_pair(groups.size(), 0));
     groups.push_back({{i}, {}});
   }

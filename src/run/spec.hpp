@@ -122,7 +122,7 @@ std::unique_ptr<power::PricingModel> build_pricing(const PricingSpec& spec);
 /// Build the policy a spec names (fresh instance; policies are stateful).
 std::unique_ptr<core::SchedulingPolicy> build_policy(const PolicySpec& spec);
 
-/// Trajectory-sharing key (the key plan_groups groups by). Two spec
+/// Trajectory-sharing key (group_key of a single-site cell). Two spec
 /// cells with equal share_key provably produce identical scheduling
 /// trajectories — same trace, same policy, same behaviour-affecting
 /// config, and a tariff with the same *period-boundary structure* (the
@@ -139,12 +139,28 @@ std::string share_key(const JobSpec& spec);
 /// result serves them all. Throws like share_key.
 std::string cell_key(const JobSpec& spec);
 
-/// One share group of a sweep: the cells one simulation serves. Indices
-/// are sweep positions, ascending within each list.
+/// Dispatch-grouping key: cells with equal group_key run as one share
+/// group, so one task. A single-site cell's is its share_key. A meta
+/// cell's is the trace, cfg and sched segments of its share_key plus
+/// `|meta:<spec_key>` — every center of one scenario, whatever its
+/// index, `pricing` or `policy` (execution reads each center's own from
+/// the MetaSpec). Throws like share_key.
+std::string group_key(const JobSpec& spec);
+
+/// Whether a share group led by `leader` re-bills its other members from
+/// the leader's trajectory (a single-site group) instead of simulating
+/// each in full (a scenario group: one center per member). The one rule
+/// behind every plane's simulated/rebilled split.
+bool rebills_members(const JobSpec& leader);
+
+/// One share group of a sweep: the cells one task produces. Indices are
+/// sweep positions, ascending within each list.
 struct ShareGroup {
   /// The cells the group's task produces. members[0] is the leader,
-  /// simulated in full; the rest have its share_key and a distinct
-  /// cell_key, and re-bill its power signal under their own tariff.
+  /// simulated in full. The rest have its group_key and a distinct
+  /// cell_key: in a single-site group they re-bill its power signal
+  /// under their own tariff; in a scenario group each simulates its own
+  /// center over the one routing pass the group shares.
   std::vector<std::size_t> members;
   /// A cell whose cell_key equals a member's copies that member's result.
   struct Copy {
@@ -158,18 +174,19 @@ struct ShareGroup {
 /// (SweepRunner, the proc/tcp pools, esched-coordinator). Rules, in
 /// sweep order:
 ///  * a cell with an earlier cell's cell_key copies that cell;
-///  * otherwise a cell with an earlier group's share_key joins that
-///    group as a member, except meta cells (their own tariff goes
-///    unused, each center bills under its own), which always lead;
+///  * otherwise a cell with an earlier group's group_key joins that
+///    group as a member;
 ///  * a null entry — a cell the caller cannot share, e.g. one without
 ///    a spec — and a cell with a tracer or facility model (which the
 ///    keys cannot see) is a group of its own;
 ///  * with `enabled` false every cell is a group of its own;
-///  * a group holds at most `max_members` members: the next share-key
-///    sibling of a full group leads a new one (copies are not capped).
-///    The fleet planes pass wire::kMaxTaskMembers, because a task's
-///    reply carries every member's result in one frame; in-process
-///    results need no frame, so SweepRunner passes no cap.
+///  * a group holds at most `max_members` members: the next sibling of
+///    a full group leads a new one (copies are not capped). The fleet
+///    planes pass wire::kMaxTaskMembers, because a task's reply carries
+///    every member's result in one frame; in-process results need no
+///    frame, so SweepRunner passes no cap. A scenario group holds at
+///    most wire::kMaxTaskMembers on every plane: each member is a full
+///    simulation, and one task runs on one worker.
 /// Groups are ordered by leader, and a leader precedes its members and
 /// copies in the sweep. Throws like share_key.
 std::vector<ShareGroup> plan_groups(
@@ -200,21 +217,13 @@ std::vector<MemberOutcome> execute_group(
     const sim::SimConfig& config,
     const std::vector<const power::PricingModel*>& tariffs);
 
-/// Produce a meta cell (spec.meta set) under `config` — the spec's own,
-/// or the in-process one carrying a tracer: the metascheduling layer
-/// routes the global trace and simulates the cell's center slice. The
-/// one route to it for SweepRunner and the workers alike. Throws
-/// whatever the simulation throws.
-MemberOutcome execute_meta_cell(const JobSpec& spec,
-                                const sim::SimConfig& config);
-
 /// Rebuild one share group (a ShareGroup's members, leader first) from
 /// its specs and produce every member — a worker process's entire job.
 /// Never throws: a member whose tariff cannot be built fails alone (the
 /// first member with a valid tariff drives the simulation), and a
 /// failure to build or simulate the shared trajectory fails every
-/// member with the same message. A meta leader is simulated by the
-/// metascheduling layer; its members can only be equal cells.
+/// member with the same message. A scenario group builds the global
+/// trace once and hands it to meta::simulate_centers.
 std::vector<MemberOutcome> execute_group(const std::vector<JobSpec>& members);
 
 /// The singleton group: rebuild one spec and run its simulation. The

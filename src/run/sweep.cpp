@@ -10,6 +10,7 @@
 #include <string_view>
 #include <thread>
 
+#include "meta/metascheduler.hpp"
 #include "obs/log.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -42,16 +43,21 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Produce one share group's members: the metascheduling layer for a
-/// meta leader (the SimJob's pointer members only exist to satisfy the
-/// runner's non-null contract there, and plan_groups never gives a meta
-/// leader members), execute_group for everything else.
+/// Produce one share group's members over the leader's prebuilt trace:
+/// the metascheduling layer for a scenario group (each member's SimJob
+/// pointers only satisfy the runner's non-null contract there; its
+/// center's tariff and policy come from the MetaSpec), execute_group for
+/// everything else. The in-process config (tracer) governs.
 std::vector<MemberOutcome> produce_members(const std::vector<SimJob>& sweep,
                                            const ShareGroup& group) {
   const SimJob& leader = sweep[group.members.front()];
-  if (leader.spec != nullptr && leader.spec->meta != nullptr) {
-    // The in-process config (tracer) governs.
-    return {execute_meta_cell(*leader.spec, leader.config)};
+  if (leader.spec != nullptr && !rebills_members(*leader.spec)) {
+    std::vector<const JobSpec*> centers;
+    centers.reserve(group.members.size());
+    for (const std::size_t i : group.members) {
+      centers.push_back(sweep[i].spec.get());
+    }
+    return meta::simulate_centers(*leader.trace, centers, leader.config);
   }
   std::unique_ptr<core::SchedulingPolicy> policy = leader.make_policy();
   ESCHED_REQUIRE(policy != nullptr, "SimJob factory returned null policy");
@@ -96,13 +102,21 @@ bool SweepRunner::prefix_sharing_default() {
   return true;
 }
 
-void SweepStats::count_sharing(const std::vector<ShareGroup>& groups) {
-  simulated_cells = groups.size();
+void SweepStats::count_sharing(const std::vector<ShareGroup>& groups,
+                               const std::vector<const JobSpec*>& specs) {
+  simulated_cells = 0;
   copied_cells = 0;
   rebilled_cells = 0;
   for (const ShareGroup& group : groups) {
     copied_cells += group.copies.size();
-    rebilled_cells += group.members.size() - 1;
+    const JobSpec* leader = specs[group.members.front()];
+    const std::size_t others = group.members.size() - 1;
+    if (leader == nullptr || rebills_members(*leader)) {
+      simulated_cells += 1;
+      rebilled_cells += others;
+    } else {
+      simulated_cells += 1 + others;
+    }
   }
 }
 
@@ -128,7 +142,7 @@ std::vector<sim::SimResult> SweepRunner::run(
   stats_ = SweepStats{};
   stats_.tasks = sweep.size();
   stats_.threads = workers;
-  stats_.count_sharing(groups);
+  stats_.count_sharing(groups, specs);
   stats_.worker_busy_seconds.assign(workers, 0.0);
   const auto wall_start = Clock::now();
 
@@ -184,14 +198,22 @@ std::vector<sim::SimResult> SweepRunner::run(
         if (errors[i] == nullptr) errors[i] = std::current_exception();
       }
     };
+    const JobSpec* leader = sweep[lead].spec.get();
+    const bool rebills = leader == nullptr || rebills_members(*leader);
     for (std::size_t k = 0; k < group.members.size(); ++k) {
       const std::size_t i = group.members[k];
       double seconds = 0.0;
       if (!produced.empty()) {
-        results[i] = std::move(produced[k].result);
-        seconds = produced[k].seconds;
-        record_cell_timer(k == 0 ? "sweep.cell_sim" : "sweep.cell_rebill",
-                          seconds);
+        MemberOutcome& outcome = produced[k];
+        if (outcome.ok()) {
+          results[i] = std::move(outcome.result);
+        } else if (errors[i] == nullptr) {
+          errors[i] = std::make_exception_ptr(Error(outcome.error));
+        }
+        seconds = outcome.seconds;
+        record_cell_timer(
+            k == 0 || !rebills ? "sweep.cell_sim" : "sweep.cell_rebill",
+            seconds);
       }
       settle(i, seconds);
     }

@@ -94,10 +94,12 @@ struct SweepStats {
   /// configured agent list.
   std::vector<AgentLiveness> agent_liveness;
 
-  /// Fill the prefix-sharing breakdown from a plan_groups plan: one
-  /// simulated cell per group, its other members rebilled, its copies
-  /// copied.
-  void count_sharing(const std::vector<ShareGroup>& groups);
+  /// Fill the prefix-sharing breakdown from a plan_groups plan over
+  /// `specs` (the planner's input): copies are copied; a group's leader
+  /// is simulated, and its other members are rebilled or, in a scenario
+  /// group, simulated too (run::rebills_members).
+  void count_sharing(const std::vector<ShareGroup>& groups,
+                     const std::vector<const JobSpec*>& specs);
 
   /// Fraction of the wall time worker `i` spent executing tasks — the
   /// load-balance picture of a sweep (0 when wall time is unmeasurable).
@@ -166,9 +168,11 @@ class SweepRunner {
   /// runs run::execute_group: the leader simulates while recording its
   /// power signal, price-level variants re-bill the signal under their
   /// own tariff (sim::rebill), and identical cells (equal cell_key) copy
-  /// a member's result. The produced results are bit-identical to
-  /// simulating every cell (results_identical; sweep_runner_test pins
-  /// this differentially against the sharing-off path).
+  /// a member's result. A multi-center scenario's centers are one group
+  /// too: meta::simulate_centers routes the SimJob's trace once and
+  /// simulates each center. The produced results are bit-identical to
+  /// simulating every cell (results_identical; sweep_runner_test and
+  /// meta_test pin this differentially against the sharing-off path).
   void set_prefix_sharing(bool on) { prefix_sharing_ = on; }
   bool prefix_sharing() const { return prefix_sharing_; }
   /// The default: true unless ESCHED_PREFIX_SHARE=off.

@@ -460,16 +460,12 @@ std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload) {
     members.push_back(decode_job(r.blob()));
   }
   r.expect_end();
-  // A task is one share group: every member must be able to re-bill
-  // the leader's trajectory (a meta leader's can only be its equals).
-  const auto group_key = [](const JobSpec& spec) {
-    return spec.meta != nullptr ? cell_key(spec) : share_key(spec);
-  };
+  // A task is one share group: every member has the leader's group_key.
   const std::string leader = group_key(members.front());
   for (std::uint32_t i = 1; i < count; ++i) {
     if (group_key(members[i]) != leader) {
-      wire_error("task member " + std::to_string(i) +
-                 " does not share the leader's trajectory");
+      wire_error("task member " + std::to_string(i) + " (\"" +
+                 members[i].label + "\") is not in the leader's share group");
     }
   }
   return members;

@@ -31,7 +31,8 @@
 // A kJob payload is `u32 n` (at most kMaxTaskMembers) followed by n
 // length-prefixed encode_job blobs, leader first — the blob kSubmit
 // nests too. The worker simulates the leader once and re-bills every
-// other member, and its kResult
+// other member (a scenario group's worker routes once and simulates
+// each member's center), and its kResult
 // payload is `u32 n` outcomes in member order, each a tag byte (0 =
 // result, 1 = error) and a length-prefixed blob: the member's
 // encode_result bytes, or its error string. One frame in and one frame
@@ -203,8 +204,7 @@ sim::SimResult decode_result(const std::vector<std::uint8_t>& payload);
 /// Task payload codec (FrameType::kJob): one share group, leader first.
 /// decode_task throws esched::Error on an empty task, a member count
 /// above kMaxTaskMembers or one that runs past the payload, or a member
-/// whose share_key differs from the leader's (cell_key for a meta
-/// leader).
+/// whose run::group_key differs from the leader's (naming the member).
 std::vector<std::uint8_t> encode_task(const std::vector<JobSpec>& members);
 std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload);
 

@@ -156,9 +156,9 @@ void EventQueue::calendar_rebase(TimeSec new_start) {
   cur_sorted_ = false;
   for (const Event& e : all) {
     if (e.time >= window_end()) {
-      overflow_.push_back(e);
+      grow_aware_push(overflow_, e);
     } else {
-      buckets_[bucket_index(e.time)].push_back(e);
+      grow_aware_push(buckets_[bucket_index(e.time)], e);
     }
   }
 }
@@ -199,7 +199,7 @@ void EventQueue::calendar_settle() {
     keep.reserve(overflow_.size());
     for (const Event& e : overflow_) {
       if (e.time < window_end()) {
-        buckets_[bucket_index(e.time)].push_back(e);
+        grow_aware_push(buckets_[bucket_index(e.time)], e);
       } else {
         keep.push_back(e);
       }

@@ -281,14 +281,11 @@ bool Coordinator::on_result(std::size_t /*agent*/, const run::Endpoint& ep,
                             Clock::time_point /*now*/) {
   std::vector<run::SettledCell> settled;
   if (!queue_.complete(ep.task, std::move(bytes), settled)) return false;
-  std::uint64_t produced = 0;
   for (run::SettledCell& cell : settled) {
     if (!cell.ok()) continue;
-    ++produced;
+    if (cell.rebilled) bump("svc.cells_rebilled");
     deliver(cell, static_cast<std::uint32_t>(ep.task), ep.attempt);
   }
-  // One produced member was simulated, the others re-billed from it.
-  if (produced > 1) bump("svc.cells_rebilled", produced - 1);
   // A member's error outcome fails only that member's sweeps.
   fail_cells(settled);
   return true;

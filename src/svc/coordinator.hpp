@@ -22,8 +22,9 @@
 //    whose records are absent (coordinator_test counts them).
 //  * A fleet task is a share group (run::CellQueue, the pools' queue
 //    too): a claimed cell takes along ready queued cells with its
-//    run::share_key, up to wire::kMaxTaskMembers in all; the worker
-//    simulates that trajectory once and re-bills the rest, and each
+//    run::group_key, up to wire::kMaxTaskMembers in all; the worker
+//    simulates that trajectory once and re-bills the rest (or routes a
+//    multi-center scenario once and simulates each center), and each
 //    member is journaled under its own cell_key. A price-level grid
 //    therefore costs one simulation per trajectory (per task of a larger
 //    group), and a group with some members already journaled still

@@ -37,8 +37,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "meta/spec.hpp"
 #include "net/distributed.hpp"
 #include "net/socket.hpp"
+#include "obs/fleet.hpp"
 #include "obs/http_exposition.hpp"
 #include "obs/registry.hpp"
 #include "run/endpoint.hpp"
@@ -861,6 +863,98 @@ TEST(CoordinatorTest, ShareGroupAboveTheTaskCapRunsAsSeveralTasks) {
                                    "planes-capped", want);
   EXPECT_EQ(want.simulated_cells, 1u);
   EXPECT_EQ(want.rebilled_cells, sweep.size() - 1);
+}
+
+/// The four centers of one multicenter-shaped scenario: sdsc-blue for a
+/// month, cheapest-now routing with a 600 s move penalty, knapsack at
+/// every site, tariffs six hours apart.
+std::vector<run::JobSpec> four_center_scenario() {
+  meta::MetaSpec scenario;
+  scenario.router = "cheapest-now";
+  scenario.move_penalty = 600;
+  for (const char* name : {"us-west", "us-east", "eu", "asia"}) {
+    meta::CenterSpec center;
+    center.name = name;
+    center.pricing.tz_offset_min =
+        static_cast<std::int64_t>(scenario.centers.size()) * 6 * 60;
+    center.policy.name = "knapsack";
+    scenario.centers.push_back(center);
+  }
+  const auto shared =
+      std::make_shared<const meta::MetaSpec>(std::move(scenario));
+  std::vector<run::JobSpec> sweep;
+  for (std::uint32_t c = 0; c < shared->centers.size(); ++c) {
+    run::JobSpec spec = six_cell_sweep().front();
+    spec.pricing = shared->centers[c].pricing;
+    spec.policy = shared->centers[c].policy;
+    spec.meta = shared;
+    spec.meta_center = c;
+    spec.label = shared->centers[c].name;
+    sweep.push_back(spec);
+  }
+  return sweep;
+}
+
+TEST(CoordinatorTest, FourCenterScenarioIsOneTaskAndOneRoutingPass) {
+  // A scenario's centers are one share group on every plane: one task,
+  // whose executor routes the global trace once and simulates each
+  // center (none is re-billed), byte-identical to one cell per center.
+  ScopedEnv share("ESCHED_PREFIX_SHARE", "on");
+  const std::vector<run::JobSpec> sweep = four_center_scenario();
+  const auto reference = reference_results(sweep);
+  const bool counters_were_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+
+  // Every plane's bytes and split; of the helper's planes only
+  // SweepRunner routes in this process.
+  const std::uint64_t plans_before = counter("meta.route_plans");
+  run::SweepStats want;
+  expect_planes_match_sweep_runner(sweep, 4, 0, "planes-scenario", want);
+  EXPECT_EQ(counter("meta.route_plans") - plans_before, 1u) << "in-process";
+  EXPECT_EQ(want.simulated_cells, 4u);
+  EXPECT_EQ(want.rebilled_cells, 0u);
+
+  // proc and tcp: one round trip, and one routing pass across the fleet
+  // (the workers' counters come home as telemetry).
+  const auto expect_one_task = [&](auto& pool, const char* task_timer,
+                                   const char* plane) {
+    obs::FleetAggregator fleet;
+    pool.set_telemetry(&fleet);
+    const std::uint64_t tasks_before =
+        obs::Registry::global().timer(task_timer).count();
+    expect_identical(reference, pool.run(sweep), sweep);
+    EXPECT_EQ(obs::Registry::global().timer(task_timer).count() - tasks_before,
+              1u)
+        << plane;
+    const obs::Registry::Snapshot merged = fleet.merged();
+    const auto plans = merged.counters.find("fleet.meta.route_plans");
+    ASSERT_NE(plans, merged.counters.end()) << plane;
+    EXPECT_EQ(plans->second, 1u) << plane;
+  };
+  run::SubprocessPoolConfig proc_cfg;
+  proc_cfg.workers = 2;
+  run::SubprocessPool proc(proc_cfg);
+  expect_one_task(proc, "pool.task", "proc");
+  AgentProc agent(2);
+  net::DistributedPoolConfig tcp_cfg;
+  tcp_cfg.agents = {agent.addr()};
+  net::DistributedPool tcp(tcp_cfg);
+  expect_one_task(tcp, "net.task", "tcp");
+
+  // The coordinator: one dispatch produced all four journal records,
+  // and a task routes once (as proc and tcp show).
+  TempJournal journal("scenario-task");
+  CoordProc coord;
+  coord.start_coordinator(0, agent.addr().text(), journal.path());
+  CoordinatorClient client(client_config(coord.addr()));
+  expect_identical(reference, client.run(sweep), sweep);
+  coord.kill_now();
+  const auto records = journal_dispatches(journal.path());
+  ASSERT_EQ(records.size(), 4u);
+  for (const auto& [key, task] : records) {
+    EXPECT_EQ(task, records.front().second) << key;
+  }
+  obs::set_counters_enabled(counters_were_on);
 }
 
 TEST(CoordinatorTest, PartlyJournaledGroupSimulatesOnce) {

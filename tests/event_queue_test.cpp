@@ -69,6 +69,29 @@ TEST(EventQueueTest, TopDoesNotRemove) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueueTest, ReallocsCountEveryGrowthIncludingRedistribution) {
+  // 64 one-second buckets over [0, 64) and an overflow reserved for 16:
+  // every growth below is a first push into a never-allocated bucket.
+  EventQueue q(EventQueue::Backend::kCalendar);
+  q.configure(0, 64, 64);
+  q.reserve(0);
+  for (TimeSec t = 200; t < 208; ++t) q.push(t, EventType::kTick);
+  EXPECT_EQ(q.reallocs(), 0u);  // all eight wait in the overflow
+
+  // Window advance: the first pop moves the window to [192, 256) and
+  // redistributes the eight events into eight fresh buckets.
+  EXPECT_EQ(q.pop().time, 200);
+  EXPECT_EQ(q.reallocs(), 8u);
+
+  // Rebase: a push before the window counts the rebase itself, and its
+  // redistribution grows the fresh bucket the early event lands in.
+  q.push(10, EventType::kTick);
+  EXPECT_EQ(q.reallocs(), 10u);
+  EXPECT_EQ(q.pop().time, 10);
+  for (TimeSec t = 201; t < 208; ++t) EXPECT_EQ(q.pop().time, t);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueueTest, EmptyAccessThrows) {
   EventQueue q;
   EXPECT_THROW(q.top(), Error);

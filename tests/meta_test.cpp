@@ -1,8 +1,10 @@
 // Tests for the multi-center metascheduling layer (src/meta): spec
 // validation with name-listing errors, deterministic home assignment and
 // routing, the data-movement penalty, the single-center identity against
-// a plain single-site cell, cell-key canonicalization, and byte-identity
-// of meta cells across the in-process runner and the subprocess pool.
+// a plain single-site cell, cell-key canonicalization, scenario groups
+// (one routing pass for up to wire::kMaxTaskMembers centers, identical
+// to one center per group) and byte-identity of meta cells across the
+// in-process runner and the subprocess pool.
 #include "meta/metascheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -14,9 +16,11 @@
 
 #include "meta/router.hpp"
 #include "meta/spec.hpp"
+#include "obs/registry.hpp"
 #include "run/proc.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
+#include "run/wire.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 
@@ -302,6 +306,154 @@ TEST(SimulateCenterTest, SingleCenterIsByteIdenticalToPlainCell) {
   const sim::SimResult direct = run::execute_job_spec(plain);
   EXPECT_TRUE(run::results_identical(via_meta, direct));
   EXPECT_EQ(via_meta.trace_name, direct.trace_name);
+}
+
+/// An `n`-center scenario under `router` with a nonzero move penalty:
+/// tariffs phase-shifted by 24h/n, every other center half the global
+/// machine, so both capacity and price steer the routing.
+MetaSpec n_center_spec(std::size_t n, const std::string& router) {
+  static const char* const kCenterNames[] = {"c0", "c1", "c2",
+                                             "c3", "c4", "c5"};
+  MetaSpec spec;
+  spec.router = router;
+  spec.move_penalty = 900;
+  for (std::size_t i = 0; i < n; ++i) {
+    CenterSpec center;
+    center.name = kCenterNames[i];
+    center.nodes = i % 2 == 0 ? 0 : 32;
+    center.trace_share = 1.0 + static_cast<double>(i % 3);
+    center.pricing.tz_offset_min =
+        static_cast<std::int64_t>(i * (24 * 60 / n));
+    center.policy.name = i % 2 == 0 ? "fcfs" : "greedy";
+    spec.centers.push_back(center);
+  }
+  return spec;
+}
+
+/// One in-process cell per center of `spec`, over `global`.
+std::vector<run::SimJob> scenario_cells(const MetaSpec& spec,
+                                        const trace::Trace& global) {
+  const auto shared = std::make_shared<const MetaSpec>(spec);
+  std::vector<run::SimJob> cells;
+  for (std::uint32_t c = 0; c < spec.centers.size(); ++c) {
+    run::SimJob job;
+    job.trace = run::borrow(global);
+    job.pricing = run::build_pricing(spec.centers[c].pricing);
+    const std::string policy = spec.centers[c].policy.name;
+    job.make_policy = [policy] { return core::make_policy_by_name(policy); };
+    auto js = std::make_shared<run::JobSpec>(meta_job_spec(spec, c));
+    js->meta = shared;
+    js->label = spec.centers[c].name;
+    job.spec = std::move(js);
+    cells.push_back(std::move(job));
+  }
+  return cells;
+}
+
+std::uint64_t route_plans() {
+  return obs::Registry::global().counter("meta.route_plans").value();
+}
+
+std::uint64_t route_moved() {
+  return obs::Registry::global().counter("meta.route.moved").value();
+}
+
+TEST(ScenarioGroupTest, OneRoutingPassPerTaskMatchesOneCenterPerGroup) {
+  const bool counters_were_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const trace::Trace global = uniform_trace(240, 45, 4);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 6u}) {
+    for (const std::string& router : known_router_names()) {
+      SCOPED_TRACE("N=" + std::to_string(n) + " router=" + router);
+      const std::vector<run::SimJob> cells =
+          scenario_cells(n_center_spec(n, router), global);
+
+      run::SweepRunner alone(1);
+      alone.set_prefix_sharing(false);
+      std::uint64_t before = route_plans();
+      const auto reference = alone.run(cells);
+      EXPECT_EQ(route_plans() - before, n);
+
+      run::SweepRunner grouped(2);
+      before = route_plans();
+      const std::uint64_t moved_before = route_moved();
+      const auto results = grouped.run(cells);
+      const std::size_t tasks =
+          (n + run::wire::kMaxTaskMembers - 1) / run::wire::kMaxTaskMembers;
+      EXPECT_EQ(route_plans() - before, tasks);
+      // The move penalty is exercised: the price-aware routers move jobs.
+      if (n > 1 && router != "home") {
+        EXPECT_GT(route_moved(), moved_before);
+      }
+      EXPECT_EQ(grouped.last_stats().simulated_cells, n);
+      EXPECT_EQ(grouped.last_stats().rebilled_cells, 0u);
+      ASSERT_EQ(results.size(), n);
+      for (std::size_t c = 0; c < n; ++c) {
+        EXPECT_TRUE(run::results_identical(results[c], reference[c]))
+            << "center " << c;
+      }
+    }
+  }
+  obs::set_counters_enabled(counters_were_on);
+}
+
+TEST(ScenarioGroupTest, WorkerGroupBuildsAndRoutesOnceLikeSingleCells) {
+  // The worker path: execute_group rebuilds the global trace from the
+  // TraceSpec once and routes it once for the whole group.
+  const bool counters_were_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const MetaSpec spec = n_center_spec(3, "balanced-cost");
+  std::vector<run::JobSpec> group;
+  for (std::uint32_t c = 0; c < 3; ++c) group.push_back(meta_job_spec(spec, c));
+  const std::uint64_t before = route_plans();
+  const std::vector<run::MemberOutcome> out = run::execute_group(group);
+  EXPECT_EQ(route_plans() - before, 1u);
+  obs::set_counters_enabled(counters_were_on);
+  ASSERT_EQ(out.size(), 3u);
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    ASSERT_TRUE(out[c].ok()) << out[c].error;
+    EXPECT_TRUE(run::results_identical(out[c].result,
+                                       run::execute_job_spec(group[c])))
+        << "center " << c;
+  }
+}
+
+TEST(ScenarioGroupTest, RoutingFailureFailsEveryMemberBadCenterOnlyItself) {
+  // Four-node jobs on two-node centers: no center fits, routing throws.
+  MetaSpec small = n_center_spec(3, "cheapest-now");
+  for (CenterSpec& c : small.centers) c.nodes = 2;
+  const trace::Trace global = uniform_trace(20, 60, 4);
+  std::vector<run::JobSpec> specs;
+  for (std::uint32_t c = 0; c < 3; ++c) specs.push_back(meta_job_spec(small, c));
+  std::vector<const run::JobSpec*> members;
+  for (const run::JobSpec& spec : specs) members.push_back(&spec);
+  const auto failed = simulate_centers(global, members, sim::SimConfig{});
+  ASSERT_EQ(failed.size(), 3u);
+  EXPECT_NE(failed[0].error.find("no center is that large"), std::string::npos)
+      << failed[0].error;
+  for (const run::MemberOutcome& o : failed) {
+    EXPECT_EQ(o.error, failed[0].error);
+  }
+
+  // A center index out of range fails that member alone; the others
+  // match their one-center groups.
+  const MetaSpec spec = n_center_spec(3, "cheapest-now");
+  specs.clear();
+  for (std::uint32_t c = 0; c < 3; ++c) specs.push_back(meta_job_spec(spec, c));
+  specs[1].meta_center = 9;
+  members.clear();
+  for (const run::JobSpec& s : specs) members.push_back(&s);
+  const auto out = simulate_centers(global, members, sim::SimConfig{});
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_FALSE(out[1].ok());
+  EXPECT_NE(out[1].error.find("center"), std::string::npos) << out[1].error;
+  for (const std::size_t k : {0u, 2u}) {
+    ASSERT_TRUE(out[k].ok()) << out[k].error;
+    const auto alone = simulate_centers(global, {members[k]}, sim::SimConfig{});
+    ASSERT_TRUE(alone.front().ok()) << alone.front().error;
+    EXPECT_TRUE(run::results_identical(out[k].result, alone.front().result))
+        << "member " << k;
+  }
 }
 
 TEST(SimulateCenterTest, CentersPartitionTheGlobalTrace) {

@@ -539,23 +539,49 @@ TEST(WireTaskTest, DecodeRejectsMalformedTasks) {
   bytes[0] = 0xff;
   bytes[1] = 0xff;
   EXPECT_THROW(decode_task(bytes), Error);
+  // Member 2 of `members` is rejected, named by its label.
+  const auto expect_member_2_rejected = [](const std::vector<JobSpec>& members,
+                                           const std::string& why) {
+    try {
+      decode_task(encode_task(members));
+      FAIL() << "a task with " << why << " decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("member 2 (\"" +
+                                           members[2].label + "\")"),
+                std::string::npos)
+          << e.what();
+    }
+  };
   // A member on another trajectory (a different policy).
   std::vector<JobSpec> members = sample_group();
   members[2].policy.name = "fcfs";
-  try {
-    decode_task(encode_task(members));
-    FAIL() << "a task mixing trajectories decoded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("member 2"), std::string::npos)
-        << e.what();
+  expect_member_2_rejected(members, "mixed trajectories");
+  // The centers of one scenario are one group, whatever their index or
+  // their cell's own tariff and policy.
+  std::vector<JobSpec> centers = sample_group();
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    centers[i].meta = sample_meta();
+    centers[i].meta_center = static_cast<std::uint32_t>(i % 2);
   }
-  // A meta leader's members must be its equals: a price variant is not.
+  centers[1].policy.name = "fcfs";
+  EXPECT_EQ(decode_task(encode_task(centers)).size(), centers.size());
+  // A center of another scenario, a center over another trace, and a
+  // single-site member are not.
+  members = centers;
+  auto other = std::make_shared<meta::MetaSpec>(*sample_meta());
+  other->move_penalty += 60;
+  members[2].meta = other;
+  expect_member_2_rejected(members, "another scenario's center");
+  members = centers;
+  members[2].trace.seed += 1;
+  expect_member_2_rejected(members, "a center over another trace");
+  members = centers;
+  members[2].meta = nullptr;
+  expect_member_2_rejected(members, "a single-site member");
+  // Nor is a single-site leader's member a scenario's center.
   members = sample_group();
-  for (JobSpec& spec : members) spec.meta = sample_meta();
-  EXPECT_THROW(decode_task(encode_task(members)), Error);
-  members.resize(1);
-  members.push_back(members.front());
-  EXPECT_EQ(decode_task(encode_task(members)).size(), 2u);
+  members[2] = centers[2];
+  expect_member_2_rejected(members, "a center under a single-site leader");
   // More members than a task may carry, though every blob is well formed.
   const std::vector<JobSpec> many(kMaxTaskMembers + 1, sample_group().front());
   EXPECT_THROW(encode_task(many), Error);
