@@ -5,8 +5,9 @@
 // scenario = N ordinary sweep cells, one per center, and the N cells are
 // one share group (run::group_key: the trace, the simulator config and
 // the whole MetaSpec, not the center index), dispatched as tasks of at
-// most wire::kMaxTaskMembers centers. A task builds the *global* trace
-// once, runs the deterministic routing pass once, then carves and
+// most wire::kMaxTaskMembers centers. A task takes the *global* trace
+// once (from its worker's run::TraceCache, so a worker builds it once
+// per sweep), runs the deterministic routing pass once, then carves and
 // simulates each member's center with the center's tariff and policy
 // (simulate_centers). Routing is a pure function of (trace, MetaSpec),
 // so the tasks of one scenario agree on the assignment without ever

@@ -44,8 +44,11 @@ inline constexpr std::uint32_t kNetMagic = 0x45534e31u;
 /// group task and a kResult its per-member outcomes (run/wire.hpp), so
 /// a peer still on v3 is rejected at the handshake; v5 lets a kJob carry
 /// several centers of one multi-center scenario (run::group_key), which
-/// a v4 worker rejects mid-sweep, so a v4 peer is rejected up front.
-inline constexpr std::uint32_t kNetProtocolVersion = 5;
+/// a v4 worker rejects mid-sweep, so a v4 peer is rejected up front; v6
+/// leads a kJob with the sweep scope a worker keys its trace cache on
+/// (run::TraceCache), which a v5 worker would read as the member count,
+/// so a v5 peer is rejected at the handshake, not mid-sweep.
+inline constexpr std::uint32_t kNetProtocolVersion = 6;
 
 /// Hello::flags bits.
 inline constexpr std::uint32_t kHelloFlagTelemetry = 1u << 0;

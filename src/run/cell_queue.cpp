@@ -1,6 +1,7 @@
 #include "run/cell_queue.hpp"
 
 #include <algorithm>
+#include <random>
 #include <utility>
 
 #include "run/wire.hpp"
@@ -19,6 +20,11 @@ bool CellQueue::add(const std::string& key, const JobSpec& spec,
   if (const auto found = by_key_.find(key); found != by_key_.end()) {
     cells_.at(found->second).waiters.push_back(std::move(waiter));
     return false;
+  }
+  if (cells_.empty()) {
+    // A new busy period, so a new sweep scope.
+    std::random_device entropy;
+    scope_ = (std::uint64_t{entropy()} << 32) | entropy();
   }
   Cell cell;
   cell.key = key;
@@ -68,16 +74,17 @@ bool CellQueue::claim(Clock::time_point now, Dispatch& work) {
   }
 
   const std::uint32_t task = leader.task != kNoId ? leader.task : next_task_;
-  std::vector<JobSpec> specs;
-  specs.reserve(members.size());
+  wire::Task job;
+  job.scope = scope_;
+  job.members.reserve(members.size());
   for (const CellId id : members) {
-    specs.push_back(cells_.at(id).spec);
+    job.members.push_back(cells_.at(id).spec);
     if (stamp_trace_) {
-      specs.back().trace_id = 1;
-      specs.back().parent_span_id = static_cast<std::uint64_t>(task) + 1;
+      job.members.back().trace_id = 1;
+      job.members.back().parent_span_id = static_cast<std::uint64_t>(task) + 1;
     }
   }
-  payload_ = wire::encode_task(specs);  // throws on a bad spec, untouched
+  payload_ = wire::encode_task(job);  // throws on a bad spec, untouched
 
   if (task == next_task_) ++next_task_;
   leader.task = task;

@@ -432,17 +432,21 @@ std::string decode_error_or(const std::vector<std::uint8_t>& payload,
   }
 }
 
-std::vector<std::uint8_t> encode_task(const std::vector<JobSpec>& members) {
-  ESCHED_REQUIRE(!members.empty() && members.size() <= kMaxTaskMembers,
-                 "encode_task: a task holds 1 to kMaxTaskMembers members");
+std::vector<std::uint8_t> encode_task(const Task& task) {
+  ESCHED_REQUIRE(
+      !task.members.empty() && task.members.size() <= kMaxTaskMembers,
+      "encode_task: a task holds 1 to kMaxTaskMembers members");
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  for (const JobSpec& spec : members) w.blob(encode_job(spec));
+  w.u64(task.scope);
+  w.u32(static_cast<std::uint32_t>(task.members.size()));
+  for (const JobSpec& spec : task.members) w.blob(encode_job(spec));
   return w.take();
 }
 
-std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload) {
+Task decode_task(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
+  Task task;
+  task.scope = r.u64();
   const std::uint32_t count = r.u32();
   if (count == 0) wire_error("task without members");
   if (count > kMaxTaskMembers) {
@@ -454,7 +458,7 @@ std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload) {
     wire_error("task member count " + std::to_string(count) +
                " exceeds remaining payload");
   }
-  std::vector<JobSpec> members;
+  std::vector<JobSpec>& members = task.members;
   members.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     members.push_back(decode_job(r.blob()));
@@ -468,7 +472,7 @@ std::vector<JobSpec> decode_task(const std::vector<std::uint8_t>& payload) {
                  members[i].label + "\") is not in the leader's share group");
     }
   }
-  return members;
+  return task;
 }
 
 std::vector<std::uint8_t> encode_outcomes(

@@ -406,7 +406,9 @@ TEST(ScenarioGroupTest, WorkerGroupBuildsAndRoutesOnceLikeSingleCells) {
   std::vector<run::JobSpec> group;
   for (std::uint32_t c = 0; c < 3; ++c) group.push_back(meta_job_spec(spec, c));
   const std::uint64_t before = route_plans();
-  const std::vector<run::MemberOutcome> out = run::execute_group(group);
+  run::TraceCache traces;
+  const std::vector<run::MemberOutcome> out =
+      run::execute_group(group, 0, traces);
   EXPECT_EQ(route_plans() - before, 1u);
   obs::set_counters_enabled(counters_were_on);
   ASSERT_EQ(out.size(), 3u);

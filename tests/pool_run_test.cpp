@@ -75,7 +75,7 @@ class FakeLanes final : public run::Lanes {
       ++attempts;
       Held held;
       held.ep.begin(work.task, work.attempt, now, 0.0);
-      held.members = wire::decode_task(*work.payload).size();
+      held.members = wire::decode_task(*work.payload).members.size();
       held.verdict = script_(work);
       held.answer_at = run::after(now, hold_seconds_);
       held_[lane] = held;

@@ -543,6 +543,55 @@ TEST(ProcPoolTest, TelemetryAggregatesWorkerRegistriesBitIdentically) {
             per_worker_sum);
 }
 
+/// Twelve cells on two traces, six distinct trajectories on each (so
+/// twelve tasks), grouped by trace as every bench grid is.
+std::vector<JobSpec> two_trace_specs() {
+  std::vector<JobSpec> sweep;
+  for (const char* source : {"sdsc-blue", "anl-bgp"}) {
+    for (const char* policy : {"fcfs", "greedy"}) {
+      for (const std::size_t window : {4u, 8u, 16u}) {
+        JobSpec spec;
+        spec.trace.source = source;
+        spec.trace.months = 1;
+        spec.policy.name = policy;
+        spec.config.scheduler.window_size = window;
+        spec.label = std::string(source) + "/" + policy + "/w" +
+                     std::to_string(window);
+        sweep.push_back(spec);
+      }
+    }
+  }
+  return sweep;
+}
+
+TEST(ProcPoolTest, EachWorkerBuildsEachTraceOncePerSweep) {
+  // A worker keeps the traces it built for the sweep's tasks: one worker
+  // builds each of the two traces once and serves the other ten tasks
+  // from its cache; two workers build at most twice each.
+  const std::vector<JobSpec> sweep = two_trace_specs();
+  const auto reference = reference_results(sweep);
+  const auto expect_builds = [&](std::size_t workers) {
+    obs::FleetAggregator fleet;
+    SubprocessPoolConfig config;
+    config.workers = workers;
+    SubprocessPool pool(config);
+    pool.set_telemetry(&fleet);
+    expect_identical(reference, pool.run(sweep), sweep);
+    EXPECT_EQ(pool.last_stats().tasks, sweep.size());
+    const obs::Registry::Snapshot merged = fleet.merged();
+    const auto count = [&](const char* name) -> std::uint64_t {
+      const auto it = merged.counters.find(name);
+      return it == merged.counters.end() ? 0 : it->second;
+    };
+    const std::uint64_t builds = count("fleet.run.trace_builds");
+    EXPECT_EQ(builds + count("fleet.run.trace_cache_hits"), sweep.size())
+        << workers << " worker(s)";
+    return builds;
+  };
+  EXPECT_EQ(expect_builds(1), 2u);
+  EXPECT_LE(expect_builds(2), 4u);
+}
+
 TEST(FaultPlanTest, ParseAcceptsAnySubsetInAnyOrder) {
   const FaultPlan plan = FaultPlan::parse("seed:42,garbage:0.2,crash:0.3");
   EXPECT_DOUBLE_EQ(plan.crash, 0.3);

@@ -220,7 +220,8 @@ TEST(SpecTest, ExecuteGroupMatchesSimulatingEveryMember) {
   const std::vector<JobSpec> members = {priced_cell("greedy", "paper", 2.0),
                                         priced_cell("greedy", "paper", 3.0),
                                         priced_cell("greedy", "onoff", 5.0)};
-  const std::vector<MemberOutcome> out = execute_group(members);
+  TraceCache traces;
+  const std::vector<MemberOutcome> out = execute_group(members, 0, traces);
   ASSERT_EQ(out.size(), members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     ASSERT_TRUE(out[i].ok()) << out[i].error;
@@ -234,7 +235,8 @@ TEST(SpecTest, ExecuteGroupFailsOnlyTheMemberWithABadTariff) {
   std::vector<JobSpec> members = {priced_cell("fcfs", "paper", 0.5),
                                   priced_cell("fcfs", "paper", 2.0),
                                   priced_cell("fcfs", "paper", 3.0)};
-  const std::vector<MemberOutcome> out = execute_group(members);
+  TraceCache traces;
+  const std::vector<MemberOutcome> out = execute_group(members, 0, traces);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_NE(out[0].error.find("ratio must be >= 1"), std::string::npos)
       << out[0].error;
@@ -245,7 +247,7 @@ TEST(SpecTest, ExecuteGroupFailsOnlyTheMemberWithABadTariff) {
 
   // A shared failure (here: the policy) fails every member alike.
   for (JobSpec& spec : members) spec.policy.name = "no-such-policy";
-  for (const MemberOutcome& o : execute_group(members)) {
+  for (const MemberOutcome& o : execute_group(members, 0, traces)) {
     EXPECT_FALSE(o.ok());
   }
   EXPECT_THROW(execute_job_spec(members[1]), Error);

@@ -516,34 +516,60 @@ std::vector<std::uint8_t> u32_bytes(std::uint32_t v) {
           static_cast<std::uint8_t>(v >> 24)};
 }
 
+std::vector<std::uint8_t> u64_bytes(std::uint64_t v) {
+  std::vector<std::uint8_t> out = u32_bytes(static_cast<std::uint32_t>(v));
+  const std::vector<std::uint8_t> high =
+      u32_bytes(static_cast<std::uint32_t>(v >> 32));
+  out.insert(out.end(), high.begin(), high.end());
+  return out;
+}
+
+/// A task's sweep scope, as run::CellQueue would draw it.
+constexpr std::uint64_t kSampleScope = 0x0123456789abcdefULL;
+
 TEST(WireTaskTest, TaskRoundTripsLeaderFirst) {
   const std::vector<JobSpec> members = sample_group();
-  const std::vector<std::uint8_t> bytes = encode_task(members);
-  // u32 n, then the same length-prefixed encode_job blobs kSubmit nests.
-  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 4),
+  const Task task{kSampleScope, members};
+  const std::vector<std::uint8_t> bytes = encode_task(task);
+  // u64 scope, u32 n, then the same length-prefixed encode_job blobs
+  // kSubmit nests.
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 8),
+            u64_bytes(kSampleScope));
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin() + 8, bytes.begin() + 12),
             u32_bytes(3));
-  const std::vector<JobSpec> back = decode_task(bytes);
-  ASSERT_EQ(back.size(), 3u);
+  const Task back = decode_task(bytes);
+  EXPECT_EQ(back.scope, kSampleScope);
+  ASSERT_EQ(back.members.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(cell_key(back[i]), cell_key(members[i]));
-    EXPECT_EQ(back[i].label, members[i].label);
+    EXPECT_EQ(cell_key(back.members[i]), cell_key(members[i]));
+    EXPECT_EQ(back.members[i].label, members[i].label);
   }
   EXPECT_EQ(encode_task(back), bytes);
 }
 
 TEST(WireTaskTest, DecodeRejectsMalformedTasks) {
+  // Too short to hold the scope and the count.
+  std::vector<std::uint8_t> bytes = encode_task({kSampleScope, sample_group()});
+  for (const std::ptrdiff_t size : {0, 7, 8, 11}) {
+    EXPECT_THROW(decode_task(std::vector<std::uint8_t>(
+                     bytes.begin(), bytes.begin() + size)),
+                 Error)
+        << size << " bytes";
+  }
   // No members.
-  EXPECT_THROW(decode_task(u32_bytes(0)), Error);
+  std::vector<std::uint8_t> empty = u64_bytes(kSampleScope);
+  const std::vector<std::uint8_t> zero = u32_bytes(0);
+  empty.insert(empty.end(), zero.begin(), zero.end());
+  EXPECT_THROW(decode_task(empty), Error);
   // A count that runs past the payload.
-  std::vector<std::uint8_t> bytes = encode_task(sample_group());
-  bytes[0] = 0xff;
-  bytes[1] = 0xff;
+  bytes[8] = 0xff;
+  bytes[9] = 0xff;
   EXPECT_THROW(decode_task(bytes), Error);
   // Member 2 of `members` is rejected, named by its label.
   const auto expect_member_2_rejected = [](const std::vector<JobSpec>& members,
                                            const std::string& why) {
     try {
-      decode_task(encode_task(members));
+      decode_task(encode_task({kSampleScope, members}));
       FAIL() << "a task with " << why << " decoded";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("member 2 (\"" +
@@ -564,7 +590,8 @@ TEST(WireTaskTest, DecodeRejectsMalformedTasks) {
     centers[i].meta_center = static_cast<std::uint32_t>(i % 2);
   }
   centers[1].policy.name = "fcfs";
-  EXPECT_EQ(decode_task(encode_task(centers)).size(), centers.size());
+  EXPECT_EQ(decode_task(encode_task({kSampleScope, centers})).members.size(),
+            centers.size());
   // A center of another scenario, a center over another trace, and a
   // single-site member are not.
   members = centers;
@@ -584,9 +611,11 @@ TEST(WireTaskTest, DecodeRejectsMalformedTasks) {
   expect_member_2_rejected(members, "a center under a single-site leader");
   // More members than a task may carry, though every blob is well formed.
   const std::vector<JobSpec> many(kMaxTaskMembers + 1, sample_group().front());
-  EXPECT_THROW(encode_task(many), Error);
+  EXPECT_THROW(encode_task({kSampleScope, many}), Error);
   const std::vector<std::uint8_t> blob = encode_job(many.front());
-  bytes = u32_bytes(kMaxTaskMembers + 1);
+  bytes = u64_bytes(kSampleScope);
+  const std::vector<std::uint8_t> count = u32_bytes(kMaxTaskMembers + 1);
+  bytes.insert(bytes.end(), count.begin(), count.end());
   for (std::size_t i = 0; i < many.size(); ++i) {
     const std::vector<std::uint8_t> size = u32_bytes(
         static_cast<std::uint32_t>(blob.size()));
@@ -683,11 +712,11 @@ void maybe_write_corpus() {
   JobSpec meta = sample_spec();
   meta.meta = sample_meta();
   write_hex(d + "/task_singleton.hex", "kJob payload: a singleton task",
-            encode_task({sample_spec()}));
+            encode_task({kSampleScope, {sample_spec()}}));
   write_hex(d + "/task_group.hex", "kJob payload: three price variants",
-            encode_task(sample_group()));
+            encode_task({kSampleScope, sample_group()}));
   write_hex(d + "/task_meta.hex", "kJob payload: a meta cell and its equal",
-            encode_task({meta, meta}));
+            encode_task({kSampleScope, {meta, meta}}));
   write_hex(d + "/outcomes_mixed.hex",
             "kResult payload: result, error, result",
             encode_outcomes(sample_outcomes()));
