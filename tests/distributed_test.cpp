@@ -5,8 +5,9 @@
 // in-process reference — including when an agent is SIGKILLed mid-sweep
 // (requeue + surviving agent) and when deterministic net faults
 // (ESCHED_FAULT netdrop/netgarbage) sever connections and corrupt
-// frames. Handshake rejection of a wrong protocol version is pinned at
-// the wire level with a raw client.
+// frames. A persistent agentd worker builds a run's trace once and never
+// reuses it in the next run. Handshake rejection of a wrong protocol
+// version is pinned at the wire level with a raw client.
 #include "net/distributed.hpp"
 
 #include <gtest/gtest.h>
@@ -384,6 +385,33 @@ TEST(DistributedTest, TelemetryAggregatesFleetAndStaysIdentical) {
   EXPECT_GT(per_process_sum, 0u);
   EXPECT_EQ(merged.counters.at("fleet.sim.events_processed"),
             per_process_sum);
+}
+
+TEST(DistributedTest, EachRunBuildsItsTraceAgainOnAPersistentWorker) {
+  // The agent's one worker outlives every run, but each run is a new
+  // scope: it builds its trace once and never reuses the last run's
+  // build — not for the same sweep again, nor for one-cell what-if runs.
+  const std::vector<run::JobSpec> sweep = six_cell_sweep();  // one trace
+  const auto reference = reference_results(sweep);
+  AgentProc agent(1);
+  obs::FleetAggregator fleet;
+  DistributedPool pool(test_config({agent.addr()}));
+  pool.set_telemetry(&fleet);
+  const auto builds = [&]() -> std::uint64_t {
+    const obs::Registry::Snapshot merged = fleet.merged();
+    const auto it = merged.counters.find("fleet.run.trace_builds");
+    return it == merged.counters.end() ? 0 : it->second;
+  };
+
+  expect_identical(reference, pool.run(sweep), sweep);
+  EXPECT_EQ(builds(), 1u);
+  expect_identical(reference, pool.run(sweep), sweep);
+  EXPECT_EQ(builds(), 2u);
+  for (std::size_t q = 0; q < 3; ++q) {
+    const std::vector<run::JobSpec> query = {sweep[q]};
+    expect_identical({reference[q]}, pool.run(query), query);
+    EXPECT_EQ(builds(), 3 + q) << "after query " << q;
+  }
 }
 
 TEST(DistributedTest, HandshakeVersionMismatchIsRejected) {
