@@ -10,8 +10,8 @@
 #    diskfull band) — a dropped append loses durability, never a result,
 #  * and one SIGKILL of the coordinator mid-sweep, followed by a restart
 #    on the same port with the same journal. The restarted coordinator
-#    replays the journal, the client resumes its session (kAttach ->
-#    re-kSubmit), and only journal-absent cells are re-simulated.
+#    replays the journal, the client resumes its session by sending
+#    its kSubmit again, and only journal-absent cells are re-simulated.
 #
 # The gate: the sweep's stdout must be byte-identical to an in-process
 # run, through every fault above. A second client pass over the same

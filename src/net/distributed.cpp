@@ -43,11 +43,8 @@ std::vector<sim::SimResult> DistributedPool::run(
                  "DistributedPool: no agents configured (pass "
                  "DistributedPoolConfig::agents or set ESCHED_AGENTS)");
   run::SigpipeGuard sigpipe;
-  // With a telemetry sink, every task carries a trace context so the
-  // remote simulate span (flow id = parent_span_id) stitches under this
-  // sweep's dispatch spans.
   run::PoolRun pool(sweep, run::retry_policy(config_), kNames, stats_,
-                    progress_, tracer_, fleet_ != nullptr);
+                    progress_, tracer_);
   AgentFleet agents(config_, config_.connect_attempts, pool, tracer_, fleet_);
   // Close every connection, on success and on any failure alike — the
   // agents then discard orphaned work — and capture the fleet picture

@@ -55,9 +55,8 @@ struct DistributedPoolConfig : FleetConfig {
 /// kHelloFlagTelemetry, every kTelemetry frame an agent sends back is
 /// ingested under "agent.<index>.<role>" with the clock offset estimated
 /// from the handshake (mid-RTT local clock vs the agent's kWelcome steady
-/// clock), and each unique cell is dispatched with a trace context
-/// (JobSpec::trace_id/parent_span_id) so remote simulate spans stitch
-/// under the coordinator's dispatch spans.
+/// clock), and each remote simulate span carries its task's flow id so
+/// it stitches under the coordinator's dispatch span.
 class DistributedPool : public run::PoolBase {
  public:
   explicit DistributedPool(DistributedPoolConfig config);

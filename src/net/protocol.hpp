@@ -47,8 +47,12 @@ inline constexpr std::uint32_t kNetMagic = 0x45534e31u;
 /// a v4 worker rejects mid-sweep, so a v4 peer is rejected up front; v6
 /// leads a kJob with the sweep scope a worker keys its trace cache on
 /// (run::TraceCache), which a v5 worker would read as the member count,
-/// so a v5 peer is rejected at the handshake, not mid-sweep.
-inline constexpr std::uint32_t kNetProtocolVersion = 6;
+/// so a v5 peer is rejected at the handshake, not mid-sweep; v7 drops
+/// fields no receiver read — a kJob member's trace context, kSweepDone's
+/// cell total and kTelemetry's clock reading — and the resume-by-id
+/// frame (kSubmit resumes on its own), so a v6 peer is rejected at the
+/// handshake rather than misreading every kJob member.
+inline constexpr std::uint32_t kNetProtocolVersion = 7;
 
 /// Hello::flags bits.
 inline constexpr std::uint32_t kHelloFlagTelemetry = 1u << 0;

@@ -52,7 +52,7 @@ class FleetAggregator {
   /// Replay every shipped span into `tracer`: one synthetic pid per
   /// label (pid 1 is the coordinator itself, labels get 2, 3, ... in
   /// sorted order) with a process_name metadata event, plus a flow-end
-  /// event for spans carrying a flow id (the JobSpec parent-span id), so
+  /// event for spans carrying a flow id (a worker's task id + 1), so
   /// dispatch arrows land on the remote simulate spans. Stitched spans
   /// are drained, so a driver running several sweeps can stitch after
   /// each one without duplicating earlier spans (metric snapshots are

@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 
 #include <unistd.h>
@@ -12,13 +11,6 @@ namespace {
 
 std::atomic<bool> g_telemetry_enabled{false};
 std::atomic<std::uint64_t> g_sequence{0};
-
-std::uint64_t steady_nanos_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 
@@ -70,7 +62,6 @@ Telemetry collect_telemetry(const std::string& role) {
   t.role = role;
   t.pid = static_cast<std::uint64_t>(::getpid());
   t.sequence = g_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
-  t.steady_nanos = steady_nanos_now();
   t.metrics = Registry::global().snapshot();
   t.spans = span_buffer().drain();
   if (const std::uint64_t dropped = span_buffer().dropped(); dropped > 0) {

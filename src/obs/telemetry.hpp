@@ -30,9 +30,9 @@ struct SpanRecord {
   std::uint32_t track = 0;        ///< tid within the process's trace group
   std::uint64_t begin_nanos = 0;  ///< steady clock of the recording process
   std::uint64_t end_nanos = 0;
-  /// Flow-binding id (0 = none): remote spans carry the parent span id
-  /// propagated in the JobSpec, so the stitched trace can draw an arrow
-  /// from the coordinator's dispatch span to the worker's simulate span.
+  /// Flow-binding id (0 = none): a worker's simulate span carries its
+  /// task id + 1, the id of the supervisor's dispatch flow start, so the
+  /// stitched trace can draw an arrow from the dispatch span to it.
   std::uint64_t flow_id = 0;
 };
 
@@ -47,8 +47,6 @@ struct Telemetry {
   /// highest-sequence snapshot per (label, pid) since counters are
   /// cumulative, not deltas.
   std::uint64_t sequence = 0;
-  /// Sender steady clock when the shipment was collected.
-  std::uint64_t steady_nanos = 0;
   Registry::Snapshot metrics;
   std::vector<SpanRecord> spans;
 };
@@ -84,8 +82,8 @@ void set_telemetry_enabled(bool on);
 void enable_telemetry_from_env();
 
 /// Assemble one shipment: the global Registry snapshot, the drained span
-/// buffer, this process's pid and steady clock, and a fresh sequence
-/// number. `role` is the sender's name within its parent's scope.
+/// buffer, this process's pid and a fresh sequence number. `role` is the
+/// sender's name within its parent's scope.
 Telemetry collect_telemetry(const std::string& role);
 
 }  // namespace esched::obs

@@ -9,8 +9,8 @@
 
 namespace esched::run {
 
-CellQueue::CellQueue(RetryPolicy retry, bool sharing, bool stamp_trace)
-    : retry_(retry), sharing_(sharing), stamp_trace_(stamp_trace) {
+CellQueue::CellQueue(RetryPolicy retry, bool sharing)
+    : retry_(retry), sharing_(sharing) {
   ESCHED_REQUIRE(retry_.max_attempts >= 1,
                  "CellQueue: max_attempts must be >= 1");
 }
@@ -77,13 +77,7 @@ bool CellQueue::claim(Clock::time_point now, Dispatch& work) {
   wire::Task job;
   job.scope = scope_;
   job.members.reserve(members.size());
-  for (const CellId id : members) {
-    job.members.push_back(cells_.at(id).spec);
-    if (stamp_trace_) {
-      job.members.back().trace_id = 1;
-      job.members.back().parent_span_id = static_cast<std::uint64_t>(task) + 1;
-    }
-  }
+  for (const CellId id : members) job.members.push_back(cells_.at(id).spec);
   payload_ = wire::encode_task(job);  // throws on a bad spec, untouched
 
   if (task == next_task_) ++next_task_;

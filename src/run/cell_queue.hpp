@@ -64,9 +64,8 @@ class CellQueue {
  public:
   using Clock = EndpointClock;
 
-  /// With `sharing` off every cell is a task of its own; `stamp_trace`
-  /// gives the members of task k the trace context (1, k + 1).
-  CellQueue(RetryPolicy retry, bool sharing, bool stamp_trace = false);
+  /// With `sharing` off every cell is a task of its own.
+  CellQueue(RetryPolicy retry, bool sharing);
 
   /// Wait on the cell of `spec` (whose cell_key is `key`) for `waiter`:
   /// true when the cell is new and queued ready at `now`.
@@ -127,7 +126,6 @@ class CellQueue {
 
   RetryPolicy retry_;
   bool sharing_;
-  bool stamp_trace_;
   CellId next_cell_ = 0;
   std::uint32_t next_task_ = 0;
   std::map<CellId, Cell> cells_;  ///< queued or in flight, oldest first

@@ -35,14 +35,12 @@ EndpointClock::time_point wake_time(const Lanes& lanes,
 
 PoolRun::PoolRun(const std::vector<JobSpec>& sweep, const RetryPolicy& retry,
                  const PoolNames& names, SweepStats& stats,
-                 const ProgressCallback& progress, obs::Tracer* tracer,
-                 bool stamp_trace)
+                 const ProgressCallback& progress, obs::Tracer* tracer)
     : names_(names),
       stats_(stats),
       progress_(progress),
       tracer_(tracer),
-      stamp_trace_(stamp_trace),
-      queue_(retry, SweepRunner::prefix_sharing_default(), stamp_trace),
+      queue_(retry, SweepRunner::prefix_sharing_default()),
       results_(sweep.size()),
       wall_start_(Clock::now()) {
   stats_ = SweepStats{};
@@ -98,13 +96,11 @@ bool PoolRun::on_result(std::size_t lane, const Endpoint& ep,
                                               : label) +
                                "#" + std::to_string(ep.attempt),
                            names_.category, ep.dispatched, now, track);
-    if (stamp_trace_) {
-      // Flow start anchored on the dispatch span (the task's stamped
-      // parent span id); the matching finish is emitted when the fleet
-      // aggregator stitches the remote simulate span carrying it.
-      tracer_->flow_event('s', ep.task + 1, "dispatch", names_.category, 1,
-                          track, ep.dispatched);
-    }
+    // Flow start anchored on the dispatch span; the worker tags its
+    // simulate span with the same id (task + 1), and the fleet
+    // aggregator emits the matching finish when it stitches that span.
+    tracer_->flow_event('s', ep.task + 1, "dispatch", names_.category, 1,
+                        track, ep.dispatched);
   }
   stats_.worker_busy_seconds[lane] += seconds;
   for (const SettledCell& cell : settled) {
@@ -125,14 +121,9 @@ bool PoolRun::on_result(std::size_t lane, const Endpoint& ep,
     for (const CellWaiter& waiter : cell.waiters) {
       if (waiter.index != first) results_[waiter.index] = results_[first];
       ++cells_done_;
-      if (!progress_) continue;
-      SweepProgress p;
-      p.done = cells_done_;
-      p.total = results_.size();
-      p.elapsed_seconds = seconds_since(wall_start_);
-      p.eta_seconds = p.elapsed_seconds / static_cast<double>(p.done) *
-                      static_cast<double>(p.total - p.done);
-      progress_(p);
+      if (progress_) {
+        progress_(sweep_progress(cells_done_, results_.size(), wall_start_));
+      }
     }
   }
   return true;

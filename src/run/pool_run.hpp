@@ -156,14 +156,11 @@ class PoolRun final : public LaneOwner {
  public:
   /// Queues every cell of `sweep` (throws on a spec without a cell key),
   /// resets `stats` and starts the wall clock. Sharing follows
-  /// SweepRunner::prefix_sharing_default(); with `stamp_trace` the task
-  /// round trips also start flow events that a stamped remote simulate
-  /// span finishes. Every reference and `tracer` (optional) must outlive
-  /// the run.
+  /// SweepRunner::prefix_sharing_default(). Every reference and `tracer`
+  /// (optional) must outlive the run.
   PoolRun(const std::vector<JobSpec>& sweep, const RetryPolicy& retry,
           const PoolNames& names, SweepStats& stats,
-          const ProgressCallback& progress, obs::Tracer* tracer,
-          bool stamp_trace = false);
+          const ProgressCallback& progress, obs::Tracer* tracer);
 
   /// Distinct cells queued; a pool needs no more lanes than this.
   std::size_t cells() const { return queue_.queued_cells(); }
@@ -195,7 +192,6 @@ class PoolRun final : public LaneOwner {
   SweepStats& stats_;
   const ProgressCallback& progress_;
   obs::Tracer* tracer_;
-  bool stamp_trace_;
   CellQueue queue_;
   std::vector<sim::SimResult> results_;
   std::size_t cells_done_ = 0;

@@ -90,15 +90,6 @@ struct JobSpec {
   sim::SimConfig config;
   std::string label;
 
-  /// Observability-only span context, set by a coordinator when fleet
-  /// telemetry is on (0 = unset). Crosses the wire so a worker can tag
-  /// its simulate span with the dispatch that caused it, letting the
-  /// coordinator stitch one cell's lifecycle into a single flow across
-  /// processes. Deliberately excluded from share_key/cell_key — trace
-  /// context can never affect dedup or results.
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span_id = 0;
-
   /// Multi-center cell (src/meta): when set, this cell simulates center
   /// `meta_center` of the N-site metascheduling scenario `meta`
   /// describes, instead of the single-site cell above. `trace` still

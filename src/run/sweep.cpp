@@ -79,6 +79,19 @@ void record_cell_timer(const char* name, double seconds) {
 
 }  // namespace
 
+SweepProgress sweep_progress(std::size_t done, std::size_t total,
+                             Clock::time_point start) {
+  SweepProgress p;
+  p.done = done;
+  p.total = total;
+  p.elapsed_seconds = seconds_since(start);
+  if (done > 0) {
+    p.eta_seconds = p.elapsed_seconds / static_cast<double>(done) *
+                    static_cast<double>(total - done);
+  }
+  return p;
+}
+
 SweepRunner::SweepRunner(std::size_t jobs)
     : jobs_(jobs != 0 ? jobs : default_jobs()) {}
 
@@ -153,16 +166,9 @@ std::vector<sim::SimResult> SweepRunner::run(
   const auto report_progress = [&] {
     std::lock_guard<std::mutex> lock(progress_mutex);
     ++completed;
-    if (!progress_) return;
-    SweepProgress progress;
-    progress.done = completed;
-    progress.total = sweep.size();
-    progress.elapsed_seconds = seconds_since(wall_start);
-    progress.eta_seconds =
-        progress.elapsed_seconds /
-        static_cast<double>(completed) *
-        static_cast<double>(sweep.size() - completed);
-    progress_(progress);
+    if (progress_) {
+      progress_(sweep_progress(completed, sweep.size(), wall_start));
+    }
   };
 
   // Results and errors indexed by submission position. A group task

@@ -17,6 +17,7 @@
 // test guards the threading).
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -117,6 +118,11 @@ struct SweepProgress {
   /// Naive remaining-time estimate: elapsed / done * (total - done).
   double eta_seconds = 0.0;
 };
+
+/// Progress after `done` of `total` tasks of a sweep started at `start`
+/// (the ETA stays 0 until a task is done). Every plane reports through it.
+SweepProgress sweep_progress(std::size_t done, std::size_t total,
+                             std::chrono::steady_clock::time_point start);
 
 /// Invoked after each task completes. Calls are serialized by the runner
 /// (so the callback itself needs no locking) but arrive on worker

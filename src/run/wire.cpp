@@ -251,8 +251,6 @@ std::vector<std::uint8_t> encode_job(const JobSpec& spec) {
   w.str(spec.policy.name);
   encode_config(w, spec.config);
   w.str(spec.label);
-  w.u64(spec.trace_id);
-  w.u64(spec.parent_span_id);
   // Multi-center block: flag byte, then the full MetaSpec plus this
   // cell's center index. Encoded on both sides with the same validation
   // so a bad spec fails at the sender, not deep inside a worker.
@@ -297,8 +295,6 @@ JobSpec decode_job(const std::vector<std::uint8_t>& payload) {
   spec.policy.name = r.str();
   spec.config = decode_config(r);
   spec.label = r.str();
-  spec.trace_id = r.u64();
-  spec.parent_span_id = r.u64();
   if (read_flag(r)) {
     spec.meta_center = r.u32();
     auto meta_spec = std::make_shared<meta::MetaSpec>();
@@ -524,7 +520,6 @@ std::vector<std::uint8_t> encode_telemetry(const obs::Telemetry& telemetry) {
   w.str(telemetry.role);
   w.u64(telemetry.pid);
   w.u64(telemetry.sequence);
-  w.u64(telemetry.steady_nanos);
   w.u32(static_cast<std::uint32_t>(telemetry.metrics.counters.size()));
   for (const auto& [name, value] : telemetry.metrics.counters) {
     w.str(name);
@@ -565,7 +560,6 @@ obs::Telemetry decode_telemetry(const std::vector<std::uint8_t>& payload) {
   telemetry.role = r.str();
   telemetry.pid = r.u64();
   telemetry.sequence = r.u64();
-  telemetry.steady_nanos = r.u64();
   const std::uint32_t counters = r.u32();
   for (std::uint32_t i = 0; i < counters; ++i) {
     std::string name = r.str();
@@ -645,22 +639,8 @@ SubmitRequest decode_submit(const std::vector<std::uint8_t>& payload) {
   return request;
 }
 
-std::vector<std::uint8_t> encode_attach(const std::string& sweep_id) {
-  ByteWriter w;
-  w.str(sweep_id);
-  return w.take();
-}
-
-std::string decode_attach(const std::vector<std::uint8_t>& payload) {
-  ByteReader r(payload);
-  std::string sweep_id = r.str();
-  r.expect_end();
-  return sweep_id;
-}
-
 std::vector<std::uint8_t> encode_sweep_done(const SweepDone& done) {
   ByteWriter w;
-  w.u64(done.total);
   w.u64(done.simulated);
   w.u64(done.journal_hits);
   return w.take();
@@ -669,7 +649,6 @@ std::vector<std::uint8_t> encode_sweep_done(const SweepDone& done) {
 SweepDone decode_sweep_done(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload);
   SweepDone done;
-  done.total = r.u64();
   done.simulated = r.u64();
   done.journal_hits = r.u64();
   r.expect_end();

@@ -100,21 +100,21 @@ enum class FrameType : std::uint8_t {
                    ///< when telemetry was requested.
   // The sweep-as-a-service frames (src/svc). A client submits a whole
   // sweep to an esched-coordinator, which answers one kCellDone per cell
-  // and a final kSweepDone; kAttach resumes a disconnected session by
-  // sweep id. kJournal never crosses a socket: it is the on-disk record
-  // framing of the coordinator's crash-safe result journal, reusing the
-  // same header + CRC grammar so replay gets corruption detection for
-  // free.
+  // and a final kSweepDone; a reconnecting client resumes by sending
+  // the same kSubmit again. kJournal never crosses a socket: it is the
+  // on-disk record framing of the coordinator's crash-safe result
+  // journal, reusing the same header + CRC grammar so replay gets
+  // corruption detection for free.
   kSubmit = 10,    ///< client -> coordinator: payload is a SubmitRequest
                    ///< (sweep id + the full JobSpec grid)
-  kAttach = 11,    ///< client -> coordinator: payload is a sweep id; the
-                   ///< coordinator re-sends every kCellDone already
-                   ///< produced, or answers kError "unknown sweep"
+  // 11 is retired (it was a resume-by-id frame; kSubmit is idempotent
+  // and resumes on its own). No peer sends it; a receiver treats it as
+  // any other unexpected type.
   kCellDone = 12,  ///< coordinator -> client: task_id is the cell index
                    ///< in the submitted grid; payload is the cell's
                    ///< SimResult encoding, byte-for-byte as journaled
   kSweepDone = 13,  ///< coordinator -> client: payload is a SweepDone
-                    ///< (total / simulated / journal-hit cell counts)
+                    ///< (simulated / journal-hit cell counts)
   kJournal = 14,    ///< journal file record: payload is a JournalRecord
                     ///< (cell_key + result bytes); header task_id/attempt
                     ///< name the producing attempt, for postmortems
@@ -244,7 +244,8 @@ std::string decode_error_or(const std::vector<std::uint8_t>& payload,
 /// Version of the kTelemetry payload encoding. The payload leads with
 /// this as a u32 so the shipment format can evolve without bumping the
 /// frame header version; decode_telemetry rejects anything else.
-inline constexpr std::uint32_t kTelemetryVersion = 1;
+/// v2 dropped the sender's steady-clock reading, which no receiver read.
+inline constexpr std::uint32_t kTelemetryVersion = 2;
 
 /// Telemetry payload codec (FrameType::kTelemetry); exact round trip of
 /// the Registry snapshot (counters, gauges, timer buckets) and buffered
@@ -261,13 +262,12 @@ struct SubmitRequest {
   std::vector<JobSpec> specs;
 };
 
-/// Terminal accounting of a sweep (FrameType::kSweepDone). total ==
-/// simulated + journal_hits: every cell was either simulated fresh on
-/// the fleet after this submission or served from the coordinator's
+/// Terminal accounting of a sweep (FrameType::kSweepDone). simulated +
+/// journal_hits is the grid size: every cell was either simulated fresh
+/// on the fleet after this submission or served from the coordinator's
 /// durable result journal (including results produced by other clients
 /// or by a previous coordinator incarnation).
 struct SweepDone {
-  std::uint64_t total = 0;
   std::uint64_t simulated = 0;
   std::uint64_t journal_hits = 0;
 };
@@ -284,10 +284,6 @@ struct JournalRecord {
 /// encode_job on specs that cannot cross a process boundary.
 std::vector<std::uint8_t> encode_submit(const SubmitRequest& request);
 SubmitRequest decode_submit(const std::vector<std::uint8_t>& payload);
-
-/// Attach payload codec (FrameType::kAttach): just the sweep id.
-std::vector<std::uint8_t> encode_attach(const std::string& sweep_id);
-std::string decode_attach(const std::vector<std::uint8_t>& payload);
 
 /// Sweep-completion payload codec (FrameType::kSweepDone).
 std::vector<std::uint8_t> encode_sweep_done(const SweepDone& done);

@@ -173,14 +173,11 @@ int main() {
 
     std::vector<std::uint8_t> reply;
     run::wire::FrameType reply_type = run::wire::FrameType::kResult;
-    std::uint64_t flow_id = 0;
     std::string span_name;
     const std::uint64_t sim_begin = steady_nanos_now();
     try {
       if (!task) throw Error(undecodable);
-      const run::JobSpec& leader = task->members.front();
-      flow_id = leader.parent_span_id;
-      span_name = leader.label;
+      span_name = task->members.front().label;
       std::vector<run::wire::Outcome> outcomes;
       for (run::MemberOutcome& m :
            run::execute_group(task->members, task->scope, traces)) {
@@ -215,7 +212,9 @@ int main() {
       span.track = 1;
       span.begin_nanos = sim_begin;
       span.end_nanos = steady_nanos_now();
-      span.flow_id = flow_id;
+      // The supervisor's dispatch flow for this task starts under the
+      // same id (run::PoolRun::on_result).
+      span.flow_id = std::uint64_t{frame.task_id} + 1;
       obs::span_buffer().add(std::move(span));
       const std::vector<std::uint8_t> telemetry =
           run::wire::encode_telemetry(obs::collect_telemetry("worker"));

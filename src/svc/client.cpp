@@ -28,8 +28,9 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-/// One run(): submits the grid on the first handshake and re-attaches
-/// on every later one, then collects kCellDone frames until kSweepDone.
+/// One run(): submits the grid on every handshake (kSubmit is idempotent,
+/// so a resubmission resumes the sweep), then collects kCellDone frames
+/// until kSweepDone.
 class SweepSession final : public net::SessionClientOwner {
  public:
   SweepSession(const CoordinatorClientConfig& config,
@@ -45,8 +46,6 @@ class SweepSession final : public net::SessionClientOwner {
                                      : config.sweep_id;
     submit_frame_ = wire::encode_frame(wire::FrameType::kSubmit, 0, 0,
                                        wire::encode_submit({sweep_id, sweep}));
-    attach_frame_ = wire::encode_frame(wire::FrameType::kAttach, 0, 0,
-                                       wire::encode_attach(sweep_id));
   }
   // session_ holds this object's address.
   SweepSession(const SweepSession&) = delete;
@@ -78,12 +77,7 @@ class SweepSession final : public net::SessionClientOwner {
   void on_session_open(std::size_t /*id*/, const net::Welcome& welcome,
                        Clock::time_point now) override {
     stats_.threads = welcome.slots;
-    // Resume when we have submitted before; submit otherwise.
-    if (session_.send(submitted_ ? attach_frame_ : submit_frame_, now) &&
-        !submitted_) {
-      bump("svc.client_submits");
-      submitted_ = true;
-    }
+    if (session_.send(submit_frame_, now)) bump("svc.client_submits");
   }
 
   void on_session_closed(std::size_t /*id*/, const std::string& why,
@@ -117,21 +111,11 @@ class SweepSession final : public net::SessionClientOwner {
         done_ = true;
         return;
       }
-      case wire::FrameType::kError: {
-        const std::string message =
-            wire::decode_error_or(body, "(undecodable error payload)");
-        if (message.find("unknown sweep") == std::string::npos) {
-          // Deterministic sweep failure: retrying would rerun the same
-          // deterministic simulation.
-          throw Error(message);
-        }
-        // A restarted coordinator lost the (in-memory) sweep table;
-        // re-submitting is idempotent and dedupes against its replayed
-        // journal.
-        bump("svc.client_resubmits");
-        session_.send(submit_frame_, now);
-        return;
-      }
+      case wire::FrameType::kError:
+        // Deterministic sweep failure: retrying would rerun the same
+        // deterministic simulation.
+        throw Error(
+            wire::decode_error_or(body, "(undecodable error payload)"));
       default:
         session_.close("unexpected frame type in session", now);
         return;
@@ -145,8 +129,8 @@ class SweepSession final : public net::SessionClientOwner {
       return;
     }
     if (have_[index]) {
-      // Duplicate delivery (attach replay overlapping live streaming):
-      // idempotent drop, like CellQueue::complete.
+      // Duplicate delivery (a resubmission's replay overlapping live
+      // streaming): idempotent drop, like CellQueue::complete.
       bump("svc.client_duplicate_drops");
       return;
     }
@@ -159,28 +143,20 @@ class SweepSession final : public net::SessionClientOwner {
     }
     have_[index] = true;
     ++done_cells_;
-    if (!progress_) return;
-    run::SweepProgress p;
-    p.done = done_cells_;
-    p.total = results_.size();
-    p.elapsed_seconds =
-        std::chrono::duration<double>(Clock::now() - started_).count();
-    p.eta_seconds = p.elapsed_seconds / static_cast<double>(done_cells_) *
-                    static_cast<double>(results_.size() - done_cells_);
-    progress_(p);
+    if (progress_) {
+      progress_(run::sweep_progress(done_cells_, results_.size(), started_));
+    }
   }
 
   const run::ProgressCallback& progress_;
   run::SweepStats& stats_;
   net::SessionClient session_;
   std::vector<std::uint8_t> submit_frame_;
-  std::vector<std::uint8_t> attach_frame_;
   std::vector<sim::SimResult> results_;
   std::vector<bool> have_;
   std::size_t done_cells_ = 0;
   const Clock::time_point started_ = Clock::now();
-  bool submitted_ = false;  // false until the first kSubmit went out
-  bool done_ = false;       // kSweepDone arrived
+  bool done_ = false;  // kSweepDone arrived
 };
 
 }  // namespace

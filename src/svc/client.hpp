@@ -11,12 +11,13 @@
 //    last_stats().copied_cells counts them (simulated_cells counts the
 //    fresh ones), so a test can assert "zero re-simulation".
 //  * Session resumption: the sweep id is deterministic (a hash of the
-//    grid's canonical cell keys, or caller-chosen), so a client that
-//    disconnects — or a coordinator that was SIGKILLed and restarted —
-//    resumes by kAttach, falling back to an idempotent re-kSubmit when
-//    the (restarted, journal-replayed) coordinator no longer knows the
-//    sweep id. Duplicate kCellDone frames from replay overlap are
-//    dropped idempotently.
+//    grid's canonical cell keys, or caller-chosen), and the client sends
+//    the same kSubmit after every handshake. kSubmit is idempotent: a
+//    coordinator still running the sweep re-attaches the session and
+//    replays the cells it already delivered, and one that was
+//    SIGKILLed and restarted creates the sweep again and serves it from
+//    its replayed journal. Duplicate kCellDone frames from replay
+//    overlap are dropped idempotently.
 //
 // The session itself is one net::SessionClient. Deterministic failures
 // (kError: a cell failed on the fleet, an auth or version rejection)

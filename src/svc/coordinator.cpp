@@ -100,25 +100,15 @@ std::size_t Coordinator::welcome_slots() const { return fleet_.ready_slots(); }
 void Coordinator::on_session_frame(std::uint64_t id,
                                    const wire::FrameHeader& header,
                                    std::vector<std::uint8_t>& body) {
-  switch (header.type) {
-    case wire::FrameType::kPing:
-      sessions_.send(id, wire::encode_frame(wire::FrameType::kPong,
-                                            header.task_id, header.attempt,
-                                            {}));
-      break;
-    case wire::FrameType::kSubmit:
-      on_submit(id, body);
-      break;
-    case wire::FrameType::kAttach:
-      on_attach(id, body);
-      break;
-    default:
-      sessions_.close(id, "unexpected frame type in session");
+  if (header.type == wire::FrameType::kSubmit) {
+    on_submit(id, body);
+  } else {
+    sessions_.close(id, "unexpected frame type in session");
   }
 }
 
 /// The sweep outlives the connection: it keeps running detached and the
-/// client resumes it later with kAttach.
+/// client resumes it later by submitting it again.
 void Coordinator::on_session_closed(std::uint64_t id,
                                     const std::string& /*why*/) {
   for (auto& [sweep_id, sweep] : sweeps_) {
@@ -187,24 +177,6 @@ void Coordinator::on_submit(std::uint64_t id,
   maybe_finish_sweep(request.sweep_id);
 }
 
-void Coordinator::on_attach(std::uint64_t id,
-                            const std::vector<std::uint8_t>& body) {
-  std::string sweep_id;
-  try {
-    sweep_id = wire::decode_attach(body);
-  } catch (const Error& e) {
-    sessions_.close(id, "protocol corruption (" + std::string(e.what()) + ")");
-    return;
-  }
-  bump("svc.attaches");
-  if (sweeps_.count(sweep_id) == 0) {
-    // The client falls back to a full kSubmit on this exact message.
-    send_error(id, "esched-coordinator: unknown sweep \"" + sweep_id + "\"");
-    return;
-  }
-  attach_client(id, sweep_id);
-}
-
 /// Attach `id` to the sweep (stealing it from any previous client — the
 /// newest connection wins, which is what session resumption means) and
 /// replay every kCellDone already available, plus kSweepDone if the
@@ -227,7 +199,6 @@ void Coordinator::send_error(std::uint64_t id, const std::string& message) {
 
 void Coordinator::send_sweep_done(std::uint64_t id, const Sweep& sweep) {
   wire::SweepDone done;
-  done.total = static_cast<std::uint64_t>(sweep.keys.size());
   done.simulated = sweep.simulated;
   done.journal_hits = sweep.journal_hits;
   sessions_.send(id, wire::encode_frame(wire::FrameType::kSweepDone, 0, 0,
@@ -371,7 +342,6 @@ OpsHealth Coordinator::ops_health() const {
 }
 
 OpsSweeps Coordinator::ops_sweeps() const {
-  const Clock::time_point now = Clock::now();
   OpsSweeps out;
   out.cells_in_flight = queue_.in_flight_cells();
   out.cells_pending = queue_.queued_cells();
@@ -384,13 +354,10 @@ OpsSweeps Coordinator::ops_sweeps() const {
     info.journal_hits = sweep.journal_hits;
     info.done = sweep.done;
     info.attached = sweep.client != 0;
-    info.elapsed_seconds =
-        std::chrono::duration<double>(now - sweep.submitted_at).count();
-    if (!sweep.done && sweep.delivered_count > 0) {
-      info.eta_seconds = info.elapsed_seconds /
-                         static_cast<double>(sweep.delivered_count) *
-                         static_cast<double>(info.total - info.delivered);
-    }
+    const run::SweepProgress progress = run::sweep_progress(
+        sweep.delivered_count, sweep.keys.size(), sweep.submitted_at);
+    info.elapsed_seconds = progress.elapsed_seconds;
+    info.eta_seconds = progress.eta_seconds;
     out.sweeps.push_back(std::move(info));
   }
   return out;

@@ -36,9 +36,11 @@
 //    auth token mismatch) stops reconnect attempts, and an agent death
 //    requeues its in-flight cells onto the survivors.
 //  * A disconnected client's sweep keeps running. The client resumes
-//    with kAttach (its sweep id): already-produced kCellDone frames are
-//    re-sent, the rest stream as they finish. kSubmit is idempotent —
-//    re-submitting an id with the identical grid behaves like kAttach.
+//    by sending its kSubmit again: kSubmit is idempotent, so the same id
+//    with the identical grid re-attaches the session, re-sends every
+//    kCellDone already produced and streams the rest as they finish. A
+//    sweep this incarnation never saw (it was SIGKILLed and restarted)
+//    is created again and served from the replayed journal where it can.
 //
 // Single-threaded poll() loop, like the agentd and the per-run pool.
 // Once every agent has rejected the daemon (token or version mismatch),
@@ -134,7 +136,6 @@ class Coordinator : private run::LaneOwner, private net::SessionOwner {
 
   // Client protocol.
   void on_submit(std::uint64_t id, const std::vector<std::uint8_t>& body);
-  void on_attach(std::uint64_t id, const std::vector<std::uint8_t>& body);
   void attach_client(std::uint64_t id, const std::string& sweep_id);
   void send_error(std::uint64_t id, const std::string& message);
   void send_sweep_done(std::uint64_t id, const Sweep& sweep);

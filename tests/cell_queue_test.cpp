@@ -252,21 +252,6 @@ TEST(CellQueueTest, RequeuedGroupKeepsItsTaskId) {
   EXPECT_EQ(members[1].label, cell(3.0).label);
 }
 
-TEST(CellQueueTest, StampedTasksCarryTheirIdAsParentSpan) {
-  run::CellQueue queue(policy(), true, /*stamp_trace=*/true);
-  const Clock::time_point now = Clock::now();
-  add(queue, cell(2.0), 0, now);
-  add(queue, cell(2.0, "greedy"), 1, now);
-  run::Dispatch work;
-  ASSERT_TRUE(queue.claim(now, work));
-  ASSERT_TRUE(queue.claim(now, work));
-  const std::vector<run::JobSpec> members =
-      wire::decode_task(*work.payload).members;
-  ASSERT_EQ(members.size(), 1u);
-  EXPECT_EQ(members[0].trace_id, 1u);
-  EXPECT_EQ(members[0].parent_span_id, 2u);  // task 1
-}
-
 TEST(CellQueueTest, EachBusyPeriodCarriesItsOwnScope) {
   // The scope a worker keys its trace cache on: one per busy period of
   // the queue. A cell added while the queue is busy (an overlapping

@@ -11,6 +11,9 @@
 //    re-simulating only the cells absent from the journal (counted
 //    independently by replaying the journal: exactly one record per
 //    distinct cell, ever);
+//  * a client session cut mid-sweep while the coordinator stays up
+//    resumes by re-submitting: every cell arrives once, none is
+//    simulated twice;
 //  * a second client with an overlapping grid triggers zero
 //    re-simulation and byte-identical results;
 //  * a wrong auth token is rejected with a named error;
@@ -21,8 +24,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -33,10 +36,13 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "fleet_support.hpp"
 #include "meta/spec.hpp"
 #include "net/distributed.hpp"
 #include "net/socket.hpp"
@@ -57,125 +63,7 @@ namespace {
 
 namespace wire = run::wire;
 
-/// Set an environment variable for the scope of one test; spawned
-/// coordinators, agentds and workers inherit it. Restores the prior
-/// value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_prev_) {
-      ::setenv(name_, prev_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-/// ESCHED_FAULT for the scope of one test.
-class ScopedFaultEnv : public ScopedEnv {
- public:
-  explicit ScopedFaultEnv(const std::string& plan)
-      : ScopedEnv("ESCHED_FAULT", plan) {}
-};
-
-/// Fork one of the service binaries and parse its ready line for
-/// "port=". SIGKILL via kill_now() is the crash lever.
-class ServiceProc {
- public:
-  ServiceProc() = default;
-  ~ServiceProc() { kill_now(); }
-  ServiceProc(const ServiceProc&) = delete;
-  ServiceProc& operator=(const ServiceProc&) = delete;
-
-  void start(const std::string& path, std::vector<std::string> args) {
-    ESCHED_REQUIRE(pid_ <= 0, "service already running");
-    int out[2] = {-1, -1};
-    ESCHED_REQUIRE(::pipe(out) == 0, "pipe() failed");
-    pid_ = ::fork();
-    ESCHED_REQUIRE(pid_ >= 0, "fork() failed");
-    if (pid_ == 0) {
-      ::dup2(out[1], STDOUT_FILENO);
-      ::close(out[0]);
-      ::close(out[1]);
-      std::vector<char*> argv;
-      argv.push_back(const_cast<char*>(path.c_str()));
-      for (const std::string& a : args) {
-        argv.push_back(const_cast<char*>(a.c_str()));
-      }
-      argv.push_back(nullptr);
-      ::execv(path.c_str(), argv.data());
-      ::_exit(127);
-    }
-    ::close(out[1]);
-    std::string line;
-    char c = 0;
-    while (::read(out[0], &c, 1) == 1 && c != '\n') line.push_back(c);
-    ::close(out[0]);
-    const std::size_t pos = line.find("port=");
-    ESCHED_REQUIRE(pos != std::string::npos,
-                   "no ready line from " + path + ": \"" + line + "\"");
-    port_ = static_cast<std::uint16_t>(std::atoi(line.c_str() + pos + 5));
-    ESCHED_REQUIRE(port_ > 0, "bad ready line: \"" + line + "\"");
-    // Daemons started with --http-port report the bound operational
-    // port as a trailing " http=N" token on the same ready line.
-    const std::size_t http = line.find("http=");
-    if (http != std::string::npos) {
-      http_port_ =
-          static_cast<std::uint16_t>(std::atoi(line.c_str() + http + 5));
-    }
-  }
-
-  void kill_now() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    ::waitpid(pid_, nullptr, 0);
-    pid_ = -1;
-  }
-
-  bool running() const { return pid_ > 0; }
-  std::uint16_t port() const { return port_; }
-  std::uint16_t http_port() const { return http_port_; }
-  net::HostPort addr() const { return {"127.0.0.1", port_}; }
-  net::HostPort http_addr() const { return {"127.0.0.1", http_port_}; }
-
- private:
-  pid_t pid_ = -1;
-  std::uint16_t port_ = 0;
-  std::uint16_t http_port_ = 0;
-};
-
-class AgentProc : public ServiceProc {
- public:
-  /// port 0 picks an ephemeral port.
-  explicit AgentProc(int slots, bool http = false, std::uint16_t port = 0,
-                     const std::string& token = "") {
-    const std::string path =
-        run::find_sibling_binary("ESCHED_AGENTD", "esched-agentd");
-    ESCHED_REQUIRE(!path.empty(), "esched-agentd binary not built?");
-    std::vector<std::string> args = {"--port", std::to_string(port),
-                                     "--slots", std::to_string(slots)};
-    if (http) {
-      args.push_back("--http-port");
-      args.push_back("0");
-    }
-    if (!token.empty()) {
-      args.push_back("--token");
-      args.push_back(token);
-    }
-    start(path, std::move(args));
-  }
-};
+using namespace test;
 
 class CoordProc : public ServiceProc {
  public:
@@ -185,9 +73,6 @@ class CoordProc : public ServiceProc {
                          const std::string& journal,
                          const std::string& token = "",
                          std::vector<std::string> extra_args = {}) {
-    const std::string path =
-        run::find_sibling_binary("ESCHED_COORDINATOR", "esched-coordinator");
-    ESCHED_REQUIRE(!path.empty(), "esched-coordinator binary not built?");
     std::vector<std::string> args = {"--port",    std::to_string(port),
                                      "--agents",  agents_csv,
                                      "--journal", journal};
@@ -196,64 +81,9 @@ class CoordProc : public ServiceProc {
       args.push_back(token);
     }
     for (std::string& a : extra_args) args.push_back(std::move(a));
-    start(path, std::move(args));
+    start("esched-coordinator", std::move(args));
   }
 };
-
-/// Unique journal path per test, removed on destruction.
-class TempJournal {
- public:
-  explicit TempJournal(const std::string& tag) {
-    path_ = ::testing::TempDir() + "esched-coord-" + tag + "-" +
-            std::to_string(::getpid()) + ".journal";
-    std::remove(path_.c_str());
-  }
-  ~TempJournal() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-/// Six-cell sweep: the paper's three policies at two price ratios (the
-/// same grid distributed_test uses, so runtimes are known-CI-safe).
-std::vector<run::JobSpec> six_cell_sweep() {
-  std::vector<run::JobSpec> sweep;
-  for (const double ratio : {3.0, 5.0}) {
-    for (const char* policy : {"fcfs", "greedy", "knapsack"}) {
-      run::JobSpec spec;
-      spec.trace.source = "sdsc-blue";
-      spec.trace.months = 1;
-      spec.pricing.model = "paper";
-      spec.pricing.ratio = ratio;
-      spec.policy.name = policy;
-      spec.label = std::string(policy) + "/r" +
-                   std::to_string(static_cast<int>(ratio));
-      sweep.push_back(spec);
-    }
-  }
-  return sweep;
-}
-
-std::vector<sim::SimResult> reference_results(
-    const std::vector<run::JobSpec>& sweep) {
-  std::vector<sim::SimResult> results;
-  results.reserve(sweep.size());
-  for (const run::JobSpec& spec : sweep) {
-    results.push_back(run::execute_job_spec(spec));
-  }
-  return results;
-}
-
-void expect_identical(const std::vector<sim::SimResult>& reference,
-                      const std::vector<sim::SimResult>& actual,
-                      const std::vector<run::JobSpec>& sweep) {
-  ASSERT_EQ(actual.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_TRUE(run::results_identical(reference[i], actual[i]))
-        << "cell " << i << " (" << sweep[i].label << ") diverged";
-  }
-}
 
 /// Fast-failure knobs (CI must not wait out production backoffs).
 CoordinatorClientConfig client_config(const net::HostPort& coordinator) {
@@ -359,10 +189,6 @@ struct ClientThread {
   std::thread thread;
 };
 
-std::uint64_t counter(const char* name) {
-  return obs::Registry::global().counter(name).value();
-}
-
 /// (cell_key, producing dispatch id) of every journal record, in order.
 std::vector<std::pair<std::string, std::uint32_t>> journal_dispatches(
     const std::string& path) {
@@ -419,8 +245,8 @@ void expect_planes_match_sweep_runner(const std::vector<run::JobSpec>& sweep,
   // task completes its members and re-bills all but one.
   const bool counters_were_on = obs::counters_enabled();
   obs::set_counters_enabled(true);
-  const std::uint64_t completed_before = counter("svc.cells_completed");
-  const std::uint64_t rebilled_before = counter("svc.cells_rebilled");
+  const std::uint64_t completed_before = counter_value("svc.cells_completed");
+  const std::uint64_t rebilled_before = counter_value("svc.cells_rebilled");
   TempJournal journal(journal_name);
   CoordinatorConfig cfg;
   cfg.port = 0;
@@ -432,9 +258,9 @@ void expect_planes_match_sweep_runner(const std::vector<run::JobSpec>& sweep,
   serve_until(coordinator, [&] { return client.finished.load(); });
   client.thread.join();
   const std::uint64_t completed =
-      counter("svc.cells_completed") - completed_before;
+      counter_value("svc.cells_completed") - completed_before;
   const std::uint64_t coordinator_rebilled =
-      counter("svc.cells_rebilled") - rebilled_before;
+      counter_value("svc.cells_rebilled") - rebilled_before;
   obs::set_counters_enabled(counters_were_on);
   ASSERT_TRUE(client.error.empty()) << client.error;
   expect_identical(reference, client.results, sweep);
@@ -545,9 +371,9 @@ TEST(CoordinatorTest, SigkillMidSweepResumesSimulatingOnlyMissingCells) {
     // SIGKILL the coordinator after the first delivered cell — no
     // shutdown path runs, the journal is whatever fdatasync left —
     // then restart it on the same port with the same journal. The
-    // client's reconnect loop attaches, learns the restarted daemon
-    // lost the in-memory sweep, re-submits idempotently, and the
-    // journal dedup re-simulates only the missing cells.
+    // client's reconnect loop submits the sweep again, the restarted
+    // daemon creates it anew, and the journal dedup re-simulates only
+    // the missing cells.
     coord.kill_now();
     coord.start_coordinator(port, agent.addr().text(), journal.path());
   });
@@ -555,8 +381,9 @@ TEST(CoordinatorTest, SigkillMidSweepResumesSimulatingOnlyMissingCells) {
   ASSERT_TRUE(killed);
   expect_identical(reference, results, sweep);
 
-  // The final SweepDone accounts total == simulated + journal_hits, and
-  // at least the delivered cell survived the crash in the journal.
+  // The final SweepDone accounts every cell as simulated or a journal
+  // hit, and at least the delivered cell survived the crash in the
+  // journal.
   EXPECT_EQ(client.last_stats().tasks, 6u);
   EXPECT_EQ(client.last_stats().simulated_cells +
                 client.last_stats().copied_cells,
@@ -602,6 +429,159 @@ TEST(CoordinatorTest, WrongAuthTokenIsRejectedByName) {
   CoordinatorClient accepted(good);
   const auto sweep = six_cell_sweep();
   expect_identical(reference_results(sweep), accepted.run(sweep), sweep);
+}
+
+/// send() all of `size` bytes to a non-blocking socket; false when the
+/// peer is gone or stays unwritable for a second.
+bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n > 0) {
+      data += n;
+      size -= static_cast<std::size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      struct pollfd pfd = {fd, POLLOUT, 0};
+      if (::poll(&pfd, 1, 1000) <= 0) return false;
+    } else if (n < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A loopback TCP relay in front of `upstream`, relaying one session at
+/// a time on its own thread. It cuts its first session, closing both
+/// sides, right after forwarding the first kCellDone to the client, and
+/// relays every later session untouched.
+class CuttingRelay {
+ public:
+  explicit CuttingRelay(net::HostPort upstream)
+      : upstream_(std::move(upstream)),
+        listener_(net::listen_tcp("127.0.0.1", 0)),
+        thread_([this] { serve(); }) {}
+  ~CuttingRelay() {
+    stop_ = true;
+    thread_.join();
+  }
+  CuttingRelay(const CuttingRelay&) = delete;
+  CuttingRelay& operator=(const CuttingRelay&) = delete;
+
+  net::HostPort addr() const {
+    return {"127.0.0.1", net::local_port(listener_.get())};
+  }
+  int sessions() const { return sessions_; }
+  bool cut() const { return cut_; }
+  /// True when the relay thread stopped on an exception.
+  bool failed() const { return failed_; }
+
+ private:
+  void serve() {
+    try {
+      while (!stop_) {
+        struct pollfd pfd = {listener_.get(), POLLIN, 0};
+        if (::poll(&pfd, 1, 50) <= 0) continue;
+        const net::Fd client = net::accept_tcp(listener_.get());
+        if (!client.valid()) continue;
+        std::string error;
+        const net::Fd server = net::connect_tcp(upstream_, 5.0, error);
+        if (!server.valid()) continue;  // the client sees EOF and retries
+        ++sessions_;
+        relay(client.get(), server.get());
+      }
+    } catch (const std::exception&) {
+      failed_ = true;  // the client then sees EOF and the test fails
+    }
+  }
+
+  /// Pump bytes both ways until either side closes or the cut.
+  void relay(int client, int server) {
+    std::vector<std::uint8_t> down;  // from the server, not yet forwarded
+    std::uint8_t buf[65536];
+    while (!stop_) {
+      struct pollfd fds[2] = {{client, POLLIN, 0}, {server, POLLIN, 0}};
+      if (::poll(fds, 2, 50) <= 0) continue;
+      for (int side = 0; side < 2; ++side) {
+        if (fds[side].revents == 0) continue;
+        const ssize_t n = ::recv(fds[side].fd, buf, sizeof buf, 0);
+        if (n < 0 && (errno == EAGAIN || errno == EINTR)) continue;
+        if (n <= 0) return;
+        const auto got = static_cast<std::size_t>(n);
+        if (side == 0 || cut_) {
+          if (!send_all(side == 0 ? server : client, buf, got)) return;
+          continue;
+        }
+        // Forward whole frames only, so the cut falls right after one.
+        down.insert(down.end(), buf, buf + got);
+        while (down.size() >= wire::kHeaderSize) {
+          const wire::FrameHeader h = wire::decode_header(down.data());
+          const std::size_t size = wire::kHeaderSize + h.payload_size;
+          if (down.size() < size) break;
+          if (!send_all(client, down.data(), size)) return;
+          if (h.type == wire::FrameType::kCellDone) {
+            cut_ = true;
+            return;
+          }
+          down.erase(down.begin(),
+                     down.begin() + static_cast<std::ptrdiff_t>(size));
+        }
+      }
+    }
+  }
+
+  net::HostPort upstream_;
+  net::Fd listener_;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> cut_{false};
+  std::atomic<int> sessions_{0};
+  std::atomic<bool> failed_{false};
+  std::thread thread_;  // last: starts once every other member exists
+};
+
+TEST(CoordinatorTest, SessionCutMidSweepResumesByResubmitting) {
+  // The coordinator stays up while the client's session is cut after
+  // the first kCellDone. The client reconnects and sends its kSubmit
+  // again; the live sweep re-attaches the session and replays what it
+  // already delivered. Every cell reaches the caller once, byte-identical
+  // to the reference, and nothing is simulated twice.
+  const auto sweep = six_cell_sweep();
+  const auto reference = reference_results(sweep);
+
+  AgentProc agent(1);  // one slot: cells are still running at the cut
+  TempJournal journal("cut");
+  CoordProc coord;
+  coord.start_coordinator(0, agent.addr().text(), journal.path());
+  CuttingRelay relay(coord.addr());
+
+  const bool counters_were_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const std::uint64_t submits_before = counter_value("svc.client_submits");
+  CoordinatorClient client(client_config(relay.addr()));
+  std::vector<std::size_t> done;
+  client.set_progress(
+      [&](const run::SweepProgress& p) { done.push_back(p.done); });
+  const auto results = client.run(sweep);
+  const std::uint64_t submits =
+      counter_value("svc.client_submits") - submits_before;
+  obs::set_counters_enabled(counters_were_on);
+
+  EXPECT_FALSE(relay.failed());
+  EXPECT_TRUE(relay.cut());
+  EXPECT_EQ(relay.sessions(), 2);
+  EXPECT_EQ(submits, 2u);
+  expect_identical(reference, results, sweep);
+  // Every cell arrived once: one progress report per cell, in order.
+  ASSERT_EQ(done.size(), sweep.size());
+  for (std::size_t i = 0; i < done.size(); ++i) EXPECT_EQ(done[i], i + 1);
+  // The same incarnation served the whole sweep: all its own
+  // simulations, none served from a replayed journal.
+  EXPECT_EQ(client.last_stats().simulated_cells, 6u);
+  EXPECT_EQ(client.last_stats().copied_cells, 0u);
+
+  coord.kill_now();
+  std::size_t records = 0, distinct = 0;
+  journal_census(journal.path(), records, distinct);
+  EXPECT_EQ(distinct, 6u);
+  EXPECT_EQ(records, 6u) << "a journaled cell was re-simulated";
 }
 
 TEST(CoordinatorTest, SessionResumptionByIdReplaysTheFinishedSweep) {
@@ -907,10 +887,11 @@ TEST(CoordinatorTest, FourCenterScenarioIsOneTaskAndOneRoutingPass) {
 
   // Every plane's bytes and split; of the helper's planes only
   // SweepRunner routes in this process.
-  const std::uint64_t plans_before = counter("meta.route_plans");
+  const std::uint64_t plans_before = counter_value("meta.route_plans");
   run::SweepStats want;
   expect_planes_match_sweep_runner(sweep, 4, 0, "planes-scenario", want);
-  EXPECT_EQ(counter("meta.route_plans") - plans_before, 1u) << "in-process";
+  EXPECT_EQ(counter_value("meta.route_plans") - plans_before, 1u)
+      << "in-process";
   EXPECT_EQ(want.simulated_cells, 4u);
   EXPECT_EQ(want.rebilled_cells, 0u);
 

@@ -6,16 +6,23 @@
 // (requeue + surviving agent) and when deterministic net faults
 // (ESCHED_FAULT netdrop/netgarbage) sever connections and corrupt
 // frames. A persistent agentd worker builds a run's trace once and never
-// reuses it in the next run. Handshake rejection of a wrong protocol
+// reuses it in the next run. With a tracer open, each task's dispatch
+// span on either pool starts a flow that the worker's simulate span
+// ends. Handshake rejection of a wrong protocol
 // version is pinned at the wire level with a raw client.
 #include "net/distributed.hpp"
 
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <cstdlib>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <ostream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <poll.h>
@@ -23,144 +30,28 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "fleet_support.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "obs/fleet.hpp"
 #include "obs/registry.hpp"
+#include "obs/tracer.hpp"
 #include "run/endpoint.hpp"
 #include "run/fault.hpp"
+#include "run/proc.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
 #include "run/wire.hpp"
 #include "util/error.hpp"
+#include "util/minijson.hpp"
 
 namespace esched::net {
 namespace {
 
 namespace wire = run::wire;
 
-/// Set ESCHED_FAULT for the scope of one test; spawned agentds (and
-/// their workers) inherit it. Restores the prior value on destruction.
-class ScopedFaultEnv {
- public:
-  explicit ScopedFaultEnv(const std::string& plan) {
-    const char* prev = std::getenv("ESCHED_FAULT");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv("ESCHED_FAULT", plan.c_str(), 1);
-  }
-  ~ScopedFaultEnv() {
-    if (had_prev_) {
-      ::setenv("ESCHED_FAULT", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("ESCHED_FAULT");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-/// One esched-agentd child on an ephemeral loopback port. The ready line
-/// on its stdout announces the port; SIGKILL via kill_now() is the
-/// "agent died mid-sweep" lever.
-class AgentProc {
- public:
-  explicit AgentProc(int slots, const std::string& token = "") {
-    const std::string path =
-        run::find_sibling_binary("ESCHED_AGENTD", "esched-agentd");
-    ESCHED_REQUIRE(!path.empty(), "esched-agentd binary not built?");
-    int out[2] = {-1, -1};
-    ESCHED_REQUIRE(::pipe(out) == 0, "pipe() failed");
-    pid_ = ::fork();
-    ESCHED_REQUIRE(pid_ >= 0, "fork() failed");
-    if (pid_ == 0) {
-      ::dup2(out[1], STDOUT_FILENO);
-      ::close(out[0]);
-      ::close(out[1]);
-      const std::string slots_arg = std::to_string(slots);
-      if (token.empty()) {
-        ::execl(path.c_str(), path.c_str(), "--port", "0", "--slots",
-                slots_arg.c_str(), static_cast<char*>(nullptr));
-      } else {
-        ::execl(path.c_str(), path.c_str(), "--port", "0", "--slots",
-                slots_arg.c_str(), "--token", token.c_str(),
-                static_cast<char*>(nullptr));
-      }
-      ::_exit(127);
-    }
-    ::close(out[1]);
-    // Block on the single "ready ... port=N ..." line.
-    std::string line;
-    char c = 0;
-    while (::read(out[0], &c, 1) == 1 && c != '\n') line.push_back(c);
-    ::close(out[0]);
-    const std::size_t pos = line.find("port=");
-    ESCHED_REQUIRE(pos != std::string::npos,
-                   "no agentd ready line: \"" + line + "\"");
-    port_ = static_cast<std::uint16_t>(
-        std::atoi(line.c_str() + pos + 5));
-    ESCHED_REQUIRE(port_ > 0, "bad agentd ready line: \"" + line + "\"");
-  }
-
-  ~AgentProc() { kill_now(); }
-  AgentProc(const AgentProc&) = delete;
-  AgentProc& operator=(const AgentProc&) = delete;
-
-  void kill_now() {
-    if (pid_ <= 0) return;
-    ::kill(pid_, SIGKILL);
-    ::waitpid(pid_, nullptr, 0);
-    pid_ = -1;
-  }
-
-  HostPort addr() const { return {"127.0.0.1", port_}; }
-
- private:
-  pid_t pid_ = -1;
-  std::uint16_t port_ = 0;
-};
-
-/// Six-cell sweep: the paper's three policies at two price ratios.
-std::vector<run::JobSpec> six_cell_sweep() {
-  std::vector<run::JobSpec> sweep;
-  for (const double ratio : {3.0, 5.0}) {
-    for (const char* policy : {"fcfs", "greedy", "knapsack"}) {
-      run::JobSpec spec;
-      spec.trace.source = "sdsc-blue";
-      spec.trace.months = 1;
-      spec.pricing.model = "paper";
-      spec.pricing.ratio = ratio;
-      spec.policy.name = policy;
-      spec.label = std::string(policy) + "/r" +
-                   std::to_string(static_cast<int>(ratio));
-      sweep.push_back(spec);
-    }
-  }
-  return sweep;
-}
-
-std::vector<sim::SimResult> reference_results(
-    const std::vector<run::JobSpec>& sweep) {
-  std::vector<sim::SimResult> results;
-  results.reserve(sweep.size());
-  for (const run::JobSpec& spec : sweep) {
-    results.push_back(run::execute_job_spec(spec));
-  }
-  return results;
-}
-
-void expect_identical(const std::vector<sim::SimResult>& reference,
-                      const std::vector<sim::SimResult>& actual,
-                      const std::vector<run::JobSpec>& sweep) {
-  ASSERT_EQ(actual.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_TRUE(run::results_identical(reference[i], actual[i]))
-        << "cell " << i << " (" << sweep[i].label << ") diverged";
-  }
-}
+using namespace test;
 
 /// Fast-failure knobs shared by the tests (CI must not wait out
 /// production backoffs).
@@ -175,10 +66,6 @@ DistributedPoolConfig test_config(const std::vector<HostPort>& agents) {
   cfg.reconnect_max_seconds = 0.2;
   cfg.connect_attempts = 3;
   return cfg;
-}
-
-std::uint64_t counter_value(const char* name) {
-  return obs::Registry::global().counter(name).value();
 }
 
 TEST(DistributedTest, AgentdBinaryIsAvailable) {
@@ -387,6 +274,91 @@ TEST(DistributedTest, TelemetryAggregatesFleetAndStaysIdentical) {
             per_process_sum);
 }
 
+/// Run `sweep` on `pool` with a tracer and a fleet sink attached, stitch
+/// what the fleet shipped home into the trace and parse the trace back.
+template <typename Pool>
+minijson::Value traced_run(Pool& pool, const std::vector<run::JobSpec>& sweep,
+                           const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "esched-flows-" + tag +
+                           "-" + std::to_string(::getpid()) + ".json";
+  obs::FleetAggregator fleet;
+  obs::Tracer tracer;
+  tracer.open(path);
+  pool.set_tracer(&tracer);
+  pool.set_telemetry(&fleet);
+  expect_identical(reference_results(sweep), pool.run(sweep), sweep);
+  pool.set_tracer(nullptr);
+  pool.set_telemetry(nullptr);
+  fleet.stitch_into(tracer);
+  tracer.close();
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  std::remove(tracer.decision_log_path().c_str());
+  return minijson::Value::parse(text.str());
+}
+
+/// Every task's dispatch span starts exactly one flow, and each flow
+/// ends on the simulate span a worker shipped home for that task.
+void expect_dispatch_flows(const minijson::Value& trace, std::size_t tasks,
+                           const std::string& plane) {
+  using Where = std::tuple<double, double, double>;  // pid, tid, ts
+  const auto where = [](const minijson::Value& e) {
+    return Where{e.number_or("pid", 0), e.number_or("tid", 0),
+                 e.number_or("ts", -1)};
+  };
+  std::map<double, int> starts;  // flow id -> dispatch starts
+  std::set<Where> simulate_spans;
+  std::vector<const minijson::Value*> ends;
+  for (const minijson::Value& e : trace.find("traceEvents")->as_array()) {
+    const std::string ph = e.string_or("ph", "");
+    if (ph == "s" && e.string_or("name", "") == "dispatch") {
+      ++starts[e.number_or("id", 0)];
+    } else if (ph == "X" && e.string_or("cat", "") == "simulate" &&
+               e.number_or("pid", 1) != 1) {
+      simulate_spans.insert(where(e));
+    } else if (ph == "f") {
+      ends.push_back(&e);
+    }
+  }
+  EXPECT_EQ(starts.size(), tasks) << plane;
+  std::set<double> ended;
+  for (const minijson::Value* e : ends) {
+    const double id = e->number_or("id", 0);
+    EXPECT_EQ(starts.count(id), 1u) << plane << ": flow " << id
+                                    << " ends without a dispatch";
+    EXPECT_EQ(simulate_spans.count(where(*e)), 1u)
+        << plane << ": flow " << id << " ends off a simulate span";
+    ended.insert(id);
+  }
+  for (const auto& [id, count] : starts) {
+    EXPECT_EQ(count, 1) << plane << ": flow " << id;
+    EXPECT_EQ(ended.count(id), 1u)
+        << plane << ": flow " << id << " never reaches a simulate span";
+  }
+}
+
+TEST(DistributedTest, EveryPoolDrawsDispatchToSimulateFlows) {
+  // A pool with a tracer open starts a flow on each task's dispatch
+  // span, under the id the worker gives its simulate span (task + 1),
+  // so the stitched trace draws one arrow per task on either pool.
+  const std::vector<run::JobSpec> sweep = six_cell_sweep();
+
+  run::SubprocessPoolConfig proc_cfg;
+  proc_cfg.workers = 2;
+  run::SubprocessPool proc(proc_cfg);
+  const minijson::Value proc_trace = traced_run(proc, sweep, "proc");
+  // One simulation per single-site task.
+  expect_dispatch_flows(proc_trace, proc.last_stats().simulated_cells, "proc");
+
+  AgentProc agent1(2);
+  AgentProc agent2(2);
+  DistributedPool tcp(test_config({agent1.addr(), agent2.addr()}));
+  const minijson::Value tcp_trace = traced_run(tcp, sweep, "tcp");
+  expect_dispatch_flows(tcp_trace, tcp.last_stats().simulated_cells, "tcp");
+}
+
 TEST(DistributedTest, EachRunBuildsItsTraceAgainOnAPersistentWorker) {
   // The agent's one worker outlives every run, but each run is a new
   // scope: it builds its trace once and never reuses the last run's
@@ -531,7 +503,7 @@ TEST(DistributedTest, NoUsableAgentsThrowsWithPerAgentDetail) {
 }
 
 TEST(DistributedTest, AuthTokenMismatchIsPermanentRejection) {
-  AgentProc agent(1, "agent-secret");
+  AgentProc agent(1, false, 0, "agent-secret");
 
   // Wrong (empty) token: the agent rejects the hello like a version
   // mismatch — permanent, no reconnect storm — and the sweep fails

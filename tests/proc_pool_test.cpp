@@ -20,6 +20,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include "fleet_support.hpp"
 #include "obs/fleet.hpp"
 #include "obs/flight.hpp"
 #include "obs/registry.hpp"
@@ -31,52 +32,11 @@
 namespace esched::run {
 namespace {
 
-/// Set ESCHED_FAULT for the scope of one test; workers inherit it across
-/// fork/exec. Restores the prior value on destruction.
-class ScopedFaultEnv {
- public:
-  explicit ScopedFaultEnv(const std::string& plan) {
-    const char* prev = std::getenv("ESCHED_FAULT");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv("ESCHED_FAULT", plan.c_str(), 1);
-  }
-  ~ScopedFaultEnv() {
-    if (had_prev_) {
-      ::setenv("ESCHED_FAULT", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("ESCHED_FAULT");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-/// Set an arbitrary environment variable for the scope of one test (the
-/// flight-recorder tests point ESCHED_FLIGHT_DIR at a temp dir).
-class ScopedEnvVar {
- public:
-  ScopedEnvVar(const char* name, const std::string& value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnvVar() {
-    if (had_prev_) {
-      ::setenv(name_, prev_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_prev_ = false;
-  std::string prev_;
-};
+using test::counter_value;
+using test::expect_identical;
+using test::reference_results;
+using test::ScopedEnv;
+using test::ScopedFaultEnv;
 
 std::string make_temp_dir() {
   char tmpl[] = "/tmp/esched_proc_pool_test_XXXXXX";
@@ -108,26 +68,6 @@ std::vector<JobSpec> three_policy_specs() {
   return sweep;
 }
 
-/// In-process reference results for a spec sweep (the determinism
-/// baseline every multi-process run is compared against).
-std::vector<sim::SimResult> reference_results(
-    const std::vector<JobSpec>& sweep) {
-  std::vector<sim::SimResult> results;
-  results.reserve(sweep.size());
-  for (const JobSpec& spec : sweep) results.push_back(execute_job_spec(spec));
-  return results;
-}
-
-void expect_identical(const std::vector<sim::SimResult>& reference,
-                      const std::vector<sim::SimResult>& actual,
-                      const std::vector<JobSpec>& sweep) {
-  ASSERT_EQ(actual.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_TRUE(results_identical(reference[i], actual[i]))
-        << "cell " << i << " (" << sweep[i].label << ") diverged";
-  }
-}
-
 /// True when, under `plan`, every task in [0, tasks) reaches a fault-free
 /// attempt within `budget` attempts — i.e. the sweep is guaranteed to
 /// complete. Used as an ASSERT precondition so a fault seed chosen at
@@ -157,10 +97,6 @@ std::uint32_t count_faults(const FaultPlan& plan, std::uint32_t tasks,
     }
   }
   return n;
-}
-
-std::uint64_t counter_value(const char* name) {
-  return obs::Registry::global().counter(name).value();
 }
 
 TEST(ProcPoolTest, WorkerBinaryIsAvailable) {
@@ -420,7 +356,7 @@ TEST(ProcPoolTest, CrashLeavesFlightDumpNamingTheInFlightCell) {
   // runs (no timestamps or pids — diffable postmortems).
   const std::vector<JobSpec> sweep = three_policy_specs();
   const std::string dir = make_temp_dir();
-  ScopedEnvVar flight_dir("ESCHED_FLIGHT_DIR", dir);
+  ScopedEnv flight_dir("ESCHED_FLIGHT_DIR", dir);
   ScopedFaultEnv env("crash:1.0,seed:1");  // every attempt crashes
 
   SubprocessPoolConfig config;

@@ -19,10 +19,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,9 +26,9 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include "fleet_support.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -334,82 +330,12 @@ TEST_F(SessionServerTest, OversizedPreHandshakeFrameIsDroppedUnbuffered) {
 
 // ---- the daemons ------------------------------------------------------
 
-/// One daemon child. The ready line on its stdout announces port= and
-/// (with --http-port) http=.
-class Daemon {
- public:
-  Daemon(const std::string& name, std::vector<std::string> args) {
-    const std::string env = name == "esched-agentd" ? "ESCHED_AGENTD"
-                                                    : "ESCHED_COORDINATOR";
-    const std::string path = run::find_sibling_binary(env.c_str(), name);
-    ESCHED_REQUIRE(!path.empty(), name + " binary not built?");
-    int out[2] = {-1, -1};
-    ESCHED_REQUIRE(::pipe(out) == 0, "pipe() failed");
-    pid_ = ::fork();
-    ESCHED_REQUIRE(pid_ >= 0, "fork() failed");
-    if (pid_ == 0) {
-      ::dup2(out[1], STDOUT_FILENO);
-      ::close(out[0]);
-      ::close(out[1]);
-      std::vector<char*> argv = {const_cast<char*>(path.c_str())};
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(path.c_str(), argv.data());
-      ::_exit(127);
-    }
-    ::close(out[1]);
-    char c = 0;
-    while (::read(out[0], &c, 1) == 1 && c != '\n') line_.push_back(c);
-    ::close(out[0]);
-    port_ = field("port=");
-    http_port_ = field("http=");
-  }
-  ~Daemon() {
-    ::kill(pid_, SIGKILL);
-    ::waitpid(pid_, nullptr, 0);
-  }
-  Daemon(const Daemon&) = delete;
-  Daemon& operator=(const Daemon&) = delete;
-
-  const std::string& ready_line() const { return line_; }
-  std::uint16_t port() const { return port_; }
-  std::uint16_t http_port() const { return http_port_; }
-
- private:
-  std::uint16_t field(const char* key) const {
-    const std::size_t pos = line_.find(key);
-    if (pos == std::string::npos) return 0;
-    return static_cast<std::uint16_t>(
-        std::atoi(line_.c_str() + pos + std::strlen(key)));
-  }
-
-  pid_t pid_ = -1;
-  std::string line_;
-  std::uint16_t port_ = 0;
-  std::uint16_t http_port_ = 0;
-};
-
-/// Scratch journal path for a coordinator, removed on destruction.
-class TempJournal {
- public:
-  TempJournal()
-      : path_(::testing::TempDir() + "esched-session-" +
-              std::to_string(::getpid()) + ".journal") {
-    std::remove(path_.c_str());
-  }
-  ~TempJournal() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 class SessionTest : public ::testing::TestWithParam<const char*> {
  protected:
   /// Start the daemon under test with `args` plus what it needs to run
   /// at all (a coordinator needs agents and a journal; no agent has to
   /// be reachable for it to serve sessions).
-  std::unique_ptr<Daemon> start(std::vector<std::string> args) {
+  std::unique_ptr<test::ServiceProc> start(std::vector<std::string> args) {
     const std::string name = GetParam();
     if (name == "esched-coordinator") {
       Fd probe = listen_tcp("127.0.0.1", 0);
@@ -423,10 +349,12 @@ class SessionTest : public ::testing::TestWithParam<const char*> {
     } else {
       args.insert(args.end(), {"--slots", "1"});
     }
-    return std::make_unique<Daemon>(name, std::move(args));
+    auto daemon = std::make_unique<test::ServiceProc>();
+    daemon->start(name, std::move(args));
+    return daemon;
   }
 
-  TempJournal journal_;
+  test::TempJournal journal_{"session"};
 };
 
 /// Write `bytes` to a non-blocking socket until done, the peer resets
@@ -476,7 +404,7 @@ TEST_P(SessionTest, OversizedPreHandshakeFrameIsDropped) {
   // An unauthenticated peer announces a 200 MiB kHello and starts
   // streaming it. The daemon must hang up on the header, not buffer the
   // body while waiting for a token check that cannot run yet.
-  const std::unique_ptr<Daemon> daemon = start({"--port", "0"});
+  const std::unique_ptr<test::ServiceProc> daemon = start({"--port", "0"});
   ASSERT_GT(daemon->port(), 0) << daemon->ready_line();
   std::string error;
   Fd fd = connect_tcp_start({"127.0.0.1", daemon->port()}, error);
@@ -499,7 +427,7 @@ TEST_P(SessionTest, HttpPlaneBindsWhereTheFramedPortDoes) {
   } catch (const Error&) {
     GTEST_SKIP() << "no IPv6 loopback on this host";
   }
-  const std::unique_ptr<Daemon> daemon =
+  const std::unique_ptr<test::ServiceProc> daemon =
       start({"--bind", "::1", "--port", "0", "--http-port", "0"});
   ASSERT_GT(daemon->port(), 0) << daemon->ready_line();
   ASSERT_GT(daemon->http_port(), 0) << daemon->ready_line();

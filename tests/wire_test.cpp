@@ -160,31 +160,11 @@ TEST(WireTest, PayloadCrcCatchesBitFlips) {
   EXPECT_FALSE(verify_payload(h, frame.data() + kHeaderSize));
 }
 
-TEST(WireTest, JobSpecTraceContextRoundTripsAndStaysOutOfKeys) {
-  JobSpec spec = sample_spec();
-  spec.trace_id = 0x1122334455667788ull;
-  spec.parent_span_id = 42;
-  const JobSpec back = decode_job(encode_job(spec));
-  EXPECT_EQ(back.trace_id, spec.trace_id);
-  EXPECT_EQ(back.parent_span_id, 42u);
-
-  // A spec without a trace context must decode back to the unset state.
-  const JobSpec plain = decode_job(encode_job(sample_spec()));
-  EXPECT_EQ(plain.trace_id, 0u);
-  EXPECT_EQ(plain.parent_span_id, 0u);
-
-  // Trace context is observability-only: it must never split dedup/
-  // sharing groups, or telemetry could change which cells simulate.
-  EXPECT_EQ(cell_key(spec), cell_key(sample_spec()));
-  EXPECT_EQ(share_key(spec), share_key(sample_spec()));
-}
-
 obs::Telemetry sample_telemetry() {
   obs::Telemetry t;
   t.role = "worker";
   t.pid = 4242;
   t.sequence = 9;
-  t.steady_nanos = 123456789;
   t.metrics.counters["sim.events_processed"] = 100000;
   t.metrics.counters["sched.backfill_hits"] = 17;
   t.metrics.gauges["pool.workers"] = 8.5;
@@ -205,7 +185,6 @@ TEST(WireTest, TelemetryRoundTripIsExact) {
   EXPECT_EQ(back.role, t.role);
   EXPECT_EQ(back.pid, t.pid);
   EXPECT_EQ(back.sequence, t.sequence);
-  EXPECT_EQ(back.steady_nanos, t.steady_nanos);
   EXPECT_EQ(back.metrics.counters, t.metrics.counters);
   EXPECT_EQ(back.metrics.gauges, t.metrics.gauges);
   ASSERT_EQ(back.metrics.timers.size(), t.metrics.timers.size());
@@ -298,15 +277,11 @@ TEST(WireTest, SubmitRequestRoundTripsExactly) {
   EXPECT_THROW(decode_submit(bytes), Error);
 }
 
-TEST(WireTest, AttachAndSweepDoneRoundTrip) {
-  EXPECT_EQ(decode_attach(encode_attach("sweep-42")), "sweep-42");
-
+TEST(WireTest, SweepDoneRoundTrips) {
   SweepDone done;
-  done.total = 100;
   done.simulated = 37;
   done.journal_hits = 63;
   const SweepDone back = decode_sweep_done(encode_sweep_done(done));
-  EXPECT_EQ(back.total, 100u);
   EXPECT_EQ(back.simulated, 37u);
   EXPECT_EQ(back.journal_hits, 63u);
 }
@@ -406,8 +381,6 @@ TEST(WireMetaTest, DecodeRejectsUnknownRouterNamingIt) {
   w.u8(s.config.record_daily_curves ? 1 : 0);
   w.u64(s.config.daily_curve_bins);
   w.str(s.label);
-  w.u64(s.trace_id);
-  w.u64(s.parent_span_id);
   w.u8(1);  // meta present
   w.u32(0);
   w.str("wormhole");  // unknown router
