@@ -14,7 +14,10 @@
 #  * GET /sweeps on the coordinator — after the sweep: delivered == the
 #    full grid, done:true,
 #  * esched-top --once against the coordinator — the dashboard must
-#    render the fleet without crashing.
+#    render the fleet without crashing,
+#  * last, the coordinator restarts on its journal and the same grid is
+#    submitted again: every cell is a journal hit, and /metrics must
+#    still pass check_prometheus.py with esched_svc_journal_hits counted.
 #
 # The gate: the sweep's stdout must be byte-identical to an in-process
 # run with the plane fully enabled — observability must never move a
@@ -60,12 +63,25 @@ for i in 0 1; do
     > "$workdir/agent-$i.log" 2>&1 &
   pids+=($!)
 done
-ESCHED_LOG_LEVEL=debug \
-  ./build/esched-coordinator --port "$COORD_PORT" --agents "$AGENTS" \
-  --journal "$workdir/journal.bin" --http-port "$COORD_HTTP" \
-  --log-out "$workdir/logs/coordinator.logfmt" \
-  > "$workdir/coordinator.log" 2>&1 &
-pids+=($!)
+# Start the coordinator, logging to $1, and wait for its ready line: a
+# bench client that finds no coordinator falls back to --isolate=proc,
+# which is byte-identical too, so it would pass without a coordinator.
+start_coordinator() {
+  ESCHED_LOG_LEVEL=debug \
+    ./build/esched-coordinator --port "$COORD_PORT" --agents "$AGENTS" \
+    --journal "$workdir/journal.bin" --http-port "$COORD_HTTP" \
+    --log-out "$workdir/logs/coordinator.logfmt" \
+    > "$1" 2>&1 &
+  coord_pid=$!
+  pids+=("$coord_pid")
+  for _ in $(seq 100); do
+    grep -q ': ready ' "$1" && return 0
+    sleep 0.1
+  done
+  echo "ops-smoke: esched-coordinator printed no ready line" >&2
+  exit 1
+}
+start_coordinator "$workdir/coordinator.log"
 
 echo "-- sweep with live scrapes mid-flight --"
 "$BENCH" --months "$MONTHS" --coordinator "127.0.0.1:$COORD_PORT" \
@@ -117,5 +133,21 @@ grep -q "127.0.0.1:${AGENT_PORTS[0]}" "$workdir/top.out"
 echo "-- structured log sink: --log-out wrote logfmt debug lines --"
 grep -q 'level=debug' "$workdir/logs/coordinator.logfmt"
 grep -q 'component=svc' "$workdir/logs/coordinator.logfmt"
+
+echo "-- same grid after a restart: served from the journal, /metrics valid --"
+# A live coordinator re-attaches a known sweep id, so only a restarted
+# one (which replays the journal) serves the grid as journal hits.
+kill "$coord_pid"
+wait "$coord_pid" 2>/dev/null || true
+start_coordinator "$workdir/coordinator-2.log"
+"$BENCH" --months "$MONTHS" --coordinator "127.0.0.1:$COORD_PORT" \
+  > "$workdir/replay.out" 2> "$workdir/client-2.log"
+diff -u "$workdir/ref.out" "$workdir/replay.out"
+fetch "http://127.0.0.1:$COORD_HTTP/metrics" "$workdir/replay-metrics.txt"
+python3 scripts/check_prometheus.py "$workdir/replay-metrics.txt"
+grep -q '^# TYPE esched_svc_journal_hits counter$' \
+  "$workdir/replay-metrics.txt"
+grep -Eq '^esched_svc_journal_hits [1-9]' "$workdir/replay-metrics.txt"
+echo "   byte-identical, served from the journal"
 
 echo "== ops-smoke: all green =="

@@ -29,13 +29,6 @@ bool fill_better(std::int64_t w1, double v1, std::int64_t w2, double v2) {
 
 KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
                                 std::int64_t capacity,
-                                KnapsackObjective objective) {
-  KnapsackWorkspace workspace;
-  return solve_knapsack(items, capacity, objective, workspace);
-}
-
-KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
-                                std::int64_t capacity,
                                 KnapsackObjective objective,
                                 KnapsackWorkspace& workspace) {
   ESCHED_REQUIRE(capacity >= 0, "knapsack capacity must be >= 0");
@@ -125,52 +118,6 @@ KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
     cells.add(dp_cells);
     if (workspace_warm) reuse_hits.add(1);
   }
-  return solution;
-}
-
-KnapsackSolution solve_knapsack_bruteforce(std::span<const KnapsackItem> items,
-                                           std::int64_t capacity,
-                                           KnapsackObjective objective) {
-  ESCHED_REQUIRE(items.size() <= 25, "brute force limited to 25 items");
-  ESCHED_REQUIRE(capacity >= 0, "knapsack capacity must be >= 0");
-  const std::size_t n = items.size();
-  std::uint32_t best_mask = 0;
-  std::int64_t best_w = 0;
-  double best_v = 0.0;
-  bool have_best = false;
-
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    std::int64_t w = 0;
-    double v = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) {
-        w += items[i].weight;
-        v += items[i].value;
-      }
-    }
-    if (w > capacity) continue;
-    bool better;
-    if (!have_best) {
-      better = true;
-    } else if (objective == KnapsackObjective::kMaximizeValue) {
-      better = v > best_v;
-    } else {
-      better = fill_better(w, v, best_w, best_v);
-    }
-    if (better) {
-      best_mask = mask;
-      best_w = w;
-      best_v = v;
-      have_best = true;
-    }
-  }
-
-  KnapsackSolution solution;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (best_mask & (1u << i)) solution.chosen.push_back(i);
-  }
-  solution.total_weight = best_w;
-  solution.total_value = best_v;
   return solution;
 }
 

@@ -64,23 +64,11 @@ struct KnapsackWorkspace {
 /// O(items * capacity / gcd) time and space. Items with weight > capacity
 /// are never chosen. Deterministic: among equal-objective solutions the
 /// DP prefers *not* taking later items, so earlier (lower-index = older)
-/// jobs win ties.
-KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
-                                std::int64_t capacity,
-                                KnapsackObjective objective);
-
-/// As above, but with caller-owned scratch space: zero heap allocations
-/// for the DP tables once `workspace` has grown to the problem size.
+/// jobs win ties. `workspace` is caller-owned scratch space: zero heap
+/// allocations for the DP tables once it has grown to the problem size.
 KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
                                 std::int64_t capacity,
                                 KnapsackObjective objective,
                                 KnapsackWorkspace& workspace);
-
-/// Exponential-time exact reference (<= ~25 items) used by tests to verify
-/// the DP. Ties may be broken differently than solve_knapsack; compare
-/// objective values (total_weight/total_value), not chosen sets.
-KnapsackSolution solve_knapsack_bruteforce(std::span<const KnapsackItem> items,
-                                           std::int64_t capacity,
-                                           KnapsackObjective objective);
 
 }  // namespace esched::core

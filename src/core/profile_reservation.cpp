@@ -21,10 +21,6 @@ std::size_t AvailabilityProfile::step_index(TimeSec t) const {
   return static_cast<std::size_t>(it - steps_.begin()) - 1;
 }
 
-NodeCount AvailabilityProfile::free_at(TimeSec t) const {
-  return steps_[step_index(t)].free;
-}
-
 void AvailabilityProfile::reserve(TimeSec t0, TimeSec t1, NodeCount nodes) {
   ESCHED_REQUIRE(t0 >= now_ && t0 < t1, "bad reservation interval");
   ESCHED_REQUIRE(nodes > 0, "reservation must take nodes");

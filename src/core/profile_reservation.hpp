@@ -35,9 +35,6 @@ class AvailabilityProfile {
   /// [t, t + duration). Always exists (the profile tail is unbounded).
   TimeSec find_earliest(NodeCount nodes, DurationSec duration) const;
 
-  /// Free nodes at time t (t >= now()).
-  NodeCount free_at(TimeSec t) const;
-
   TimeSec now() const { return now_; }
 
  private:

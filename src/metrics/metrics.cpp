@@ -104,39 +104,4 @@ std::size_t horizon_months(const sim::SimResult& result) {
   return static_cast<std::size_t>(month_index(result.horizon_end - 1) + 1);
 }
 
-void validate_result(const sim::SimResult& result) {
-  ESCHED_REQUIRE(result.system_nodes > 0, "result lacks a system size");
-  // Sweep start/finish change-points to verify the N-node capacity
-  // invariant at every instant.
-  std::vector<std::pair<TimeSec, NodeCount>> deltas;
-  deltas.reserve(result.records.size() * 2);
-  for (const sim::JobRecord& r : result.records) {
-    ESCHED_REQUIRE(r.start >= r.submit,
-                   "job " + std::to_string(r.id) + " started before submit");
-    ESCHED_REQUIRE(r.finish > r.start,
-                   "job " + std::to_string(r.id) + " has no runtime");
-    ESCHED_REQUIRE(r.nodes > 0 && r.nodes <= result.system_nodes,
-                   "job " + std::to_string(r.id) + " size out of range");
-    ESCHED_REQUIRE(r.submit >= result.horizon_begin &&
-                       r.finish <= result.horizon_end,
-                   "job " + std::to_string(r.id) + " outside the horizon");
-    deltas.emplace_back(r.start, r.nodes);
-    deltas.emplace_back(r.finish, -r.nodes);
-  }
-  std::sort(deltas.begin(), deltas.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;  // releases before allocations
-            });
-  NodeCount busy = 0;
-  for (const auto& [t, delta] : deltas) {
-    busy += delta;
-    ESCHED_REQUIRE(busy >= 0, "negative occupancy at t=" +
-                                  std::to_string(t));
-    ESCHED_REQUIRE(busy <= result.system_nodes,
-                   "over-allocation at t=" + std::to_string(t));
-  }
-  ESCHED_REQUIRE(busy == 0, "occupancy did not return to zero");
-}
-
 }  // namespace esched::metrics

@@ -44,10 +44,4 @@ std::vector<double> monthly_bill_saving_percent(
 /// Number of 30-day months needed to cover the accounting horizon.
 std::size_t horizon_months(const sim::SimResult& result);
 
-/// Consistency checks on a simulation result; throws esched::Error on the
-/// first violated invariant (start >= submit, finish > start, job fits the
-/// machine, horizon covers all records, at no instant are more than N
-/// nodes allocated). Used by tests and available to applications.
-void validate_result(const sim::SimResult& result);
-
 }  // namespace esched::metrics

@@ -52,11 +52,6 @@ bool FleetAggregator::empty() const {
   return processes_.empty();
 }
 
-std::size_t FleetAggregator::process_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return processes_.size();
-}
-
 Registry::Snapshot FleetAggregator::merged() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Registry::Snapshot out;

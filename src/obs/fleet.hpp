@@ -36,9 +36,6 @@ class FleetAggregator {
 
   bool empty() const;
 
-  /// Number of distinct (label, pid) processes seen.
-  std::size_t process_count() const;
-
   /// One flat snapshot: "<label>.<name>" per process (counters summed
   /// across pids sharing a label — a respawned worker keeps its slot
   /// name) plus "fleet.<name>" sums across every process. Gauges are

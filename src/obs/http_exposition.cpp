@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <map>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -160,7 +161,14 @@ bool HttpServer::service(Conn& conn, short revents) {
         resp.status = 405;
         resp.body = "only GET is supported\n";
       } else if (handler_) {
-        resp = handler_(conn.parser.request());
+        // A handler that throws answers 500; the daemon stays up.
+        try {
+          resp = handler_(conn.parser.request());
+        } catch (const std::exception& e) {
+          resp = HttpResponse{};
+          resp.status = 500;
+          resp.body = std::string(e.what()) + "\n";
+        }
       } else {
         resp.status = 500;
         resp.body = "no handler\n";
@@ -300,20 +308,29 @@ void append_number(std::string& out, double v) {
 std::string render_prometheus(const Registry::Snapshot& snap) {
   std::string out;
   out.reserve(4096);
+  // Family name -> the registry name that claimed it. A scrape may not
+  // declare one family twice, so two names that sanitise alike are a bug.
+  std::map<std::string, std::string> families;
+  auto family = [&](const std::string& name, std::string pn) {
+    const auto [it, fresh] = families.emplace(pn, name);
+    ESCHED_REQUIRE(fresh, "metrics \"" + it->second + "\" and \"" + name +
+                              "\" both render as Prometheus family " + pn);
+    return pn;
+  };
   for (const auto& [name, value] : snap.counters) {
-    const std::string pn = prom_name(name);
+    const std::string pn = family(name, prom_name(name));
     out += "# TYPE " + pn + " counter\n";
     out += pn + " " + std::to_string(value) + "\n";
   }
   for (const auto& [name, value] : snap.gauges) {
-    const std::string pn = prom_name(name);
+    const std::string pn = family(name, prom_name(name));
     out += "# TYPE " + pn + " gauge\n";
     out += pn + " ";
     append_number(out, value);
     out.push_back('\n');
   }
   for (const auto& [name, tv] : snap.timers) {
-    const std::string pn = prom_name(name) + "_nanos";
+    const std::string pn = family(name, prom_name(name) + "_nanos");
     out += "# TYPE " + pn + " summary\n";
     for (const double q : {0.5, 0.95, 0.99}) {
       out += pn + "{quantile=\"";

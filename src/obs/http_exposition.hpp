@@ -132,7 +132,9 @@ std::string http_get(const net::HostPort& addr, const std::string& path,
 /// Render a registry snapshot in Prometheus text exposition format 0.0.4.
 /// Counters → `# TYPE esched_<name> counter`; gauges → gauge; timers →
 /// summary with p50/p95/p99 quantile labels plus _count/_sum. Metric
-/// names are sanitised to [a-zA-Z0-9_:] with an `esched_` prefix.
+/// names are sanitised to [a-zA-Z0-9_:] with an `esched_` prefix. Throws
+/// esched::Error when two names render as one family (e.g. `a.b` and
+/// `a_b`), which a scrape may not declare twice.
 std::string render_prometheus(const Registry::Snapshot& snap);
 
 }  // namespace esched::obs

@@ -41,7 +41,6 @@ struct RepeatState {
   std::uint64_t suppressed = 0;
 };
 std::unordered_map<std::string, RepeatState> g_repeats;
-std::uint64_t g_suppressed_total = 0;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -131,7 +130,6 @@ bool admit_locked(const char* component, const std::string& msg,
     return true;
   }
   ++st.suppressed;
-  ++g_suppressed_total;
   // Mirror into the metrics plane (when on) so /metrics and esched-top
   // can surface "the log is hiding repeats" without scraping the log.
   if (counters_enabled()) Registry::global().counter("log.suppressed").add(1);
@@ -139,12 +137,6 @@ bool admit_locked(const char* component, const std::string& msg,
 }
 
 }  // namespace
-
-LogField::LogField(const char* k, double v) : key(k) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  value = buf;
-}
 
 LogLevel log_level() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
@@ -241,17 +233,6 @@ void log(LogLevel level, const char* component, const std::string& msg,
   FILE* sink = g_sink != nullptr ? g_sink : stderr;
   std::fwrite(line.data(), 1, line.size(), sink);
   std::fflush(sink);
-}
-
-void log_reset_suppression_for_test() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_repeats.clear();
-  g_suppressed_total = 0;
-}
-
-std::uint64_t log_suppressed_total() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return g_suppressed_total;
 }
 
 }  // namespace esched::obs

@@ -63,7 +63,6 @@ struct LogField {
   LogField(const char* k, const std::string& v) : key(k), value(v) {}
   LogField(const char* k, const char* v) : key(k), value(v) {}
   LogField(const char* k, bool v) : key(k), value(v ? "true" : "false") {}
-  LogField(const char* k, double v);
   LogField(const char* k, long long v) : key(k), value(std::to_string(v)) {}
   LogField(const char* k, unsigned long long v)
       : key(k), value(std::to_string(v)) {}
@@ -100,9 +99,5 @@ inline void log_error(const char* component, const std::string& msg,
                       std::initializer_list<LogField> fields = {}) {
   log(LogLevel::kError, component, msg, fields);
 }
-
-/// Testing hooks: reset suppression state / count of suppressed lines.
-void log_reset_suppression_for_test();
-std::uint64_t log_suppressed_total();
 
 }  // namespace esched::obs

@@ -135,10 +135,6 @@ Registry::Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::write_json(std::ostream& out) const {
-  write_snapshot_json(snapshot(), out);
-}
-
 void Registry::write_snapshot_json(const Snapshot& snap,
                                    std::ostream& out) {
   out.precision(std::numeric_limits<double>::max_digits10);

@@ -150,18 +150,15 @@ class Registry {
   };
   Snapshot snapshot() const;
 
-  /// JSON object {"counters": {...}, "gauges": {...}, "timers": {...}}
-  /// with keys in sorted order (stable across runs; no dependency).
-  /// Timers carry count/total plus p50/p95/p99 estimates.
-  void write_json(std::ostream& out) const;
-
-  /// write_json to `path`; throws esched::Error naming the path when the
-  /// file cannot be opened or fully written.
+  /// write_snapshot_json of snapshot() to `path`; throws esched::Error
+  /// naming the path when the file cannot be opened or fully written.
   void write_json_file(const std::string& path) const;
 
-  /// The same JSON for an already-taken (or merged) snapshot — the fleet
-  /// aggregator renders coordinator-side merges through this so every
-  /// metrics file has one shape.
+  /// JSON object {"counters": {...}, "gauges": {...}, "timers": {...}}
+  /// with keys in sorted order (stable across runs; no dependency).
+  /// Timers carry count/total plus p50/p95/p99 estimates. The fleet
+  /// aggregator renders coordinator-side merges through this too, so
+  /// every metrics file has one shape.
   static void write_snapshot_json(const Snapshot& snap, std::ostream& out);
 
   /// write_snapshot_json to `path`, crash-safe: the JSON is written to

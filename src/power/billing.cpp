@@ -77,15 +77,4 @@ Joules BillingMeter::energy_in(PricePeriod period) const {
   return period == PricePeriod::kOnPeak ? energy_on_ : energy_off_;
 }
 
-std::vector<Money> BillingMeter::monthly_bills(std::size_t months) const {
-  ESCHED_REQUIRE(months > 0, "need at least one month");
-  std::vector<Money> out(months, 0.0);
-  for (std::size_t day = 0; day < daily_.size(); ++day) {
-    const std::size_t m =
-        std::min(months - 1, day / static_cast<std::size_t>(kDaysPerMonth));
-    out[m] += daily_[day];
-  }
-  return out;
-}
-
 }  // namespace esched::power

@@ -53,10 +53,6 @@ class BillingMeter {
   /// touched are 0.
   const std::vector<Money>& daily_bills() const { return daily_; }
 
-  /// Daily bills aggregated into 30-day months; `months` sets the output
-  /// length (later days are folded into the last month so nothing is lost).
-  std::vector<Money> monthly_bills(std::size_t months) const;
-
  private:
   void integrate_to(TimeSec t);
   /// Recompute the segment cache for the segment containing cursor_.

@@ -7,10 +7,6 @@
 
 namespace esched::power {
 
-std::string to_string(PricePeriod period) {
-  return period == PricePeriod::kOnPeak ? "on-peak" : "off-peak";
-}
-
 // ---------------------------------------------------------------- Flat ----
 
 FlatPricing::FlatPricing(Money price_per_kwh) : price_(price_per_kwh) {
@@ -87,63 +83,6 @@ std::string OnOffPeakPricing::name() const {
   return "on/off-peak(" + format_time_of_day(on_start_) + "-" +
          (on_end_ == kSecondsPerDay ? "24:00" : format_time_of_day(on_end_)) +
          ")";
-}
-
-// ------------------------------------------------------------------ TOU ---
-
-TouPricing::TouPricing(std::vector<Tier> tiers, Money on_peak_threshold,
-                       DurationSec tz_offset)
-    : tiers_(std::move(tiers)),
-      threshold_(on_peak_threshold),
-      tz_offset_(tz_offset) {
-  ESCHED_REQUIRE(tz_offset_ > -kSecondsPerDay && tz_offset_ < kSecondsPerDay,
-                 "tz offset must stay within one day");
-  ESCHED_REQUIRE(!tiers_.empty(), "TOU tariff needs at least one tier");
-  ESCHED_REQUIRE(tiers_.front().start_of_day == 0,
-                 "first TOU tier must start at midnight");
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    ESCHED_REQUIRE(tiers_[i].price_per_kwh > 0.0,
-                   "TOU tier price must be positive");
-    ESCHED_REQUIRE(tiers_[i].start_of_day >= 0 &&
-                       tiers_[i].start_of_day < kSecondsPerDay,
-                   "TOU tier start outside the day");
-    if (i > 0) {
-      ESCHED_REQUIRE(tiers_[i].start_of_day > tiers_[i - 1].start_of_day,
-                     "TOU tiers must be strictly increasing");
-    }
-  }
-}
-
-const TouPricing::Tier& TouPricing::tier_at(TimeSec t) const {
-  const DurationSec sod = second_of_day(t + tz_offset_);
-  // Last tier whose start <= sod.
-  auto it = std::upper_bound(
-      tiers_.begin(), tiers_.end(), sod,
-      [](DurationSec v, const Tier& tier) { return v < tier.start_of_day; });
-  return *(it - 1);
-}
-
-Money TouPricing::price_at(TimeSec t) const {
-  return tier_at(t).price_per_kwh;
-}
-
-PricePeriod TouPricing::period_at(TimeSec t) const {
-  return price_at(t) >= threshold_ ? PricePeriod::kOnPeak
-                                   : PricePeriod::kOffPeak;
-}
-
-TimeSec TouPricing::next_price_change(TimeSec t) const {
-  const TimeSec local = t + tz_offset_;
-  const TimeSec day = start_of_day(local);
-  const DurationSec sod = second_of_day(local);
-  for (const Tier& tier : tiers_) {
-    if (tier.start_of_day > sod) return day + tier.start_of_day - tz_offset_;
-  }
-  return day + kSecondsPerDay - tz_offset_;
-}
-
-std::string TouPricing::name() const {
-  return "tou(" + std::to_string(tiers_.size()) + " tiers)";
 }
 
 // --------------------------------------------------------- Hourly series --

@@ -3,9 +3,9 @@
 // The paper's evaluation uses a two-level tariff: off-peak from midnight to
 // noon, on-peak from noon to midnight, with on/off price ratios 3-5x
 // (§5.3). The scheduler only consumes the *period* (on- vs off-peak); the
-// billing meter consumes the actual price. We also provide a multi-tier
-// time-of-use tariff and an arbitrary hourly price series (real-time
-// wholesale markets vary hourly by up to 10x [Qureshi'09]) as extensions.
+// billing meter consumes the actual price. We also provide an arbitrary
+// hourly price series (real-time wholesale markets vary hourly by up to
+// 10x [Qureshi'09]) as an extension.
 #pragma once
 
 #include <memory>
@@ -21,9 +21,6 @@ enum class PricePeriod {
   kOffPeak,  ///< cheap electricity: schedule power-hungry jobs
   kOnPeak,   ///< expensive electricity: schedule power-frugal jobs
 };
-
-/// Render a PricePeriod for reports.
-std::string to_string(PricePeriod period);
 
 /// Interface of an electricity tariff on the simulation clock.
 class PricingModel {
@@ -94,33 +91,6 @@ class OnOffPeakPricing final : public PricingModel {
   DurationSec on_start_;
   DurationSec on_end_;
   bool weekends_off_peak_;
-  DurationSec tz_offset_;
-};
-
-/// Multi-tier time-of-use tariff: a daily schedule of (start-second, price)
-/// tiers. Periods at or above `on_peak_threshold` (a price) count as
-/// on-peak for the scheduler.
-class TouPricing final : public PricingModel {
- public:
-  struct Tier {
-    DurationSec start_of_day;  ///< first second-of-day of this tier
-    Money price_per_kwh;
-  };
-
-  /// Tiers must start at 0, be strictly increasing, and stay within a day.
-  /// `tz_offset` shifts the daily schedule like OnOffPeakPricing's.
-  TouPricing(std::vector<Tier> tiers, Money on_peak_threshold,
-             DurationSec tz_offset = 0);
-
-  Money price_at(TimeSec t) const override;
-  PricePeriod period_at(TimeSec t) const override;
-  TimeSec next_price_change(TimeSec t) const override;
-  std::string name() const override;
-
- private:
-  const Tier& tier_at(TimeSec t) const;
-  std::vector<Tier> tiers_;
-  Money threshold_;
   DurationSec tz_offset_;
 };
 

@@ -160,13 +160,6 @@ std::vector<MemberOutcome> execute_group(const std::vector<JobSpec>& members,
   return out;
 }
 
-sim::SimResult execute_job_spec(const JobSpec& spec) {
-  TraceCache traces;
-  MemberOutcome out = std::move(execute_group({spec}, 0, traces).front());
-  if (!out.ok()) throw Error(out.error);
-  return std::move(out.result);
-}
-
 namespace {
 
 /// The `trace:` segment of share_key.
@@ -304,7 +297,7 @@ std::string cell_key(const JobSpec& spec) {
 }
 
 std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
-                                    bool enabled, std::size_t max_members) {
+                                    bool enabled) {
   std::vector<ShareGroup> groups;
   // cell_key -> (group, member position); group_key -> group.
   std::unordered_map<std::string, std::pair<std::size_t, std::size_t>> cells;
@@ -321,12 +314,9 @@ std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
       groups[it->second.first].copies.push_back({i, it->second.second});
       continue;
     }
-    const std::size_t cap =
-        rebills_members(*spec)
-            ? max_members
-            : std::min<std::size_t>(max_members, wire::kMaxTaskMembers);
     const auto [it, fresh] = shares.emplace(group_key(*spec), groups.size());
-    if (!fresh && groups[it->second].members.size() < cap) {
+    if (!fresh && (rebills_members(*spec) ||
+                   groups[it->second].members.size() < wire::kMaxTaskMembers)) {
       ShareGroup& group = groups[it->second];
       cells.emplace(std::move(cell),
                     std::make_pair(it->second, group.members.size()));
@@ -338,14 +328,6 @@ std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
     groups.push_back({{i}, {}});
   }
   return groups;
-}
-
-std::vector<ShareGroup> plan_groups(const std::vector<JobSpec>& specs,
-                                    bool enabled, std::size_t max_members) {
-  std::vector<const JobSpec*> pointers;
-  pointers.reserve(specs.size());
-  for (const JobSpec& spec : specs) pointers.push_back(&spec);
-  return plan_groups(pointers, enabled, max_members);
 }
 
 }  // namespace esched::run

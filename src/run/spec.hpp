@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,9 +160,8 @@ struct ShareGroup {
   std::vector<Copy> copies;
 };
 
-/// The sharing plan of a sweep — the one planner every plane uses
-/// (SweepRunner, the proc/tcp pools, esched-coordinator). Rules, in
-/// sweep order:
+/// The sharing plan of an in-process sweep (SweepRunner); run::CellQueue
+/// forms the same groups on the fleet planes. Rules, in sweep order:
 ///  * a cell with an earlier cell's cell_key copies that cell;
 ///  * otherwise a cell with an earlier group's group_key joins that
 ///    group as a member;
@@ -171,21 +169,17 @@ struct ShareGroup {
 ///    a spec — and a cell with a tracer or facility model (which the
 ///    keys cannot see) is a group of its own;
 ///  * with `enabled` false every cell is a group of its own;
-///  * a group holds at most `max_members` members: the next sibling of
-///    a full group leads a new one (copies are not capped). The fleet
-///    planes pass wire::kMaxTaskMembers, because a task's reply carries
-///    every member's result in one frame; in-process results need no
-///    frame, so SweepRunner passes no cap. A scenario group holds at
-///    most wire::kMaxTaskMembers on every plane: each member is a full
-///    simulation, and one task runs on one worker.
+///  * a scenario group holds at most wire::kMaxTaskMembers members, as
+///    on every plane: each member is a full simulation, and one task
+///    runs on one worker. The next sibling of a full group leads a new
+///    one (copies are not capped). In-process results need no frame, so
+///    a price-only group has no cap here; the fleet planes cap it at
+///    wire::kMaxTaskMembers, because a task's reply carries every
+///    member's result in one frame.
 /// Groups are ordered by leader, and a leader precedes its members and
 /// copies in the sweep. Throws like share_key.
-std::vector<ShareGroup> plan_groups(
-    const std::vector<const JobSpec*>& specs, bool enabled,
-    std::size_t max_members = std::numeric_limits<std::size_t>::max());
-std::vector<ShareGroup> plan_groups(
-    const std::vector<JobSpec>& specs, bool enabled,
-    std::size_t max_members = std::numeric_limits<std::size_t>::max());
+std::vector<ShareGroup> plan_groups(const std::vector<const JobSpec*>& specs,
+                                    bool enabled);
 
 /// What one member of a share group produced.
 struct MemberOutcome {
@@ -248,12 +242,5 @@ std::vector<MemberOutcome> execute_group(
 std::vector<MemberOutcome> execute_group(const std::vector<JobSpec>& members,
                                          std::uint64_t scope,
                                          TraceCache& traces);
-
-/// The singleton group: rebuild one spec (through a cache of its own)
-/// and run its simulation. The result is bit-identical to running the
-/// same cell in-process (results_identical), because every builder is
-/// deterministic in the spec. Throws esched::Error with the cell's
-/// failure.
-sim::SimResult execute_job_spec(const JobSpec& spec);
 
 }  // namespace esched::run

@@ -156,27 +156,6 @@ Watts ContiguousAllocator::current_power() const {
   return busy_power_ + idle_watts_per_node_ * static_cast<double>(free_);
 }
 
-NodeCount ContiguousAllocator::largest_hole() const {
-  NodeCount best = 0;
-  NodeCount cursor = 0;
-  for (const auto& [start, alloc] : by_start_) {
-    best = std::max(best, start - cursor);
-    cursor = start + alloc.length;
-  }
-  return std::max(best, total_ - cursor);
-}
-
-std::size_t ContiguousAllocator::hole_count() const {
-  std::size_t holes = 0;
-  NodeCount cursor = 0;
-  for (const auto& [start, alloc] : by_start_) {
-    if (start > cursor) ++holes;
-    cursor = start + alloc.length;
-  }
-  if (cursor < total_) ++holes;
-  return holes;
-}
-
 // -------------------------------------------------------------- Factory --
 
 std::unique_ptr<NodeAllocator> make_allocator(bool contiguous,

@@ -106,12 +106,6 @@ class ContiguousAllocator final : public NodeAllocator {
   Watts current_power() const override;
   std::string name() const override { return "contiguous"; }
 
-  /// Size of the largest free contiguous block.
-  NodeCount largest_hole() const;
-  /// Number of maximal free blocks (1 when unfragmented or empty... 0
-  /// when completely full).
-  std::size_t hole_count() const;
-
  private:
   struct Allocation {
     NodeCount start;

@@ -34,21 +34,10 @@ void DailyCurveAccumulator::add_segment(TimeSec t0, TimeSec t1,
   }
 }
 
-DurationSec DailyCurveAccumulator::bin_start(std::size_t i) const {
-  ESCHED_REQUIRE(i < value_seconds_.size(), "bin out of range");
-  return static_cast<DurationSec>(i) *
-         (kSecondsPerDay / static_cast<DurationSec>(value_seconds_.size()));
-}
-
 double DailyCurveAccumulator::average(std::size_t i) const {
   ESCHED_REQUIRE(i < value_seconds_.size(), "bin out of range");
   return observed_seconds_[i] > 0.0 ? value_seconds_[i] / observed_seconds_[i]
                                     : 0.0;
-}
-
-double DailyCurveAccumulator::coverage_seconds(std::size_t i) const {
-  ESCHED_REQUIRE(i < observed_seconds_.size(), "bin out of range");
-  return observed_seconds_[i];
 }
 
 std::vector<double> DailyCurveAccumulator::averages() const {

@@ -28,13 +28,9 @@ class DailyCurveAccumulator {
   void add_segment(TimeSec t0, TimeSec t1, double value);
 
   std::size_t bin_count() const { return value_seconds_.size(); }
-  /// First second-of-day covered by bin i.
-  DurationSec bin_start(std::size_t i) const;
   /// Time-weighted mean of the signal in bin i; 0 if the bin was never
   /// covered.
   double average(std::size_t i) const;
-  /// Seconds of signal observed in bin i (across all days).
-  double coverage_seconds(std::size_t i) const;
 
   /// The full curve as a vector of bin averages.
   std::vector<double> averages() const;

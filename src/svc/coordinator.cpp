@@ -21,15 +21,6 @@ using Clock = run::EndpointClock;
 
 using obs::bump;
 
-/// Mirror the journal-hit total into the `svc.journal.hits` gauge so it
-/// rides along with the journal size/entry gauges in /metrics.
-void publish_journal_hits() {
-  if (!obs::counters_enabled()) return;
-  obs::Registry& reg = obs::Registry::global();
-  reg.gauge("svc.journal.hits")
-      .set(static_cast<double>(reg.counter("svc.journal_hits").value()));
-}
-
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
@@ -168,7 +159,6 @@ void Coordinator::on_submit(std::uint64_t id,
       s.delivered[i] = true;
       ++s.delivered_count;
       bump("svc.journal_hits");
-      publish_journal_hits();
       send_cell_done(id, i, keys[i]);
       continue;
     }

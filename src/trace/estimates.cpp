@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -14,19 +13,6 @@ Trace with_exact_estimates(const Trace& input) {
   for (const Job& src : input.jobs()) {
     Job j = src;
     j.walltime = j.runtime;
-    out.add_job(j);
-  }
-  return out;
-}
-
-Trace with_estimate_factor(const Trace& input, double factor) {
-  ESCHED_REQUIRE(factor >= 1.0, "estimate factor must be >= 1");
-  Trace out(input.name() + "+est*" + std::to_string(factor),
-            input.system_nodes());
-  for (const Job& src : input.jobs()) {
-    Job j = src;
-    j.walltime = static_cast<DurationSec>(
-        std::ceil(static_cast<double>(j.runtime) * factor));
     out.add_job(j);
   }
   return out;

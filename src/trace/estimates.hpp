@@ -19,9 +19,6 @@ namespace esched::trace {
 /// Perfect estimates: walltime = runtime.
 Trace with_exact_estimates(const Trace& input);
 
-/// Uniform overestimation: walltime = ceil(runtime * factor), factor >= 1.
-Trace with_estimate_factor(const Trace& input, double factor);
-
 /// Archive-realistic estimates: users pick from a small menu of round
 /// request lengths (30 min, 1 h, 2 h, 4 h, ...), choosing the smallest
 /// menu entry >= their job's runtime, then a fraction of users

@@ -30,22 +30,6 @@ TraceStats compute_stats(const Trace& trace) {
   return s;
 }
 
-std::vector<double> monthly_offered_utilization(const Trace& trace,
-                                                std::size_t months) {
-  ESCHED_REQUIRE(months > 0, "need at least one month");
-  std::vector<double> node_seconds(months, 0.0);
-  for (const Job& j : trace.jobs()) {
-    const auto m = static_cast<std::size_t>(month_index(j.submit));
-    if (m < months) node_seconds[m] += j.node_seconds();
-  }
-  std::vector<double> util(months);
-  const double capacity = static_cast<double>(trace.system_nodes()) *
-                          static_cast<double>(kSecondsPerMonth);
-  for (std::size_t m = 0; m < months; ++m)
-    util[m] = node_seconds[m] / capacity;
-  return util;
-}
-
 CategoricalHistogram size_distribution(const Trace& trace) {
   // Buckets: 1, 2, (2,4], (4,8], ... up to the system size.
   std::size_t max_bucket = 0;

@@ -25,11 +25,6 @@ struct TraceStats {
 /// Compute summary statistics.
 TraceStats compute_stats(const Trace& trace);
 
-/// Offered utilization per 30-day month (node-seconds attributed to the
-/// month of *submission*, matching how the generators are calibrated).
-std::vector<double> monthly_offered_utilization(const Trace& trace,
-                                                std::size_t months);
-
 /// Job-size distribution over power-of-two buckets, as in Fig. 4. Bucket i
 /// covers sizes (2^(i-1), 2^i]; bucket 0 covers size 1.
 CategoricalHistogram size_distribution(const Trace& trace);

@@ -28,35 +28,6 @@ Trace scale_arrivals(const Trace& input, double factor) {
   return out;
 }
 
-Trace clip_window(const Trace& input, TimeSec begin, TimeSec end) {
-  ESCHED_REQUIRE(begin < end, "clip_window needs begin < end");
-  Trace out(input.name() + "+clip", input.system_nodes());
-  for (const Job& j : input.jobs()) {
-    if (j.submit >= begin && j.submit < end) out.add_job(j);
-  }
-  return out;
-}
-
-Trace take_first(const Trace& input, std::size_t count) {
-  Trace out(input.name() + "+head", input.system_nodes());
-  const std::size_t n = std::min(count, input.size());
-  for (std::size_t i = 0; i < n; ++i) out.add_job(input[i]);
-  return out;
-}
-
-Trace rebase(const Trace& input, TimeSec new_start) {
-  ESCHED_REQUIRE(new_start >= 0, "rebase target must be non-negative");
-  Trace out(input.name(), input.system_nodes());
-  if (input.empty()) return out;
-  const TimeSec shift = new_start - input[0].submit;
-  for (const Job& src : input.jobs()) {
-    Job j = src;
-    j.submit += shift;
-    out.add_job(j);
-  }
-  return out;
-}
-
 Trace renumber(const Trace& input) {
   Trace out(input.name(), input.system_nodes());
   JobId next = 1;

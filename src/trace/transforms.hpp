@@ -2,8 +2,7 @@
 //  * arrival-interval scaling ("input shaking", Tsafrir et al. [27]) — the
 //    paper shrinks ANL-BGP inter-arrival gaps by 40% to restore realistic
 //    utilization after extracting a 2-rack sub-trace;
-//  * time-window clipping (take the first K months);
-//  * job-count truncation and id renumbering.
+//  * id renumbering.
 // All transforms return new traces; inputs are never mutated.
 #pragma once
 
@@ -15,15 +14,6 @@ namespace esched::trace {
 /// keeps its submit time; factor 0.6 reproduces the paper's "decrease job
 /// arrival intervals by 40%".
 Trace scale_arrivals(const Trace& input, double factor);
-
-/// Keep only jobs submitted in [begin, end).
-Trace clip_window(const Trace& input, TimeSec begin, TimeSec end);
-
-/// Keep only the first `count` jobs (by submit order).
-Trace take_first(const Trace& input, std::size_t count);
-
-/// Shift all submit times so the first job arrives at `new_start`.
-Trace rebase(const Trace& input, TimeSec new_start);
 
 /// Renumber job ids 1..n in submit order (keeps everything else).
 Trace renumber(const Trace& input);

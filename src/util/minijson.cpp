@@ -251,22 +251,6 @@ Value Value::parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
-bool Value::as_bool() const {
-  if (type_ != Type::kBool) {
-    throw Error(std::string("minijson: expected bool, have ") +
-                type_name(type_));
-  }
-  return bool_;
-}
-
-double Value::as_number() const {
-  if (type_ != Type::kNumber) {
-    throw Error(std::string("minijson: expected number, have ") +
-                type_name(type_));
-  }
-  return number_;
-}
-
 const std::string& Value::as_string() const {
   if (type_ != Type::kString) {
     throw Error(std::string("minijson: expected string, have ") +
@@ -281,14 +265,6 @@ const std::vector<Value>& Value::as_array() const {
                 type_name(type_));
   }
   return array_;
-}
-
-const std::map<std::string, Value>& Value::as_object() const {
-  if (type_ != Type::kObject) {
-    throw Error(std::string("minijson: expected object, have ") +
-                type_name(type_));
-  }
-  return object_;
 }
 
 const Value* Value::find(const std::string& key) const {

@@ -39,11 +39,8 @@ class Value {
   bool is_null() const { return type_ == Type::kNull; }
 
   /// Typed accessors; throw esched::Error on a type mismatch.
-  bool as_bool() const;
-  double as_number() const;
   const std::string& as_string() const;
   const std::vector<Value>& as_array() const;
-  const std::map<std::string, Value>& as_object() const;
 
   /// Object member lookup; null when absent or when this is not an
   /// object (so chained lookups degrade to "absent", not a throw).

@@ -28,38 +28,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double weighted_mean(std::span<const double> values,
-                     std::span<const double> weights) {
-  ESCHED_REQUIRE(values.size() == weights.size(),
-                 "weighted_mean: size mismatch");
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    ESCHED_REQUIRE(weights[i] >= 0.0, "weighted_mean: negative weight");
-    num += values[i] * weights[i];
-    den += weights[i];
-  }
-  return den > 0.0 ? num / den : 0.0;
-}
-
 double quantile(std::span<const double> values, double q) {
   ESCHED_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q outside [0,1]");
   if (values.empty()) return 0.0;
@@ -70,11 +38,6 @@ double quantile(std::span<const double> values, double q) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double percent_change(double a, double b) {
-  if (b == 0.0) return 0.0;
-  return (a - b) / b * 100.0;
 }
 
 }  // namespace esched

@@ -28,9 +28,6 @@ class RunningStats {
   /// Sum of all observations.
   double sum() const { return sum_; }
 
-  /// Merge another accumulator into this one (parallel-friendly).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -40,16 +37,8 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Weighted mean of `values` with non-negative `weights` (same length).
-/// Returns 0 when the total weight is zero.
-double weighted_mean(std::span<const double> values,
-                     std::span<const double> weights);
-
 /// q-quantile (q in [0,1]) by linear interpolation on a *copy* of the data.
 /// Returns 0 for empty input.
 double quantile(std::span<const double> values, double q);
-
-/// Relative difference (a - b) / b as a percentage; 0 when b == 0.
-double percent_change(double a, double b);
 
 }  // namespace esched

@@ -11,13 +11,6 @@ namespace esched {
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   ESCHED_REQUIRE(!headers_.empty(), "Table needs at least one column");
-  aligns_.assign(headers_.size(), Align::kRight);
-  aligns_[0] = Align::kLeft;
-}
-
-void Table::set_align(std::size_t col, Align align) {
-  ESCHED_REQUIRE(col < aligns_.size(), "Table column out of range");
-  aligns_[col] = align;
 }
 
 void Table::add_row() { rows_.emplace_back(); }
@@ -45,12 +38,6 @@ void Table::cell_percent(double value, int precision) {
   cell(std::string(buf));
 }
 
-const std::string& Table::at(std::size_t row, std::size_t col) const {
-  ESCHED_REQUIRE(row < rows_.size(), "Table row out of range");
-  ESCHED_REQUIRE(col < rows_[row].size(), "Table cell out of range");
-  return rows_[row][col];
-}
-
 std::string Table::render() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c)
@@ -61,8 +48,7 @@ std::string Table::render() const {
 
   auto pad = [&](const std::string& s, std::size_t c) {
     const std::size_t fill = widths[c] - s.size();
-    return aligns_[c] == Align::kLeft ? s + std::string(fill, ' ')
-                                      : std::string(fill, ' ') + s;
+    return c == 0 ? s + std::string(fill, ' ') : std::string(fill, ' ') + s;
   };
 
   std::ostringstream os;

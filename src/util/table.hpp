@@ -9,20 +9,14 @@
 
 namespace esched {
 
-/// Column alignment within a rendered table.
-enum class Align { kLeft, kRight };
-
 /// A simple row/column table builder. Cells are strings; numeric helpers
 /// format with fixed precision. Rendering pads columns to their widest cell.
 class Table {
  public:
-  /// Creates a table with the given column headers (all right-aligned by
-  /// default except the first, which is left-aligned — the usual layout for
-  /// "label | numbers..." experiment tables).
+  /// Creates a table with the given column headers. The first column is
+  /// left-aligned and the rest right-aligned — the usual layout for
+  /// "label | numbers..." experiment tables.
   explicit Table(std::vector<std::string> headers);
-
-  /// Override the alignment of column `col`.
-  void set_align(std::size_t col, Align align);
 
   /// Start a new row; subsequent cell() calls fill it left to right.
   void add_row();
@@ -41,8 +35,6 @@ class Table {
 
   std::size_t row_count() const { return rows_.size(); }
   std::size_t column_count() const { return headers_.size(); }
-  /// Cell text at (row, col); throws if out of range or row is ragged.
-  const std::string& at(std::size_t row, std::size_t col) const;
 
   /// Render with box-drawing rules:  header, separator, rows.
   std::string render() const;
@@ -52,7 +44,6 @@ class Table {
 
  private:
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
 };
 

@@ -30,10 +30,6 @@ std::int64_t month_index(TimeSec t) { return floor_div(t, kSecondsPerMonth); }
 
 TimeSec start_of_day(TimeSec t) { return day_index(t) * kSecondsPerDay; }
 
-TimeSec start_of_month(TimeSec t) {
-  return month_index(t) * kSecondsPerMonth;
-}
-
 TimeSec next_tick_at_or_after(TimeSec t, DurationSec interval) {
   ESCHED_REQUIRE(interval > 0, "tick interval must be positive");
   const std::int64_t k = floor_div(t + interval - 1, interval);

@@ -25,9 +25,6 @@ std::int64_t month_index(TimeSec t);
 /// Start of the day containing t.
 TimeSec start_of_day(TimeSec t);
 
-/// Start of the 30-day month containing t.
-TimeSec start_of_month(TimeSec t);
-
 /// Smallest tick boundary >= t for ticks at epoch + k*interval.
 TimeSec next_tick_at_or_after(TimeSec t, DurationSec interval);
 

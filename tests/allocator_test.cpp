@@ -8,7 +8,7 @@
 
 #include "core/fcfs_policy.hpp"
 #include "core/greedy_policy.hpp"
-#include "metrics/metrics.hpp"
+#include "oracles.hpp"
 #include "power/profile.hpp"
 #include "power/pricing.hpp"
 #include "sim/simulator.hpp"
@@ -48,8 +48,7 @@ TEST(ContiguousAllocatorTest, BasicPlacementAndRelease) {
   a.release_slot(first);
   a.release_slot(second);
   EXPECT_EQ(a.free_nodes(), 10);
-  EXPECT_EQ(a.largest_hole(), 10);
-  EXPECT_EQ(a.hole_count(), 1u);
+  EXPECT_TRUE(a.can_allocate(10));  // one hole again
 }
 
 TEST(ContiguousAllocatorTest, FragmentationBlocksByCountFeasibleJobs) {
@@ -63,11 +62,12 @@ TEST(ContiguousAllocatorTest, FragmentationBlocksByCountFeasibleJobs) {
   ASSERT_GE(a.try_allocate_slot(3, 10.0), 0);  // 6..8
   a.release_slot(middle);
   EXPECT_EQ(a.free_nodes(), 4);
-  EXPECT_EQ(a.largest_hole(), 3);
-  EXPECT_EQ(a.hole_count(), 2u);
+  EXPECT_TRUE(a.can_allocate(3));   // the largest hole is 3 wide
   EXPECT_FALSE(a.can_allocate(4));  // count-feasible, placement-infeasible
   EXPECT_EQ(a.try_allocate_slot(4, 10.0), -1);
   EXPECT_GE(a.try_allocate_slot(3, 10.0), 0);  // fits the 3..5 hole
+  EXPECT_TRUE(a.can_allocate(1));   // the second hole: node 9
+  EXPECT_FALSE(a.can_allocate(2));
 }
 
 TEST(ContiguousAllocatorTest, BestFitPrefersSmallestHole) {
@@ -82,7 +82,7 @@ TEST(ContiguousAllocatorTest, BestFitPrefersSmallestHole) {
   ASSERT_GE(a.try_allocate_slot(2, 10.0), 0);
   // The tail must still be 14 wide: a 14-node job fits.
   EXPECT_TRUE(a.can_allocate(14));
-  EXPECT_EQ(a.largest_hole(), 14);
+  EXPECT_FALSE(a.can_allocate(15));
 }
 
 TEST(ContiguousAllocatorTest, PowerAccounting) {

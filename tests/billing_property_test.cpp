@@ -1,7 +1,8 @@
 // Property tests crossing module boundaries:
 //  * BillingMeter vs a per-second reference integrator, for every tariff
-//    family (on/off-peak, weekend-aware, TOU, hourly series, misforecast
-//    wrapper, with and without facility models) on random power signals;
+//    family (on/off-peak, weekend-aware, shifted-window, hourly series,
+//    misforecast wrapper, with and without facility models) on random
+//    power signals;
 //  * the simulator's time-of-day utilization curve must integrate back to
 //    the Eq. 3 overall utilization.
 #include <gtest/gtest.h>
@@ -63,14 +64,14 @@ TEST_P(BillingCrossCheck, MeterMatchesPerSecondReference) {
   power::OnOffPeakPricing weekend(0.05, 4.0, 8 * kSecondsPerHour,
                                   20 * kSecondsPerHour,
                                   /*weekends_off_peak=*/true);
-  power::TouPricing tou({{0, 0.02},
-                         {6 * kSecondsPerHour, 0.05},
-                         {18 * kSecondsPerHour, 0.11}},
-                        0.11);
+  power::OnOffPeakPricing shifted(0.02, 5.5, 6 * kSecondsPerHour,
+                                  18 * kSecondsPerHour,
+                                  /*weekends_off_peak=*/false,
+                                  /*tz_offset=*/2 * kSecondsPerHour);
   power::HourlyPriceSeries hourly(
       {0.02, 0.03, 0.05, 0.08, 0.13, 0.08, 0.04});
   power::MisforecastTariff forecast(onoff, 0.3, 9);
-  const std::vector<const PricingModel*> tariffs{&onoff, &weekend, &tou,
+  const std::vector<const PricingModel*> tariffs{&onoff, &weekend, &shifted,
                                                  &hourly, &forecast};
 
   power::ConstantPue flat_pue(1.37);

@@ -65,19 +65,6 @@ TEST(BillingTest, DailyBillsAttributeToCalendarDays) {
   EXPECT_NEAR(daily[0] + daily[1], meter.total_bill(), 1e-9);
 }
 
-TEST(BillingTest, MonthlyBillsFoldTail) {
-  FlatPricing pricing(1.0);
-  BillingMeter meter(pricing, 0);
-  meter.set_power(0, 1000.0);
-  meter.finish(35 * kSecondsPerDay);  // 30 days month 0, 5 days month 1
-  const auto monthly = meter.monthly_bills(2);
-  EXPECT_NEAR(monthly[0] / meter.total_bill(), 30.0 / 35.0, 1e-9);
-  EXPECT_NEAR(monthly[1] / meter.total_bill(), 5.0 / 35.0, 1e-9);
-  // Folding: asking for one month returns everything.
-  const auto folded = meter.monthly_bills(1);
-  EXPECT_NEAR(folded[0], meter.total_bill(), 1e-9);
-}
-
 TEST(BillingTest, MidStreamStartTime) {
   OnOffPeakPricing pricing(0.03, 3.0);
   BillingMeter meter(pricing, kNoon);  // accounting starts at noon
@@ -141,8 +128,9 @@ TEST(BillingTest, HourlySeriesIntegration) {
   EXPECT_NEAR(meter.total_bill(), 2 * 0.02 + 2 * 0.04, 1e-9);
 }
 
-TEST(BillingTest, TouIntegration) {
-  TouPricing pricing({{0, 0.02}, {6 * kSecondsPerHour, 0.05}}, 0.05);
+TEST(BillingTest, CustomPeakWindowIntegration) {
+  // Off-peak 0.02 until 06:00, then on-peak 0.05 for the rest of the day.
+  OnOffPeakPricing pricing(0.02, 2.5, 6 * kSecondsPerHour, kSecondsPerDay);
   BillingMeter meter(pricing, 0);
   meter.set_power(0, 1000.0);
   meter.finish(kSecondsPerDay);

@@ -6,6 +6,7 @@
 #include "core/fcfs_policy.hpp"
 #include "core/scheduler.hpp"
 #include "metrics/metrics.hpp"
+#include "oracles.hpp"
 #include "power/profile.hpp"
 #include "power/pricing.hpp"
 #include "sim/simulator.hpp"
@@ -17,22 +18,20 @@ namespace {
 
 TEST(AvailabilityProfileTest, StartsFullyFree) {
   AvailabilityProfile p(100, 16);
-  EXPECT_EQ(p.free_at(100), 16);
-  EXPECT_EQ(p.free_at(1000000), 16);
   EXPECT_EQ(p.find_earliest(16, 60), 100);
-  EXPECT_THROW(p.free_at(99), Error);
+  EXPECT_EQ(p.find_earliest(16, 1000000), 100);
+  EXPECT_THROW(p.reserve(99, 200, 1), Error);  // before the start
   EXPECT_THROW(AvailabilityProfile(0, 0), Error);
 }
 
 TEST(AvailabilityProfileTest, ReservationCarvesSteps) {
   AvailabilityProfile p(0, 10);
   p.reserve(0, 100, 6);
-  EXPECT_EQ(p.free_at(0), 4);
-  EXPECT_EQ(p.free_at(99), 4);
-  EXPECT_EQ(p.free_at(100), 10);
-  // 4 fit now; 5 must wait for the release at t=100.
-  EXPECT_EQ(p.find_earliest(4, 50), 0);
-  EXPECT_EQ(p.find_earliest(5, 50), 100);
+  // 4 fit through the whole reservation; 5, or all 10, must wait for the
+  // release at t=100.
+  EXPECT_EQ(p.find_earliest(4, 100), 0);
+  EXPECT_EQ(p.find_earliest(5, 1), 100);
+  EXPECT_EQ(p.find_earliest(10, 1), 100);
 }
 
 TEST(AvailabilityProfileTest, WindowMustFitForWholeDuration) {
@@ -57,10 +56,11 @@ TEST(AvailabilityProfileTest, MultipleReservationsCompose) {
   AvailabilityProfile p(0, 10);
   p.reserve(0, 100, 4);
   p.reserve(60, 200, 4);
-  EXPECT_EQ(p.free_at(0), 6);
-  EXPECT_EQ(p.free_at(60), 2);
-  EXPECT_EQ(p.free_at(100), 6);
-  EXPECT_EQ(p.free_at(200), 10);
+  // Free nodes: 6 on [0, 60), 2 on [60, 100), 6 on [100, 200), then 10.
+  EXPECT_EQ(p.find_earliest(6, 60), 0);
+  EXPECT_EQ(p.find_earliest(2, 1000), 0);
+  EXPECT_EQ(p.find_earliest(3, 61), 100);
+  EXPECT_EQ(p.find_earliest(7, 1), 200);
   // A short 6-node job fits before the overlap region begins...
   EXPECT_EQ(p.find_earliest(6, 10), 0);
   // ...but one spanning the overlap must wait until the first release.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/time_util.hpp"
 
@@ -13,8 +15,6 @@ TEST(DailyCurveTest, SingleBinSegment) {
   DailyCurveAccumulator acc(24);  // hourly bins
   acc.add_segment(0, kSecondsPerHour, 10.0);
   EXPECT_DOUBLE_EQ(acc.average(0), 10.0);
-  EXPECT_DOUBLE_EQ(acc.coverage_seconds(0),
-                   static_cast<double>(kSecondsPerHour));
   EXPECT_DOUBLE_EQ(acc.average(1), 0.0);  // never covered
 }
 
@@ -23,9 +23,13 @@ TEST(DailyCurveTest, SegmentSpanningBins) {
   // 30 minutes in hour 0, full hour 1, 30 minutes of hour 2.
   acc.add_segment(1800, 2 * kSecondsPerHour + 1800, 4.0);
   EXPECT_DOUBLE_EQ(acc.average(0), 4.0);
-  EXPECT_DOUBLE_EQ(acc.coverage_seconds(0), 1800.0);
   EXPECT_DOUBLE_EQ(acc.average(1), 4.0);
-  EXPECT_DOUBLE_EQ(acc.coverage_seconds(2), 1800.0);
+  EXPECT_DOUBLE_EQ(acc.average(2), 4.0);
+  // Each partial bin holds exactly 1800 s: an equal stretch at 0 halves it.
+  acc.add_segment(0, 1800, 0.0);
+  acc.add_segment(2 * kSecondsPerHour + 1800, 3 * kSecondsPerHour, 0.0);
+  EXPECT_DOUBLE_EQ(acc.average(0), 2.0);
+  EXPECT_DOUBLE_EQ(acc.average(2), 2.0);
 }
 
 TEST(DailyCurveTest, MultiDayAveraging) {
@@ -50,25 +54,29 @@ TEST(DailyCurveTest, WholeDaySegment) {
   acc.add_segment(0, kSecondsPerDay, 7.5);
   for (std::size_t b = 0; b < acc.bin_count(); ++b) {
     EXPECT_DOUBLE_EQ(acc.average(b), 7.5);
-    EXPECT_DOUBLE_EQ(acc.coverage_seconds(b), 900.0);
   }
 }
 
 TEST(DailyCurveTest, BinStartsAndVectorOutput) {
   DailyCurveAccumulator acc(4);  // 6-hour bins
-  EXPECT_EQ(acc.bin_start(0), 0);
-  EXPECT_EQ(acc.bin_start(1), 6 * kSecondsPerHour);
-  EXPECT_EQ(acc.bin_start(3), 18 * kSecondsPerHour);
+  // Bin 1 starts at 06:00 and bin 3 at 18:00.
+  acc.add_segment(6 * kSecondsPerHour, 12 * kSecondsPerHour, 1.0);
+  acc.add_segment(18 * kSecondsPerHour, kSecondsPerDay, 3.0);
+  EXPECT_EQ(acc.averages(), (std::vector<double>{0.0, 1.0, 0.0, 3.0}));
   acc.add_segment(0, kSecondsPerDay, 1.0);
   const auto v = acc.averages();
   ASSERT_EQ(v.size(), 4u);
-  for (const double x : v) EXPECT_DOUBLE_EQ(x, 1.0);
+  EXPECT_DOUBLE_EQ(v[0], 1.0);
+  EXPECT_DOUBLE_EQ(v[3], 2.0);
 }
 
 TEST(DailyCurveTest, ZeroLengthSegmentIsNoop) {
   DailyCurveAccumulator acc(24);
   acc.add_segment(100, 100, 42.0);
-  EXPECT_DOUBLE_EQ(acc.coverage_seconds(0), 0.0);
+  EXPECT_DOUBLE_EQ(acc.average(0), 0.0);
+  // It added no weight either: a later segment alone sets the average.
+  acc.add_segment(0, kSecondsPerHour, 2.0);
+  EXPECT_DOUBLE_EQ(acc.average(0), 2.0);
 }
 
 TEST(DailyCurveTest, Validation) {
@@ -77,7 +85,6 @@ TEST(DailyCurveTest, Validation) {
   DailyCurveAccumulator acc(24);
   EXPECT_THROW(acc.add_segment(100, 50, 1.0), Error);
   EXPECT_THROW(acc.average(24), Error);
-  EXPECT_THROW(acc.bin_start(24), Error);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "core/fcfs_policy.hpp"
-#include "metrics/metrics.hpp"
+#include "oracles.hpp"
 #include "power/pricing.hpp"
 #include "sim/simulator.hpp"
 #include "trace/swf.hpp"

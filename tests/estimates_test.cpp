@@ -29,28 +29,6 @@ TEST(EstimatesTest, ExactSetsWalltimeToRuntime) {
   EXPECT_DOUBLE_EQ(estimate_accuracy(t), 1.0);
 }
 
-TEST(EstimatesTest, FactorScalesAndValidates) {
-  const Trace t = with_estimate_factor(make_trace(), 2.0);
-  for (const Job& j : t.jobs()) {
-    EXPECT_EQ(j.walltime, 2 * j.runtime);
-  }
-  EXPECT_NEAR(estimate_accuracy(t), 0.5, 1e-12);
-  EXPECT_THROW(with_estimate_factor(make_trace(), 0.9), Error);
-}
-
-TEST(EstimatesTest, FactorRoundsUp) {
-  Trace t("odd", 8);
-  Job j;
-  j.id = 1;
-  j.submit = 0;
-  j.nodes = 1;
-  j.runtime = 101;
-  j.walltime = 101;
-  t.add_job(j);
-  const Trace out = with_estimate_factor(t, 1.5);
-  EXPECT_EQ(out[0].walltime, 152);  // ceil(151.5)
-}
-
 TEST(EstimatesTest, MenuPicksSmallestCoveringEntry) {
   const Trace t = with_menu_estimates(make_trace(), /*sloppy=*/0.0, 1);
   for (const Job& j : t.jobs()) {
@@ -82,10 +60,11 @@ TEST(EstimatesTest, SloppyUsersRequestTheMaximum) {
 TEST(EstimatesTest, AccuracyOrdering) {
   const Trace base = make_trace();
   const double exact = estimate_accuracy(with_exact_estimates(base));
-  const double x2 = estimate_accuracy(with_estimate_factor(base, 2.0));
+  const double x3 = estimate_accuracy(base);  // walltime = 3 x runtime
   const double menu = estimate_accuracy(with_menu_estimates(base, 0.0, 1));
   const double sloppy = estimate_accuracy(with_menu_estimates(base, 1.0, 1));
-  EXPECT_GT(exact, x2);
+  EXPECT_GT(exact, x3);
+  EXPECT_NEAR(x3, 1.0 / 3.0, 1e-12);
   EXPECT_GT(menu, sloppy);
   EXPECT_DOUBLE_EQ(estimate_accuracy(Trace("empty", 4)), 1.0);
 }

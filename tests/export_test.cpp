@@ -14,15 +14,15 @@
 #include "power/profile.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/transforms.hpp"
 #include "util/error.hpp"
 
 namespace esched::metrics {
 namespace {
 
 sim::SimResult small_result() {
-  trace::Trace t = trace::make_anl_bgp_like(1, 3);
-  t = trace::take_first(t, 50);
+  const trace::Trace month = trace::make_anl_bgp_like(1, 3);
+  trace::Trace t(month.name(), month.system_nodes());
+  for (std::size_t i = 0; i < 50; ++i) t.add_job(month[i]);
   power::assign_profiles(t, power::ProfileConfig{}, 3);
   power::OnOffPeakPricing pricing(0.03, 3.0);
   core::FcfsPolicy policy;

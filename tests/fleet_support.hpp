@@ -18,6 +18,7 @@
 
 #include "net/socket.hpp"
 #include "obs/registry.hpp"
+#include "oracles.hpp"
 #include "run/endpoint.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
@@ -190,7 +191,7 @@ inline std::vector<sim::SimResult> reference_results(
   std::vector<sim::SimResult> results;
   results.reserve(sweep.size());
   for (const run::JobSpec& spec : sweep) {
-    results.push_back(run::execute_job_spec(spec));
+    results.push_back(run::run_alone(spec).result);
   }
   return results;
 }

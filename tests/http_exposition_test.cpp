@@ -134,6 +134,33 @@ TEST(PrometheusRenderTest, GoldenShape) {
   }
 }
 
+TEST(PrometheusRenderTest, TwoNamesOfOneFamilyAreRefused) {
+  // `svc.journal_hits` and `svc.journal.hits` both sanitise to
+  // esched_svc_journal_hits; a scrape declaring it twice is invalid.
+  Registry registry;
+  const bool was_enabled = counters_enabled();
+  set_counters_enabled(true);
+  registry.counter("svc.journal_hits").add(3);
+  registry.gauge("svc.journal.hits").set(3.0);
+  set_counters_enabled(was_enabled);
+  try {
+    (void)render_prometheus(registry.snapshot());
+    FAIL() << "a duplicate family rendered";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("esched_svc_journal_hits"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // A counter and a timer collide through the timer's _nanos suffix.
+  Registry timed;
+  set_counters_enabled(true);
+  timed.counter("cell_nanos").add(1);
+  timed.timer("cell").record(1000);
+  set_counters_enabled(was_enabled);
+  EXPECT_THROW(render_prometheus(timed.snapshot()), Error);
+}
+
 // ---- live server fixture: real loopback sockets, poll_once pump ----
 
 class HttpServerTest : public ::testing::Test {
@@ -143,6 +170,8 @@ class HttpServerTest : public ::testing::Test {
       HttpResponse response;
       if (request.target == "/metrics") {
         response.body = "esched_up 1\n";
+      } else if (request.target == "/boom") {
+        throw Error("handler failed");
       } else {
         response.status = 404;
         response.body = "unknown path\n";
@@ -211,6 +240,18 @@ TEST_F(HttpServerTest, UnknownTargetIs404FromTheHandler) {
       roundtrip("GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
   EXPECT_EQ(response.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u)
       << response;
+}
+
+TEST_F(HttpServerTest, ThrowingHandlerIs500AndTheServerStaysUp) {
+  const std::string failed =
+      roundtrip("GET /boom HTTP/1.1\r\nHost: t\r\n\r\n");
+  EXPECT_EQ(failed.rfind("HTTP/1.1 500 Internal Server Error\r\n", 0), 0u)
+      << failed;
+  EXPECT_NE(failed.find("\r\n\r\nhandler failed\n"), std::string::npos)
+      << failed;
+  const std::string served =
+      roundtrip("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+  EXPECT_EQ(served.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << served;
 }
 
 TEST_F(HttpServerTest, NonGetMethodsAre405) {

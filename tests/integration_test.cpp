@@ -11,6 +11,7 @@
 #include "core/knapsack_policy.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/report.hpp"
+#include "oracles.hpp"
 #include "power/billing.hpp"
 #include "power/profile.hpp"
 #include "sim/simulator.hpp"

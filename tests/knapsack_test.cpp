@@ -6,21 +6,29 @@
 
 #include <vector>
 
+#include "oracles.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace esched::core {
 namespace {
 
+/// solve_knapsack with a fresh workspace.
+KnapsackSolution solve(std::span<const KnapsackItem> items,
+                       std::int64_t capacity, KnapsackObjective objective) {
+  KnapsackWorkspace fresh;
+  return solve_knapsack(items, capacity, objective, fresh);
+}
+
 TEST(KnapsackTest, EmptyInputs) {
   const std::vector<KnapsackItem> none;
-  auto s = solve_knapsack(none, 100, KnapsackObjective::kMaximizeValue);
+  auto s = solve(none, 100, KnapsackObjective::kMaximizeValue);
   EXPECT_TRUE(s.chosen.empty());
   EXPECT_EQ(s.total_weight, 0);
   EXPECT_DOUBLE_EQ(s.total_value, 0.0);
 
   const std::vector<KnapsackItem> items{{5, 10.0}};
-  s = solve_knapsack(items, 0, KnapsackObjective::kMaximizeValue);
+  s = solve(items, 0, KnapsackObjective::kMaximizeValue);
   EXPECT_TRUE(s.chosen.empty());
 }
 
@@ -28,7 +36,7 @@ TEST(KnapsackTest, ClassicMaximize) {
   // Weights 1,3,4,5; values 1,4,5,7; capacity 7 -> {3,4} value 9.
   const std::vector<KnapsackItem> items{{1, 1.0}, {3, 4.0}, {4, 5.0},
                                         {5, 7.0}};
-  const auto s = solve_knapsack(items, 7, KnapsackObjective::kMaximizeValue);
+  const auto s = solve(items, 7, KnapsackObjective::kMaximizeValue);
   EXPECT_DOUBLE_EQ(s.total_value, 9.0);
   EXPECT_EQ(s.total_weight, 7);
   EXPECT_EQ(s.chosen, (std::vector<std::size_t>{1, 2}));
@@ -36,7 +44,7 @@ TEST(KnapsackTest, ClassicMaximize) {
 
 TEST(KnapsackTest, OversizedItemIgnored) {
   const std::vector<KnapsackItem> items{{100, 1000.0}, {2, 3.0}};
-  const auto s = solve_knapsack(items, 10, KnapsackObjective::kMaximizeValue);
+  const auto s = solve(items, 10, KnapsackObjective::kMaximizeValue);
   EXPECT_EQ(s.chosen, (std::vector<std::size_t>{1}));
   EXPECT_DOUBLE_EQ(s.total_value, 3.0);
 }
@@ -45,7 +53,7 @@ TEST(KnapsackTest, FillObjectivePrefersMoreNodes) {
   // One hot 8-node job vs two cool 3-node jobs, capacity 8: maximal fill
   // is 8 nodes; the cheap 6-node packing loses on weight.
   const std::vector<KnapsackItem> items{{8, 400.0}, {3, 60.0}, {3, 60.0}};
-  const auto s = solve_knapsack(
+  const auto s = solve(
       items, 8, KnapsackObjective::kMaximizeWeightMinimizeValue);
   EXPECT_EQ(s.total_weight, 8);
   EXPECT_EQ(s.chosen, (std::vector<std::size_t>{0}));
@@ -54,7 +62,7 @@ TEST(KnapsackTest, FillObjectivePrefersMoreNodes) {
 TEST(KnapsackTest, FillObjectiveBreaksTiesByMinValue) {
   // Two ways to reach weight 6: {0} value 300 or {1,2} value 120.
   const std::vector<KnapsackItem> items{{6, 300.0}, {3, 60.0}, {3, 60.0}};
-  const auto s = solve_knapsack(
+  const auto s = solve(
       items, 6, KnapsackObjective::kMaximizeWeightMinimizeValue);
   EXPECT_EQ(s.total_weight, 6);
   EXPECT_DOUBLE_EQ(s.total_value, 120.0);
@@ -73,7 +81,7 @@ TEST(KnapsackTest, MaximizeIsAutomaticallyMaximal) {
                        static_cast<double>(rng.uniform_int(1, 500))});
     const std::int64_t cap = rng.uniform_int(1, 60);
     const auto s =
-        solve_knapsack(items, cap, KnapsackObjective::kMaximizeValue);
+        solve(items, cap, KnapsackObjective::kMaximizeValue);
     std::vector<bool> chosen(items.size(), false);
     for (const auto i : s.chosen) chosen[i] = true;
     const std::int64_t leftover = cap - s.total_weight;
@@ -92,26 +100,26 @@ TEST(KnapsackTest, GcdScalingGivesSameAnswer) {
   const std::vector<KnapsackItem> items{
       {1024, 50.0}, {2048, 120.0}, {4096, 180.0}, {1024, 90.0}};
   const auto a =
-      solve_knapsack(items, 5120, KnapsackObjective::kMaximizeValue);
+      solve(items, 5120, KnapsackObjective::kMaximizeValue);
   // capacity 5120 = 5 racks: best is {2048,4096}? 6144 > 5120; so
   // {4096,1024(90)} = 270 vs {2048,1024,1024} = 260 -> 270.
   EXPECT_DOUBLE_EQ(a.total_value, 270.0);
   EXPECT_EQ(a.total_weight, 5120);
   const auto b =
-      solve_knapsack(items, 5121, KnapsackObjective::kMaximizeValue);
+      solve(items, 5121, KnapsackObjective::kMaximizeValue);
   EXPECT_DOUBLE_EQ(b.total_value, 270.0);
 }
 
 TEST(KnapsackTest, RejectsBadInputs) {
   const std::vector<KnapsackItem> bad_w{{0, 1.0}};
   EXPECT_THROW(
-      solve_knapsack(bad_w, 10, KnapsackObjective::kMaximizeValue), Error);
+      solve(bad_w, 10, KnapsackObjective::kMaximizeValue), Error);
   const std::vector<KnapsackItem> bad_v{{1, -1.0}};
   EXPECT_THROW(
-      solve_knapsack(bad_v, 10, KnapsackObjective::kMaximizeValue), Error);
+      solve(bad_v, 10, KnapsackObjective::kMaximizeValue), Error);
   const std::vector<KnapsackItem> ok{{1, 1.0}};
   EXPECT_THROW(
-      solve_knapsack(ok, -1, KnapsackObjective::kMaximizeValue), Error);
+      solve(ok, -1, KnapsackObjective::kMaximizeValue), Error);
 }
 
 TEST(KnapsackTest, WorkspaceOverloadMatchesPlainOverload) {
@@ -126,7 +134,7 @@ TEST(KnapsackTest, WorkspaceOverloadMatchesPlainOverload) {
     const std::int64_t cap = rng.uniform_int(0, 90);
     for (const auto obj : {KnapsackObjective::kMaximizeValue,
                            KnapsackObjective::kMaximizeWeightMinimizeValue}) {
-      const auto plain = solve_knapsack(items, cap, obj);
+      const auto plain = solve(items, cap, obj);
       const auto reused = solve_knapsack(items, cap, obj, ws);
       EXPECT_EQ(plain.chosen, reused.chosen);
       EXPECT_EQ(plain.total_weight, reused.total_weight);
@@ -181,7 +189,7 @@ TEST_P(KnapsackFuzz, MatchesBruteForceMaximize) {
                        static_cast<double>(rng.uniform_int(0, 400))});
     const std::int64_t cap = rng.uniform_int(0, 70);
     const auto dp =
-        solve_knapsack(items, cap, KnapsackObjective::kMaximizeValue);
+        solve(items, cap, KnapsackObjective::kMaximizeValue);
     const auto bf = solve_knapsack_bruteforce(
         items, cap, KnapsackObjective::kMaximizeValue);
     EXPECT_DOUBLE_EQ(dp.total_value, bf.total_value);
@@ -198,7 +206,7 @@ TEST_P(KnapsackFuzz, MatchesBruteForceFillThenMinimize) {
       items.push_back({rng.uniform_int(1, 25),
                        static_cast<double>(rng.uniform_int(0, 400))});
     const std::int64_t cap = rng.uniform_int(0, 70);
-    const auto dp = solve_knapsack(
+    const auto dp = solve(
         items, cap, KnapsackObjective::kMaximizeWeightMinimizeValue);
     const auto bf = solve_knapsack_bruteforce(
         items, cap, KnapsackObjective::kMaximizeWeightMinimizeValue);
@@ -218,7 +226,7 @@ TEST_P(KnapsackFuzz, ChosenSetIsConsistent) {
     const std::int64_t cap = rng.uniform_int(1, 120);
     for (const auto obj : {KnapsackObjective::kMaximizeValue,
                            KnapsackObjective::kMaximizeWeightMinimizeValue}) {
-      const auto s = solve_knapsack(items, cap, obj);
+      const auto s = solve(items, cap, obj);
       std::int64_t w = 0;
       double v = 0.0;
       std::size_t prev = 0;

@@ -17,6 +17,7 @@
 #include "meta/router.hpp"
 #include "meta/spec.hpp"
 #include "obs/registry.hpp"
+#include "oracles.hpp"
 #include "run/proc.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
@@ -302,8 +303,8 @@ TEST(SimulateCenterTest, SingleCenterIsByteIdenticalToPlainCell) {
   plain.meta = nullptr;
   plain.meta_center = 0;
 
-  const sim::SimResult via_meta = run::execute_job_spec(meta_cell);
-  const sim::SimResult direct = run::execute_job_spec(plain);
+  const sim::SimResult via_meta = run::run_alone(meta_cell).result;
+  const sim::SimResult direct = run::run_alone(plain).result;
   EXPECT_TRUE(run::results_identical(via_meta, direct));
   EXPECT_EQ(via_meta.trace_name, direct.trace_name);
 }
@@ -415,7 +416,7 @@ TEST(ScenarioGroupTest, WorkerGroupBuildsAndRoutesOnceLikeSingleCells) {
   for (std::uint32_t c = 0; c < 3; ++c) {
     ASSERT_TRUE(out[c].ok()) << out[c].error;
     EXPECT_TRUE(run::results_identical(out[c].result,
-                                       run::execute_job_spec(group[c])))
+                                       run::run_alone(group[c]).result))
         << "center " << c;
   }
 }
@@ -462,8 +463,8 @@ TEST(SimulateCenterTest, CentersPartitionTheGlobalTrace) {
   const MetaSpec spec = two_center_spec("cheapest-now");
   const run::JobSpec west = meta_job_spec(spec, 0);
   const run::JobSpec east = meta_job_spec(spec, 1);
-  const sim::SimResult rw = run::execute_job_spec(west);
-  const sim::SimResult re = run::execute_job_spec(east);
+  const sim::SimResult rw = run::run_alone(west).result;
+  const sim::SimResult re = run::run_alone(east).result;
   const trace::Trace global = run::build_trace(west.trace);
   EXPECT_EQ(rw.records.size() + re.records.size(), global.size());
   EXPECT_NE(rw.trace_name, re.trace_name);
@@ -544,7 +545,7 @@ TEST(MetaSweepTest, SubprocessPoolMatchesInProcessByteForByte) {
   const auto remote = pool.run(cells);
   ASSERT_EQ(remote.size(), 2u);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const sim::SimResult local = run::execute_job_spec(cells[i]);
+    const sim::SimResult local = run::run_alone(cells[i]).result;
     EXPECT_TRUE(run::results_identical(local, remote[i])) << "center " << i;
   }
 }

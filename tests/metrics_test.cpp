@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles.hpp"
 #include "util/error.hpp"
 #include "util/time_util.hpp"
 

@@ -104,7 +104,7 @@ TEST_F(ObsRegistryTest, JsonSnapshotIsValidWithSortedKeys) {
   registry_.gauge("g").set(1.5);
   registry_.timer("t").record(9);
   std::ostringstream os;
-  registry_.write_json(os);
+  Registry::write_snapshot_json(registry_.snapshot(), os);
   const std::string json = os.str();
 
   std::string error;
@@ -127,7 +127,7 @@ TEST_F(ObsRegistryTest, JsonSnapshotIsValidWithSortedKeys) {
 
 TEST_F(ObsRegistryTest, EmptyRegistryStillEmitsValidJson) {
   std::ostringstream os;
-  registry_.write_json(os);
+  Registry::write_snapshot_json(registry_.snapshot(), os);
   std::string error;
   EXPECT_TRUE(testjson::is_valid_json(os.str(), &error)) << error;
 }

@@ -22,7 +22,6 @@
 #include "power/profile.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
-#include "trace/transforms.hpp"
 #include "util/error.hpp"
 
 namespace esched::obs {
@@ -284,8 +283,9 @@ TEST_F(ObsTracerTest, EveryRecordIsDurableBeforeClose) {
 }
 
 TEST_F(ObsTracerTest, SimulationDecisionLogMatchesSimResult) {
-  trace::Trace t = trace::make_anl_bgp_like(1, 7);
-  t = trace::take_first(t, 80);
+  const trace::Trace month = trace::make_anl_bgp_like(1, 7);
+  trace::Trace t(month.name(), month.system_nodes());
+  for (std::size_t i = 0; i < 80; ++i) t.add_job(month[i]);
   power::assign_profiles(t, power::ProfileConfig{}, 7);
   power::OnOffPeakPricing pricing(0.03, 3.0);
   core::FcfsPolicy policy;

@@ -126,37 +126,6 @@ TEST(FlatPricingTest, ConstantEverywhere) {
   EXPECT_THROW(FlatPricing(0.0), Error);
 }
 
-TEST(TouPricingTest, TiersApplyBySecondOfDay) {
-  // Three tiers: night 0.02, shoulder 0.04 from 06:00, peak 0.09 from 17:00.
-  TouPricing p({{0, 0.02},
-                {6 * kSecondsPerHour, 0.04},
-                {17 * kSecondsPerHour, 0.09}},
-               /*on_peak_threshold=*/0.09);
-  EXPECT_DOUBLE_EQ(p.price_at(0), 0.02);
-  EXPECT_DOUBLE_EQ(p.price_at(6 * kSecondsPerHour - 1), 0.02);
-  EXPECT_DOUBLE_EQ(p.price_at(6 * kSecondsPerHour), 0.04);
-  EXPECT_DOUBLE_EQ(p.price_at(17 * kSecondsPerHour + 5), 0.09);
-  EXPECT_EQ(p.period_at(18 * kSecondsPerHour), PricePeriod::kOnPeak);
-  EXPECT_EQ(p.period_at(7 * kSecondsPerHour), PricePeriod::kOffPeak);
-  // Next-day wrap.
-  EXPECT_DOUBLE_EQ(p.price_at(kSecondsPerDay + 1), 0.02);
-}
-
-TEST(TouPricingTest, NextChangeWalksTiers) {
-  TouPricing p({{0, 0.02}, {6 * kSecondsPerHour, 0.04}}, 0.04);
-  EXPECT_EQ(p.next_price_change(0), 6 * kSecondsPerHour);
-  EXPECT_EQ(p.next_price_change(6 * kSecondsPerHour), kSecondsPerDay);
-  EXPECT_EQ(p.next_price_change(kSecondsPerDay),
-            kSecondsPerDay + 6 * kSecondsPerHour);
-}
-
-TEST(TouPricingTest, RejectsBadTiers) {
-  EXPECT_THROW(TouPricing({}, 0.1), Error);
-  EXPECT_THROW(TouPricing({{100, 0.02}}, 0.1), Error);  // must start at 0
-  EXPECT_THROW(TouPricing({{0, 0.02}, {0, 0.04}}, 0.1), Error);
-  EXPECT_THROW(TouPricing({{0, -0.02}}, 0.1), Error);
-}
-
 TEST(HourlySeriesTest, CyclesThroughPrices) {
   HourlyPriceSeries p({0.02, 0.05, 0.11});
   EXPECT_DOUBLE_EQ(p.price_at(0), 0.02);
@@ -212,17 +181,6 @@ TEST(TzOffsetTest, NextPriceChangeReturnsSimulationFrameBoundaries) {
   EXPECT_NE(p.period_at(boundary - 1), p.period_at(boundary));
 }
 
-TEST(TzOffsetTest, TouTariffShiftsTheSameWay) {
-  TouPricing p({{0, 0.02}, {6 * kSecondsPerHour, 0.04}},
-               /*on_peak_threshold=*/0.04,
-               /*tz_offset=*/2 * kSecondsPerHour);
-  // Local 06:00 is frame 04:00.
-  EXPECT_DOUBLE_EQ(p.price_at(4 * kSecondsPerHour - 1), 0.02);
-  EXPECT_DOUBLE_EQ(p.price_at(4 * kSecondsPerHour), 0.04);
-  EXPECT_EQ(p.next_price_change(0), 4 * kSecondsPerHour);
-  EXPECT_EQ(p.next_price_change(4 * kSecondsPerHour), 22 * kSecondsPerHour);
-}
-
 TEST(TzOffsetTest, ZeroOffsetIsTheLegacyTariff) {
   OnOffPeakPricing shifted(0.03, 3.0, kNoon, kSecondsPerDay, false, 0);
   OnOffPeakPricing legacy(0.03, 3.0);
@@ -239,7 +197,6 @@ TEST(TzOffsetTest, RejectsOffsetsOfADayOrMore) {
   EXPECT_THROW(OnOffPeakPricing(0.03, 3.0, kNoon, kSecondsPerDay, false,
                                 -kSecondsPerDay),
                Error);
-  EXPECT_THROW(TouPricing({{0, 0.02}}, 0.1, kSecondsPerDay), Error);
 }
 
 TEST(TzOffsetTest, FactoryPassesTheOffsetThrough) {

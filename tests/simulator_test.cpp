@@ -6,7 +6,7 @@
 #include "core/fcfs_policy.hpp"
 #include "core/greedy_policy.hpp"
 #include "core/knapsack_policy.hpp"
-#include "metrics/metrics.hpp"
+#include "oracles.hpp"
 #include "power/profile.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"

@@ -1,7 +1,7 @@
 // Tests for declarative sweep-cell specs (run/spec.hpp): every builder
 // must be deterministic in the spec (that is the whole basis of the
-// multi-process determinism contract), execute_job_spec must be
-// bit-identical to hand-assembling the same cell in-process, and the
+// multi-process determinism contract), a cell run as a group of its own
+// must be bit-identical to hand-assembling it in-process, and the
 // by-name factories must reject unknown names loudly.
 #include "run/spec.hpp"
 
@@ -13,6 +13,7 @@
 
 #include "core/policy.hpp"
 #include "obs/tracer.hpp"
+#include "oracles.hpp"
 #include "power/pricing.hpp"
 #include "power/profile.hpp"
 #include "run/sweep.hpp"
@@ -80,7 +81,7 @@ TEST(SpecTest, SeedsOverrideCanonicalDefaults) {
   EXPECT_TRUE(differs);
 }
 
-TEST(SpecTest, ExecuteJobSpecMatchesInProcessSimulation) {
+TEST(SpecTest, SingletonGroupMatchesInProcessSimulation) {
   JobSpec spec;
   spec.trace.source = "sdsc-blue";
   spec.trace.months = 1;
@@ -88,7 +89,8 @@ TEST(SpecTest, ExecuteJobSpecMatchesInProcessSimulation) {
   spec.pricing.ratio = 3.0;
   spec.policy.name = "greedy";
   spec.label = "greedy/sdsc-blue";
-  const sim::SimResult from_spec = execute_job_spec(spec);
+  const MemberOutcome from_spec = run_alone(spec);
+  ASSERT_TRUE(from_spec.ok()) << from_spec.error;
 
   const trace::Trace trace = build_trace(spec.trace);
   const auto tariff = power::make_paper_tariff(3.0);
@@ -96,7 +98,7 @@ TEST(SpecTest, ExecuteJobSpecMatchesInProcessSimulation) {
   const sim::SimResult by_hand =
       sim::simulate(trace, *tariff, *policy, sim::SimConfig{});
 
-  EXPECT_TRUE(results_identical(from_spec, by_hand));
+  EXPECT_TRUE(results_identical(from_spec.result, by_hand));
 }
 
 TEST(SpecTest, ByNameFactoriesRejectUnknownNames) {
@@ -141,6 +143,13 @@ JobSpec priced_cell(const char* policy, const char* model, double ratio) {
   return spec;
 }
 
+/// plan_groups over every cell of `sweep`.
+std::vector<ShareGroup> plan(const std::vector<JobSpec>& sweep, bool enabled) {
+  std::vector<const JobSpec*> cells;
+  for (const JobSpec& spec : sweep) cells.push_back(&spec);
+  return plan_groups(cells, enabled);
+}
+
 TEST(SpecTest, KeysOfValidCellsAreUnchanged) {
   // Coordinator journals are keyed by cell_key: a valid cell's keys must
   // never change by a byte.
@@ -171,8 +180,7 @@ TEST(SpecTest, KeysRejectUnknownTariffNames) {
       EXPECT_EQ(std::string(e.what()), built);
     }
   }
-  EXPECT_THROW(plan_groups({priced_cell("fcfs", "paper", 3.0), bogus}, true),
-               Error);
+  EXPECT_THROW(plan({priced_cell("fcfs", "paper", 3.0), bogus}, true), Error);
 }
 
 TEST(SpecTest, PlanGroupsAppliesTheSharingRules) {
@@ -188,7 +196,7 @@ TEST(SpecTest, PlanGroupsAppliesTheSharingRules) {
   };
   sweep[6].config.tracer = &tracer;
 
-  const std::vector<ShareGroup> groups = plan_groups(sweep, true);
+  const std::vector<ShareGroup> groups = plan(sweep, true);
   ASSERT_EQ(groups.size(), 4u);
   EXPECT_EQ(groups[0].members, (std::vector<std::size_t>{0, 2}));
   ASSERT_EQ(groups[0].copies.size(), 1u);
@@ -201,19 +209,9 @@ TEST(SpecTest, PlanGroupsAppliesTheSharingRules) {
   EXPECT_EQ(groups[3].members, (std::vector<std::size_t>{6}));
 
   // Off, or without a spec, every cell is a group of its own.
-  EXPECT_EQ(plan_groups(sweep, false).size(), sweep.size());
+  EXPECT_EQ(plan(sweep, false).size(), sweep.size());
   const std::vector<const JobSpec*> unshared(sweep.size(), nullptr);
   EXPECT_EQ(plan_groups(unshared, true).size(), sweep.size());
-
-  // A full group's next sibling leads a new group; copies ride with the
-  // member they copy and do not count to the cap.
-  const std::vector<ShareGroup> capped = plan_groups(sweep, true, 1);
-  ASSERT_EQ(capped.size(), 5u);
-  EXPECT_EQ(capped[0].members, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(capped[2].members, (std::vector<std::size_t>{2}));
-  ASSERT_EQ(capped[2].copies.size(), 1u);
-  EXPECT_EQ(capped[2].copies[0].cell, 3u);
-  EXPECT_EQ(capped[2].copies[0].member, 0u);
 }
 
 TEST(SpecTest, ExecuteGroupMatchesSimulatingEveryMember) {
@@ -225,7 +223,7 @@ TEST(SpecTest, ExecuteGroupMatchesSimulatingEveryMember) {
   ASSERT_EQ(out.size(), members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
     ASSERT_TRUE(out[i].ok()) << out[i].error;
-    EXPECT_TRUE(results_identical(out[i].result, execute_job_spec(members[i])))
+    EXPECT_TRUE(results_identical(out[i].result, run_alone(members[i]).result))
         << members[i].label;
   }
 }
@@ -242,7 +240,7 @@ TEST(SpecTest, ExecuteGroupFailsOnlyTheMemberWithABadTariff) {
       << out[0].error;
   for (std::size_t i = 1; i < 3; ++i) {
     ASSERT_TRUE(out[i].ok()) << out[i].error;
-    EXPECT_TRUE(results_identical(out[i].result, execute_job_spec(members[i])));
+    EXPECT_TRUE(results_identical(out[i].result, run_alone(members[i]).result));
   }
 
   // A shared failure (here: the policy) fails every member alike.
@@ -250,7 +248,7 @@ TEST(SpecTest, ExecuteGroupFailsOnlyTheMemberWithABadTariff) {
   for (const MemberOutcome& o : execute_group(members, 0, traces)) {
     EXPECT_FALSE(o.ok());
   }
-  EXPECT_THROW(execute_job_spec(members[1]), Error);
+  EXPECT_FALSE(run_alone(members[1]).ok());
 }
 
 }  // namespace

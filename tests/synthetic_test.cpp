@@ -7,7 +7,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "trace/trace_stats.hpp"
+#include "oracles.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <vector>
 
+#include "oracles.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"

@@ -75,32 +75,6 @@ TEST(TransformsTest, ScaleArrivalsRoundingStaysBounded) {
   }
 }
 
-TEST(TransformsTest, ClipWindowKeepsHalfOpenRange) {
-  const Trace t = make_trace();
-  const Trace c = clip_window(t, 200, 1000);
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c[0].id, 2);
-  EXPECT_EQ(c[1].id, 3);
-  EXPECT_THROW(clip_window(t, 10, 10), Error);
-}
-
-TEST(TransformsTest, TakeFirst) {
-  const Trace t = make_trace();
-  EXPECT_EQ(take_first(t, 2).size(), 2u);
-  EXPECT_EQ(take_first(t, 0).size(), 0u);
-  EXPECT_EQ(take_first(t, 99).size(), 4u);
-}
-
-TEST(TransformsTest, RebaseShiftsAllSubmits) {
-  const Trace t = make_trace();
-  const Trace r = rebase(t, 0);
-  EXPECT_EQ(r[0].submit, 0);
-  EXPECT_EQ(r[3].submit, 900);
-  const Trace r2 = rebase(t, 5000);
-  EXPECT_EQ(r2[0].submit, 5000);
-  EXPECT_EQ(r2[3].submit, 5900);
-}
-
 TEST(TransformsTest, RenumberAssignsSequentialIds) {
   Trace t("gap", 64);
   t.add_job(make_job(100, 0));
@@ -115,8 +89,6 @@ TEST(TransformsTest, RenumberAssignsSequentialIds) {
 TEST(TransformsTest, InputNeverMutated) {
   const Trace t = make_trace();
   (void)scale_arrivals(t, 0.5);
-  (void)clip_window(t, 0, 500);
-  (void)rebase(t, 0);
   (void)renumber(t);
   EXPECT_EQ(t[0].submit, 100);
   EXPECT_EQ(t[0].id, 1);

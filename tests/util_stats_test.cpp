@@ -1,4 +1,4 @@
-// Tests for RunningStats, quantile, weighted_mean and percent_change.
+// Tests for RunningStats and quantile.
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace esched {
 namespace {
@@ -41,37 +40,6 @@ TEST(RunningStatsTest, SingleObservation) {
   EXPECT_DOUBLE_EQ(s.max(), -3.0);
 }
 
-TEST(RunningStatsTest, MergeEqualsSequential) {
-  Rng rng(99);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 3.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptyIsIdentity) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
 TEST(QuantileTest, MedianAndExtremes) {
   const std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(v, 0.5), 3.0);
@@ -92,32 +60,6 @@ TEST(QuantileTest, EmptyAndInvalid) {
   const std::vector<double> v{1.0};
   EXPECT_THROW(quantile(v, -0.1), Error);
   EXPECT_THROW(quantile(v, 1.1), Error);
-}
-
-TEST(WeightedMeanTest, Basics) {
-  const std::vector<double> values{1.0, 2.0, 3.0};
-  const std::vector<double> weights{1.0, 0.0, 3.0};
-  EXPECT_DOUBLE_EQ(weighted_mean(values, weights), 10.0 / 4.0);
-}
-
-TEST(WeightedMeanTest, ZeroTotalWeight) {
-  const std::vector<double> values{1.0, 2.0};
-  const std::vector<double> weights{0.0, 0.0};
-  EXPECT_DOUBLE_EQ(weighted_mean(values, weights), 0.0);
-}
-
-TEST(WeightedMeanTest, RejectsMismatchedAndNegative) {
-  const std::vector<double> values{1.0, 2.0};
-  const std::vector<double> short_w{1.0};
-  EXPECT_THROW(weighted_mean(values, short_w), Error);
-  const std::vector<double> neg_w{1.0, -1.0};
-  EXPECT_THROW(weighted_mean(values, neg_w), Error);
-}
-
-TEST(PercentChangeTest, Basics) {
-  EXPECT_DOUBLE_EQ(percent_change(110.0, 100.0), 10.0);
-  EXPECT_DOUBLE_EQ(percent_change(90.0, 100.0), -10.0);
-  EXPECT_DOUBLE_EQ(percent_change(5.0, 0.0), 0.0);
 }
 
 }  // namespace

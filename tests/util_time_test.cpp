@@ -43,7 +43,6 @@ TEST(TimeUtilTest, DayAndMonthIndices) {
 TEST(TimeUtilTest, StartOfDayAndMonth) {
   EXPECT_EQ(start_of_day(12345), 0);
   EXPECT_EQ(start_of_day(kSecondsPerDay + 1), kSecondsPerDay);
-  EXPECT_EQ(start_of_month(kSecondsPerMonth + 77), kSecondsPerMonth);
 }
 
 TEST(TimeUtilTest, NextTickAlignment) {

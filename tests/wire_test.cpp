@@ -20,6 +20,7 @@
 
 #include "meta/spec.hpp"
 #include "obs/telemetry.hpp"
+#include "oracles.hpp"
 #include "power/facility.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
@@ -96,7 +97,7 @@ TEST(WireTest, SimResultRoundTripIsBitIdentical) {
   spec.trace.source = "sdsc-blue";
   spec.trace.months = 1;
   spec.policy.name = "greedy";
-  const sim::SimResult result = execute_job_spec(spec);
+  const sim::SimResult result = run_alone(spec).result;
   ASSERT_FALSE(result.records.empty());
   const sim::SimResult back = decode_result(encode_result(result));
   EXPECT_TRUE(results_identical(result, back));
