@@ -72,10 +72,14 @@ Options parse_options(int argc, const char* const* argv) {
   // Reject a malformed agent list here, with the flag's name, even when
   // --isolate=tcp is not (yet) selected: a typo'd address must not hide
   // until a remote run. parse_agent_list's error names the entry and the
-  // accepted host:port forms.
-  net::parse_agent_list(opt.agents);
+  // accepted host:port forms. --isolate=tcp with no agent at all is
+  // refused here too, rather than run some other plane.
+  ESCHED_REQUIRE(!net::parse_agent_list(opt.agents).empty() ||
+                     opt.isolate != "tcp",
+                 "--isolate=tcp: no agents configured (pass --agents or "
+                 "set ESCHED_AGENTS)");
   // Same for --coordinator: a typo'd address must fail at parse time,
-  // not surface as "unreachable, degrading to tcp" at sweep time.
+  // not surface as a connect error at sweep time.
   if (!opt.coordinator.empty()) net::parse_host_port(opt.coordinator);
   ESCHED_REQUIRE(opt.task_timeout >= 0.0, "--task-timeout must be >= 0");
   // Observability side effects last, after validation can no longer
@@ -248,95 +252,32 @@ void render_progress(const run::SweepProgress& p) {
 }
 
 /// Why a sweep's cells cannot cross a process boundary at all, or ""
-/// when they can. Facility models and tracers are process-local
-/// pointers; a cell built without make_cell carries no declarative spec.
+/// when they can. A facility model is a process-local pointer (make_cell
+/// builds such a cell without a spec); a cell built without make_cell
+/// carries no declarative spec.
 std::string cell_spec_blocker(const std::vector<run::SimJob>& sweep) {
   for (const run::SimJob& job : sweep) {
+    if (job.config.facility_model != nullptr) {
+      return "a cell uses a facility model (label \"" + job.label + "\")";
+    }
     if (job.spec == nullptr) {
       return "a cell has no declarative spec (label \"" + job.label +
              "\")";
     }
-    if (job.config.facility_model != nullptr) {
-      return "a cell uses a facility model (label \"" + job.label + "\")";
-    }
   }
   return {};
 }
 
-/// Why a sweep cannot run under --isolate=proc, or "" when it can.
-std::string isolate_blocker(const std::vector<run::SimJob>& sweep) {
-  std::string blocker = cell_spec_blocker(sweep);
-  if (!blocker.empty()) return blocker;
-  if (!run::SubprocessPool::available()) {
-    return "esched-worker binary not found (build target esched-worker "
-           "or set ESCHED_WORKER)";
-  }
-  return {};
-}
-
-/// Why a sweep cannot run under --isolate=tcp, or "" when it can: the
-/// cells must cross a process boundary, at least one agent must be named
-/// (--agents / ESCHED_AGENTS) and at least one must accept a connection.
-std::string tcp_blocker(const std::vector<run::SimJob>& sweep,
-                        const Options& options) {
-  std::string blocker = cell_spec_blocker(sweep);
-  if (!blocker.empty()) return blocker;
-  const std::vector<net::HostPort> agents =
-      net::parse_agent_list(options.agents);
-  if (agents.empty()) {
-    return "no agents configured (pass --agents or set ESCHED_AGENTS)";
-  }
-  if (!net::DistributedPool::any_agent_reachable(agents)) {
-    return "no agent reachable at " + options.agents;
-  }
-  return {};
-}
-
-/// Degradation warning, once per process and mode: --isolate silently
-/// doing nothing would be worse than refusing, and refusing would break
-/// every facility-model bench invoked from a generic script.
-void warn_isolate_unavailable(const std::string& mode,
-                              const std::string& fallback,
-                              const std::string& why) {
-  static bool warned_proc = false;
-  static bool warned_tcp = false;
-  bool& warned = mode == "tcp" ? warned_tcp : warned_proc;
-  if (warned) return;
-  warned = true;
-  std::fprintf(stderr, "esched: --isolate=%s unavailable: %s; %s\n",
-               mode.c_str(), why.c_str(), fallback.c_str());
-}
-
-/// Same once-per-process warning for the --coordinator path (it is not
-/// an --isolate mode — it layers above the chain — so it gets its own
-/// flag name in the message).
-void warn_coordinator_unavailable(const std::string& why) {
+/// The one plane rule: a sweep with a cell that cannot cross a process
+/// boundary runs in-process under any plane. Said once per process, so a
+/// generic script that names a plane for every driver sees why the
+/// facility-model and estimate-ablation drivers ignore it.
+void warn_in_process(const std::string& plane, const std::string& why) {
   static bool warned = false;
   if (warned) return;
   warned = true;
-  std::fprintf(stderr,
-               "esched: --coordinator unavailable: %s; falling back to "
-               "the --isolate chain\n",
-               why.c_str());
-}
-
-/// Why a sweep cannot run through --coordinator, or "" when it can: the
-/// cells must cross a process boundary and the coordinator must accept a
-/// TCP connection (a dead coordinator degrades the bench, never hangs
-/// it — run() itself still retries transient drops once connected).
-std::string coordinator_blocker(const std::vector<run::SimJob>& sweep,
-                                const Options& options) {
-  std::string blocker = cell_spec_blocker(sweep);
-  if (!blocker.empty()) return blocker;
-  if (options.coordinator.empty()) {
-    return "no coordinator configured (pass --coordinator or set "
-           "ESCHED_COORDINATOR)";
-  }
-  const net::HostPort addr = net::parse_host_port(options.coordinator);
-  if (!net::reachable(addr, 0.5)) {
-    return "coordinator unreachable at " + options.coordinator;
-  }
-  return {};
+  std::fprintf(stderr, "esched: %s cannot carry this sweep: %s; running it "
+               "in-process\n", plane.c_str(), why.c_str());
 }
 
 /// The declarative sweep the multi-process/distributed pools consume.
@@ -360,7 +301,7 @@ std::vector<sim::SimResult> run_sweep_proc(
   run::SubprocessPoolConfig cfg;
   cfg.workers = options.jobs;
   cfg.task_timeout_seconds = options.task_timeout;
-  cfg.max_attempts = static_cast<std::uint32_t>(options.retries) + 1;
+  cfg.retry.max_attempts = static_cast<std::uint32_t>(options.retries) + 1;
   run::SubprocessPool pool(cfg);
   pool.set_tracer(options.tracer.get());
   pool.set_telemetry(options.fleet.get());
@@ -383,7 +324,7 @@ std::vector<sim::SimResult> run_sweep_tcp(
   net::DistributedPoolConfig cfg;
   cfg.agents = net::parse_agent_list(options.agents);
   cfg.task_timeout_seconds = options.task_timeout;
-  cfg.max_attempts = static_cast<std::uint32_t>(options.retries) + 1;
+  cfg.retry.max_attempts = static_cast<std::uint32_t>(options.retries) + 1;
   net::DistributedPool pool(cfg);
   pool.set_tracer(options.tracer.get());
   pool.set_telemetry(options.fleet.get());
@@ -420,48 +361,29 @@ std::vector<sim::SimResult> run_all_policies(Workload which,
 
 std::vector<sim::SimResult> run_sweep(const std::vector<run::SimJob>& sweep,
                                       const Options& options) {
-  std::vector<sim::SimResult> results;
-  bool done = false;
-  std::string mode = options.isolate;
-  std::string blocker;
+  // The flags name the plane that runs: each plane's own error (an
+  // unreachable coordinator, no usable agent, no worker binary) fails the
+  // bench. Only the sweep itself can send it in-process.
+  std::string plane;
   if (!options.coordinator.empty()) {
-    // The coordinator path layers above the --isolate chain: when a
-    // coordinator is named but cannot serve this sweep, degrade into the
-    // chain at its strongest rung (tcp), which itself degrades further.
-    if ((blocker = coordinator_blocker(sweep, options)).empty()) {
-      results = run_sweep_coordinator(sweep, options);
-      done = true;
-    } else {
-      warn_coordinator_unavailable(blocker);
-      mode = "tcp";
-    }
+    plane = "--coordinator";
+  } else if (options.isolate != "off") {
+    plane = "--isolate=" + options.isolate;
   }
-  if (!done && mode == "tcp") {
-    if ((blocker = tcp_blocker(sweep, options)).empty()) {
-      results = run_sweep_tcp(sweep, options);
-      done = true;
-    } else {
-      // Graceful degradation chain: tcp -> proc -> in-process, each step
-      // warned once. Results are bit-identical in every mode, so a
-      // degraded run is slower, never wrong.
-      warn_isolate_unavailable("tcp", "falling back to --isolate=proc",
-                               blocker);
-      mode = "proc";
-    }
-  }
-  if (!done && mode == "proc") {
-    if ((blocker = isolate_blocker(sweep)).empty()) {
-      results = run_sweep_proc(sweep, options);
-      done = true;
-    } else {
-      warn_isolate_unavailable("proc", "running in-process", blocker);
-    }
-  }
-  if (!done) {
+  const std::string blocker = plane.empty() ? "" : cell_spec_blocker(sweep);
+  if (!blocker.empty()) warn_in_process(plane, blocker);
+  std::vector<sim::SimResult> results;
+  if (plane.empty() || !blocker.empty()) {
     run::SweepRunner runner(options.jobs);
     runner.set_tracer(options.tracer.get());
     if (options.progress) runner.set_progress(render_progress);
     results = runner.run(sweep);
+  } else if (!options.coordinator.empty()) {
+    results = run_sweep_coordinator(sweep, options);
+  } else if (options.isolate == "tcp") {
+    results = run_sweep_tcp(sweep, options);
+  } else {
+    results = run_sweep_proc(sweep, options);
   }
   // Snapshot after every sweep (drivers may run several): the file always
   // holds the cumulative totals of the process so far. When the fleet

@@ -25,11 +25,13 @@
 //                      daemons over TCP (--agents / ESCHED_AGENTS); a dead
 //                      agent costs one attempt per in-flight cell, not the
 //                      sweep. Results are bit-identical in every mode.
-//                      Degrades with a stderr warning when the requested
-//                      mode cannot run — tcp falls back to proc when no
-//                      agent is reachable, proc to in-process when cells
-//                      carry no declarative specs, use a facility model,
-//                      or no esched-worker binary is found.
+//                      The named mode is the one that runs: a missing
+//                      esched-worker binary or no usable agent fails the
+//                      bench with that plane's error. Only a sweep whose
+//                      cells cannot cross a process boundary (no
+//                      declarative spec, or a facility model) runs
+//                      in-process instead, under any mode, with one
+//                      stderr warning. tcp needs --agents.
 //   --agents LIST      comma-separated agent addresses for --isolate=tcp
 //                      ("host:port", "ip:port" or "[ipv6]:port"); default:
 //                      the ESCHED_AGENTS environment variable
@@ -40,9 +42,11 @@
 //                      result journal — cells any client ever simulated
 //                      come back without re-simulation — and survives
 //                      crashes/restarts mid-sweep. Results stay
-//                      bit-identical to every other mode. Falls back to
-//                      the --isolate chain (tcp first) with a stderr
-//                      warning when the coordinator is unreachable.
+//                      bit-identical to every other mode. Takes
+//                      precedence over --isolate; an unreachable
+//                      coordinator fails the bench after the client's
+//                      connect budget. The in-process rule above holds
+//                      here too.
 //   --token T          shared-secret auth token for --coordinator
 //                      (default: the ESCHED_AUTH_TOKEN environment
 //                      variable; must match the coordinator's token)
@@ -111,8 +115,7 @@ struct Options {
   std::string agents;
   /// --coordinator (default: ESCHED_COORDINATOR): "host:port" of an
   /// esched-coordinator to route sweeps through. Validated at parse
-  /// time; empty = none. Takes precedence over --isolate when set and
-  /// reachable; degrades into the --isolate chain otherwise.
+  /// time; empty = none. Takes precedence over --isolate when set.
   std::string coordinator;
   /// --token (default: ESCHED_AUTH_TOKEN): shared secret presented in
   /// the coordinator handshake. Empty works only against an un-authed
@@ -188,10 +191,10 @@ std::vector<run::PolicyFactory> standard_policy_factories();
 std::vector<std::string> standard_policy_names();
 
 /// One sweep cell carrying both its runnable pointers and its declarative
-/// spec, which is what makes the cell eligible for --isolate=proc. The
-/// JobSpec's config copy drops the tracer/facility pointers (they cannot
-/// cross a process boundary); when `config` carries a facility model the
-/// cell is built *without* a spec and the sweep degrades to in-process.
+/// spec, which is what lets the cell cross a process boundary. The
+/// JobSpec's config copy drops the tracer pointer; when `config` carries
+/// a facility model (also a pointer) the cell is built *without* a spec,
+/// and its sweep runs in-process under any plane.
 run::SimJob make_cell(std::shared_ptr<const trace::Trace> trace,
                       std::shared_ptr<const power::PricingModel> tariff,
                       const run::TraceSpec& trace_spec,
@@ -218,13 +221,14 @@ run::SimJob make_meta_cell(std::shared_ptr<const trace::Trace> trace,
 /// worker count, and honoring the full observability contract of
 /// `options`: --jobs, task trace spans (--trace-out), live progress
 /// (--progress) and a registry snapshot to --metrics-out after the sweep.
+/// Its cells carry no spec, so it runs in-process under any plane.
 std::vector<sim::SimResult> run_all_policies(const trace::Trace& trace,
                                              const power::PricingModel& tariff,
                                              const sim::SimConfig& config,
                                              const Options& options);
 
 /// Spec-carrying variant: `which` names the workload declaratively, so
-/// the three cells are eligible for --isolate=proc (the trace/tariff
+/// the three cells can run on any plane (the trace/tariff
 /// arguments must be the ones load_workload/make_tariff built from the
 /// same options). Honors the observability contract like the overload
 /// above.
@@ -235,9 +239,12 @@ std::vector<sim::SimResult> run_all_policies(Workload which,
                                              const Options& options);
 
 /// Submit a whole experiment grid, for drivers that build their own
-/// run::SimJob vectors; results in submission order. Wires the tracer,
-/// progress rendering and the metrics snapshot exactly like
-/// run_all_policies(..., options).
+/// run::SimJob vectors; results in submission order. Runs on the plane
+/// the options name (--coordinator, else --isolate) and throws that
+/// plane's esched::Error when it cannot run; a sweep with a cell that
+/// cannot cross a process boundary runs in-process under any plane.
+/// Wires the tracer, progress rendering and the metrics snapshot exactly
+/// like run_all_policies(..., options).
 std::vector<sim::SimResult> run_sweep(const std::vector<run::SimJob>& sweep,
                                       const Options& options);
 

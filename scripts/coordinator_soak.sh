@@ -21,6 +21,7 @@
 #        build; pass ESCHED_SOAK_SEED to vary the fault schedule)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/wait_ready.sh
 
 SEED="${ESCHED_SOAK_SEED:-7}"
 MONTHS="${ESCHED_SOAK_MONTHS:-1}"
@@ -54,19 +55,24 @@ for port in "${AGENT_PORTS[@]}"; do
   pids+=($!)
   disown $!
 done
+for port in "${AGENT_PORTS[@]}"; do
+  wait_ready "$workdir/agent-$port.log" esched-agentd
+done
 
+# Start the coordinator, logging to $1 (one file per start, so the wait
+# cannot find an earlier start's ready line), and wait until it listens.
 start_coordinator() {
   # diskfull on the journal: some appends are dropped (losing only
   # durability); after the SIGKILL those cells are re-simulated.
   ESCHED_FAULT="diskfull:0.2,seed:$SEED" \
     ./build/esched-coordinator --port "$COORD_PORT" --agents "$AGENTS" \
     --journal "$workdir/journal.bin" --max-attempts 10 \
-    > "$workdir/coordinator.log" 2>&1 &
+    > "$1" 2>&1 &
   coord_pid=$!
   disown "$coord_pid"  # the SIGKILL below is deliberate; keep logs clean
+  wait_ready "$1" esched-coordinator
 }
-start_coordinator
-sleep 1
+start_coordinator "$workdir/coordinator-1.log"
 
 echo "-- client 1: sweep with a coordinator SIGKILL + restart mid-flight --"
 "$BENCH" --months "$MONTHS" --coordinator "127.0.0.1:$COORD_PORT" \
@@ -77,7 +83,7 @@ if kill -0 "$client_pid" 2>/dev/null; then
   echo "   SIGKILL coordinator (pid $coord_pid) mid-sweep"
   kill -9 "$coord_pid"
   sleep 0.3
-  start_coordinator
+  start_coordinator "$workdir/coordinator-2.log"
 else
   # The sweep outran the kill window (fast host): restart anyway so the
   # replay path still runs, and say so — the log should not pretend the
@@ -85,9 +91,11 @@ else
   echo "   note: sweep finished before the kill window; restarting anyway"
   kill -9 "$coord_pid"
   sleep 0.3
-  start_coordinator
+  start_coordinator "$workdir/coordinator-2.log"
 fi
-wait "$client_pid"
+# The client spends its connect budget while the coordinator is down; a
+# restart slower than that fails the sweep, and its log says so.
+wait "$client_pid" || { cat "$workdir/client1.log" >&2; exit 1; }
 diff -u "$workdir/ref.out" "$workdir/soak.out"
 echo "   byte-identical to the in-process reference"
 

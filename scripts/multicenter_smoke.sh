@@ -16,6 +16,7 @@
 # Usage: scripts/multicenter_smoke.sh   (from the repo root, after a build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/wait_ready.sh
 
 MONTHS="${ESCHED_SMOKE_MONTHS:-1}"
 BENCH=./build/bench/fig_multicenter_savings
@@ -51,7 +52,9 @@ for port in "${AGENT_PORTS[@]}"; do
   pids+=($!)
   disown $!
 done
-sleep 1
+for port in "${AGENT_PORTS[@]}"; do
+  wait_ready "$workdir/agent-$port.log" esched-agentd
+done
 "$BENCH" "${FLAGS[@]}" --isolate=tcp --agents "$AGENTS" > "$workdir/tcp.out"
 diff -u "$workdir/ref.out" "$workdir/tcp.out"
 echo "   byte-identical"
@@ -62,7 +65,7 @@ echo "-- coordinator + journal --"
   > "$workdir/coordinator.log" 2>&1 &
 pids+=($!)
 disown $!
-sleep 1
+wait_ready "$workdir/coordinator.log" esched-coordinator
 "$BENCH" "${FLAGS[@]}" --coordinator "127.0.0.1:$COORD_PORT" \
   > "$workdir/coord.out"
 diff -u "$workdir/ref.out" "$workdir/coord.out"

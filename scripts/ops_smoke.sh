@@ -26,6 +26,7 @@
 # Usage: scripts/ops_smoke.sh    (from the repo root, after a build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/wait_ready.sh
 
 MONTHS="${ESCHED_SMOKE_MONTHS:-1}"
 BENCH=./build/bench/fig07_08_bill_saving
@@ -63,9 +64,10 @@ for i in 0 1; do
     > "$workdir/agent-$i.log" 2>&1 &
   pids+=($!)
 done
+for i in 0 1; do wait_ready "$workdir/agent-$i.log" esched-agentd; done
 # Start the coordinator, logging to $1, and wait for its ready line: a
-# bench client that finds no coordinator falls back to --isolate=proc,
-# which is byte-identical too, so it would pass without a coordinator.
+# bench client fails when the coordinator it names does not answer
+# within its connect budget.
 start_coordinator() {
   ESCHED_LOG_LEVEL=debug \
     ./build/esched-coordinator --port "$COORD_PORT" --agents "$AGENTS" \
@@ -74,12 +76,7 @@ start_coordinator() {
     > "$1" 2>&1 &
   coord_pid=$!
   pids+=("$coord_pid")
-  for _ in $(seq 100); do
-    grep -q ': ready ' "$1" && return 0
-    sleep 0.1
-  done
-  echo "ops-smoke: esched-coordinator printed no ready line" >&2
-  exit 1
+  wait_ready "$1" esched-coordinator
 }
 start_coordinator "$workdir/coordinator.log"
 

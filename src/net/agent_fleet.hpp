@@ -58,13 +58,9 @@ namespace esched::net {
 struct FleetConfig : SessionClientConfig {
   /// Agent addresses (host:port). Must be non-empty.
   std::vector<HostPort> agents;
-  /// Attempt budget per cell (first run + retries). Must be >= 1. Kept
-  /// by the owner's run::CellQueue; the fleet only reports failures.
-  std::uint32_t max_attempts = 3;
-  /// Backoff before retry k (1-based) is
-  /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
-  double backoff_initial_seconds = 0.05;
-  double backoff_max_seconds = 2.0;
+  /// Per-cell attempt budget and backoff; max_attempts must be >= 1.
+  /// Kept by the owner's run::CellQueue; the fleet only reports failures.
+  run::RetryPolicy retry;
   /// Per-task wall-clock timeout; expiry retires the agent connection
   /// and requeues its in-flight cells. 0 disables the timeout.
   double task_timeout_seconds = 0.0;

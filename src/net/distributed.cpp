@@ -1,6 +1,5 @@
 #include "net/distributed.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,17 +19,10 @@ constexpr run::PoolNames kNames{"DistributedPool", "net.task", nullptr,
 
 DistributedPool::DistributedPool(DistributedPoolConfig config)
     : config_(std::move(config)) {
-  ESCHED_REQUIRE(config_.max_attempts >= 1,
+  ESCHED_REQUIRE(config_.retry.max_attempts >= 1,
                  "DistributedPool: max_attempts must be >= 1");
   ESCHED_REQUIRE(config_.connect_attempts >= 1,
                  "DistributedPool: connect_attempts must be >= 1");
-}
-
-bool DistributedPool::any_agent_reachable(const std::vector<HostPort>& agents,
-                                          double timeout_seconds) {
-  return std::any_of(agents.begin(), agents.end(), [&](const HostPort& a) {
-    return reachable(a, timeout_seconds);
-  });
 }
 
 std::vector<sim::SimResult> DistributedPool::run(
@@ -43,8 +35,8 @@ std::vector<sim::SimResult> DistributedPool::run(
                  "DistributedPool: no agents configured (pass "
                  "DistributedPoolConfig::agents or set ESCHED_AGENTS)");
   run::SigpipeGuard sigpipe;
-  run::PoolRun pool(sweep, run::retry_policy(config_), kNames, stats_,
-                    progress_, tracer_);
+  run::PoolRun pool(sweep, config_.retry, kNames, stats_, progress_,
+                    tracer_);
   AgentFleet agents(config_, config_.connect_attempts, pool, tracer_, fleet_);
   // Close every connection, on success and on any failure alike — the
   // agents then discard orphaned work — and capture the fleet picture

@@ -61,12 +61,6 @@ class DistributedPool : public run::PoolBase {
  public:
   explicit DistributedPool(DistributedPoolConfig config);
 
-  /// True when at least one agent accepts a TCP connection within
-  /// `timeout_seconds` (per agent). The cheap reachability probe behind
-  /// bench/common's graceful fallback; no handshake is performed.
-  static bool any_agent_reachable(const std::vector<HostPort>& agents,
-                                  double timeout_seconds = 0.5);
-
   /// Execute every spec; results in submission order, bit-identical to
   /// the in-process reference. Throws esched::Error when a cell exhausts
   /// its attempt budget, when an agent reports a deterministic kError,

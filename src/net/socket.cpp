@@ -247,9 +247,4 @@ Fd connect_tcp(const HostPort& addr, double timeout_seconds,
   return connect_tcp_finish(fd.get(), error) ? std::move(fd) : Fd();
 }
 
-bool reachable(const HostPort& addr, double timeout_seconds) {
-  std::string error;
-  return connect_tcp(addr, timeout_seconds, error).valid();
-}
-
 }  // namespace esched::net

@@ -100,9 +100,4 @@ bool connect_tcp_finish(int fd, std::string& error);
 Fd connect_tcp(const HostPort& addr, double timeout_seconds,
                std::string& error);
 
-/// True when `addr` accepts a TCP connection within `timeout_seconds` —
-/// the cheap probe behind bench/common's graceful fallback; no
-/// handshake is performed.
-bool reachable(const HostPort& addr, double timeout_seconds);
-
 }  // namespace esched::net

@@ -101,14 +101,6 @@ struct RetryPolicy {
   double backoff_seconds(std::uint32_t attempts_made) const;
 };
 
-/// The retry knobs of a config that declares them (SubprocessPoolConfig,
-/// net::FleetConfig).
-template <typename Config>
-RetryPolicy retry_policy(const Config& config) {
-  return {config.max_attempts, config.backoff_initial_seconds,
-          config.backoff_max_seconds};
-}
-
 /// The in-flight bookkeeping common to every transport slot: one worker
 /// pipe (run/proc) or one remote agent slot (net/agent_fleet) holds at
 /// most one task attempt with an optional wall-clock deadline.

@@ -50,15 +50,13 @@ constexpr PoolNames kNames{"SubprocessPool", "pool.task", "pool.retries",
 
 SubprocessPool::SubprocessPool(SubprocessPoolConfig config)
     : config_(std::move(config)) {
-  ESCHED_REQUIRE(config_.max_attempts >= 1,
+  ESCHED_REQUIRE(config_.retry.max_attempts >= 1,
                  "SubprocessPool: max_attempts must be >= 1");
 }
 
 std::string SubprocessPool::find_worker() {
   return find_sibling_binary("ESCHED_WORKER", "esched-worker");
 }
-
-bool SubprocessPool::available() { return !find_worker().empty(); }
 
 std::vector<sim::SimResult> SubprocessPool::run(
     const std::vector<JobSpec>& sweep) {
@@ -77,8 +75,7 @@ std::vector<sim::SimResult> SubprocessPool::run(
   // answer.
   std::optional<ScopedEnv> telemetry_env;
   if (fleet_ != nullptr) telemetry_env.emplace("ESCHED_TELEMETRY", "1");
-  PoolRun pool(sweep, retry_policy(config_), kNames, stats_, progress_,
-               tracer_);
+  PoolRun pool(sweep, config_.retry, kNames, stats_, progress_, tracer_);
   stats_.threads = std::max<std::size_t>(
       1, std::min(config_.workers != 0 ? config_.workers
                                        : SweepRunner::default_jobs(),

@@ -48,12 +48,8 @@ struct SubprocessPoolConfig {
   /// Per-task wall-clock timeout in seconds; expiry SIGKILLs the worker
   /// and requeues the task. 0 disables the timeout.
   double task_timeout_seconds = 0.0;
-  /// Attempt budget per cell (first run + retries). Must be >= 1.
-  std::uint32_t max_attempts = 3;
-  /// Backoff before retry k (1-based) is
-  /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
-  double backoff_initial_seconds = 0.05;
-  double backoff_max_seconds = 2.0;
+  /// Per-cell attempt budget and backoff; max_attempts must be >= 1.
+  RetryPolicy retry;
   /// esched-worker binary; empty = find_worker().
   std::string worker_path;
 };
@@ -73,10 +69,6 @@ class SubprocessPool : public PoolBase {
   /// variable if set, else next to this executable, else one directory
   /// up (the build-tree layout). Returns "" when none is executable.
   static std::string find_worker();
-
-  /// True when multi-process execution can work here: find_worker()
-  /// succeeds (fork/pipe are assumed on any platform this builds on).
-  static bool available();
 
   /// Execute every spec; results in submission order, bit-identical to
   /// the in-process reference. Throws esched::Error when a cell

@@ -28,8 +28,7 @@ Coordinator::Coordinator(CoordinatorConfig config)
       sessions_("esched-coordinator", "svc.coordinator", config_.auth_token,
                 *this),
       fleet_(config_, net::SessionClient::kNeverAbandon, *this),
-      queue_(run::retry_policy(config_),
-             run::SweepRunner::prefix_sharing_default()) {
+      queue_(config_.retry, run::SweepRunner::prefix_sharing_default()) {
   ESCHED_REQUIRE(!config_.agents.empty(),
                  "esched-coordinator: no agents configured (pass --agents "
                  "or set ESCHED_AGENTS)");

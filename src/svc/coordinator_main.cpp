@@ -92,7 +92,7 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   const long long attempts = args.get_int_or("max-attempts", 3);
   ESCHED_REQUIRE(attempts >= 1 && attempts <= 100,
                  "esched-coordinator: --max-attempts must be in [1, 100]");
-  config.max_attempts = static_cast<std::uint32_t>(attempts);
+  config.retry.max_attempts = static_cast<std::uint32_t>(attempts);
   config.task_timeout_seconds = args.get_double_or("task-timeout", 0.0);
   ESCHED_REQUIRE(config.task_timeout_seconds >= 0.0,
                  "esched-coordinator: --task-timeout must be >= 0");

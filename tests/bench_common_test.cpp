@@ -1,7 +1,8 @@
 // Tests for the shared bench machinery (bench/common.{hpp,cpp}) —
-// especially the CLI contract: flag validation and the "--power-ratio
+// especially the CLI contract: flag validation, the "--power-ratio
 // given explicitly" tracking that replaced the fragile `ratio != 3.0`
-// double-compare sentinel.
+// double-compare sentinel, and run_sweep running the plane its flags
+// name or failing with that plane's error.
 #include "common.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "fleet_support.hpp"
+#include "net/socket.hpp"
+#include "power/facility.hpp"
+#include "run/sweep.hpp"
 #include "trace/swf.hpp"
 #include "util/error.hpp"
 
@@ -51,7 +56,10 @@ TEST(BenchOptionsTest, RejectsZeroTickAndWindowAtParseTime) {
 TEST(BenchOptionsTest, RejectsUnknownIsolateModesNamingAcceptedOnes) {
   EXPECT_EQ(parse({}).isolate, "off");
   EXPECT_EQ(parse({"--isolate", "proc"}).isolate, "proc");
-  EXPECT_EQ(parse({"--isolate", "tcp"}).isolate, "tcp");
+  // tcp alone is refused (TcpWithoutAgentsIsRejectedNamingTheFlag), so
+  // it is accepted here with an agent list.
+  EXPECT_EQ(parse({"--isolate", "tcp", "--agents", "127.0.0.1:9555"}).isolate,
+            "tcp");
   try {
     parse({"--isolate", "bogus"});
     FAIL() << "expected unknown --isolate value to be rejected";
@@ -63,6 +71,20 @@ TEST(BenchOptionsTest, RejectsUnknownIsolateModesNamingAcceptedOnes) {
     EXPECT_NE(what.find("\"proc\""), std::string::npos) << what;
     EXPECT_NE(what.find("\"tcp\""), std::string::npos) << what;
   }
+}
+
+TEST(BenchOptionsTest, TcpWithoutAgentsIsRejectedNamingTheFlag) {
+  ::unsetenv("ESCHED_AGENTS");
+  try {
+    parse({"--isolate", "tcp"});
+    FAIL() << "expected --isolate=tcp without agents to be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--agents"), std::string::npos)
+        << e.what();
+  }
+  // ESCHED_AGENTS names them as well as the flag does.
+  const test::ScopedEnv agents("ESCHED_AGENTS", "127.0.0.1:7777");
+  EXPECT_EQ(parse({"--isolate", "tcp"}).agents, "127.0.0.1:7777");
 }
 
 TEST(BenchOptionsTest, ValidatesAgentListAtParseTime) {
@@ -210,6 +232,104 @@ TEST_F(LoadWorkloadPowerColumnTest, NonDefaultRatioStillRescales) {
   const double lo = std::min(t[0].power_per_node, t[1].power_per_node);
   const double hi = std::max(t[0].power_per_node, t[1].power_per_node);
   EXPECT_NEAR(hi / lo, 4.0, 1e-9);
+}
+
+// run_sweep on the plane the flags name. The sweep is the three standard
+// policies over a small SWF trace, so its cells carry specs that any
+// worker could rebuild; the failing planes throw before any cell runs.
+class BenchRunSweepTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    trace::Trace t("tiny-swf", 64);
+    for (int i = 0; i < 8; ++i) {
+      trace::Job j;
+      j.id = i + 1;
+      j.submit = i * 3600;
+      j.nodes = 8 * (1 + i % 4);
+      j.runtime = 1800 + 600 * (i % 3);
+      j.walltime = 2 * j.runtime;
+      j.power_per_node = 20.0 + 10.0 * (i % 3);
+      j.user = 1 + i % 2;
+      t.add_job(j);
+    }
+    path_ = ::testing::TempDir() + "bench_common_run_sweep.swf";
+    trace::swf::save_file(path_, t, /*with_power_column=*/true);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  Options options(std::vector<const char*> flags) const {
+    flags.insert(flags.begin(), {"--swf", path_.c_str()});
+    return parse(flags);
+  }
+
+  /// run_all_policies' spec-carrying sweep under `opt`.
+  std::vector<sim::SimResult> run_policies(
+      const Options& opt,
+      const power::FacilityModel* facility = nullptr) const {
+    const trace::Trace trace = load_workload(Workload::kSdscBlue, opt);
+    const auto tariff = make_tariff(opt);
+    sim::SimConfig config = make_sim_config(opt);
+    config.facility_model = facility;
+    return run_all_policies(Workload::kSdscBlue, trace, *tariff, config,
+                            opt);
+  }
+
+  /// run_policies() must throw an esched::Error whose text contains
+  /// `expected`.
+  void expect_plane_error(const Options& opt,
+                          const std::string& expected) const {
+    try {
+      run_policies(opt);
+      FAIL() << "expected the named plane to fail, not to run another one";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
+
+  /// A loopback port nothing listens on: bind port 0, read, close.
+  static std::string closed_address() {
+    const net::Fd probe = net::listen_tcp("127.0.0.1", 0);
+    return "127.0.0.1:" + std::to_string(net::local_port(probe.get()));
+  }
+
+  std::string path_;
+};
+
+TEST_F(BenchRunSweepTest, UnreachableCoordinatorFailsNamingIt) {
+  const std::string addr = closed_address();
+  expect_plane_error(options({"--coordinator", addr.c_str()}), addr);
+}
+
+TEST_F(BenchRunSweepTest, UnreachableAgentsFailTheTcpPlane) {
+  const std::string addr = closed_address();
+  expect_plane_error(
+      options({"--isolate", "tcp", "--agents", addr.c_str()}),
+      "no usable agents remain");
+}
+
+TEST_F(BenchRunSweepTest, MissingWorkerBinaryFailsTheProcPlane) {
+  // ESCHED_WORKER names a file that exists but cannot be executed.
+  const std::string worker = ::testing::TempDir() + "bench_common_worker";
+  std::ofstream(worker) << "not a program\n";
+  const test::ScopedEnv env("ESCHED_WORKER", worker);
+  expect_plane_error(options({"--isolate", "proc"}),
+                     "esched-worker binary not found");
+  std::remove(worker.c_str());
+}
+
+TEST_F(BenchRunSweepTest, FacilitySweepRunsInProcessUnderAnyPlane) {
+  // A facility model is a process-local pointer, so its cells carry no
+  // spec: the sweep runs in-process even under --isolate=proc.
+  const power::ConstantPue pue(1.5);
+  const std::vector<sim::SimResult> off = run_policies(options({}), &pue);
+  const std::vector<sim::SimResult> proc =
+      run_policies(options({"--isolate", "proc"}), &pue);
+  ASSERT_EQ(off.size(), 3u);
+  ASSERT_EQ(proc.size(), off.size());
+  for (std::size_t i = 0; i < off.size(); ++i) {
+    EXPECT_TRUE(run::results_identical(off[i], proc[i])) << "cell " << i;
+  }
 }
 
 }  // namespace

@@ -58,8 +58,8 @@ using namespace test;
 DistributedPoolConfig test_config(const std::vector<HostPort>& agents) {
   DistributedPoolConfig cfg;
   cfg.agents = agents;
-  cfg.backoff_initial_seconds = 0.01;
-  cfg.backoff_max_seconds = 0.05;
+  cfg.retry.backoff_initial_seconds = 0.01;
+  cfg.retry.backoff_max_seconds = 0.05;
   cfg.connect_timeout_seconds = 5.0;
   cfg.heartbeat_interval_seconds = 0.2;
   cfg.reconnect_initial_seconds = 0.05;
@@ -121,7 +121,7 @@ TEST(DistributedTest, AgentKilledMidSweepRequeuesAndStaysIdentical) {
   AgentProc agent2(2);
 
   DistributedPoolConfig cfg = test_config({agent1.addr(), agent2.addr()});
-  cfg.max_attempts = 8;
+  cfg.retry.max_attempts = 8;
   DistributedPool pool(cfg);
   bool killed = false;
   pool.set_progress([&](const run::SweepProgress& p) {
@@ -187,7 +187,7 @@ TEST_P(AgentFaultTest, NetFaultsStayBitIdentical) {
   const std::uint64_t requeued_before = counter_value("net.cells_requeued");
 
   DistributedPoolConfig cfg = test_config({agent1.addr(), agent2.addr()});
-  cfg.max_attempts = c.budget;
+  cfg.retry.max_attempts = c.budget;
   DistributedPool pool(cfg);
   const auto results = pool.run(sweep);
   obs::set_counters_enabled(false);
@@ -589,17 +589,6 @@ TEST(DistributedTest, PoolSleepsWhileEveryAgentSlotIsBusy) {
   EXPECT_EQ(pool.last_stats().simulated_cells, sweep.size());
   EXPECT_LT(cpu, 0.3 * wall) << "pool burned " << cpu << " CPU-s over "
                              << wall << " s of wall time";
-}
-
-TEST(DistributedTest, ReachabilityProbe) {
-  Fd probe = listen_tcp("127.0.0.1", 0);
-  const HostPort dead{"127.0.0.1", local_port(probe.get())};
-  probe.reset();
-  EXPECT_FALSE(DistributedPool::any_agent_reachable({dead}, 0.2));
-
-  Fd live = listen_tcp("127.0.0.1", 0);
-  const HostPort alive{"127.0.0.1", local_port(live.get())};
-  EXPECT_TRUE(DistributedPool::any_agent_reachable({dead, alive}, 0.5));
 }
 
 }  // namespace

@@ -535,7 +535,7 @@ TEST(MetaSweepTest, IdenticalMetaCellsCopyAndNeverRebill) {
 }
 
 TEST(MetaSweepTest, SubprocessPoolMatchesInProcessByteForByte) {
-  if (!run::SubprocessPool::available()) {
+  if (run::SubprocessPool::find_worker().empty()) {
     GTEST_SKIP() << "esched-worker binary not found";
   }
   const MetaSpec spec = two_center_spec("cheapest-window");

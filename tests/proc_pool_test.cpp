@@ -103,7 +103,6 @@ TEST(ProcPoolTest, WorkerBinaryIsAvailable) {
   // The build places esched-worker at the build root, one directory above
   // the test binaries; find_worker must locate it without ESCHED_WORKER.
   EXPECT_FALSE(SubprocessPool::find_worker().empty());
-  EXPECT_TRUE(SubprocessPool::available());
 }
 
 TEST(ProcPoolTest, MatchesInProcessReferenceWithoutFaults) {
@@ -157,9 +156,9 @@ TEST(ProcPoolTest, CrashedWorkersAreRespawnedAndTasksRetried) {
 
   SubprocessPoolConfig config;
   config.workers = 2;
-  config.max_attempts = 8;
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.05;
+  config.retry.max_attempts = 8;
+  config.retry.backoff_initial_seconds = 0.01;
+  config.retry.backoff_max_seconds = 0.05;
   SubprocessPool pool(config);
   const auto results = pool.run(sweep);
   obs::set_counters_enabled(false);
@@ -183,10 +182,10 @@ TEST(ProcPoolTest, HungWorkersAreKilledOnTimeoutAndTasksRetried) {
 
   SubprocessPoolConfig config;
   config.workers = 2;
-  config.max_attempts = 8;
+  config.retry.max_attempts = 8;
   config.task_timeout_seconds = 1.0;
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.05;
+  config.retry.backoff_initial_seconds = 0.01;
+  config.retry.backoff_max_seconds = 0.05;
   SubprocessPool pool(config);
   const auto results = pool.run(sweep);
   obs::set_counters_enabled(false);
@@ -209,9 +208,9 @@ TEST(ProcPoolTest, CorruptedFramesAreDetectedAndTasksRetried) {
 
   SubprocessPoolConfig config;
   config.workers = 2;
-  config.max_attempts = 8;
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.05;
+  config.retry.max_attempts = 8;
+  config.retry.backoff_initial_seconds = 0.01;
+  config.retry.backoff_max_seconds = 0.05;
   SubprocessPool pool(config);
   const auto results = pool.run(sweep);
   obs::set_counters_enabled(false);
@@ -226,9 +225,9 @@ TEST(ProcPoolTest, AttemptBudgetExhaustionNamesTheCell) {
 
   SubprocessPoolConfig config;
   config.workers = 2;
-  config.max_attempts = 2;
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.02;
+  config.retry.max_attempts = 2;
+  config.retry.backoff_initial_seconds = 0.01;
+  config.retry.backoff_max_seconds = 0.02;
   SubprocessPool pool(config);
   try {
     pool.run(sweep);
@@ -259,9 +258,9 @@ TEST(ProcPoolTest, MultiProcessBitIdenticalToSerialUnderMixedFaults) {
 
   SubprocessPoolConfig config;
   config.workers = 4;
-  config.max_attempts = 8;
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.05;
+  config.retry.max_attempts = 8;
+  config.retry.backoff_initial_seconds = 0.01;
+  config.retry.backoff_max_seconds = 0.05;
   SubprocessPool pool(config);
   const auto first = pool.run(sweep);
   const auto second = pool.run(sweep);  // pool instances are reusable
@@ -291,7 +290,7 @@ TEST(ProcPoolTest, DeterministicSpecErrorFailsFastWithoutRetry) {
   sweep[1].policy.name = "no-such-policy";
   SubprocessPoolConfig config;
   config.workers = 2;
-  config.max_attempts = 5;
+  config.retry.max_attempts = 5;
   SubprocessPool pool(config);
   try {
     pool.run(sweep);
@@ -337,7 +336,7 @@ TEST(ProcPoolTest, BadTariffFailsItsSweepAfterTheGroupSimulatesOnce) {
   sweep.back().label = "half-ratio";
   SubprocessPoolConfig config;
   config.workers = 1;
-  config.max_attempts = 5;
+  config.retry.max_attempts = 5;
   SubprocessPool pool(config);
   try {
     pool.run(sweep);
@@ -361,9 +360,9 @@ TEST(ProcPoolTest, CrashLeavesFlightDumpNamingTheInFlightCell) {
 
   SubprocessPoolConfig config;
   config.workers = 2;
-  config.max_attempts = 2;
-  config.backoff_initial_seconds = 0.01;
-  config.backoff_max_seconds = 0.02;
+  config.retry.max_attempts = 2;
+  config.retry.backoff_initial_seconds = 0.01;
+  config.retry.backoff_max_seconds = 0.02;
 
   auto run_expecting_exhaustion = [&]() -> std::string {
     SubprocessPool pool(config);
@@ -397,7 +396,7 @@ TEST(ProcPoolTest, CrashLeavesFlightDumpNamingTheInFlightCell) {
   EXPECT_EQ(slurp(dump_path), dump);
 
   for (std::uint32_t t = 0; t < sweep.size(); ++t) {
-    for (std::uint32_t a = 0; a < config.max_attempts; ++a) {
+    for (std::uint32_t a = 0; a < config.retry.max_attempts; ++a) {
       std::remove(obs::FlightRecorder::dump_path(dir, t, a).c_str());
     }
   }
