@@ -30,16 +30,7 @@ KnapsackSolution EnergyKnapsackPolicy::select(
 
 std::vector<std::size_t> EnergyKnapsackPolicy::prioritize(
     std::span<const PendingJob> window, const ScheduleContext& ctx) {
-  const KnapsackSolution solution = select(window, ctx);
-  std::vector<bool> chosen(window.size(), false);
-  for (const std::size_t i : solution.chosen) chosen[i] = true;
-  std::vector<std::size_t> order;
-  order.reserve(window.size());
-  for (std::size_t i = 0; i < window.size(); ++i)
-    if (chosen[i]) order.push_back(i);
-  for (std::size_t i = 0; i < window.size(); ++i)
-    if (!chosen[i]) order.push_back(i);
-  return order;
+  return chosen_first_order(select(window, ctx).chosen, window.size());
 }
 
 }  // namespace esched::core

@@ -25,6 +25,30 @@ bool fill_better(std::int64_t w1, double v1, std::int64_t w2, double v2) {
   return v1 < v2;
 }
 
+// The DP's own choice when every fitting item fits together. The fill
+// objective takes them all: any other subset weighs less. The DP's strict
+// `>` takes an item under kMaximizeValue only if it raises the value
+// reached so far, so an item of value 0, or one absorbed by rounding (1
+// after 1e300), stays out; `running` replays exactly that test. The
+// total is summed in descending index order, as the DP's reconstruction
+// sums it, so its bits match.
+void take_all_fitting(std::span<const KnapsackItem> items,
+                      std::int64_t capacity, KnapsackObjective objective,
+                      KnapsackSolution& solution) {
+  double running = 0.0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].weight > capacity) continue;
+    if (objective == KnapsackObjective::kMaximizeValue) {
+      if (!(running + items[i].value > running)) continue;
+      running += items[i].value;
+    }
+    solution.chosen.push_back(i);
+    solution.total_weight += items[i].weight;
+  }
+  for (std::size_t k = solution.chosen.size(); k-- > 0;)
+    solution.total_value += items[solution.chosen[k]].value;
+}
+
 }  // namespace
 
 KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
@@ -39,6 +63,30 @@ KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
 
   KnapsackSolution solution;
   if (capacity == 0 || items.empty()) return solution;
+
+  // The answer is forced when every fitting item fits together (no item
+  // fitting at all is the empty case of that); decide it in one pass
+  // before the table is touched. The sum stops before it would pass
+  // `capacity`, so it never overflows.
+  bool forced = true;
+  std::int64_t fit_weight = 0;
+  for (const auto& item : items) {
+    if (item.weight > capacity) continue;
+    if (item.weight > capacity - fit_weight) {
+      forced = false;
+      break;
+    }
+    fit_weight += item.weight;
+  }
+  if (forced) {
+    take_all_fitting(items, capacity, objective, solution);
+    if (obs::counters_enabled()) {
+      static obs::Counter& forced_solves =
+          obs::Registry::global().counter("knapsack.forced");
+      forced_solves.add(1);
+    }
+    return solution;
+  }
 
   const std::int64_t gcd = common_divisor(items, capacity);
   const auto cap = static_cast<std::size_t>(capacity / gcd);
@@ -119,6 +167,23 @@ KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
     if (workspace_warm) reuse_hits.add(1);
   }
   return solution;
+}
+
+std::vector<std::size_t> chosen_first_order(
+    std::span<const std::size_t> chosen, std::size_t n) {
+  std::vector<std::size_t> order;
+  order.reserve(n);
+  order.assign(chosen.begin(), chosen.end());
+  // `chosen` is ascending, so one merge walk skips it in the full range.
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (next < chosen.size() && chosen[next] == i) {
+      ++next;
+    } else {
+      order.push_back(i);
+    }
+  }
+  return order;
 }
 
 }  // namespace esched::core

@@ -61,8 +61,11 @@ struct KnapsackWorkspace {
 };
 
 /// Solve 0-1 knapsack over `items` with the given capacity and objective.
-/// O(items * capacity / gcd) time and space. Items with weight > capacity
-/// are never chosen. Deterministic: among equal-objective solutions the
+/// O(items) when the answer is forced: no item fits, or every fitting
+/// item fits together (the common case on a scheduling pass); the DP's
+/// own choice is then returned without the table. Otherwise O(items *
+/// capacity / gcd) time and space. Items with weight > capacity are never
+/// chosen. Deterministic: among equal-objective solutions the
 /// DP prefers *not* taking later items, so earlier (lower-index = older)
 /// jobs win ties. `workspace` is caller-owned scratch space: zero heap
 /// allocations for the DP tables once it has grown to the problem size.
@@ -70,5 +73,11 @@ KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
                                 std::int64_t capacity,
                                 KnapsackObjective objective,
                                 KnapsackWorkspace& workspace);
+
+/// The window order the knapsack policies hand the scheduler: the
+/// `chosen` indices (ascending) first, then every other index in
+/// [0, n) ascending. Arrival order within each part.
+std::vector<std::size_t> chosen_first_order(
+    std::span<const std::size_t> chosen, std::size_t n);
 
 }  // namespace esched::core

@@ -1,7 +1,5 @@
 #include "core/knapsack_policy.hpp"
 
-#include <algorithm>
-
 namespace esched::core {
 
 std::string KnapsackPolicy::name() const { return "Knapsack"; }
@@ -21,18 +19,7 @@ KnapsackSolution KnapsackPolicy::select(std::span<const PendingJob> window,
 
 std::vector<std::size_t> KnapsackPolicy::prioritize(
     std::span<const PendingJob> window, const ScheduleContext& ctx) {
-  const KnapsackSolution solution = select(window, ctx);
-  std::vector<bool> chosen(window.size(), false);
-  for (const std::size_t i : solution.chosen) chosen[i] = true;
-
-  std::vector<std::size_t> order;
-  order.reserve(window.size());
-  // `chosen` indices are ascending == arrival order within the window.
-  for (std::size_t i = 0; i < window.size(); ++i)
-    if (chosen[i]) order.push_back(i);
-  for (std::size_t i = 0; i < window.size(); ++i)
-    if (!chosen[i]) order.push_back(i);
-  return order;
+  return chosen_first_order(select(window, ctx).chosen, window.size());
 }
 
 }  // namespace esched::core

@@ -17,7 +17,9 @@
 
 namespace esched::core {
 
-/// Knapsack-based window ordering. O(window * N_t / gcd) per decision.
+/// Knapsack-based window ordering. O(window) per decision when the
+/// selection is forced (no job fits, or every fitting job fits together),
+/// else O(window * N_t / gcd).
 /// Instances hold reusable solver scratch space, so they are cheap to call
 /// every tick but not thread-safe: use one instance per thread (the sweep
 /// runner constructs policies per task for exactly this reason).

@@ -536,7 +536,10 @@ TEST(DistributedTest, SweepStatsReportPerAgentLiveness) {
   probe.reset();
 
   DistributedPoolConfig cfg = test_config({agent.addr(), dead});
-  cfg.connect_attempts = 2;
+  // One attempt: the dead address is abandoned at its first refusal. With
+  // a second attempt it stays "connecting" through the reconnect backoff,
+  // and a sweep that ends inside that backoff reports it so.
+  cfg.connect_attempts = 1;
   DistributedPool pool(cfg);
   const auto sweep = six_cell_sweep();
   expect_identical(reference_results(sweep), pool.run(sweep), sweep);

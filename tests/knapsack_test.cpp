@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "oracles.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -174,6 +177,154 @@ TEST(KnapsackTest, WarmWorkspacePerformsNoPerCallAllocations) {
   EXPECT_EQ(ws.best_value.capacity(), value_cap);
   EXPECT_EQ(ws.best_weight.capacity(), weight_cap);
   EXPECT_EQ(ws.taken.capacity(), taken_cap);
+}
+
+/// Is `fast` the DP's answer bit for bit: chosen set, total weight and
+/// the bits of the total value?
+bool same_as_dp(const KnapsackSolution& fast, const KnapsackSolution& dp) {
+  return fast.chosen == dp.chosen && fast.total_weight == dp.total_weight &&
+         std::memcmp(&fast.total_value, &dp.total_value, sizeof(double)) == 0;
+}
+
+/// Compares solve_knapsack with the table DP on `items` at every capacity
+/// 0..20 under both objectives; returns the number of mismatches.
+int dp_mismatches(const std::vector<KnapsackItem>& items,
+                  KnapsackWorkspace& ws) {
+  int mismatches = 0;
+  for (std::int64_t cap = 0; cap <= 20; ++cap) {
+    for (const auto obj : {KnapsackObjective::kMaximizeValue,
+                           KnapsackObjective::kMaximizeWeightMinimizeValue}) {
+      if (!same_as_dp(solve_knapsack(items, cap, obj, ws),
+                      solve_knapsack_dp(items, cap, obj))) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Values whose sums tie (0.5 + 0.5 == 1), vanish (0) or are absorbed by
+// rounding (1 after 1e300, 1e-300 after 3): the cases where "take every
+// fitting item with value > 0" differs from the DP.
+constexpr std::array<double, 6> kEdgeValues{0.0, 0.5, 1.0, 3.0, 1e-300,
+                                            1e300};
+
+TEST(KnapsackTest, MatchesTableDpOnEverySmallInstance) {
+  // Every instance of up to 3 items: weights 1..6, values from
+  // kEdgeValues, capacities 0..20, both objectives. Forced and unforced
+  // instances alike must give the DP's answer bit for bit.
+  KnapsackWorkspace ws;
+  int mismatches = 0;
+  std::vector<KnapsackItem> items;
+  for (std::size_t n = 0; n <= 3; ++n) {
+    std::size_t combos = 1;
+    for (std::size_t i = 0; i < n; ++i) combos *= 6 * kEdgeValues.size();
+    items.resize(n);
+    for (std::size_t code = 0; code < combos; ++code) {
+      std::size_t rest = code;
+      for (auto& item : items) {
+        item.weight = static_cast<std::int64_t>(rest % 6) + 1;
+        rest /= 6;
+        item.value = kEdgeValues[rest % kEdgeValues.size()];
+        rest /= kEdgeValues.size();
+      }
+      mismatches += dp_mismatches(items, ws);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(KnapsackTest, MatchesTableDpOnSampledFourAndFiveItemInstances) {
+  // 4 and 5 items from the same space. The 5-item lists alone number
+  // 6^10 (x 21 capacities x 2 objectives), too many for a unit test, so
+  // every value sequence is paired with seeded random weights instead.
+  Rng rng(2013);
+  KnapsackWorkspace ws;
+  int mismatches = 0;
+  std::vector<KnapsackItem> items;
+  for (std::size_t n = 4; n <= 5; ++n) {
+    std::size_t combos = 1;
+    for (std::size_t i = 0; i < n; ++i) combos *= kEdgeValues.size();
+    items.resize(n);
+    for (std::size_t code = 0; code < combos; ++code) {
+      std::size_t rest = code;
+      for (auto& item : items) {
+        item.weight = rng.uniform_int(1, 6);
+        item.value = kEdgeValues[rest % kEdgeValues.size()];
+        rest /= kEdgeValues.size();
+      }
+      mismatches += dp_mismatches(items, ws);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(KnapsackTest, ForcedTotalValueIsSummedAsTheDpSumsIt) {
+  // All three fit together. The DP's reconstruction sums 1 + 1 + 2^53 =
+  // 2^53 + 2; summed in index order each 1 is absorbed and the total is
+  // 2^53.
+  const std::vector<KnapsackItem> items{{2, 0x1p53}, {3, 1.0}, {1, 1.0}};
+  const auto obj = KnapsackObjective::kMaximizeWeightMinimizeValue;
+  const auto s = solve(items, 10, obj);
+  EXPECT_EQ(s.chosen, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(s.total_value, 0x1p53 + 2.0);
+  EXPECT_TRUE(same_as_dp(s, solve_knapsack_dp(items, 10, obj)));
+}
+
+TEST(KnapsackTest, FitSumDoesNotOverflow) {
+  // Each item fits alone, both together would weigh 2^63 (past int64).
+  // The gcd is 2^61, so the DP table is only 4 wide.
+  constexpr std::int64_t k2to61 = std::int64_t{1} << 61;
+  const std::vector<KnapsackItem> items{{2 * k2to61, 1.0}, {2 * k2to61, 2.0}};
+  for (const auto obj : {KnapsackObjective::kMaximizeValue,
+                         KnapsackObjective::kMaximizeWeightMinimizeValue}) {
+    const auto s = solve(items, 3 * k2to61, obj);
+    EXPECT_TRUE(same_as_dp(s, solve_knapsack_dp(items, 3 * k2to61, obj)));
+    EXPECT_EQ(s.total_weight, 2 * k2to61);
+  }
+  EXPECT_EQ(solve(items, 3 * k2to61, KnapsackObjective::kMaximizeValue).chosen,
+            (std::vector<std::size_t>{1}));
+}
+
+TEST(KnapsackTest, ForcedCallsCountAsForcedNotAsSolves) {
+  const bool was_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  auto& registry = obs::Registry::global();
+  const auto value = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::uint64_t forced0 = value("knapsack.forced");
+  const std::uint64_t solves0 = value("knapsack.solves");
+  const std::uint64_t cells0 = value("knapsack.dp_cells");
+
+  const std::vector<KnapsackItem> items{{4, 1.0}, {5, 2.0}, {30, 9.0}};
+  const auto obj = KnapsackObjective::kMaximizeValue;
+  solve(items, 3, obj);   // nothing fits
+  solve(items, 9, obj);   // both fitting items fit together
+  solve(items, 0, obj);   // zero capacity: returns before either count
+  solve(items, 6, obj);   // 4 and 5 compete: the DP runs
+  EXPECT_EQ(value("knapsack.forced") - forced0, 2u);
+  EXPECT_EQ(value("knapsack.solves") - solves0, 1u);
+  // gcd(6, 4, 5, 30) = 1: (6 - 4 + 1) + (6 - 5 + 1) cells; 30 never fits.
+  EXPECT_EQ(value("knapsack.dp_cells") - cells0, 5u);
+
+  // Cells count in gcd-scaled units: gcd(12, 8, 6) = 2, so the row is
+  // 12 / 2 + 1 wide and the items add (6 - 4 + 1) + (6 - 3 + 1) cells.
+  const std::vector<KnapsackItem> even{{8, 1.0}, {6, 2.0}};
+  solve(even, 12, obj);
+  EXPECT_EQ(value("knapsack.solves") - solves0, 2u);
+  EXPECT_EQ(value("knapsack.dp_cells") - cells0, 5u + 7u);
+  obs::set_counters_enabled(was_on);
+}
+
+TEST(KnapsackTest, ChosenFirstOrder) {
+  const std::vector<std::size_t> chosen{1, 3, 4};
+  EXPECT_EQ(chosen_first_order(chosen, 6),
+            (std::vector<std::size_t>{1, 3, 4, 0, 2, 5}));
+  EXPECT_EQ(chosen_first_order({}, 3), (std::vector<std::size_t>{0, 1, 2}));
+  const std::vector<std::size_t> all{0, 1, 2};
+  EXPECT_EQ(chosen_first_order(all, 3), all);
+  EXPECT_TRUE(chosen_first_order({}, 0).empty());
 }
 
 // Randomized equivalence with exhaustive search, both objectives.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -65,6 +66,74 @@ inline KnapsackSolution solve_knapsack_bruteforce(
   }
   solution.total_weight = best_w;
   solution.total_value = best_v;
+  return solution;
+}
+
+/// solve_knapsack's table DP run on every instance, including the forced
+/// ones (every fitting item fits together) that solve_knapsack answers
+/// without the table. Tests compare the two bit for bit: chosen set,
+/// total weight and the bits of the total value.
+inline KnapsackSolution solve_knapsack_dp(std::span<const KnapsackItem> items,
+                                          std::int64_t capacity,
+                                          KnapsackObjective objective) {
+  ESCHED_REQUIRE(capacity >= 0, "knapsack capacity must be >= 0");
+  for (const auto& item : items) {
+    ESCHED_REQUIRE(item.weight > 0, "knapsack weights must be positive");
+    ESCHED_REQUIRE(item.value >= 0.0, "knapsack values must be >= 0");
+  }
+
+  KnapsackSolution solution;
+  if (capacity == 0 || items.empty()) return solution;
+
+  std::int64_t gcd = capacity;
+  for (const auto& item : items) gcd = std::gcd(gcd, item.weight);
+  if (gcd <= 0) gcd = 1;
+  const auto cap = static_cast<std::size_t>(capacity / gcd);
+  const std::size_t n = items.size();
+  const std::size_t row = cap + 1;
+
+  std::vector<double> best_value(row, 0.0);
+  std::vector<std::int64_t> best_weight(row, 0);
+  std::vector<std::uint8_t> taken(n * row, 0);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto w_i = static_cast<std::size_t>(items[i].weight / gcd);
+    const double v_i = items[i].value;
+    if (w_i > cap) continue;
+    std::uint8_t* taken_row = taken.data() + i * row;
+    // Descending capacity loop: each item used at most once.
+    for (std::size_t w = cap; w >= w_i; --w) {
+      const double cand_value = best_value[w - w_i] + v_i;
+      const std::int64_t cand_weight =
+          best_weight[w - w_i] + items[i].weight;
+      bool better;
+      if (objective == KnapsackObjective::kMaximizeValue) {
+        better = cand_value > best_value[w];
+      } else {
+        // Lexicographic: more weight, then less value.
+        better = cand_weight != best_weight[w] ? cand_weight > best_weight[w]
+                                               : cand_value < best_value[w];
+      }
+      if (better) {
+        best_value[w] = cand_value;
+        best_weight[w] = cand_weight;
+        taken_row[w] = 1;
+      }
+      if (w == w_i) break;  // std::size_t cannot go below 0
+    }
+  }
+
+  // Reconstruct by walking items backwards from the full capacity.
+  std::size_t w = cap;
+  for (std::size_t i = n; i-- > 0;) {
+    if (taken[i * row + w]) {
+      solution.chosen.push_back(i);
+      solution.total_weight += items[i].weight;
+      solution.total_value += items[i].value;
+      w -= static_cast<std::size_t>(items[i].weight / gcd);
+    }
+  }
+  std::reverse(solution.chosen.begin(), solution.chosen.end());
   return solution;
 }
 
