@@ -29,7 +29,10 @@
 // scheduling trajectory). Two timed passes run first, back to back:
 // "before" — the seed configuration (binary-heap event queue, sharing
 // off) on a policy-balanced sample of the grid — and "after" — calendar
-// queue + sharing over all cells. An untimed third pass then re-runs
+// queue + sharing over all cells. The pair runs `--reps` times (5 by
+// default), alternating which side goes first, and the speedup is the
+// median of the per-rep ratios, so one slow spell of the host moves one
+// rep, not the verdict. An untimed last pass then re-runs
 // the seed configuration over the full grid and byte-compares every
 // result against the "after" pass (spilled to disk as exact wire
 // encodings), so the bit-identity contract covers all 60 cells while
@@ -153,6 +156,13 @@ bool matches_spilled(std::FILE* spill, const sim::SimResult& result) {
   return stored == run::wire::encode_result(result);
 }
 
+/// Median of `v` (mean of the middle two for an even count).
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 /// Run the sim-core grid once. Each result is handed to `consume` in
 /// submission order and freed immediately afterwards: at --scale=xl the
 /// 60 results hold gigabytes, and carrying the "before" set in memory
@@ -202,6 +212,8 @@ int run_sim_core_mode(const CliArgs& args) {
   const std::size_t months = scale_months(scale);
   const auto jobs = static_cast<std::size_t>(args.get_int_or("jobs", 1));
   bench::warn_if_oversubscribed(jobs);
+  const auto reps = static_cast<std::size_t>(args.get_int_or("reps", 5));
+  ESCHED_REQUIRE(reps >= 1, "--reps must be >= 1");
 
   // One trace, 3 policies x 20 price ratios. Every cell of one policy
   // shares the scheduling trajectory (the scheduler sees period
@@ -242,22 +254,23 @@ int run_sim_core_mode(const CliArgs& args) {
     }
   }
 
-  // Three passes. The two *timed* ones run first, back to back, so they
-  // see comparable host conditions (a 60-cell xl "before" pass is ~2 min
-  // of sustained load, enough for shared hosts to throttle whatever runs
-  // next — measured 1.5-2x inflation of the second pass):
-  //   1. "before" (timed): the seed configuration — binary-heap event
-  //      queue, no trajectory sharing — on a policy-balanced sample of
-  //      the grid. Per-cell cost is ratio-independent, so the sample's
-  //      jobs/sec is the full grid's.
-  //   2. "after" (timed): calendar queue + sharing, all cells; every
-  //      result's exact wire encoding is spilled to disk (outside the
-  //      timed region) and the results are freed.
-  //   3. Identity check (untimed): the seed configuration over the FULL
-  //      grid, each result byte-compared against pass 2's spill. The
-  //      bit-identity contract is checked for all cells against the
-  //      seed configuration itself; only the throughput baseline is
-  //      sampled.
+  // Timed reps, then one untimed identity pass. Each rep times two
+  // passes back to back, so they see comparable host conditions (a
+  // 60-cell xl "before" pass is ~2 min of sustained load, enough for
+  // shared hosts to throttle whatever runs next — measured 1.5-2x
+  // inflation of the second pass); odd reps run "after" first, so that
+  // such inflation falls on both sides alike:
+  //   * "before": the seed configuration — binary-heap event queue, no
+  //     trajectory sharing — on a policy-balanced sample of the grid.
+  //     Per-cell cost is ratio-independent, so the sample's jobs/sec is
+  //     the full grid's.
+  //   * "after": calendar queue + sharing, all cells. In the first rep
+  //     every result's exact wire encoding is spilled to disk (outside
+  //     the timed region); results are always freed.
+  //   * Identity check (untimed, last): the seed configuration over the
+  //     FULL grid, each result byte-compared against the spill. The
+  //     bit-identity contract is checked for all cells against the seed
+  //     configuration itself; only the throughput baseline is sampled.
   // Same worker count throughout.
   std::vector<run::SimJob> before_sample;
   for (std::size_t p = 0; p < 3; ++p) {
@@ -265,21 +278,46 @@ int run_sim_core_mode(const CliArgs& args) {
     before_sample.push_back(sweep[p * 20]);
     before_sample.push_back(sweep[p * 20 + 10]);
   }
+  const auto total_jobs =
+      static_cast<double>(sweep.size()) * static_cast<double>(trace->size());
+  const auto sample_jobs = static_cast<double>(before_sample.size()) *
+                           static_cast<double>(trace->size());
   std::FILE* spill = std::tmpfile();
   ESCHED_REQUIRE(spill != nullptr, "cannot create the sim-core spill file");
-  run::SweepStats before_stats, after_stats;
+  run::SweepStats after_stats;
+  std::vector<double> before_walls, after_walls, speedups;
   bool identical = true;
-  {
-    ScopedEventqEnv heap("heap");
-    before_stats = run_sim_core_pass(
-        before_sample, jobs, /*sharing=*/false,
-        [](std::size_t, sim::SimResult&) {});
-  }
-  {
-    ScopedEventqEnv calendar(nullptr);
-    after_stats = run_sim_core_pass(
-        sweep, jobs, /*sharing=*/true,
-        [&](std::size_t, sim::SimResult& r) { spill_result(spill, r); });
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    double before_wall = 0.0;
+    double after_wall = 0.0;
+    const auto time_before = [&] {
+      ScopedEventqEnv heap("heap");
+      before_wall = run_sim_core_pass(before_sample, jobs, /*sharing=*/false,
+                                      [](std::size_t, sim::SimResult&) {})
+                        .wall_seconds;
+    };
+    const auto time_after = [&] {
+      ScopedEventqEnv calendar(nullptr);
+      after_stats = run_sim_core_pass(
+          sweep, jobs, /*sharing=*/true,
+          [&](std::size_t, sim::SimResult& r) {
+            if (rep == 0) spill_result(spill, r);
+          });
+      after_wall = after_stats.wall_seconds;
+    };
+    if (rep % 2 == 0) {
+      time_before();
+      time_after();
+    } else {
+      time_after();
+      time_before();
+    }
+    before_walls.push_back(before_wall);
+    after_walls.push_back(after_wall);
+    const double before_jps =
+        before_wall > 0.0 ? sample_jobs / before_wall : 0.0;
+    const double after_jps = after_wall > 0.0 ? total_jobs / after_wall : 0.0;
+    speedups.push_back(before_jps > 0.0 ? after_jps / before_jps : 0.0);
   }
   std::rewind(spill);
   {
@@ -291,17 +329,14 @@ int run_sim_core_mode(const CliArgs& args) {
   }
   std::fclose(spill);
 
-  const auto total_jobs =
-      static_cast<double>(sweep.size()) * static_cast<double>(trace->size());
-  const auto sample_jobs = static_cast<double>(before_sample.size()) *
-                           static_cast<double>(trace->size());
-  const double before_jps = before_stats.wall_seconds > 0.0
-                                ? sample_jobs / before_stats.wall_seconds
-                                : 0.0;
-  const double after_jps = after_stats.wall_seconds > 0.0
-                               ? total_jobs / after_stats.wall_seconds
-                               : 0.0;
-  const double speedup = before_jps > 0.0 ? after_jps / before_jps : 0.0;
+  const double before_wall = median(before_walls);
+  const double after_wall = median(after_walls);
+  const double before_jps =
+      before_wall > 0.0 ? sample_jobs / before_wall : 0.0;
+  const double after_jps = after_wall > 0.0 ? total_jobs / after_wall : 0.0;
+  const double speedup = median(speedups);
+  const auto [min_speedup, max_speedup] =
+      std::minmax_element(speedups.begin(), speedups.end());
 
   std::printf("== micro_sim_throughput --sim-core ==\n");
   std::printf(
@@ -309,16 +344,17 @@ int run_sim_core_mode(const CliArgs& args) {
       scale.c_str(), months, sweep.size(), trace->size(), jobs);
   std::printf(
       "before (heap, sharing off): wall=%.3fs  %.0f jobs/sec  "
-      "(%zu-cell sample)\n",
-      before_stats.wall_seconds, before_jps, before_sample.size());
+      "(%zu-cell sample, median of %zu)\n",
+      before_wall, before_jps, before_sample.size(), reps);
   std::printf(
       "after  (calendar, sharing):  wall=%.3fs  %.0f jobs/sec  "
-      "(%zu simulated, %zu copied, %zu rebilled)\n",
-      after_stats.wall_seconds, after_jps, after_stats.simulated_cells,
-      after_stats.copied_cells, after_stats.rebilled_cells);
-  std::printf("speedup=%.2fx  bit-identical=%s (all %zu cells vs seed "
-              "configuration)\n",
-              speedup, identical ? "yes" : "NO", sweep.size());
+      "(%zu simulated, %zu copied, %zu rebilled; median of %zu)\n",
+      after_wall, after_jps, after_stats.simulated_cells,
+      after_stats.copied_cells, after_stats.rebilled_cells, reps);
+  std::printf("speedup=%.2fx (median of %zu reps, range %.2f-%.2fx)  "
+              "bit-identical=%s (all %zu cells vs seed configuration)\n",
+              speedup, reps, *min_speedup, *max_speedup,
+              identical ? "yes" : "NO", sweep.size());
 
   if (const auto json = args.get("sim-core-json")) {
     std::FILE* f = std::fopen(json->c_str(), "w");
@@ -334,6 +370,7 @@ int run_sim_core_mode(const CliArgs& args) {
         "%.0f},\n"
         "  \"host_hardware_threads\": %u,\n"
         "  \"jobs\": %zu,\n"
+        "  \"reps\": %zu,\n"
         "  \"before\": {\"eventq\": \"heap\", \"prefix_sharing\": false,\n"
         "    \"cells_timed\": %zu, \"wall_seconds\": %.6f, "
         "\"jobs_per_sec\": %.0f},\n"
@@ -347,15 +384,16 @@ int run_sim_core_mode(const CliArgs& args) {
         "  \"bit_identical\": %s,\n"
         "  \"note\": \"before = the seed configuration (binary-heap "
         "event queue, trajectory sharing off) timed on a policy-balanced "
-        "sample (per-cell cost is price-ratio-independent); speedup = "
+        "sample (per-cell cost is price-ratio-independent); walls are "
+        "medians over reps, speedup = median over reps of the rep's "
         "ratio of jobs/sec; bit_identical = every cell's result "
         "byte-compared against an untimed full run of the seed "
         "configuration\"\n"
         "}\n",
         scale.c_str(), sweep.size(), months, trace->size(), total_jobs,
-        bench::host_hardware_threads(), jobs, before_sample.size(),
-        before_stats.wall_seconds, before_jps, sweep.size(),
-        after_stats.wall_seconds, after_jps, after_stats.simulated_cells,
+        bench::host_hardware_threads(), jobs, reps, before_sample.size(),
+        before_wall, before_jps, sweep.size(),
+        after_wall, after_jps, after_stats.simulated_cells,
         after_stats.copied_cells, after_stats.rebilled_cells, speedup,
         identical ? "true" : "false");
     std::fclose(f);
@@ -555,11 +593,7 @@ int run_obs_overhead_mode(const CliArgs& args) {
 
   // Median per-rep ratio as a percentage over (a).
   const auto overhead = [](std::vector<double> ratios) {
-    std::sort(ratios.begin(), ratios.end());
-    const std::size_t n = ratios.size();
-    const double median = n % 2 == 1 ? ratios[n / 2]
-                                     : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
-    return (median - 1.0) * 100.0;
+    return (median(std::move(ratios)) - 1.0) * 100.0;
   };
   const double counters_pct = overhead(counters_ratio);
   const double full_pct = overhead(full_ratio);

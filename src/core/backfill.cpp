@@ -8,7 +8,8 @@ namespace esched::core {
 
 Reservation compute_reservation(NodeCount blocker_nodes,
                                 NodeCount free_nodes, TimeSec now,
-                                std::span<const RunningJob> running) {
+                                std::span<const RunningJob> running,
+                                std::vector<RunningJob>& by_end) {
   ESCHED_REQUIRE(blocker_nodes > 0, "blocker must need nodes");
   ESCHED_REQUIRE(free_nodes >= 0, "negative free nodes");
 
@@ -17,7 +18,7 @@ Reservation compute_reservation(NodeCount blocker_nodes,
     return {now, free_nodes - blocker_nodes};
   }
 
-  std::vector<RunningJob> by_end(running.begin(), running.end());
+  by_end.assign(running.begin(), running.end());
   for (RunningJob& r : by_end) r.est_end = std::max(r.est_end, now);
   std::sort(by_end.begin(), by_end.end(),
             [](const RunningJob& a, const RunningJob& b) {

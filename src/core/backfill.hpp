@@ -36,9 +36,12 @@ struct Reservation {
 /// Compute the EASY reservation for a blocker needing `blocker_nodes`
 /// given `free_nodes` idle now and the running set. Requires that the
 /// blocker fits the machine (free + running nodes >= blocker_nodes).
+/// `by_end` is caller-owned scratch: the running set is copied into it
+/// and sorted by estimated end, so a warm buffer allocates nothing.
 Reservation compute_reservation(NodeCount blocker_nodes,
                                 NodeCount free_nodes, TimeSec now,
-                                std::span<const RunningJob> running);
+                                std::span<const RunningJob> running,
+                                std::vector<RunningJob>& by_end);
 
 /// EASY admission test: can `job` start now without delaying `reservation`?
 /// (Requires job.nodes <= free_nodes; checked.)

@@ -6,10 +6,9 @@ namespace esched::core {
 
 std::string EnergyKnapsackPolicy::name() const { return "EnergyKnapsack"; }
 
-KnapsackSolution EnergyKnapsackPolicy::select(
+const KnapsackSolution& EnergyKnapsackPolicy::select(
     std::span<const PendingJob> window, const ScheduleContext& ctx) const {
   items_.clear();
-  items_.reserve(window.size());
   for (const PendingJob& job : window) {
     // Seconds of this job expected to land in the current price period.
     // Without a known boundary, weight by the full walltime estimate

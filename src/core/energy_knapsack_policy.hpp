@@ -31,8 +31,9 @@ class EnergyKnapsackPolicy final : public SchedulingPolicy {
                                       const ScheduleContext& ctx) override;
 
   /// The raw selection, exposed for tests.
-  KnapsackSolution select(std::span<const PendingJob> window,
-                          const ScheduleContext& ctx) const;
+  /// Valid until the next select() or prioritize() call.
+  const KnapsackSolution& select(std::span<const PendingJob> window,
+                                 const ScheduleContext& ctx) const;
 
  private:
   mutable KnapsackWorkspace workspace_;

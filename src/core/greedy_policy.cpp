@@ -21,15 +21,14 @@ std::vector<std::size_t> GreedyPowerPolicy::prioritize(
                                             : window[i].total_power();
   };
   const bool ascending = ctx.period == power::PricePeriod::kOnPeak;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const double ka = power_key(a);
-                     const double kb = power_key(b);
-                     if (ka != kb) return ascending ? ka < kb : ka > kb;
-                     // Tie: preserve arrival order (stable sort keeps it,
-                     // this comparator just declares ties equal).
-                     return false;
-                   });
+  // Key ties fall back to the window index, i.e. arrival order: the
+  // order std::stable_sort gives, without its merge buffer.
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const double ka = power_key(a);
+    const double kb = power_key(b);
+    if (ka != kb) return ascending ? ka < kb : ka > kb;
+    return a < b;
+  });
   return order;
 }
 

@@ -51,17 +51,20 @@ void take_all_fitting(std::span<const KnapsackItem> items,
 
 }  // namespace
 
-KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
-                                std::int64_t capacity,
-                                KnapsackObjective objective,
-                                KnapsackWorkspace& workspace) {
+const KnapsackSolution& solve_knapsack(std::span<const KnapsackItem> items,
+                                       std::int64_t capacity,
+                                       KnapsackObjective objective,
+                                       KnapsackWorkspace& workspace) {
   ESCHED_REQUIRE(capacity >= 0, "knapsack capacity must be >= 0");
   for (const auto& item : items) {
     ESCHED_REQUIRE(item.weight > 0, "knapsack weights must be positive");
     ESCHED_REQUIRE(item.value >= 0.0, "knapsack values must be >= 0");
   }
 
-  KnapsackSolution solution;
+  KnapsackSolution& solution = workspace.solution;
+  solution.chosen.clear();
+  solution.total_weight = 0;
+  solution.total_value = 0.0;
   if (capacity == 0 || items.empty()) return solution;
 
   // The answer is forced when every fitting item fits together (no item

@@ -58,6 +58,7 @@ struct KnapsackWorkspace {
   std::vector<double> best_value;        ///< DP value per capacity bound
   std::vector<std::int64_t> best_weight; ///< DP weight per capacity bound
   std::vector<std::uint8_t> taken;       ///< flattened n x (cap+1) table
+  KnapsackSolution solution;             ///< solve_knapsack's answer
 };
 
 /// Solve 0-1 knapsack over `items` with the given capacity and objective.
@@ -68,11 +69,12 @@ struct KnapsackWorkspace {
 /// chosen. Deterministic: among equal-objective solutions the
 /// DP prefers *not* taking later items, so earlier (lower-index = older)
 /// jobs win ties. `workspace` is caller-owned scratch space: zero heap
-/// allocations for the DP tables once it has grown to the problem size.
-KnapsackSolution solve_knapsack(std::span<const KnapsackItem> items,
-                                std::int64_t capacity,
-                                KnapsackObjective objective,
-                                KnapsackWorkspace& workspace);
+/// allocations once it has grown to the problem size. The answer is
+/// `workspace.solution`, valid until the next call with that workspace.
+const KnapsackSolution& solve_knapsack(std::span<const KnapsackItem> items,
+                                       std::int64_t capacity,
+                                       KnapsackObjective objective,
+                                       KnapsackWorkspace& workspace);
 
 /// The window order the knapsack policies hand the scheduler: the
 /// `chosen` indices (ascending) first, then every other index in

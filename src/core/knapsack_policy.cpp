@@ -4,10 +4,9 @@ namespace esched::core {
 
 std::string KnapsackPolicy::name() const { return "Knapsack"; }
 
-KnapsackSolution KnapsackPolicy::select(std::span<const PendingJob> window,
-                                        const ScheduleContext& ctx) const {
+const KnapsackSolution& KnapsackPolicy::select(
+    std::span<const PendingJob> window, const ScheduleContext& ctx) const {
   items_.clear();
-  items_.reserve(window.size());
   for (const PendingJob& job : window) {
     items_.push_back({job.nodes, job.total_power()});
   }

@@ -31,8 +31,9 @@ class KnapsackPolicy final : public SchedulingPolicy {
 
   /// The knapsack selection itself (indices into `window`, ascending);
   /// exposed for tests and for callers that want the raw subset.
-  KnapsackSolution select(std::span<const PendingJob> window,
-                          const ScheduleContext& ctx) const;
+  /// Valid until the next select() or prioritize() call.
+  const KnapsackSolution& select(std::span<const PendingJob> window,
+                                 const ScheduleContext& ctx) const;
 
  private:
   // Scratch reused across scheduling passes (mutable: select() is

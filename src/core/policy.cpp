@@ -10,15 +10,16 @@
 
 namespace esched::core {
 
-void require_permutation(std::span<const std::size_t> order, std::size_t n) {
+void require_permutation(std::span<const std::size_t> order, std::size_t n,
+                         std::vector<std::uint8_t>& marks) {
   ESCHED_REQUIRE(order.size() == n,
                  "policy returned " + std::to_string(order.size()) +
                      " indices for a window of " + std::to_string(n));
-  std::vector<bool> seen(n, false);
+  marks.assign(n, 0);
   for (const std::size_t idx : order) {
     ESCHED_REQUIRE(idx < n, "policy returned out-of-range index");
-    ESCHED_REQUIRE(!seen[idx], "policy returned duplicate index");
-    seen[idx] = true;
+    ESCHED_REQUIRE(marks[idx] == 0, "policy returned duplicate index");
+    marks[idx] = 1;
   }
 }
 

@@ -9,6 +9,7 @@
 // it fits — because every window job is eventually attempted.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
@@ -87,7 +88,10 @@ class SchedulingPolicy {
 
 /// Validate that `order` is a permutation of [0, n); throws otherwise.
 /// Policies are user-extensible, so the scheduler checks their output.
-void require_permutation(std::span<const std::size_t> order, std::size_t n);
+/// `marks` is caller-owned scratch (one byte per index), so a warm buffer
+/// allocates nothing; on return it holds n set bytes.
+void require_permutation(std::span<const std::size_t> order, std::size_t n,
+                         std::vector<std::uint8_t>& marks);
 
 /// Construct one of the built-in policies by name — the registry that lets
 /// a declarative run::PolicySpec cross a process boundary (the worker

@@ -26,20 +26,22 @@ void flush_backfill_counters(std::uint64_t attempts, std::uint64_t hits) {
 /// Protect a blocked job of `blocker_nodes` with a reservation over
 /// `occupancy` (the running set plus this pass's starts) and backfill
 /// queue[from..] around it within the power `budget` (kNoPowerBudget for
-/// none), appending each started index to `starts`. If the occupancy
-/// snapshot cannot account for enough nodes (possible when callers pass
-/// partial occupancy information), no reservation is computable — fail
-/// open by not backfilling.
+/// none), appending each started index to `starts`. `by_end` is the
+/// reservation's scratch. If the occupancy snapshot cannot account for
+/// enough nodes (possible when callers pass partial occupancy
+/// information), no reservation is computable — fail open by not
+/// backfilling.
 void backfill(const ScheduleContext& ctx, std::span<const PendingJob> queue,
               std::size_t from, NodeCount blocker_nodes, NodeCount free,
               Watts power, Watts budget,
-              const std::vector<RunningJob>& occupancy,
+              std::span<const RunningJob> occupancy,
+              std::vector<RunningJob>& by_end,
               std::vector<std::size_t>& starts) {
   NodeCount accounted = free;
   for (const RunningJob& r : occupancy) accounted += r.nodes;
   if (accounted < blocker_nodes) return;
   Reservation reservation =
-      compute_reservation(blocker_nodes, free, ctx.now, occupancy);
+      compute_reservation(blocker_nodes, free, ctx.now, occupancy, by_end);
   std::uint64_t attempts = 0;
   std::uint64_t hits = 0;
   for (std::size_t j = from; j < queue.size(); ++j) {
@@ -70,19 +72,33 @@ Scheduler::Scheduler(SchedulingPolicy& policy, const SchedulerConfig& config)
                  "starvation age must be >= 0");
 }
 
-std::vector<std::size_t> Scheduler::decide(
+void Scheduler::reserve(std::size_t max_queue, std::size_t max_running) {
+  // Every job in occupancy_ (running or started this pass) holds at least
+  // one node, and so does every start.
+  starts_.reserve(std::min(max_queue, max_running));
+  occupancy_.reserve(max_running);
+  by_end_.reserve(max_running);
+  marks_.reserve(std::min(max_queue, config_.window_size));
+}
+
+const std::vector<std::size_t>& Scheduler::decide(
     const ScheduleContext& ctx, std::span<const PendingJob> queue,
     std::span<const RunningJob> running) const {
   ESCHED_REQUIRE(ctx.free_nodes >= 0 && ctx.free_nodes <= ctx.system_nodes,
                  "free nodes outside [0, N]");
-  if (queue.empty() || ctx.free_nodes == 0) return {};
-  if (!policy_->strict_order()) return decide_window(ctx, queue, running);
-  return config_.backfill_mode == BackfillMode::kConservative
-             ? decide_conservative(ctx, queue, running)
-             : decide_easy(ctx, queue, running);
+  starts_.clear();
+  if (queue.empty() || ctx.free_nodes == 0) return starts_;
+  if (!policy_->strict_order()) {
+    decide_window(ctx, queue, running);
+  } else if (config_.backfill_mode == BackfillMode::kConservative) {
+    decide_conservative(ctx, queue, running);
+  } else {
+    decide_easy(ctx, queue, running);
+  }
+  return starts_;
 }
 
-std::vector<std::size_t> Scheduler::decide_conservative(
+void Scheduler::decide_conservative(
     const ScheduleContext& ctx, std::span<const PendingJob> queue,
     std::span<const RunningJob> running) const {
   AvailabilityProfile profile(ctx.now, ctx.system_nodes);
@@ -102,49 +118,47 @@ std::vector<std::size_t> Scheduler::decide_conservative(
                     ctx.system_nodes - accounted);
   }
 
-  std::vector<std::size_t> starts;
   const std::size_t depth =
       std::min(queue.size(), config_.conservative_depth);
   for (std::size_t i = 0; i < depth; ++i) {
     const TimeSec at =
         profile.find_earliest(queue[i].nodes, queue[i].walltime);
     profile.reserve(at, at + queue[i].walltime, queue[i].nodes);
-    if (at == ctx.now) starts.push_back(i);
+    if (at == ctx.now) starts_.push_back(i);
   }
-  return starts;
 }
 
-std::vector<std::size_t> Scheduler::decide_easy(
-    const ScheduleContext& ctx, std::span<const PendingJob> queue,
-    std::span<const RunningJob> running) const {
-  std::vector<std::size_t> starts;
+void Scheduler::decide_easy(const ScheduleContext& ctx,
+                            std::span<const PendingJob> queue,
+                            std::span<const RunningJob> running) const {
   NodeCount free = ctx.free_nodes;
   // All started jobs join the running set for the reservation computation.
-  std::vector<RunningJob> occupancy(running.begin(), running.end());
+  occupancy_.assign(running.begin(), running.end());
 
   std::size_t i = 0;
   while (i < queue.size() && queue[i].nodes <= free) {
-    starts.push_back(i);
+    starts_.push_back(i);
     free -= queue[i].nodes;
-    occupancy.push_back({queue[i].nodes, ctx.now + queue[i].walltime});
+    occupancy_.push_back({queue[i].nodes, ctx.now + queue[i].walltime});
     ++i;
   }
-  if (i == queue.size()) return starts;
+  if (i == queue.size()) return;
 
   // queue[i] is the blocker; protect it with a reservation and backfill.
   backfill(ctx, queue, i + 1, queue[i].nodes, free, ctx.current_power,
-           SchedulingPolicy::kNoPowerBudget, occupancy, starts);
-  return starts;
+           SchedulingPolicy::kNoPowerBudget, occupancy_, by_end_, starts_);
 }
 
-std::vector<std::size_t> Scheduler::decide_window(
-    const ScheduleContext& ctx, std::span<const PendingJob> queue,
-    std::span<const RunningJob> running) const {
+void Scheduler::decide_window(const ScheduleContext& ctx,
+                              std::span<const PendingJob> queue,
+                              std::span<const RunningJob> running) const {
   const std::size_t w = std::min(config_.window_size, queue.size());
   const std::span<const PendingJob> window = queue.subspan(0, w);
 
+  // The one allocation a pass still makes: prioritize() returns a fresh
+  // vector (see DESIGN.md, the fast core's pass scratch).
   std::vector<std::size_t> order = policy_->prioritize(window, ctx);
-  require_permutation(order, w);
+  require_permutation(order, w, marks_);
 
   if (config_.starvation_age > 0) {
     // Promote starved jobs to the front, oldest first (stable partition
@@ -160,23 +174,23 @@ std::vector<std::size_t> Scheduler::decide_window(
     std::sort(order.begin(), mid);
   }
 
-  std::vector<std::size_t> starts;
   NodeCount free = ctx.free_nodes;
   const Watts budget = policy_->power_budget(ctx);
   Watts power = ctx.current_power;
-  std::vector<bool> started(w, false);
+  std::vector<std::uint8_t>& started = marks_;
+  started.assign(w, 0);
   for (const std::size_t idx : order) {
     if (window[idx].nodes <= free &&
         power + window[idx].total_power() <= budget) {
-      starts.push_back(idx);
-      started[idx] = true;
+      starts_.push_back(idx);
+      started[idx] = 1;
       free -= window[idx].nodes;
       power += window[idx].total_power();
     }
   }
 
   if (!config_.backfill_beyond_window || w == queue.size() || free == 0) {
-    return starts;
+    return;
   }
 
   // Some queue remains beyond the window. If a window job is still
@@ -191,15 +205,14 @@ std::vector<std::size_t> Scheduler::decide_window(
       break;
     }
   }
-  if (oldest_unstarted == w) return starts;
+  if (oldest_unstarted == w) return;
 
-  std::vector<RunningJob> occupancy(running.begin(), running.end());
-  for (const std::size_t idx : starts) {
-    occupancy.push_back({window[idx].nodes, ctx.now + window[idx].walltime});
+  occupancy_.assign(running.begin(), running.end());
+  for (const std::size_t idx : starts_) {
+    occupancy_.push_back({window[idx].nodes, ctx.now + window[idx].walltime});
   }
   backfill(ctx, queue, w, window[oldest_unstarted].nodes, free, power,
-           budget, occupancy, starts);
-  return starts;
+           budget, occupancy_, by_end_, starts_);
 }
 
 }  // namespace esched::core

@@ -7,11 +7,15 @@
 // For strict-order policies (FCFS) it instead runs classic EASY over the
 // whole queue: in-order starts plus reservation-protected backfilling.
 //
-// decide() is a pure function of its arguments — no hidden state — which
-// makes every scheduling decision unit-testable in isolation and keeps the
-// simulator trivially deterministic.
+// decide() is a pure function of its arguments — no state beyond scratch
+// — which makes every scheduling decision unit-testable in isolation and
+// keeps the simulator trivially deterministic. The scratch is a handful of
+// buffers that one pass fills and the next reuses, so a warm scheduler
+// allocates nothing per pass; it makes a Scheduler unsafe to share between
+// threads (the simulator owns one per run).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -58,7 +62,8 @@ struct SchedulerConfig {
   DurationSec starvation_age = 0;
 };
 
-/// Stateless scheduling decision engine wrapping a policy.
+/// Scheduling decision engine wrapping a policy. Holds no state beyond
+/// per-pass scratch; one instance per thread.
 class Scheduler {
  public:
   /// `policy` must outlive the scheduler.
@@ -68,28 +73,41 @@ class Scheduler {
   /// `running` describes jobs currently on the machine (for reservations).
   /// Returns indices into `queue` to start now, in dispatch order; the
   /// returned jobs are guaranteed to fit in ctx.free_nodes collectively.
-  std::vector<std::size_t> decide(const ScheduleContext& ctx,
-                                  std::span<const PendingJob> queue,
-                                  std::span<const RunningJob> running) const;
+  /// The reference is to the scheduler's scratch: it stays valid until
+  /// the next call.
+  const std::vector<std::size_t>& decide(
+      const ScheduleContext& ctx, std::span<const PendingJob> queue,
+      std::span<const RunningJob> running) const;
+
+  /// Size the per-pass scratch for a queue of up to `max_queue` jobs and
+  /// up to `max_running` jobs on the machine, so that decide() never
+  /// grows it. A hint only: the scratch still grows past it.
+  void reserve(std::size_t max_queue, std::size_t max_running);
 
   const SchedulingPolicy& policy() const { return *policy_; }
   const SchedulerConfig& config() const { return config_; }
 
  private:
-  std::vector<std::size_t> decide_easy(const ScheduleContext& ctx,
-                                       std::span<const PendingJob> queue,
-                                       std::span<const RunningJob> running)
-      const;
-  std::vector<std::size_t> decide_conservative(
-      const ScheduleContext& ctx, std::span<const PendingJob> queue,
-      std::span<const RunningJob> running) const;
-  std::vector<std::size_t> decide_window(const ScheduleContext& ctx,
-                                         std::span<const PendingJob> queue,
-                                         std::span<const RunningJob> running)
-      const;
+  // Each fills starts_.
+  void decide_easy(const ScheduleContext& ctx,
+                   std::span<const PendingJob> queue,
+                   std::span<const RunningJob> running) const;
+  void decide_conservative(const ScheduleContext& ctx,
+                           std::span<const PendingJob> queue,
+                           std::span<const RunningJob> running) const;
+  void decide_window(const ScheduleContext& ctx,
+                     std::span<const PendingJob> queue,
+                     std::span<const RunningJob> running) const;
 
   SchedulingPolicy* policy_;
   SchedulerConfig config_;
+
+  // Per-pass scratch (mutable: decide() is logically const — it computes
+  // a value — but reuses these buffers' capacity).
+  mutable std::vector<std::size_t> starts_;       ///< decide()'s answer
+  mutable std::vector<RunningJob> occupancy_;     ///< running + this pass
+  mutable std::vector<RunningJob> by_end_;        ///< reservation's sort
+  mutable std::vector<std::uint8_t> marks_;       ///< permutation / started
 };
 
 }  // namespace esched::core

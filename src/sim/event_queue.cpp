@@ -45,8 +45,10 @@ void EventQueue::reserve(std::size_t events) {
   if (backend_ == Backend::kHeap) {
     heap_.reserve(events);
   } else {
-    // The calendar spreads events across buckets; reserving the overflow
-    // covers the worst case of a window that turns out too narrow.
+    // Every calendar event waits in an arena node until the cursor
+    // reaches its bucket; reserving the overflow covers the worst case of
+    // a window that turns out too narrow.
+    nodes_.reserve(events);
     overflow_.reserve(events / 4 + 16);
   }
 }
@@ -63,14 +65,17 @@ void EventQueue::configure(TimeSec start, DurationSec span,
   // because event streams are near-monotone).
   const std::size_t want =
       clamped_pow2(expected_events / 2 + 1, 64, std::size_t{1} << 20);
-  buckets_.assign(want, {});
+  heads_.assign(want, kNil);
+  nodes_.clear();
+  free_ = kNil;
+  active_.clear();
   width_ = std::max<DurationSec>(
       1, (span + static_cast<DurationSec>(want) - 1) /
              static_cast<DurationSec>(want));
   window_start_ = start;
   cur_ = 0;
   cur_pos_ = 0;
-  cur_sorted_ = false;
+  cur_loaded_ = false;
 }
 
 void EventQueue::push(TimeSec time, EventType type, std::size_t payload) {
@@ -94,12 +99,38 @@ void EventQueue::push(TimeSec time, EventType type, std::size_t payload) {
 }
 
 void EventQueue::calendar_init(TimeSec first_time) {
-  buckets_.assign(kDefaultBuckets, {});
+  heads_.assign(kDefaultBuckets, kNil);
   width_ = kDefaultWidth;
   window_start_ = first_time;
   cur_ = 0;
   cur_pos_ = 0;
-  cur_sorted_ = false;
+  cur_loaded_ = false;
+}
+
+void EventQueue::chain_push(std::size_t idx, const Event& e) {
+  std::uint32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[n].next;
+    nodes_[n].event = e;
+  } else {
+    ESCHED_REQUIRE(nodes_.size() < kNil,
+                   "calendar queue arena full (2^32 - 1 queued events)");
+    n = static_cast<std::uint32_t>(nodes_.size());
+    grow_aware_push(nodes_, Node{e, kNil});
+  }
+  nodes_[n].next = heads_[idx];
+  heads_[idx] = n;
+}
+
+void EventQueue::chain_drain(std::uint32_t& head, std::vector<Event>& out) {
+  for (std::uint32_t n = head; n != kNil;) {
+    const std::uint32_t next = nodes_[n].next;
+    grow_aware_push(out, nodes_[n].event);
+    nodes_[n].next = free_;
+    free_ = n;
+    n = next;
+  }
+  head = kNil;
 }
 
 void EventQueue::calendar_insert(const Event& e) {
@@ -108,18 +139,17 @@ void EventQueue::calendar_insert(const Event& e) {
     return;
   }
   const std::size_t idx = bucket_index(e.time);
-  std::vector<Event>& bucket = buckets_[idx];
-  if (idx == cur_ && cur_sorted_) {
-    // The cursor already sorted (and possibly partially consumed) this
+  if (idx == cur_ && cur_loaded_) {
+    // The cursor already loaded (and possibly partially consumed) this
     // bucket: keep the unconsumed tail ordered. For the simulator's
     // monotone pushes the position is always at/after cur_pos_; for a
     // non-monotone push upper_bound lands it at cur_pos_, which is
     // exactly the heap's behaviour (it would be popped next).
-    if (bucket.size() == bucket.capacity()) ++reallocs_;
-    bucket.insert(
+    if (active_.size() == active_.capacity()) ++reallocs_;
+    active_.insert(
         std::upper_bound(
-            bucket.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
-            bucket.end(), e, Earlier{}),
+            active_.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
+            active_.end(), e, Earlier{}),
         e);
     return;
   }
@@ -132,53 +162,61 @@ void EventQueue::calendar_insert(const Event& e) {
     calendar_rebase(window_start_);
     return;
   }
-  grow_aware_push(bucket, e);
+  chain_push(idx, e);
+}
+
+void EventQueue::pull_overflow() {
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < overflow_.size(); ++i) {
+    const Event e = overflow_[i];
+    if (e.time < window_end()) {
+      chain_push(bucket_index(e.time), e);
+    } else {
+      overflow_[keep++] = e;
+    }
+  }
+  overflow_.resize(keep);
 }
 
 void EventQueue::calendar_rebase(TimeSec new_start) {
   ++reallocs_;  // rebases are the expensive path; keep them visible
-  std::vector<Event> all;
-  all.reserve(size_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    // The consumed prefix [0, cur_pos_) of the cursor bucket was already
-    // popped; it is no longer part of the queue.
-    const std::size_t begin = i == cur_ ? cur_pos_ : 0;
-    all.insert(all.end(),
-               buckets_[i].begin() + static_cast<std::ptrdiff_t>(begin),
-               buckets_[i].end());
-    buckets_[i].clear();
+  // Everything not yet popped goes back through the overflow: the loaded
+  // cursor bucket's unconsumed tail (its consumed prefix [0, cur_pos_)
+  // is no longer part of the queue) and every chain.
+  if (cur_loaded_) {
+    for (std::size_t i = cur_pos_; i < active_.size(); ++i)
+      grow_aware_push(overflow_, active_[i]);
+    active_.clear();
   }
-  all.insert(all.end(), overflow_.begin(), overflow_.end());
-  overflow_.clear();
+  for (std::uint32_t& head : heads_) chain_drain(head, overflow_);
   window_start_ = std::min(new_start, window_start_);
   cur_ = 0;
   cur_pos_ = 0;
-  cur_sorted_ = false;
-  for (const Event& e : all) {
-    if (e.time >= window_end()) {
-      grow_aware_push(overflow_, e);
-    } else {
-      grow_aware_push(buckets_[bucket_index(e.time)], e);
-    }
-  }
+  cur_loaded_ = false;
+  pull_overflow();
 }
 
 void EventQueue::calendar_settle() {
   for (;;) {
-    if (cur_pos_ < buckets_[cur_].size()) {
-      if (!cur_sorted_) {
-        std::sort(
-            buckets_[cur_].begin() + static_cast<std::ptrdiff_t>(cur_pos_),
-            buckets_[cur_].end(), Earlier{});
-        cur_sorted_ = true;
-      }
+    if (cur_loaded_) {
+      if (cur_pos_ < active_.size()) return;
+      // Bucket drained: move the cursor on.
+      active_.clear();
+      cur_pos_ = 0;
+      cur_loaded_ = false;
+      ++cur_;
+    } else if (heads_[cur_] != kNil) {
+      // First contact: move the chain into active_, free its nodes and
+      // sort. (time, type, seq) is a total order, so the chain's order
+      // cannot change the result.
+      chain_drain(heads_[cur_], active_);
+      std::sort(active_.begin(), active_.end(), Earlier{});
+      cur_loaded_ = true;
       return;
+    } else {
+      ++cur_;
     }
-    // Bucket drained: move the cursor on.
-    buckets_[cur_].clear();
-    cur_pos_ = 0;
-    cur_sorted_ = false;
-    if (++cur_ < buckets_.size()) continue;
+    if (cur_ < heads_.size()) continue;
 
     // Window exhausted. Every remaining event sits in overflow (all
     // buckets were drained as the cursor passed them); advance the
@@ -191,20 +229,11 @@ void EventQueue::calendar_settle() {
     for (const Event& e : overflow_) min_time = std::min(min_time, e.time);
     if (min_time >= window_end()) {
       const DurationSec revolution =
-          static_cast<DurationSec>(buckets_.size()) * width_;
+          static_cast<DurationSec>(heads_.size()) * width_;
       window_start_ +=
           ((min_time - window_start_) / revolution) * revolution;
     }
-    std::vector<Event> keep;
-    keep.reserve(overflow_.size());
-    for (const Event& e : overflow_) {
-      if (e.time < window_end()) {
-        grow_aware_push(buckets_[bucket_index(e.time)], e);
-      } else {
-        keep.push_back(e);
-      }
-    }
-    overflow_ = std::move(keep);
+    pull_overflow();
   }
 }
 
@@ -215,7 +244,7 @@ const Event& EventQueue::top() const {
   // content is unchanged, so top() stays logically const.
   auto* self = const_cast<EventQueue*>(this);
   self->calendar_settle();
-  return buckets_[cur_][cur_pos_];
+  return active_[cur_pos_];
 }
 
 Event EventQueue::pop() {
@@ -228,7 +257,7 @@ Event EventQueue::pop() {
     return e;
   }
   calendar_settle();
-  const Event e = buckets_[cur_][cur_pos_];
+  const Event e = active_[cur_pos_];
   ++cur_pos_;
   --size_;
   return e;

@@ -14,14 +14,19 @@
 //    streams are near-monotone (submissions are pre-sorted, completions
 //    and ticks always land in the future), so push is O(1) amortized and
 //    pop is O(1) amortized: a bucket is sorted once when the cursor
-//    enters it and then consumed in order. Ordering invariants:
+//    enters it and then consumed in order. A bucket is an index chain
+//    through one node arena with a free list (the `next`-linked event
+//    list of the slurm simulator), so filling a bucket allocates nothing
+//    once the arena has grown. Ordering invariants:
 //      - buckets partition the window into disjoint ascending time
 //        ranges, so the front of the active bucket is the global
 //        in-window minimum;
 //      - overflow events are all >= the window end, so they can never
 //        precede an in-window event;
-//      - within a bucket, events sort by (time, type, seq) — the exact
-//        heap comparator — and a push into the already-active bucket
+//      - the cursor bucket's events, once the cursor enters it, move
+//        out of their chain into one vector sorted by (time, type, seq)
+//        — the exact heap comparator, a total order, so the chain's
+//        order never matters — and a push into that bucket
 //        ordered-inserts into the unconsumed tail, preserving it.
 //    Pushing an event *earlier* than the window start (impossible for
 //    the simulator, legal for the raw container) triggers a full rebase:
@@ -77,7 +82,8 @@ class EventQueue {
   Backend backend() const { return backend_; }
 
   /// Pre-allocate storage for `events` entries (capacity hint only — the
-  /// queue still grows past it, counting each growth in reallocs()).
+  /// queue still grows past it, counting each growth in reallocs()). For
+  /// the calendar this sizes the node arena.
   void reserve(std::size_t events);
 
   /// Size the calendar for a known event horizon: events are expected in
@@ -100,10 +106,11 @@ class EventQueue {
   /// Remove and return the earliest event. Requires non-empty.
   Event pop();
 
-  /// Number of storage reallocations (vector growth, calendar rebases)
-  /// since construction — flushed by the simulator into the
-  /// `sim.eventq_reallocs` obs counter so hot-path allocation that a
-  /// reserve()/configure() hint failed to cover stays visible.
+  /// Number of storage reallocations since construction: every growth of
+  /// the heap, the calendar's node arena, its cursor bucket or its
+  /// overflow, plus one per calendar rebase. Flushed by the simulator
+  /// into the `sim.eventq_reallocs` obs counter so hot-path allocation
+  /// that a reserve()/configure() hint failed to cover stays visible.
   std::uint64_t reallocs() const { return reallocs_; }
 
  private:
@@ -122,6 +129,13 @@ class EventQueue {
     }
   };
 
+  /// One arena slot: an event and the next slot of its bucket's chain.
+  struct Node {
+    Event event;
+    std::uint32_t next;
+  };
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;  ///< end of a chain
+
   template <typename T>
   void grow_aware_push(std::vector<T>& v, const T& e);
 
@@ -130,16 +144,24 @@ class EventQueue {
   void calendar_insert(const Event& e);
   void calendar_rebase(TimeSec new_start);
   /// Advance cur_ to the first bucket with unconsumed events, wrapping
-  /// the window and redistributing overflow as needed; sorts the bucket
-  /// tail on first contact. Requires non-empty.
+  /// the window and redistributing overflow as needed; loads the bucket
+  /// into active_ on first contact. Requires non-empty.
   void calendar_settle();
+  /// Move every overflow event that now falls in the window into its
+  /// bucket's chain.
+  void pull_overflow();
+  /// Prepend `e` to bucket `idx`'s chain, taking a node from the free
+  /// list or growing the arena.
+  void chain_push(std::size_t idx, const Event& e);
+  /// Append the events of the chain at `head` to `out`, return its nodes
+  /// to the free list and empty it.
+  void chain_drain(std::uint32_t& head, std::vector<Event>& out);
   std::size_t bucket_index(TimeSec t) const {
     return static_cast<std::size_t>((t - window_start_) / width_) &
-           (buckets_.size() - 1);
+           (heads_.size() - 1);
   }
   TimeSec window_end() const {
-    return window_start_ +
-           static_cast<TimeSec>(buckets_.size()) * width_;
+    return window_start_ + static_cast<TimeSec>(heads_.size()) * width_;
   }
 
   Backend backend_;
@@ -151,13 +173,16 @@ class EventQueue {
   std::vector<Event> heap_;
 
   // Calendar backend.
-  std::vector<std::vector<Event>> buckets_;  ///< ring; empty until first use
+  std::vector<std::uint32_t> heads_;  ///< ring of chain heads (kNil = empty)
+  std::vector<Node> nodes_;       ///< arena behind every chain
+  std::uint32_t free_ = kNil;     ///< free list through Node::next
+  std::vector<Event> active_;     ///< cursor bucket, sorted, once loaded
   std::vector<Event> overflow_;   ///< events at/after window_end()
   TimeSec window_start_ = 0;      ///< inclusive start of bucket 0
   DurationSec width_ = 0;         ///< seconds per bucket (0 = uninitialized)
   std::size_t cur_ = 0;           ///< cursor bucket index
-  std::size_t cur_pos_ = 0;       ///< consumed prefix of the cursor bucket
-  bool cur_sorted_ = false;       ///< cursor bucket tail is sorted
+  std::size_t cur_pos_ = 0;       ///< consumed prefix of active_
+  bool cur_loaded_ = false;       ///< active_ holds the cursor bucket
 };
 
 }  // namespace esched::sim

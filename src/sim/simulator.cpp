@@ -79,11 +79,13 @@ class Simulation::Impl {
     // when the window wraps, which stays O(1) amortized.
     queue_.reserve(size);
     queue_trace_idx_.reserve(size);
+    started_scratch_.reserve(size);
     const std::size_t max_running =
         std::min(size, static_cast<std::size_t>(trace_.system_nodes()));
     running_.reserve(max_running);
     running_trace_idx_.reserve(max_running);
     alloc_->reserve(max_running);
+    scheduler_.reserve(size, max_running);
     events_.configure(trace_.first_submit(),
                       trace_.last_submit() - trace_.first_submit() +
                           config_.tick_interval + 1,
@@ -332,7 +334,8 @@ class Simulation::Impl {
           alloc_->current_power(), pricing_.next_price_change(ev.time)};
       ++scheduling_passes_;
       ++passes;
-      const std::vector<std::size_t> starts =
+      // The scheduler's scratch; valid until its next decide().
+      const std::vector<std::size_t>& starts =
           scheduler_.decide(ctx, queue_, running_);
       if (starts.empty()) {
         starts_exhausted = true;

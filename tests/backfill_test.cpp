@@ -12,7 +12,8 @@ namespace {
 
 TEST(ReservationTest, UnblockedStartsNow) {
   const std::vector<RunningJob> running{{10, 500}};
-  const Reservation r = compute_reservation(4, 6, 100, running);
+  std::vector<RunningJob> by_end;
+  const Reservation r = compute_reservation(4, 6, 100, running, by_end);
   EXPECT_EQ(r.shadow_time, 100);
   EXPECT_EQ(r.extra_nodes, 2);
 }
@@ -20,14 +21,16 @@ TEST(ReservationTest, UnblockedStartsNow) {
 TEST(ReservationTest, WaitsForEarliestSufficientRelease) {
   // free=2, need 8. Releases: 4 nodes @ t=300, 4 @ t=500, 8 @ t=900.
   const std::vector<RunningJob> running{{4, 300}, {4, 500}, {8, 900}};
-  const Reservation r = compute_reservation(8, 2, 100, running);
+  std::vector<RunningJob> by_end;
+  const Reservation r = compute_reservation(8, 2, 100, running, by_end);
   EXPECT_EQ(r.shadow_time, 500);  // 2+4+4 = 10 >= 8
   EXPECT_EQ(r.extra_nodes, 2);
 }
 
 TEST(ReservationTest, UnsortedRunningSetHandled) {
   const std::vector<RunningJob> running{{8, 900}, {4, 300}, {4, 500}};
-  const Reservation r = compute_reservation(8, 2, 100, running);
+  std::vector<RunningJob> by_end;
+  const Reservation r = compute_reservation(8, 2, 100, running, by_end);
   EXPECT_EQ(r.shadow_time, 500);
 }
 
@@ -35,15 +38,17 @@ TEST(ReservationTest, OverdueEstimatesClampToNow) {
   // A job past its walltime estimate (est_end < now) is treated as "could
   // end any moment", i.e. at `now`.
   const std::vector<RunningJob> running{{6, 50}};
-  const Reservation r = compute_reservation(8, 2, 100, running);
+  std::vector<RunningJob> by_end;
+  const Reservation r = compute_reservation(8, 2, 100, running, by_end);
   EXPECT_EQ(r.shadow_time, 100);
   EXPECT_EQ(r.extra_nodes, 0);
 }
 
 TEST(ReservationTest, BlockerLargerThanMachineThrows) {
   const std::vector<RunningJob> running{{4, 300}};
-  EXPECT_THROW(compute_reservation(100, 2, 0, running), Error);
-  EXPECT_THROW(compute_reservation(0, 2, 0, running), Error);
+  std::vector<RunningJob> by_end;
+  EXPECT_THROW(compute_reservation(100, 2, 0, running, by_end), Error);
+  EXPECT_THROW(compute_reservation(0, 2, 0, running, by_end), Error);
 }
 
 TEST(CanBackfillTest, MustFitNow) {

@@ -72,7 +72,8 @@ TEST(EnergyKnapsackTest, PrioritizeIsAPermutation) {
   ctx.period_end = 3600;
   EnergyKnapsackPolicy energy;
   const auto order = energy.prioritize(window, ctx);
-  require_permutation(order, window.size());
+  std::vector<std::uint8_t> marks;
+  require_permutation(order, window.size(), marks);
   EXPECT_EQ(energy.name(), "EnergyKnapsack");
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -70,8 +71,10 @@ TEST(EventQueueTest, TopDoesNotRemove) {
 }
 
 TEST(EventQueueTest, ReallocsCountEveryGrowthIncludingRedistribution) {
-  // 64 one-second buckets over [0, 64) and an overflow reserved for 16:
-  // every growth below is a first push into a never-allocated bucket.
+  // 64 one-second buckets over [0, 64), an empty node arena and an
+  // overflow reserved for 16. What counts: each growth of the arena, of
+  // the cursor bucket's vector, of the overflow or of the heap, plus one
+  // per rebase.
   EventQueue q(EventQueue::Backend::kCalendar);
   q.configure(0, 64, 64);
   q.reserve(0);
@@ -79,17 +82,35 @@ TEST(EventQueueTest, ReallocsCountEveryGrowthIncludingRedistribution) {
   EXPECT_EQ(q.reallocs(), 0u);  // all eight wait in the overflow
 
   // Window advance: the first pop moves the window to [192, 256) and
-  // redistributes the eight events into eight fresh buckets.
+  // chains the eight events into the arena, which grows to 1, 2, 4 and 8
+  // nodes; loading the cursor bucket grows its vector once.
   EXPECT_EQ(q.pop().time, 200);
-  EXPECT_EQ(q.reallocs(), 8u);
+  EXPECT_EQ(q.reallocs(), 5u);
 
-  // Rebase: a push before the window counts the rebase itself, and its
-  // redistribution grows the fresh bucket the early event lands in.
+  // Rebase: a push before the window counts the rebase itself. Its
+  // redistribution reuses freed nodes and the reserved overflow.
   q.push(10, EventType::kTick);
-  EXPECT_EQ(q.reallocs(), 10u);
+  EXPECT_EQ(q.reallocs(), 6u);
   EXPECT_EQ(q.pop().time, 10);
   for (TimeSec t = 201; t < 208; ++t) EXPECT_EQ(q.pop().time, t);
   EXPECT_TRUE(q.empty());
+
+  // Warm: eight more events, one per bucket, reuse the same storage.
+  for (TimeSec t = 300; t < 308; ++t) q.push(t, EventType::kTick);
+  for (TimeSec t = 300; t < 308; ++t) EXPECT_EQ(q.pop().time, t);
+  EXPECT_EQ(q.reallocs(), 6u);
+
+  // Two same-bucket events load a cursor bucket of two: one growth.
+  q.push(400, EventType::kTick);
+  q.push(400, EventType::kJobFinish);
+  EXPECT_EQ(q.pop().type, EventType::kJobFinish);
+  EXPECT_EQ(q.pop().type, EventType::kTick);
+  EXPECT_EQ(q.reallocs(), 7u);
+
+  // The heap counts its vector's growth: 1, 2, 4 and 8 slots.
+  EventQueue heap(EventQueue::Backend::kHeap);
+  for (TimeSec t = 0; t < 5; ++t) heap.push(t, EventType::kTick);
+  EXPECT_EQ(heap.reallocs(), 4u);
 }
 
 TEST(EventQueueTest, EmptyAccessThrows) {
@@ -193,6 +214,56 @@ TEST_P(EventQueueDifferential, RandomInterleavingsMatchHeap) {
     }
     ASSERT_TRUE(cal.empty());
   }
+}
+
+TEST_P(EventQueueDifferential, NarrowWindowWrapsRebasesAndReusesNodes) {
+  // A 64-bucket window a few hundred seconds wide under a moving clock:
+  // most pushes land within three revolutions (many overflow and wrap
+  // the window), some far ahead (whole revolutions skipped) and some
+  // before the window (rebases). Pops free arena nodes that later pushes
+  // reuse. 10^5 operations, checked against the heap throughout.
+  Rng rng(GetParam());
+  EventQueue cal(EventQueue::Backend::kCalendar);
+  EventQueue heap(EventQueue::Backend::kHeap);
+  const DurationSec span = rng.uniform_int(64, 512);
+  cal.configure(0, span, 64);
+  TimeSec now = 0;
+  std::size_t payload = 0;
+  for (int op = 0; op < 100000; ++op) {
+    const std::int64_t roll = rng.uniform_int(0, 99);
+    if (cal.empty() || (roll < 60 && cal.size() < 2000)) {
+      TimeSec t;
+      if (roll < 48) {
+        t = now + rng.uniform_int(0, 3 * span);
+      } else if (roll < 57) {
+        t = now + rng.uniform_int(0, 50 * span);
+      } else {
+        t = std::max<TimeSec>(0, now - rng.uniform_int(1, 2 * span));
+      }
+      const auto type = static_cast<EventType>(rng.uniform_int(0, 2));
+      cal.push(t, type, payload);
+      heap.push(t, type, payload);
+      ++payload;
+    } else {
+      const Event a = cal.pop();
+      const Event b = heap.pop();
+      ASSERT_EQ(a.time, b.time);
+      ASSERT_EQ(a.type, b.type);
+      ASSERT_EQ(a.payload, b.payload);
+      ASSERT_EQ(a.seq, b.seq);
+      now = a.time;
+    }
+    ASSERT_EQ(cal.size(), heap.size());
+  }
+  while (!heap.empty()) {
+    const Event a = cal.pop();
+    const Event b = heap.pop();
+    ASSERT_EQ(a.seq, b.seq);
+  }
+  ASSERT_TRUE(cal.empty());
+  // Rebases count one each and storage grows geometrically, so reused
+  // nodes keep the count far below one per push.
+  EXPECT_LT(cal.reallocs(), payload / 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential,

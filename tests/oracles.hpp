@@ -10,7 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/greedy_policy.hpp"
 #include "core/knapsack.hpp"
+#include "core/policy.hpp"
 #include "run/spec.hpp"
 #include "sim/result.hpp"
 #include "trace/trace.hpp"
@@ -135,6 +137,29 @@ inline KnapsackSolution solve_knapsack_dp(std::span<const KnapsackItem> items,
   }
   std::reverse(solution.chosen.begin(), solution.chosen.end());
   return solution;
+}
+
+/// The order GreedyPowerPolicy must give: window indices
+/// std::stable_sort-ed by power key, ascending on peak and descending off
+/// peak, so that key ties keep arrival order.
+inline std::vector<std::size_t> greedy_order_stable_sort(
+    std::span<const PendingJob> window, GreedyKey key,
+    power::PricePeriod period) {
+  std::vector<std::size_t> order(window.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  auto power_key = [&](std::size_t i) {
+    return key == GreedyKey::kPowerPerNode ? window[i].power_per_node
+                                           : window[i].total_power();
+  };
+  const bool ascending = period == power::PricePeriod::kOnPeak;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const double ka = power_key(a);
+                     const double kb = power_key(b);
+                     if (ka == kb) return false;
+                     return ascending ? ka < kb : ka > kb;
+                   });
+  return order;
 }
 
 }  // namespace esched::core

@@ -6,7 +6,9 @@
 #include "core/fcfs_policy.hpp"
 #include "core/greedy_policy.hpp"
 #include "core/knapsack_policy.hpp"
+#include "oracles.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace esched::core {
 namespace {
@@ -73,6 +75,32 @@ TEST(GreedyPolicyTest, TotalPowerKeyVariant) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1}));  // 200 before 240
 }
 
+TEST(GreedyPolicyTest, MatchesStableSortOracleOnDenseTies) {
+  // Three power values and three node counts make key ties dense under
+  // both keys; the policy's index tie-break must give stable_sort's order.
+  Rng rng(2013);
+  constexpr Watts kPowers[] = {20.0, 35.5, 60.0};
+  constexpr NodeCount kNodes[] = {1, 2, 4};
+  for (const GreedyKey key :
+       {GreedyKey::kPowerPerNode, GreedyKey::kTotalPower}) {
+    GreedyPowerPolicy policy(key);
+    for (const PricePeriod period :
+         {PricePeriod::kOnPeak, PricePeriod::kOffPeak}) {
+      for (std::size_t n = 0; n <= 320; ++n) {
+        std::vector<PendingJob> window;
+        for (std::size_t i = 0; i < n; ++i) {
+          window.push_back(make_job(static_cast<JobId>(i + 1),
+                                    kNodes[rng.uniform_int(0, 2)],
+                                    kPowers[rng.uniform_int(0, 2)]));
+        }
+        ASSERT_EQ(policy.prioritize(window, ctx(64, period)),
+                  greedy_order_stable_sort(window, key, period))
+            << "window of " << n;
+      }
+    }
+  }
+}
+
 TEST(KnapsackPolicyTest, OffPeakMaximizesAggregatePower) {
   KnapsackPolicy policy;
   EXPECT_EQ(policy.name(), "Knapsack");
@@ -115,14 +143,15 @@ TEST(KnapsackPolicyTest, ZeroFreeNodesSelectsNothing) {
 }
 
 TEST(RequirePermutationTest, AcceptsAndRejects) {
+  std::vector<std::uint8_t> marks;
   const std::vector<std::size_t> ok{2, 0, 1};
-  EXPECT_NO_THROW(require_permutation(ok, 3));
+  EXPECT_NO_THROW(require_permutation(ok, 3, marks));
   const std::vector<std::size_t> wrong_size{0, 1};
-  EXPECT_THROW(require_permutation(wrong_size, 3), Error);
+  EXPECT_THROW(require_permutation(wrong_size, 3, marks), Error);
   const std::vector<std::size_t> dup{0, 0, 1};
-  EXPECT_THROW(require_permutation(dup, 3), Error);
+  EXPECT_THROW(require_permutation(dup, 3, marks), Error);
   const std::vector<std::size_t> out_of_range{0, 1, 3};
-  EXPECT_THROW(require_permutation(out_of_range, 3), Error);
+  EXPECT_THROW(require_permutation(out_of_range, 3, marks), Error);
 }
 
 }  // namespace
