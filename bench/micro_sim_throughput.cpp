@@ -29,8 +29,8 @@
 // scheduling trajectory). Two timed passes run first, back to back:
 // "before" — the seed configuration (binary-heap event queue, sharing
 // off) on a policy-balanced sample of the grid — and "after" — calendar
-// queue + sharing over all cells. The pair runs `--reps` times (5 by
-// default), alternating which side goes first, and the speedup is the
+// queue + sharing over all cells. The pair runs kSimCoreReps (5) times,
+// alternating which side goes first, and the speedup is the
 // median of the per-rep ratios, so one slow spell of the host moves one
 // rep, not the verdict. An untimed last pass then re-runs
 // the seed configuration over the full grid and byte-compares every
@@ -207,13 +207,14 @@ class ScopedEventqEnv {
   std::optional<std::string> saved_;
 };
 
+/// Timed rep pairs of the sim-core gate; the gate reads their median.
+constexpr std::size_t kSimCoreReps = 5;
+
 int run_sim_core_mode(const CliArgs& args) {
   const std::string scale = args.get_or("scale", "m");
   const std::size_t months = scale_months(scale);
   const auto jobs = static_cast<std::size_t>(args.get_int_or("jobs", 1));
   bench::warn_if_oversubscribed(jobs);
-  const auto reps = static_cast<std::size_t>(args.get_int_or("reps", 5));
-  ESCHED_REQUIRE(reps >= 1, "--reps must be >= 1");
 
   // One trace, 3 policies x 20 price ratios. Every cell of one policy
   // shares the scheduling trajectory (the scheduler sees period
@@ -287,7 +288,7 @@ int run_sim_core_mode(const CliArgs& args) {
   run::SweepStats after_stats;
   std::vector<double> before_walls, after_walls, speedups;
   bool identical = true;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
+  for (std::size_t rep = 0; rep < kSimCoreReps; ++rep) {
     double before_wall = 0.0;
     double after_wall = 0.0;
     const auto time_before = [&] {
@@ -345,15 +346,15 @@ int run_sim_core_mode(const CliArgs& args) {
   std::printf(
       "before (heap, sharing off): wall=%.3fs  %.0f jobs/sec  "
       "(%zu-cell sample, median of %zu)\n",
-      before_wall, before_jps, before_sample.size(), reps);
+      before_wall, before_jps, before_sample.size(), kSimCoreReps);
   std::printf(
       "after  (calendar, sharing):  wall=%.3fs  %.0f jobs/sec  "
       "(%zu simulated, %zu copied, %zu rebilled; median of %zu)\n",
       after_wall, after_jps, after_stats.simulated_cells,
-      after_stats.copied_cells, after_stats.rebilled_cells, reps);
+      after_stats.copied_cells, after_stats.rebilled_cells, kSimCoreReps);
   std::printf("speedup=%.2fx (median of %zu reps, range %.2f-%.2fx)  "
               "bit-identical=%s (all %zu cells vs seed configuration)\n",
-              speedup, reps, *min_speedup, *max_speedup,
+              speedup, kSimCoreReps, *min_speedup, *max_speedup,
               identical ? "yes" : "NO", sweep.size());
 
   if (const auto json = args.get("sim-core-json")) {
@@ -391,7 +392,8 @@ int run_sim_core_mode(const CliArgs& args) {
         "configuration\"\n"
         "}\n",
         scale.c_str(), sweep.size(), months, trace->size(), total_jobs,
-        bench::host_hardware_threads(), jobs, reps, before_sample.size(),
+        bench::host_hardware_threads(), jobs, kSimCoreReps,
+        before_sample.size(),
         before_wall, before_jps, sweep.size(),
         after_wall, after_jps, after_stats.simulated_cells,
         after_stats.copied_cells, after_stats.rebilled_cells, speedup,

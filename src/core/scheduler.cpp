@@ -83,7 +83,7 @@ void Scheduler::reserve(std::size_t max_queue, std::size_t max_running) {
 
 const std::vector<std::size_t>& Scheduler::decide(
     const ScheduleContext& ctx, std::span<const PendingJob> queue,
-    std::span<const RunningJob> running) const {
+    std::span<const RunningJob> running) {
   ESCHED_REQUIRE(ctx.free_nodes >= 0 && ctx.free_nodes <= ctx.system_nodes,
                  "free nodes outside [0, N]");
   starts_.clear();
@@ -100,7 +100,7 @@ const std::vector<std::size_t>& Scheduler::decide(
 
 void Scheduler::decide_conservative(
     const ScheduleContext& ctx, std::span<const PendingJob> queue,
-    std::span<const RunningJob> running) const {
+    std::span<const RunningJob> running) {
   AvailabilityProfile profile(ctx.now, ctx.system_nodes);
   NodeCount accounted = ctx.free_nodes;
   for (const RunningJob& r : running) {
@@ -130,7 +130,7 @@ void Scheduler::decide_conservative(
 
 void Scheduler::decide_easy(const ScheduleContext& ctx,
                             std::span<const PendingJob> queue,
-                            std::span<const RunningJob> running) const {
+                            std::span<const RunningJob> running) {
   NodeCount free = ctx.free_nodes;
   // All started jobs join the running set for the reservation computation.
   occupancy_.assign(running.begin(), running.end());
@@ -151,7 +151,7 @@ void Scheduler::decide_easy(const ScheduleContext& ctx,
 
 void Scheduler::decide_window(const ScheduleContext& ctx,
                               std::span<const PendingJob> queue,
-                              std::span<const RunningJob> running) const {
+                              std::span<const RunningJob> running) {
   const std::size_t w = std::min(config_.window_size, queue.size());
   const std::span<const PendingJob> window = queue.subspan(0, w);
 

@@ -7,12 +7,13 @@
 // For strict-order policies (FCFS) it instead runs classic EASY over the
 // whole queue: in-order starts plus reservation-protected backfilling.
 //
-// decide() is a pure function of its arguments — no state beyond scratch
-// — which makes every scheduling decision unit-testable in isolation and
-// keeps the simulator trivially deterministic. The scratch is a handful of
-// buffers that one pass fills and the next reuses, so a warm scheduler
-// allocates nothing per pass; it makes a Scheduler unsafe to share between
-// threads (the simulator owns one per run).
+// decide()'s answer depends only on its arguments — no state beyond
+// scratch — which makes every scheduling decision unit-testable in
+// isolation and keeps the simulator trivially deterministic. The scratch
+// is a handful of buffers that one pass fills and the next reuses, so a
+// warm scheduler allocates nothing per pass; decide() is therefore
+// non-const, and a Scheduler is not to be shared between threads (the
+// simulator owns one per run).
 #pragma once
 
 #include <cstdint>
@@ -73,11 +74,11 @@ class Scheduler {
   /// `running` describes jobs currently on the machine (for reservations).
   /// Returns indices into `queue` to start now, in dispatch order; the
   /// returned jobs are guaranteed to fit in ctx.free_nodes collectively.
-  /// The reference is to the scheduler's scratch: it stays valid until
-  /// the next call.
+  /// The reference is to the scheduler's scratch: the next call
+  /// overwrites it. Not thread-safe.
   const std::vector<std::size_t>& decide(
       const ScheduleContext& ctx, std::span<const PendingJob> queue,
-      std::span<const RunningJob> running) const;
+      std::span<const RunningJob> running);
 
   /// Size the per-pass scratch for a queue of up to `max_queue` jobs and
   /// up to `max_running` jobs on the machine, so that decide() never
@@ -91,23 +92,22 @@ class Scheduler {
   // Each fills starts_.
   void decide_easy(const ScheduleContext& ctx,
                    std::span<const PendingJob> queue,
-                   std::span<const RunningJob> running) const;
+                   std::span<const RunningJob> running);
   void decide_conservative(const ScheduleContext& ctx,
                            std::span<const PendingJob> queue,
-                           std::span<const RunningJob> running) const;
+                           std::span<const RunningJob> running);
   void decide_window(const ScheduleContext& ctx,
                      std::span<const PendingJob> queue,
-                     std::span<const RunningJob> running) const;
+                     std::span<const RunningJob> running);
 
   SchedulingPolicy* policy_;
   SchedulerConfig config_;
 
-  // Per-pass scratch (mutable: decide() is logically const — it computes
-  // a value — but reuses these buffers' capacity).
-  mutable std::vector<std::size_t> starts_;       ///< decide()'s answer
-  mutable std::vector<RunningJob> occupancy_;     ///< running + this pass
-  mutable std::vector<RunningJob> by_end_;        ///< reservation's sort
-  mutable std::vector<std::uint8_t> marks_;       ///< permutation / started
+  // Per-pass scratch: decide() reuses these buffers' capacity.
+  std::vector<std::size_t> starts_;       ///< decide()'s answer
+  std::vector<RunningJob> occupancy_;     ///< running + this pass
+  std::vector<RunningJob> by_end_;        ///< reservation's sort
+  std::vector<std::uint8_t> marks_;       ///< permutation / started
 };
 
 }  // namespace esched::core

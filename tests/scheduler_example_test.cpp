@@ -36,7 +36,7 @@ std::vector<PendingJob> paper_jobs_table() {
   };
 }
 
-std::vector<JobId> started_ids(const Scheduler& scheduler,
+std::vector<JobId> started_ids(Scheduler& scheduler,
                                const std::vector<PendingJob>& queue,
                                PricePeriod period) {
   const ScheduleContext ctx{0, 12, 12, period};
